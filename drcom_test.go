@@ -181,8 +181,8 @@ func TestSystemGlobalViewAndLoadMode(t *testing.T) {
 	if err := sys.DeployXML(cameraXML); err != nil {
 		t.Fatal(err)
 	}
-	view := sys.GlobalView()
-	if len(view.Admitted) != 1 || view.Admitted[0].CPUUsage != 0.1 {
+	view := sys.GlobalView().All()
+	if len(view) != 1 || view[0].CPUUsage != 0.1 {
 		t.Fatalf("view = %+v", view)
 	}
 	sys.SetLoadMode(StressLoad)

@@ -35,13 +35,8 @@ func admittedComps(n *Node) []core.Info {
 func localReport(b sim.Time, n *Node) *report {
 	r := &report{at: b, comps: map[string]int{}}
 	view := n.drcr.GlobalView()
-	for _, l := range view.CPULoad {
-		r.load += l
-	}
-	if view.CPULoad == nil {
-		for _, ct := range view.Admitted {
-			r.load += ct.CPUUsage
-		}
+	for cpu := 0; cpu < view.NumCPUs; cpu++ {
+		r.load += view.Load(cpu)
 	}
 	for _, info := range admittedComps(n) {
 		r.admitted++

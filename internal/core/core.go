@@ -132,13 +132,17 @@ func (e Event) String() string {
 // waitKind classifies why a non-admitted component is waiting, so the
 // worklist engine knows which events can change its fate: a port waiter
 // needs a new provider of one of its inport topics, an admission waiter
-// needs the admission view (or the resolver chain) to change.
+// needs the admission view of its processor (or the resolver chain) to
+// change, and an admitted component whose activation failed (an IPC or
+// task name taken, possibly by a component on another processor) needs
+// any admitted-set change.
 type waitKind int
 
 const (
 	waitNone waitKind = iota
 	waitPorts
 	waitAdmission
+	waitActivation
 )
 
 // Component is the DRCR's record of one declared component.
@@ -340,23 +344,13 @@ type DRCR struct {
 	// Replaceable via SetPlanCache (a cluster shares one across nodes).
 	planCache *plan.Cache
 
-	// admitted is the contract set of Active/Suspended components, kept
-	// name-sorted up to admittedSorted and maintained incrementally on
-	// every lifecycle transition so Resolve's fixed-point iterations
-	// never rebuild it. Inserts append past the sorted prefix;
-	// flushAdmittedLocked sorts and merges the tail before any ordered
-	// read, so a whole-bundle deploy pays one O(N) merge instead of N
-	// O(N) shifts. Pointers, not values: the merge moves one machine
-	// word per element instead of a whole contract. cpuLoad is the
-	// matching per-CPU summed declared budget.
-	admitted       []*policy.Contract
-	admittedSorted int
-	cpuLoad        []float64
-	// loadDirty flags CPUs whose accumulator is stale; loadLocked
-	// re-sums them in admitted-name order before anyone reads cpuLoad,
-	// so a whole-bundle deploy pays one rebuild instead of N.
-	loadDirty    []bool
-	loadDirtyAny bool
+	// cpus holds each processor's admission state (cpuAdmission);
+	// cpuLoad is the matching per-CPU summed declared budget, re-summed
+	// lazily for processors flagged loadStale. stochAdmitted counts the
+	// admitted distribution-valued contracts behind View.Stochastic.
+	cpus          []cpuAdmission
+	cpuLoad       []float64
+	stochAdmitted int
 
 	// allNames is the sorted name list of every managed component,
 	// maintained incrementally on deploy/destroy so the reference full
@@ -382,8 +376,8 @@ type DRCR struct {
 	remoteProv map[portKey][]remoteEntry
 	remoteCons map[portKey][]string
 
-	// viewEpoch counts admitted-set membership changes; viewSnap is the
-	// immutable snapshot shared by every consult at that epoch.
+	// viewEpoch counts admitted-set changes on any processor; viewSnap is
+	// the immutable snapshot shared by every consult at that epoch.
 	viewEpoch     uint64
 	viewSnap      policy.View
 	viewSnapEpoch uint64
@@ -392,8 +386,8 @@ type DRCR struct {
 	// waiting tracks every Unsatisfied/Satisfied component. actPending /
 	// deactPending are the sorted dirty-component staging worklists,
 	// actRound / deactRound the reused buffers the phases sweep; the
-	// drain* fields remember the epochs the last drain synchronised
-	// against.
+	// drain* fields remember the epochs the last waiter synchronisation
+	// ran against (drainCPUEpoch: each processor's cpuAdmission.epoch).
 	waiting map[string]*Component
 	// degraded is the sorted name list of admitted components running
 	// below mode 0; the best-effort promotion pass walks it only when
@@ -409,6 +403,11 @@ type DRCR struct {
 	drainID         uint64
 	drainViewEpoch  uint64
 	drainChainEpoch uint64
+	drainCPUEpoch   []uint64
+	// rearmPartial is set by a waiter synchronisation that re-armed only
+	// the waiters of moved processors, and cleared once the activation
+	// round it fed has run (see tryActivateLocked).
+	rearmPartial bool
 
 	// Resolver-chain cache: rebuilt only when a drcom.ResolvingService
 	// registry event fires, instead of on every consult.
@@ -416,6 +415,7 @@ type DRCR struct {
 	chainEpoch atomic.Uint64
 	chainMu    sync.Mutex
 	chain      policy.Chain
+	chainLocal bool // policy.IsCPULocal(chain), under chainMu
 
 	events    []Event
 	listeners []func(Event)
@@ -448,6 +448,9 @@ func New(fw *osgi.Framework, kernel *rtos.Kernel, opts Options) (*DRCR, error) {
 		actMember:   map[string]bool{},
 		deactMember: map[string]bool{},
 	}
+	d.cpus = make([]cpuAdmission, kernel.NumCPUs())
+	d.cpuLoad = make([]float64, kernel.NumCPUs())
+	d.drainCPUEpoch = make([]uint64, kernel.NumCPUs())
 	d.cones = newConeLocks(kernel.NumCPUs(), opts.Shards)
 	d.obs.BindKernel(kernel)
 	d.obs.SetLoadFunc(d.declaredLoad)
@@ -644,32 +647,35 @@ func (d *DRCR) GlobalView() policy.View {
 }
 
 // viewLocked returns the admission snapshot for the current view epoch.
-// The snapshot is rebuilt (fresh slices, never mutated in place) only
-// when the admitted membership changed since the last call, so a burst
-// of consults against an unchanged view shares one copy instead of
-// re-copying the contract list per candidate.
+// It is rebuilt only when some processor's admitted set changed since
+// the last call, and then re-copies only those processors' contract
+// lists: every other list is shared with the previous snapshot (lists
+// are never mutated once handed out, and OnCPU caps them so appends
+// copy).
 func (d *DRCR) viewLocked() policy.View {
-	if !d.viewSnapValid || d.viewSnapEpoch != d.viewEpoch {
-		d.flushAdmittedLocked()
-		v := policy.View{NumCPUs: d.kernel.NumCPUs(), Epoch: d.viewEpoch}
-		if len(d.admitted) > 0 {
-			v.Admitted = make([]policy.Contract, len(d.admitted))
-			for i, ct := range d.admitted {
-				v.Admitted[i] = *ct
-				if ct.Budget != nil {
-					v.Stochastic = true
-				}
-			}
-		}
-		if load := d.loadLocked(); len(load) > 0 {
-			v.CPULoad = make([]float64, len(load))
-			copy(v.CPULoad, load)
-		}
-		d.viewSnap = v
-		d.viewSnapEpoch = d.viewEpoch
-		d.viewSnapValid = true
+	if d.viewSnapValid && d.viewSnapEpoch == d.viewEpoch {
+		return d.viewSnap
 	}
-	return d.viewSnap
+	per := make([][]policy.Contract, len(d.cpus))
+	for i := range d.cpus {
+		ca := &d.cpus[i]
+		if ca.snapStale {
+			ca.snap = nil
+			if len(ca.admitted) > 0 {
+				ca.snap = append([]policy.Contract(nil), ca.admitted...)
+			}
+			ca.snapStale = false
+		}
+		per[i] = ca.snap
+	}
+	v := policy.NewViewPerCPU(len(d.cpus), per)
+	v.Epoch = d.viewEpoch
+	v.Stochastic = d.stochAdmitted > 0
+	v.CPULoad = append([]float64(nil), d.loadLocked()...)
+	d.viewSnap = v
+	d.viewSnapEpoch = d.viewEpoch
+	d.viewSnapValid = true
+	return v
 }
 
 // admittedSet reports whether a state counts into the admission view.
@@ -683,37 +689,19 @@ func (d *DRCR) noteTransitionLocked(c *Component, from, to State) {
 		return
 	}
 	name := c.desc.Name
-	var cpu int
 	if is {
-		ct := contractAt(c.desc, c.mode)
-		cpu = ct.CPU
-		// Append past the sorted prefix; the merge happens lazily at the
-		// next ordered read. Component names are unique in the admitted
-		// set, so the deferred sort lands the entry exactly where the
-		// immediate sorted insert would have.
-		d.admitted = append(d.admitted, &ct)
+		d.admitContractLocked(contractAt(c.desc, c.mode))
 		if c.mode > 0 {
 			d.degraded = insertName(d.degraded, name)
 		}
 	} else {
-		d.flushAdmittedLocked()
-		i := sort.Search(len(d.admitted), func(i int) bool { return d.admitted[i].Name >= name })
-		if i >= len(d.admitted) || d.admitted[i].Name != name {
+		if !d.withdrawContractLocked(c.desc.CPU(), name) {
 			return // not tracked; nothing to withdraw
 		}
-		cpu = d.admitted[i].CPU
-		d.admitted = append(d.admitted[:i], d.admitted[i+1:]...)
-		d.admittedSorted = len(d.admitted)
 		if len(d.degraded) > 0 {
 			d.degraded = removeName(d.degraded, name)
 		}
 	}
-	// A membership change on one CPU leaves every other CPU's contract
-	// sequence untouched, so their name-order sums are bit-for-bit the
-	// ones a full rebuild would produce. Mark this CPU stale; the re-sum
-	// happens lazily at the next cpuLoad read (loadLocked), which folds a
-	// whole-bundle deploy's N re-sums into one.
-	d.markLoadDirtyLocked(cpu)
 	d.viewEpoch++
 	// Keep the provider index exactly the outports of the admitted set.
 	for _, out := range c.desc.OutPorts {
@@ -792,100 +780,24 @@ func removeName(ns []string, name string) []string {
 	return append(ns[:i], ns[i+1:]...)
 }
 
-// flushAdmittedLocked restores the full name-sort invariant on
-// d.admitted: the appended tail is sorted and merged into the sorted
-// prefix in one backward pass. Every ordered reader calls this first;
-// the call is a length comparison when nothing was appended. The merged
-// slice is element-for-element the one immediate sorted inserts would
-// have produced (names are unique), so every downstream ordered
-// computation — name-order load sums, view snapshots, reference scans —
-// is bit-for-bit unchanged.
-func (d *DRCR) flushAdmittedLocked() {
-	n := len(d.admitted)
-	if d.admittedSorted == n {
-		return
-	}
-	tail := d.admitted[d.admittedSorted:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].Name < tail[j].Name })
-	if d.admittedSorted > 0 && d.admitted[d.admittedSorted-1].Name > tail[0].Name {
-		tmp := append([]*policy.Contract(nil), tail...)
-		i, j, k := d.admittedSorted-1, len(tmp)-1, n-1
-		for j >= 0 {
-			if i >= 0 && d.admitted[i].Name > tmp[j].Name {
-				d.admitted[k] = d.admitted[i]
-				i--
-			} else {
-				d.admitted[k] = tmp[j]
-				j--
-			}
-			k--
-		}
-	}
-	d.admittedSorted = n
-}
-
-// recomputeLoadLocked refreshes the per-CPU budget accumulators from the
-// admitted set. It runs only when membership changes (not on every Resolve
-// iteration) and always sums in name order, so the totals are bit-for-bit
-// the ones a full rebuild would produce.
-func (d *DRCR) recomputeLoadLocked() {
-	d.flushAdmittedLocked()
-	if d.cpuLoad == nil {
-		d.cpuLoad = make([]float64, d.kernel.NumCPUs())
-	}
-	for i := range d.cpuLoad {
-		d.cpuLoad[i] = 0
-	}
-	for _, ct := range d.admitted {
-		if ct.CPU >= 0 && ct.CPU < len(d.cpuLoad) {
-			d.cpuLoad[ct.CPU] += ct.CPUUsage
-		}
-	}
-	for i := range d.loadDirty {
-		d.loadDirty[i] = false
-	}
-	d.loadDirtyAny = false
-}
-
-// markLoadDirtyLocked flags one CPU's accumulator stale after a
-// membership change there.
-func (d *DRCR) markLoadDirtyLocked(cpu int) {
-	if d.loadDirty == nil {
-		d.loadDirty = make([]bool, d.kernel.NumCPUs())
-	}
-	if cpu < 0 || cpu >= len(d.loadDirty) {
-		return
-	}
-	d.loadDirty[cpu] = true
-	d.loadDirtyAny = true
-}
-
 // loadLocked returns the per-CPU accumulators, re-summing any stale CPU
-// in admitted-name order first — bit-for-bit the totals a full rebuild
-// at every transition would have produced, without paying the rebuild
-// per transition.
+// in name order first: a change on one CPU leaves every other CPU's
+// contract sequence, and so its sum, bit-for-bit untouched, and a
+// whole-bundle deploy pays one re-sum per CPU instead of one per
+// admission.
 func (d *DRCR) loadLocked() []float64 {
-	if d.cpuLoad == nil {
-		d.cpuLoad = make([]float64, d.kernel.NumCPUs())
-	}
-	if !d.loadDirtyAny {
-		return d.cpuLoad
-	}
-	d.flushAdmittedLocked()
-	for i, dirty := range d.loadDirty {
-		if dirty {
-			d.cpuLoad[i] = 0
+	for i := range d.cpus {
+		ca := &d.cpus[i]
+		if !ca.loadStale {
+			continue
 		}
-	}
-	for _, ct := range d.admitted {
-		if ct.CPU >= 0 && ct.CPU < len(d.cpuLoad) && d.loadDirty[ct.CPU] {
-			d.cpuLoad[ct.CPU] += ct.CPUUsage
+		var sum float64
+		for j := range ca.admitted {
+			sum += ca.admitted[j].CPUUsage
 		}
+		d.cpuLoad[i] = sum
+		ca.loadStale = false
 	}
-	for i := range d.loadDirty {
-		d.loadDirty[i] = false
-	}
-	d.loadDirtyAny = false
 	return d.cpuLoad
 }
 

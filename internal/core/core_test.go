@@ -282,9 +282,8 @@ func TestSuspendResumeKeepsContractAdmitted(t *testing.T) {
 		t.Fatalf("disp while provider suspended = %v, want ACTIVE", got)
 	}
 	// The budget stays admitted.
-	view := d.GlobalView()
-	if len(view.Admitted) != 2 {
-		t.Fatalf("admitted contracts = %d, want 2", len(view.Admitted))
+	if n := d.GlobalView().Len(); n != 2 {
+		t.Fatalf("admitted contracts = %d, want 2", n)
 	}
 	// The RT task actually parks (after serving the mailbox command).
 	if err := k.Run(5 * time.Millisecond); err != nil {
@@ -557,10 +556,10 @@ func TestGlobalViewContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := d.GlobalView()
-	if view.NumCPUs != 2 || len(view.Admitted) != 1 {
+	if view.NumCPUs != 2 || view.Len() != 1 {
 		t.Fatalf("view = %+v", view)
 	}
-	ct := view.Admitted[0]
+	ct := view.All()[0]
 	if ct.Name != "calc" || ct.CPUUsage != 0.05 || ct.Period != time.Millisecond || ct.Priority != 1 {
 		t.Fatalf("contract = %+v", ct)
 	}

@@ -24,10 +24,11 @@ func (d *DRCR) resolveOnce() (changed bool) {
 	// One reference pass = one resolution round; the sweep has no staged
 	// worklists, so the depth arguments are zero.
 	d.obs.ResolveRound(d.kernel.Now(), 0, 0)
-	d.flushAdmittedLocked()
 	d.admittedScratch = d.admittedScratch[:0]
-	for _, ct := range d.admitted {
-		d.admittedScratch = append(d.admittedScratch, ct.Name)
+	for _, name := range d.allNames {
+		if c := d.comps[name]; admittedSet(c.state) {
+			d.admittedScratch = append(d.admittedScratch, name)
+		}
 	}
 	for _, name := range d.admittedScratch {
 		c, ok := d.comps[name]
@@ -149,24 +150,33 @@ func (d *DRCR) unsatisfiedInportScanLocked(c *Component, mode int) string {
 	return ""
 }
 
-// findProviderScanLocked walks the whole admitted set (sorted by name)
-// looking for a compatible outport — the scan the provider index
-// replaces.
+// findProviderScanLocked walks the whole admitted set looking for a
+// compatible outport and picks the first by name — the scan the provider
+// index replaces.
 func (d *DRCR) findProviderScanLocked(self string, in descriptor.Port) string {
-	d.flushAdmittedLocked()
-	for _, ct := range d.admitted {
-		if ct.Name == self {
-			continue
-		}
-		p, ok := d.comps[ct.Name]
-		if !ok {
-			continue
-		}
-		for _, out := range p.desc.OutPorts {
-			if out.CanSatisfy(in) {
-				return ct.Name
+	best := ""
+	for i := range d.cpus {
+		for _, ct := range d.cpus[i].admitted {
+			if best != "" && ct.Name > best {
+				break // lists are name-sorted
+			}
+			if ct.Name == self {
+				continue
+			}
+			p, ok := d.comps[ct.Name]
+			if !ok {
+				continue
+			}
+			for _, out := range p.desc.OutPorts {
+				if out.CanSatisfy(in) {
+					best = ct.Name
+					break
+				}
 			}
 		}
+	}
+	if best != "" {
+		return best
 	}
 	// Same remote fallback as the worklist engine (shared helper), so the
 	// two engines keep making identical provider choices.

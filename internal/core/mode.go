@@ -88,22 +88,15 @@ func (d *DRCR) setModeLocked(c *Component, mode int, reason string) error {
 		c.bindings[in.Name] = d.findProviderLocked(c.desc.Name, in)
 	}
 	// Swap the promised contract in the admission view. Membership did not
-	// change, so the provider index stands; the budget totals and the view
-	// epoch move.
+	// change, so the provider index stands; the component's CPU (its
+	// budget total and epoch) and the view epoch move.
 	name := c.desc.Name
-	for i := range d.admitted {
-		if d.admitted[i].Name == name {
-			ct := contractAt(c.desc, mode)
-			d.admitted[i] = &ct
-			break
-		}
-	}
+	d.swapContractLocked(contractAt(c.desc, mode))
 	if isDegraded && !wasDegraded {
 		d.degraded = insertName(d.degraded, name)
 	} else if !isDegraded && wasDegraded {
 		d.degraded = removeName(d.degraded, name)
 	}
-	d.recomputeLoadLocked()
 	d.viewEpoch++
 	d.registerMgmtLocked(c, inst)
 	return nil

@@ -112,9 +112,9 @@ func TestAperiodicHasNoBudgetContract(t *testing.T) {
 	if err := d.Deploy(mustParse(t, src)); err != nil {
 		t.Fatal(err)
 	}
-	view := d.GlobalView()
-	if len(view.Admitted) != 1 || view.Admitted[0].Period != 0 {
-		t.Fatalf("view = %+v", view.Admitted)
+	view := d.GlobalView().All()
+	if len(view) != 1 || view[0].Period != 0 {
+		t.Fatalf("view = %+v", view)
 	}
 	// Its declared usage still counts against the utilization bound —
 	// the budget is a promise regardless of release pattern.

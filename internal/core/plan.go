@@ -317,11 +317,6 @@ func (d *DRCR) applyPlanLocked(p *plan.Plan, specs []rtos.TaskSpec, b *osgi.Bund
 		copy(grown, d.events)
 		d.events = grown
 	}
-	if need := len(d.admitted) + len(p.Schedule); cap(d.admitted) < need {
-		grown := make([]*policy.Contract, len(d.admitted), need)
-		copy(grown, d.admitted)
-		d.admitted = grown
-	}
 	if need := len(d.allNames) + n; cap(d.allNames) < need {
 		grown := make([]string, len(d.allNames), need)
 		copy(grown, d.allNames)
@@ -411,7 +406,7 @@ func (d *DRCR) applyPlanLocked(p *plan.Plan, specs []rtos.TaskSpec, b *osgi.Bund
 			// and hand the rest of the batch to a real drain.
 			c.mode = 0
 			c.lastReason = "activation failed: " + err.Error()
-			c.wait = waitAdmission
+			c.wait = waitActivation
 			// Restore the waiting set the event path would have built: every
 			// batch member still short of Active (the failed component, the
 			// unreached tail of the schedule, leftovers) belongs in it. Any
@@ -450,6 +445,5 @@ func (d *DRCR) applyPlanLocked(p *plan.Plan, specs []rtos.TaskSpec, b *osgi.Bund
 	}
 
 	// Drain epilogue: the epochs a finished drain synchronises against.
-	d.drainViewEpoch = d.viewEpoch
-	d.drainChainEpoch = d.chainEpoch.Load()
+	d.markSyncedLocked(d.chainEpoch.Load())
 }

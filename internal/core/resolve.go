@@ -20,8 +20,18 @@ package core
 //     consumer dirtied behind the cursor waits for the next round, one
 //     ahead of it joins the current round;
 //  2. activation candidates are processed in ascending name order, and
-//     every admitted-set or resolver-chain change re-arms the components
-//     waiting on admission, mirroring the reference fixed point;
+//     the components waiting on admission are re-armed after every
+//     admitted-set or resolver-chain change, mirroring the reference
+//     fixed point. When every resolver in the chain is policy.CPULocal
+//     (its verdict reads only the candidate's own processor), a waiter is
+//     re-armed only when its processor's epoch moved (cpuadmit.go): any
+//     other re-consult would repeat the denial it already holds. Two
+//     hooks keep that invisible — spans, causes and round order included
+//     — next to re-arming everyone: a waiter ahead of the activation
+//     cursor joins the round when an activation moves its processor, and
+//     a waiting consumer whose provider a deactivation round takes down
+//     goes straight to that pass's activation round. A chain change, a
+//     non-local chain, or a full Resolve re-arms every waiter;
 //  3. admission decisions are cached only while the drain, the view
 //     epoch and the resolver-chain epoch all stand still — customized
 //     resolving services may be stateful across Resolve calls (the fault
@@ -129,6 +139,7 @@ func (d *DRCR) drainWorklist() bool {
 				changed = true
 				continue
 			}
+			d.rearmPartial = false
 			return changed
 		}
 	}
@@ -145,8 +156,8 @@ func (d *DRCR) deactRoundLocked() bool {
 	changed := false
 	d.deactRound = append(d.deactRound[:0], d.deactPending...)
 	d.deactPending = d.deactPending[:0]
-	for k := range d.deactMember {
-		delete(d.deactMember, k)
+	for _, name := range d.deactRound { // exactly the member keys
+		delete(d.deactMember, name)
 	}
 	for i := 0; i < len(d.deactRound); i++ {
 		name := d.deactRound[i]
@@ -183,6 +194,12 @@ func (d *DRCR) deactRoundLocked() bool {
 					d.deactRound = insertRound(d.deactRound, i, cn)
 				} else {
 					d.enqueueDeactLocked(cn)
+					if w, ok := d.waiting[cn]; ok && w.wait == waitAdmission {
+						// Re-arming every waiter would bring it to this
+						// pass's activation round, where the lost provider
+						// first shows; a per-CPU re-arm might not.
+						d.enqueueActLocked(cn)
+					}
 				}
 			}
 		}
@@ -218,14 +235,15 @@ func (d *DRCR) actRoundLocked() bool {
 	changed := false
 	d.actRound = append(d.actRound[:0], d.actPending...)
 	d.actPending = d.actPending[:0]
-	for k := range d.actMember {
-		delete(d.actMember, k)
+	for _, name := range d.actRound { // exactly the member keys
+		delete(d.actMember, name)
 	}
 	for i := 0; i < len(d.actRound); i++ {
 		if d.tryActivateLocked(i) {
 			changed = true
 		}
 	}
+	d.rearmPartial = false
 	return changed
 }
 
@@ -308,11 +326,22 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		c.mode = 0
 		c.admitVerdict = ""
 		c.lastReason = "activation failed: " + err.Error()
-		c.wait = waitAdmission
+		c.wait = waitActivation
 		return changed
 	}
 	c.wait = waitNone
 	c.cacheValid = false
+	if d.rearmPartial {
+		// Re-arming every waiter would have put each in this round; the
+		// per-CPU re-arm left out those whose processor had not moved.
+		// One ahead of the cursor whose processor this activation moved
+		// would see the change here, so it joins the round.
+		for wn, w := range d.waiting {
+			if wn > name && w.wait == waitAdmission && d.cpuMovedLocked(w.desc.CPU()) {
+				d.actRound = insertRound(d.actRound, i, wn)
+			}
+		}
+	}
 	// Cascade to the new provider's waiting consumers: ahead of the
 	// cursor they join this round, behind it the next.
 	for _, out := range c.desc.OutPorts {
@@ -337,21 +366,33 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	return true
 }
 
-// syncWaitersLocked re-arms every admission waiter when the admitted set
-// or the resolver chain changed since the last synchronisation — the
+// syncWaitersLocked re-arms admission waiters when the admitted set or
+// the resolver chain changed since the last synchronisation — the
 // worklist equivalent of the reference engine running another full pass
-// after any change.
+// after any change. With an unchanged CPU-local chain only the waiters
+// pinned to a processor whose epoch moved are re-armed: every other
+// waiter's verdict is provably the one it already holds. A chain change
+// or a non-local chain re-arms them all.
 func (d *DRCR) syncWaitersLocked() {
-	ce := d.chainEpoch.Load()
+	d.chainMu.Lock()
+	ce, local := d.chainEpoch.Load(), d.chainLocal
+	d.chainMu.Unlock()
 	if d.drainViewEpoch == d.viewEpoch && d.drainChainEpoch == ce {
 		return
 	}
-	d.drainViewEpoch, d.drainChainEpoch = d.viewEpoch, ce
+	local = local && d.drainChainEpoch == ce
+	d.rearmPartial = d.rearmPartial || local
 	for name, c := range d.waiting {
-		if c.wait == waitAdmission {
+		switch c.wait {
+		case waitActivation:
 			d.enqueueActLocked(name)
+		case waitAdmission:
+			if !local || d.cpuMovedLocked(c.desc.CPU()) {
+				d.enqueueActLocked(name)
+			}
 		}
 	}
+	d.markSyncedLocked(ce)
 }
 
 // markProviderDownLocked stages every consumer of a departed provider's
@@ -411,8 +452,9 @@ func (d *DRCR) refreshChain() {
 	}
 	d.chainMu.Lock()
 	d.chain = chain
-	d.chainMu.Unlock()
+	d.chainLocal = policy.IsCPULocal(chain)
 	d.chainEpoch.Add(1)
+	d.chainMu.Unlock()
 }
 
 // consultResolvers chains the internal resolving service with every
@@ -534,30 +576,33 @@ func (d *DRCR) promotePendingLocked(consult func(policy.View, policy.Contract) p
 
 // promotionViewLocked is the admission view with c's own current
 // contract withdrawn — what the world looks like if the component
-// released its degraded budget to claim a better mode.
+// released its degraded budget to claim a better mode. Only c's own
+// processor's list is copied; the others are shared with the snapshot.
 func (d *DRCR) promotionViewLocked(c *Component) policy.View {
 	base := d.viewLocked()
-	v := policy.View{NumCPUs: base.NumCPUs, Epoch: base.Epoch}
-	name := c.desc.Name
-	var self policy.Contract
-	if len(base.Admitted) > 1 {
-		v.Admitted = make([]policy.Contract, 0, len(base.Admitted)-1)
+	cpu := c.desc.CPU()
+	per := make([][]policy.Contract, base.NumCPUs)
+	for i := range per {
+		per[i] = base.OnCPU(i)
 	}
-	for _, ct := range base.Admitted {
-		if ct.Name == name {
+	var self policy.Contract
+	own := make([]policy.Contract, 0, len(per[cpu]))
+	for _, ct := range per[cpu] {
+		if ct.Name == c.desc.Name {
 			self = ct
 			continue
 		}
-		if ct.Budget != nil {
-			v.Stochastic = true
-		}
-		v.Admitted = append(v.Admitted, ct)
+		own = append(own, ct)
 	}
-	v.CPULoad = make([]float64, len(base.CPULoad))
-	copy(v.CPULoad, base.CPULoad)
-	if self.CPU >= 0 && self.CPU < len(v.CPULoad) {
-		v.CPULoad[self.CPU] -= self.CPUUsage
+	per[cpu] = own
+	v := policy.NewViewPerCPU(base.NumCPUs, per)
+	v.Epoch = base.Epoch
+	v.Stochastic = d.stochAdmitted > 0
+	if self.Budget != nil {
+		v.Stochastic = d.stochAdmitted > 1
 	}
+	v.CPULoad = append([]float64(nil), base.CPULoad...)
+	v.CPULoad[cpu] -= self.CPUUsage
 	return v
 }
 

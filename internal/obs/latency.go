@@ -63,7 +63,9 @@ func (p *Plane) RecordLatency(k LatencyKind, ns int64) {
 	if !p.enabled() || k < 0 || k >= latKinds {
 		return
 	}
+	p.latMu.Lock()
 	p.lat[k].Observe(ns)
+	p.latMu.Unlock()
 }
 
 // Latency returns a copy of one kind's histogram.
@@ -71,6 +73,8 @@ func (p *Plane) Latency(k LatencyKind) metrics.Log2Hist {
 	if p == nil || k < 0 || k >= latKinds {
 		return metrics.Log2Hist{}
 	}
+	p.latMu.Lock()
+	defer p.latMu.Unlock()
 	return p.lat[k]
 }
 
@@ -91,6 +95,8 @@ func (p *Plane) LatencyStats() []LatencyStat {
 	if p == nil {
 		return nil
 	}
+	p.latMu.Lock()
+	defer p.latMu.Unlock()
 	var out []LatencyStat
 	for k := LatencyKind(0); k < latKinds; k++ {
 		h := &p.lat[k]
@@ -117,9 +123,11 @@ func MergeLatencyStats(planes ...*Plane) []LatencyStat {
 		if p == nil {
 			continue
 		}
+		p.latMu.Lock()
 		for k := LatencyKind(0); k < latKinds; k++ {
 			merged[k].Merge(&p.lat[k])
 		}
+		p.latMu.Unlock()
 	}
 	var out []LatencyStat
 	for k := LatencyKind(0); k < latKinds; k++ {

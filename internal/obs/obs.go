@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"hash"
 	"strconv"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/rtos"
@@ -271,7 +272,10 @@ type Plane struct {
 	remote map[SpanID]Ref
 
 	// Latency histograms (latency.go); inline values, zero-alloc record.
-	lat [latKinds]metrics.Log2Hist
+	// latMu guards them: the DRCR records drain and deploy latencies
+	// after releasing its lock, from concurrent cone-striped operations.
+	latMu sync.Mutex
+	lat   [latKinds]metrics.Log2Hist
 
 	// Per-shard sched emission (sharded.go).
 	schedFunnel bool

@@ -11,13 +11,15 @@ import "sync"
 type Cache struct {
 	mu      sync.Mutex
 	m       map[string]*Plan
+	order   []string // keys in insertion order, oldest first
 	hits    uint64
 	misses  uint64
 	maxSize int
 }
 
-// defaultCacheSize bounds a cache; at capacity an arbitrary entry is
-// evicted (plans are cheap to recompile, the cache is a fast path).
+// defaultCacheSize bounds a cache; at capacity the oldest-inserted entry
+// is evicted (plans are cheap to recompile, the cache is a fast path),
+// so which plans survive depends only on the sequence of Puts.
 const defaultCacheSize = 256
 
 // NewCache builds an empty plan cache.
@@ -41,18 +43,20 @@ func (c *Cache) Get(key string) (*Plan, bool) {
 	return p, ok
 }
 
-// Put stores a compiled plan under its key.
+// Put stores a compiled plan under its key. Replacing a stored key keeps
+// its place in the eviction order.
 func (c *Cache) Put(p *Plan) {
 	if c == nil || p == nil || p.Key == "" {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.m[p.Key]; !exists && len(c.m) >= c.maxSize {
-		for k := range c.m {
-			delete(c.m, k)
-			break
+	if _, exists := c.m[p.Key]; !exists {
+		if len(c.order) >= c.maxSize {
+			delete(c.m, c.order[0])
+			c.order = append(c.order[:0], c.order[1:]...)
 		}
+		c.order = append(c.order, p.Key)
 	}
 	c.m[p.Key] = p
 }

@@ -48,8 +48,8 @@ type Env struct {
 	NumCPUs int
 	// Bound is the internal resolver's utilization bound (1.0 default).
 	Bound float64
-	// View is the current admitted view: name-sorted contracts plus the
-	// per-CPU declared-budget accumulators.
+	// View is the current admitted view: per-CPU name-sorted contracts
+	// plus the per-CPU declared-budget accumulators.
 	View policy.View
 	// Providers lists every outport admitted outside the bundle — local
 	// components and remote provisions — that could satisfy a bundle
@@ -630,12 +630,11 @@ func (p *Plan) compileSchedule(members map[string]*member, names []string,
 // compileAdmission dry-runs the internal utilization resolver over the
 // schedule, reproducing the runtime's arithmetic exactly: the per-CPU
 // accumulators are re-summed from scratch in admitted-name order after
-// every activation (recomputeLoadLocked's rule), so the partial sums —
+// every activation (the DRCR's per-CPU load rule), so the partial sums —
 // and therefore every admit/deny verdict — are bit-for-bit the ones the
 // event path computes. Any denial routes the plan to the event path.
 func (p *Plan) compileAdmission(members map[string]*member, env Env) {
-	admitted := make([]policy.Contract, len(env.View.Admitted))
-	copy(admitted, env.View.Admitted)
+	admitted := env.View.All()
 	before := make([]float64, env.NumCPUs)
 	load := make([]float64, env.NumCPUs)
 	recompute := func() {
@@ -656,14 +655,6 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 	// byte-identical to the runtime's. The flag tracks whether any
 	// distribution-valued contract is in play (view or schedule prefix).
 	stochastic := env.View.Stochastic
-	if !stochastic {
-		for _, ct := range env.View.Admitted {
-			if ct.Budget != nil {
-				stochastic = true
-				break
-			}
-		}
-	}
 	for _, name := range p.Schedule {
 		desc := members[name].desc
 		cpu := desc.CPU()
@@ -829,35 +820,26 @@ func (p *Plan) AdmitDryRun(view policy.View, numCPUs int, bound float64) string 
 	// time decides admission by Monte-Carlo sampling, not the constant
 	// sums below; the event path must run so its verdicts (and admit
 	// spans) are the ones recorded.
-	stochastic := view.Stochastic
-	if !stochastic {
-		for _, ct := range view.Admitted {
-			if ct.Budget != nil {
-				stochastic = true
-				break
-			}
-		}
-	}
-	if stochastic {
+	if view.Stochastic {
 		return "admitted view carries stochastic budgets: the event path decides admission"
 	}
 	byName := map[string]*descriptor.Component{}
 	for _, d := range p.Components {
 		byName[d.Name] = d
 	}
-	// The engine re-sums every CPU's load from scratch, in admitted-name
-	// order, after each admission (recomputeLoadLocked); the dry-run must
-	// reproduce those float sums bit for bit. Keeping one name-ordered
+	// The engine re-sums a CPU's load from scratch, in admitted-name
+	// order, after each admission there; the dry-run must reproduce
+	// those float sums bit for bit. Keeping one name-ordered
 	// usage list per CPU preserves exactly that addition order while
 	// re-summing only the CPU an admission lands on — an insert on cpu c
 	// cannot change any other CPU's element sequence.
 	names := make([][]string, numCPUs)
 	usages := make([][]float64, numCPUs)
 	load := make([]float64, numCPUs)
-	for _, ct := range view.Admitted {
-		if ct.CPU >= 0 && ct.CPU < numCPUs {
-			names[ct.CPU] = append(names[ct.CPU], ct.Name)
-			usages[ct.CPU] = append(usages[ct.CPU], ct.CPUUsage)
+	for cpu := range names {
+		for _, ct := range view.OnCPU(cpu) {
+			names[cpu] = append(names[cpu], ct.Name)
+			usages[cpu] = append(usages[cpu], ct.CPUUsage)
 		}
 	}
 	resum := func(cpu int) {

@@ -238,9 +238,9 @@ func TestAdmitDryRunMovedView(t *testing.T) {
 	if why := p.AdmitDryRun(free, 2, 1.0); why != "" {
 		t.Fatalf("dry-run against free view: %s", why)
 	}
-	busy := policy.View{NumCPUs: 2, Admitted: []policy.Contract{
+	busy := policy.NewView(2, []policy.Contract{
 		{Name: "big", CPU: 0, CPUUsage: 0.8},
-	}}
+	})
 	if why := p.AdmitDryRun(busy, 2, 1.0); !strings.Contains(why, "denied") {
 		t.Fatalf("dry-run against busy view = %q, want denial", why)
 	}
@@ -275,5 +275,32 @@ func TestCompileDuplicateNameFallback(t *testing.T) {
 	}
 	if !strings.Contains(p.Fallback, "duplicate") {
 		t.Fatalf("fallback = %q", p.Fallback)
+	}
+}
+
+// TestCacheEvictsOldestFirst: past capacity the cache evicts in
+// insertion order, so exactly the newest 256 of 300 keys survive, and
+// the lookup counters count every Get.
+func TestCacheEvictsOldestFirst(t *testing.T) {
+	c := NewCache()
+	key := func(i int) string { return fmt.Sprintf("k%03d", i) }
+	for i := 0; i < 300; i++ {
+		c.Put(&Plan{Key: key(i)})
+	}
+	c.Put(&Plan{Key: key(299)}) // a re-put neither grows nor reorders
+	for i := 0; i < 300; i++ {
+		_, ok := c.Get(key(i))
+		if want := i >= 300-defaultCacheSize; ok != want {
+			t.Fatalf("%s cached = %v, want %v", key(i), ok, want)
+		}
+	}
+	hits, misses, size := c.Stats()
+	if hits != defaultCacheSize || misses != 300-defaultCacheSize || size != defaultCacheSize {
+		t.Fatalf("stats = %d hits, %d misses, %d entries; want %d, %d, %d",
+			hits, misses, size, defaultCacheSize, 300-defaultCacheSize, defaultCacheSize)
+	}
+	c.Put(&Plan{Key: key(300)})
+	if _, ok := c.Get(key(300 - defaultCacheSize)); ok {
+		t.Fatalf("%s survived one more insert; want the oldest evicted", key(300-defaultCacheSize))
 	}
 }

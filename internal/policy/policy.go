@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -53,50 +54,101 @@ func (c Contract) Cost() time.Duration {
 }
 
 // View is the global system picture a resolving service reasons over: the
-// DRCR's accurate global view of promised contracts (§2.2).
+// DRCR's accurate global view of promised contracts (§2.2). Contracts are
+// filed per processor, each processor's list in name order. A view is
+// immutable once built: successive snapshots of one producer share the
+// lists of processors whose admitted set did not change between them.
 type View struct {
-	NumCPUs  int
-	Admitted []Contract
+	NumCPUs int
 	// Epoch counts admitted-set membership changes at the view's producer.
 	// Two views with equal epochs from the same producer describe the same
 	// admitted set, so consumers may reuse decisions derived from one.
 	Epoch uint64
-	// CPULoad, when non-nil, is the summed declared budget per processor
-	// over Admitted, maintained incrementally by the view's producer so
-	// resolvers need not rescan the contract list. Producers that do not
-	// track it leave it nil and resolvers fall back to summing Admitted.
+	// CPULoad, when non-nil, is the summed declared budget per processor,
+	// maintained incrementally by the view's producer. Producers that do
+	// not track it leave it nil and Load sums the processor's list.
 	CPULoad []float64
-	// Stochastic is set by producers whose admitted set may contain
+	// Stochastic is set when the admitted set may contain
 	// distribution-valued budgets. When false and the candidate carries
-	// none, Utilization takes the constant-budget fast path without
-	// scanning Admitted.
+	// none, Utilization takes the constant-budget fast path.
 	Stochastic bool
+
+	cpus [][]Contract
 }
 
-// OnCPU returns the admitted contracts pinned to the given processor.
-func (v View) OnCPU(cpuID int) []Contract {
-	var out []Contract
-	for _, c := range v.Admitted {
-		if c.CPU == cpuID {
-			out = append(out, c)
+// NewView files a flat contract list per processor, in name order. The
+// table grows past numCPUs to hold any contract pinned beyond it;
+// contracts pinned to a negative CPU are dropped. Stochastic is set when
+// any contract declares a distribution budget.
+func NewView(numCPUs int, contracts []Contract) View {
+	sorted := append([]Contract(nil), contracts...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	cpus := make([][]Contract, numCPUs)
+	v := View{NumCPUs: numCPUs}
+	for _, c := range sorted {
+		if c.CPU < 0 {
+			continue
+		}
+		for c.CPU >= len(cpus) {
+			cpus = append(cpus, nil)
+		}
+		cpus[c.CPU] = append(cpus[c.CPU], c)
+		if c.Budget != nil {
+			v.Stochastic = true
 		}
 	}
-	return out
+	v.cpus = cpus
+	return v
 }
 
-// Load returns the summed declared budget on the given processor, using
-// the precomputed per-CPU accumulator when present.
+// NewViewPerCPU builds a view over per-processor contract lists, each
+// already in name order. The view takes ownership: the caller must never
+// modify a list it passed, which is what lets later views share it.
+func NewViewPerCPU(numCPUs int, perCPU [][]Contract) View {
+	return View{NumCPUs: numCPUs, cpus: perCPU}
+}
+
+// OnCPU returns the admitted contracts pinned to the given processor, in
+// name order. The slice is capped at its length, so appending to it
+// copies instead of writing into storage other views share.
+func (v View) OnCPU(cpuID int) []Contract {
+	if cpuID < 0 || cpuID >= len(v.cpus) {
+		return nil
+	}
+	s := v.cpus[cpuID]
+	return s[:len(s):len(s)]
+}
+
+// Load returns the summed declared budget on the given processor, from
+// the producer's accumulator when present, else summed in name order.
 func (v View) Load(cpuID int) float64 {
 	if v.CPULoad != nil && cpuID >= 0 && cpuID < len(v.CPULoad) {
 		return v.CPULoad[cpuID]
 	}
 	var sum float64
-	for _, c := range v.Admitted {
-		if c.CPU == cpuID {
-			sum += c.CPUUsage
-		}
+	for _, c := range v.OnCPU(cpuID) {
+		sum += c.CPUUsage
 	}
 	return sum
+}
+
+// Len returns the number of admitted contracts.
+func (v View) Len() int {
+	n := 0
+	for _, s := range v.cpus {
+		n += len(s)
+	}
+	return n
+}
+
+// All returns every admitted contract in name order, as a fresh slice.
+func (v View) All() []Contract {
+	out := make([]Contract, 0, v.Len())
+	for _, s := range v.cpus {
+		out = append(out, s...)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Decision is a resolving service's verdict.
@@ -124,8 +176,28 @@ func deny(format string, args ...any) Decision {
 type Resolver interface {
 	// Name identifies the policy in logs and service properties.
 	Name() string
-	// Admit decides whether cand fits alongside view.Admitted.
+	// Admit decides whether cand fits alongside the view's contracts.
 	Admit(view View, cand Contract) Decision
+}
+
+// CPULocal is the optional capability of a Resolver whose verdict on a
+// candidate is a pure function of the candidate and of the view's
+// OnCPU(cand.CPU), Load(cand.CPU), NumCPUs and Stochastic: nothing about
+// other processors, no state of its own. The DRCR then re-consults an
+// admission waiter only when its own processor's admitted set changed
+// (a Stochastic flip counts as a change on every processor). A chain
+// with any member lacking the capability re-consults every waiter on
+// every change.
+type CPULocal interface {
+	Resolver
+	// CPULocal reports whether the guarantee holds for this value.
+	CPULocal() bool
+}
+
+// IsCPULocal reports whether r declares the CPULocal guarantee.
+func IsCPULocal(r Resolver) bool {
+	l, ok := r.(CPULocal)
+	return ok && l.CPULocal()
 }
 
 // ServiceInterface is the service-registry interface name under which
@@ -142,6 +214,9 @@ type Utilization struct {
 
 // Name implements Resolver.
 func (u Utilization) Name() string { return "utilization" }
+
+// CPULocal implements CPULocal.
+func (Utilization) CPULocal() bool { return true }
 
 // Admit implements Resolver.
 func (u Utilization) Admit(view View, cand Contract) Decision {
@@ -171,6 +246,9 @@ type RMA struct{}
 
 // Name implements Resolver.
 func (RMA) Name() string { return "rma" }
+
+// CPULocal implements CPULocal.
+func (RMA) CPULocal() bool { return true }
 
 // Admit implements Resolver.
 func (RMA) Admit(view View, cand Contract) Decision {
@@ -235,6 +313,9 @@ type EDF struct{}
 // Name implements Resolver.
 func (EDF) Name() string { return "edf" }
 
+// CPULocal implements CPULocal.
+func (EDF) CPULocal() bool { return true }
+
 // Admit implements Resolver.
 func (EDF) Admit(view View, cand Contract) Decision {
 	sum := cand.CPUUsage + view.Load(cand.CPU)
@@ -256,7 +337,17 @@ func (ch Chain) Name() string {
 	for i, r := range ch {
 		names[i] = r.Name()
 	}
-	return "chain(" + joinComma(names) + ")"
+	return "chain(" + strings.Join(names, ",") + ")"
+}
+
+// CPULocal implements CPULocal: a chain is CPU-local iff every member is.
+func (ch Chain) CPULocal() bool {
+	for _, r := range ch {
+		if !IsCPULocal(r) {
+			return false
+		}
+	}
+	return true
 }
 
 // Admit implements Resolver.
@@ -265,7 +356,7 @@ func (ch Chain) Admit(view View, cand Contract) Decision {
 	for _, r := range ch {
 		d := r.Admit(view, cand)
 		if !d.Admit {
-			return deny("%s: %s", r.Name(), d.Reason)
+			return Decision{Reason: r.Name() + ": " + d.Reason}
 		}
 		if d.Verdict != "" {
 			verdict = d.Verdict
@@ -273,17 +364,6 @@ func (ch Chain) Admit(view View, cand Contract) Decision {
 	}
 	out := admit("all %d resolvers admitted %s", len(ch), cand.Name)
 	out.Verdict = verdict
-	return out
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
 	return out
 }
 
@@ -304,6 +384,9 @@ func (s Static) Name() string {
 	}
 	return "always-deny"
 }
+
+// CPULocal implements CPULocal: the verdict reads nothing at all.
+func (Static) CPULocal() bool { return true }
 
 // Admit implements Resolver.
 func (s Static) Admit(View, Contract) Decision {
@@ -334,4 +417,10 @@ var (
 	_ Resolver = Chain(nil)
 	_ Resolver = Static{}
 	_ Resolver = Func{}
+
+	_ CPULocal = Utilization{}
+	_ CPULocal = RMA{}
+	_ CPULocal = EDF{}
+	_ CPULocal = Chain(nil)
+	_ CPULocal = Static{}
 )

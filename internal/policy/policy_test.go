@@ -23,11 +23,11 @@ func TestContractCost(t *testing.T) {
 }
 
 func TestViewOnCPU(t *testing.T) {
-	v := View{NumCPUs: 2, Admitted: []Contract{
+	v := NewView(2, []Contract{
 		ct("a", 0, 1, 0.1, time.Second),
 		ct("b", 1, 1, 0.2, time.Second),
 		ct("c", 0, 2, 0.3, time.Second),
-	}}
+	})
 	if got := len(v.OnCPU(0)); got != 2 {
 		t.Fatalf("OnCPU(0) = %d", got)
 	}
@@ -39,11 +39,72 @@ func TestViewOnCPU(t *testing.T) {
 	}
 }
 
+// TestViewOnCPUAppendDoesNotAlias: snapshots share per-CPU lists, so an
+// append to an OnCPU result (RMA appends its candidate) must copy rather
+// than write into spare capacity a later snapshot also holds.
+func TestViewOnCPUAppendDoesNotAlias(t *testing.T) {
+	shared := make([]Contract, 2, 8)
+	shared[0], shared[1] = ct("a", 0, 1, 0.1, time.Second), ct("b", 0, 2, 0.1, time.Second)
+	first := NewViewPerCPU(1, [][]Contract{shared})
+	later := NewViewPerCPU(1, [][]Contract{shared})
+	grown := append(first.OnCPU(0), ct("x", 0, 3, 0.1, time.Second))
+	RMA{}.Admit(first, ct("y", 0, 4, 0.1, time.Second))
+	if len(grown) != 3 || grown[2].Name != "x" {
+		t.Fatalf("append result = %+v", grown)
+	}
+	if on := later.OnCPU(0); len(on) != 2 || on[0].Name != "a" || on[1].Name != "b" {
+		t.Fatalf("later snapshot changed: %+v", on)
+	}
+	if spare := shared[:3][2]; spare.Name != "" {
+		t.Fatalf("append wrote into shared storage: %+v", spare)
+	}
+}
+
+// TestViewAllNameOrder: All merges the per-CPU lists back into one
+// name-ordered list, and Load sums a CPU in that order.
+func TestViewAllNameOrder(t *testing.T) {
+	v := NewView(2, []Contract{
+		ct("d", 1, 1, 0.1, time.Second),
+		ct("a", 0, 1, 0.2, time.Second),
+		ct("c", 0, 1, 0.3, time.Second),
+		ct("b", 3, 1, 0.4, time.Second), // beyond numCPUs: the table grows
+	})
+	var names []string
+	for _, c := range v.All() {
+		names = append(names, c.Name)
+	}
+	if got := strings.Join(names, ","); got != "a,b,c,d" || v.Len() != 4 {
+		t.Fatalf("All = %s (Len %d), want a,b,c,d", got, v.Len())
+	}
+	if got := v.Load(0); got != 0.2+0.3 {
+		t.Fatalf("Load(0) = %v", got)
+	}
+	if got := v.Load(3); got != 0.4 {
+		t.Fatalf("Load(3) = %v", got)
+	}
+}
+
+// TestCPULocalCapability: the built-in resolvers declare CPU locality, a
+// Func cannot, and a chain is local only when every member is.
+func TestCPULocalCapability(t *testing.T) {
+	for _, r := range []Resolver{Utilization{}, RMA{}, EDF{}, Static{}, Chain{Utilization{}, Static{AdmitAll: true}}} {
+		if !IsCPULocal(r) {
+			t.Errorf("%s: want CPU-local", r.Name())
+		}
+	}
+	f := Func{Label: "f", F: func(View, Contract) Decision { return Decision{Admit: true} }}
+	for _, r := range []Resolver{f, Chain{Utilization{}, f}} {
+		if IsCPULocal(r) {
+			t.Errorf("%s: want not CPU-local", r.Name())
+		}
+	}
+}
+
 func TestUtilizationAdmission(t *testing.T) {
 	u := Utilization{} // default bound 1.0
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("a", 0, 1, 0.5, time.Second),
-	}}
+	})
 	if d := u.Admit(view, ct("b", 0, 2, 0.4, time.Second)); !d.Admit {
 		t.Fatalf("0.9 total denied: %s", d.Reason)
 	}
@@ -58,9 +119,9 @@ func TestUtilizationAdmission(t *testing.T) {
 
 func TestUtilizationPerCPU(t *testing.T) {
 	u := Utilization{}
-	view := View{NumCPUs: 2, Admitted: []Contract{
+	view := NewView(2, []Contract{
 		ct("a", 0, 1, 0.9, time.Second),
-	}}
+	})
 	// CPU 1 is free even though CPU 0 is nearly full.
 	if d := u.Admit(view, ct("b", 1, 1, 0.9, time.Second)); !d.Admit {
 		t.Fatalf("other CPU denied: %s", d.Reason)
@@ -85,10 +146,10 @@ func TestRMAClassicSchedulableSet(t *testing.T) {
 	// Liu & Layland classic: three tasks, U = 0.2+0.2+0.2 = 0.6 — trivially
 	// schedulable under RMA.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.2, 10*time.Millisecond),
 		ct("t2", 0, 2, 0.2, 20*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("t3", 0, 3, 0.2, 50*time.Millisecond)); !d.Admit {
 		t.Fatalf("schedulable set denied: %s", d.Reason)
 	}
@@ -97,9 +158,9 @@ func TestRMAClassicSchedulableSet(t *testing.T) {
 func TestRMAUnschedulableSet(t *testing.T) {
 	// Total utilization 1.1 on one CPU can never be schedulable.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.6, 10*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("t2", 0, 2, 0.5, 14*time.Millisecond)); d.Admit {
 		t.Fatalf("overloaded set admitted: %s", d.Reason)
 	}
@@ -110,9 +171,9 @@ func TestRMATightButSchedulable(t *testing.T) {
 	// proves it schedulable: C1=2,T1=4 (prio 1); C2=2,T2=6 (prio 2).
 	// R2 = 2 + ceil(R2/4)*2 → R2 = 6 ≤ 6.
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.5, 4*time.Millisecond),
-	}}
+	})
 	d := r.Admit(view, ct("t2", 0, 2, 2.0/6.0, 6*time.Millisecond))
 	if !d.Admit {
 		t.Fatalf("exact-analysis schedulable set denied: %s", d.Reason)
@@ -125,9 +186,9 @@ func TestRMARespectsDeclaredPriorityNotRate(t *testing.T) {
 	// prio 2. R_short = 2 + 5 = 7 > 4 → unschedulable with these
 	// priorities (rate-monotonic assignment would have worked).
 	r := RMA{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("long", 0, 1, 0.5, 10*time.Millisecond),
-	}}
+	})
 	if d := r.Admit(view, ct("short", 0, 2, 0.5, 4*time.Millisecond)); d.Admit {
 		t.Fatalf("declared-priority inversion admitted: %s", d.Reason)
 	}
@@ -135,10 +196,10 @@ func TestRMARespectsDeclaredPriorityNotRate(t *testing.T) {
 
 func TestRMAIgnoresAperiodicAndOtherCPUs(t *testing.T) {
 	r := RMA{}
-	view := View{NumCPUs: 2, Admitted: []Contract{
+	view := NewView(2, []Contract{
 		ct("ap", 0, 0, 0, 0),                        // aperiodic: no cost
 		ct("other", 1, 0, 0.9, 10*time.Millisecond), // other CPU
-	}}
+	})
 	if d := r.Admit(view, ct("t", 0, 1, 0.9, 10*time.Millisecond)); !d.Admit {
 		t.Fatalf("denied: %s", d.Reason)
 	}
@@ -146,9 +207,9 @@ func TestRMAIgnoresAperiodicAndOtherCPUs(t *testing.T) {
 
 func TestEDFDensityBound(t *testing.T) {
 	e := EDF{}
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("a", 0, 1, 0.6, 10*time.Millisecond),
-	}}
+	})
 	// EDF admits up to density exactly 1 (where RMA's fixed priorities may
 	// fail).
 	if d := e.Admit(view, ct("b", 0, 2, 0.4, 7*time.Millisecond)); !d.Admit {
@@ -162,9 +223,9 @@ func TestEDFDensityBound(t *testing.T) {
 func TestEDFAdmitsWhereRMADenies(t *testing.T) {
 	// U = 1.0 with fixed priorities fails exact RMA analysis here, but EDF
 	// admits: the crossover the resolver ablation bench demonstrates.
-	view := View{NumCPUs: 1, Admitted: []Contract{
+	view := NewView(1, []Contract{
 		ct("t1", 0, 1, 0.5, 4*time.Millisecond),
-	}}
+	})
 	cand := ct("t2", 0, 2, 0.5, 6*time.Millisecond)
 	if d := (RMA{}).Admit(view, cand); d.Admit {
 		t.Fatalf("RMA admitted density-1.0 set: %s", d.Reason)
@@ -226,7 +287,8 @@ func TestStaticAndFunc(t *testing.T) {
 // utilization-1.0 equals EDF on identical inputs.
 func TestResolverDominanceProperty(t *testing.T) {
 	prop := func(us [4]uint8, ps [4]uint8) bool {
-		view := View{NumCPUs: 1}
+		var admitted []Contract
+		view := NewView(1, nil)
 		var cands []Contract
 		for i := 0; i < 4; i++ {
 			u := float64(us[i]%60) / 100 // 0..0.59
@@ -242,7 +304,8 @@ func TestResolverDominanceProperty(t *testing.T) {
 				return false // FP-schedulable implies density ≤ 1
 			}
 			if rmaOK && edfOK {
-				view.Admitted = append(view.Admitted, c)
+				admitted = append(admitted, c)
+				view = NewView(1, admitted)
 			}
 		}
 		return true
