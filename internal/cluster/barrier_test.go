@@ -1,0 +1,183 @@
+package cluster
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/descriptor"
+	"repro/internal/net"
+	"repro/internal/rtos"
+)
+
+// requireOnePlacement is the post-heal placement invariant: once
+// reconciliation has settled, every cluster-managed component is
+// admitted on exactly one node, and that node is its catalog entry.
+func requireOnePlacement(t *testing.T, c *Cluster) {
+	t.Helper()
+	for _, name := range c.sortedPlacementNames() {
+		var on []int
+		for _, n := range c.nodes {
+			for _, a := range n.drcr.AppendAdmitted(nil) {
+				if a.Name == name {
+					on = append(on, n.id)
+				}
+			}
+		}
+		if len(on) != 1 || on[0] != c.placements[name].node {
+			t.Errorf("%s admitted on nodes %v, want exactly catalog node %d", name, on, c.placements[name].node)
+		}
+	}
+}
+
+const relayXML = `<component name="relay" desc="cross-node relay" type="periodic" cpuusage="0.1">
+  <implementation bincode="demo.Cons"/>
+  <periodictask frequence="500" runoncup="1" priority="3"/>
+  <inport name="feed" interface="RTAI.SHM" type="Integer" size="4"/>
+  <outport name="flow" interface="RTAI.SHM" type="Integer" size="4"/>
+</component>`
+
+const sinkXML = `<component name="sink" desc="flow sink" type="periodic" cpuusage="0.2">
+  <implementation bincode="demo.Cons"/>
+  <periodictask frequence="250" runoncup="0" priority="4"/>
+  <inport name="flow" interface="RTAI.SHM" type="Integer" size="4"/>
+  <mode name="eco" frequence="50" cpuusage="0.04"/>
+</component>`
+
+const lateXML = `<component name="late" desc="post-heal arrival" type="periodic" cpuusage="0.1">
+  <implementation bincode="demo.Cons"/>
+  <periodictask frequence="200" runoncup="1" priority="5"/>
+  <inport name="feed" interface="RTAI.SHM" type="Integer" size="4"/>
+</component>`
+
+// beaconXML renders a source-only component whose body writes its SHM
+// outport every job, so its topic replicates at every data sync.
+func beaconXML(name, topic string) string {
+	return `<component name="` + name + `" desc="data source" type="periodic" cpuusage="0.05">
+  <implementation bincode="demo.Beacon"/>
+  <periodictask frequence="500" runoncup="1" priority="6"/>
+  <outport name="` + topic + `" interface="RTAI.SHM" type="Integer" size="4"/>
+</component>`
+}
+
+// barrierCampaign drives a 4-node cluster through everything that moves
+// an export set or a report: cross-node wiring, cluster deploy/remove,
+// manual migration, networked revoke/restore, a degradation, a
+// partition with node loss and evacuation, a catalog removal while a
+// stale copy runs on the far side, and heal reconciliation.
+func barrierCampaign(t *testing.T, cfg Config, ungated bool) (digest, stitched string) {
+	t.Helper()
+	c := mkCluster(t, cfg)
+	c.ungated = ungated
+	if err := c.RegisterBody("demo.Beacon", func(desc *descriptor.Component) rtos.Body {
+		topic := desc.OutPorts[0].Name
+		return func(j *rtos.JobContext) {
+			if shm, err := j.Kernel.IPC().SHM(topic); err == nil {
+				_ = shm.Set(int(j.Index%4), int64(j.Index))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	step := func(d time.Duration) {
+		t.Helper()
+		if err := c.Run(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(c.DeployXMLOn(0, prodXML))
+	must(c.DeployXMLOn(2, relayXML))
+	must(c.DeployXMLOn(3, sinkXML))
+	must(c.DeployXMLOn(1, flexXML))
+	must(c.DeployXMLOn(3, beaconXML("beacon", "beat")))
+	step(12 * time.Millisecond)
+	// A second replicated topic joins an export set that already has one.
+	must(c.DeployXMLOn(3, beaconXML("pulsar", "pulse")))
+	must(c.Node(3).DRCR().Downgrade("sink", "barrier test"))
+	must(c.DeployXML(consXML))
+	step(6 * time.Millisecond)
+	must(c.Migrate("relay", 1))
+	step(6 * time.Millisecond)
+	must(c.RevokeBudget("prod", "barrier test"))
+	step(8 * time.Millisecond)
+	must(c.RestoreBudget("prod"))
+	step(10 * time.Millisecond)
+	must(c.Remove("cons"))
+	c.Net().SchedulePartition(c.Now().Add(4*time.Millisecond), 30*time.Millisecond, 3)
+	step(24 * time.Millisecond)
+	// By now the majority leader has re-placed beacon off the cut node,
+	// which still runs and exports its own copy. Dropping beacon from the
+	// catalog changes that node's export set without touching its
+	// admitted set: only the catalog generation can tell it to withdraw.
+	if c.placements["beacon"].node == 3 {
+		t.Fatal("beacon was not evacuated from the cut node")
+	}
+	must(c.Remove("beacon"))
+	step(16 * time.Millisecond)
+	must(c.DeployXML(lateXML))
+	step(80 * time.Millisecond)
+	if !c.Converged() {
+		t.Fatal("cluster did not converge after the heal")
+	}
+	requireOnePlacement(t, c)
+	return c.Digest(), c.StitchDigest()
+}
+
+// TestChangeDrivenBarrierMatchesUngated pins that skipping barrier
+// stages while their inputs hold still (the admitted-epoch gate on the
+// provision diff and the leader's own report) is invisible: the cluster
+// and stitched digests equal an ungated reference that recomputes every
+// stage at every barrier, across per-node shards 1/2 and sequential and
+// parallel node advancement.
+func TestChangeDrivenBarrierMatchesUngated(t *testing.T) {
+	base := Config{Nodes: 4, NumCPUs: 2, Seed: 29, Net: net.Config{DropProb: 0.03, DupProb: 0.02}}
+	refDigest, refStitch := barrierCampaign(t, base, true)
+	for _, shards := range []int{1, 2} {
+		for _, parallel := range []bool{false, true} {
+			cfg := base
+			cfg.Shards, cfg.Parallel = shards, parallel
+			for _, ungated := range []bool{false, true} {
+				d, s := barrierCampaign(t, cfg, ungated)
+				if d != refDigest || s != refStitch {
+					t.Errorf("shards %d parallel %v ungated %v: digests %s/%s, want %s/%s",
+						shards, parallel, ungated, d[:12], s[:12], refDigest[:12], refStitch[:12])
+				}
+			}
+		}
+	}
+}
+
+// TestBarrierSkipsUnchangedStages checks that the gate actually holds:
+// on a quiet cluster the leader's own report is not rebuilt barrier
+// after barrier.
+func TestBarrierSkipsUnchangedStages(t *testing.T) {
+	c := mkCluster(t, Config{Nodes: 2, Seed: 3})
+	if err := c.DeployXMLOn(0, prodXML); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeployXMLOn(1, consXML); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(30 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	leader := c.nodes[c.nodes[0].leader]
+	self, exported := leader.self, len(c.nodes[0].exported)
+	if self == nil || exported == 0 {
+		t.Fatalf("leader report %v, node 0 exports %d: campaign did not settle", self, exported)
+	}
+	if err := c.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if leader.self != self {
+		t.Error("leader rebuilt its own report although nothing it summarises changed")
+	}
+	if leader.reports[leader.id] != self {
+		t.Error("leader's reports table does not hold its cached report")
+	}
+}

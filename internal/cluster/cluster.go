@@ -114,6 +114,7 @@ type expKey string
 // federation state (failure detector, leader belief, replica registry).
 type Node struct {
 	id     int
+	name   string
 	fw     *osgi.Framework
 	kernel *rtos.Kernel
 	drcr   *core.DRCR
@@ -140,13 +141,27 @@ type Node struct {
 	lastGen   map[string]uint64
 
 	nextHB, nextReport, nextSync sim.Time
+
+	// adm is the DRCR's admitted set as of admEpoch, re-read only when
+	// the DRCR's AdmittedEpoch moves (admittedComps). A fresh DRCR is at
+	// epoch 0 with nothing admitted, so the zero values are current.
+	adm      []core.Admitted
+	admEpoch uint64
+	// provEpoch / provGen are the admitted epoch and catalog generation
+	// the export set was last diffed at (stageProvisions); shmTopics is
+	// the export set's SHM topics, re-listed whenever that diff moves it.
+	provEpoch, provGen uint64
+	shmTopics          []string
+	// self is the node's own load report, rebuilt when admEpoch moves.
+	self      *report
+	selfEpoch uint64
 }
 
 // ID returns the node index.
 func (n *Node) ID() int { return n.id }
 
 // Name returns the node's display name ("n3").
-func (n *Node) Name() string { return nodeName(n.id) }
+func (n *Node) Name() string { return n.name }
 
 // DRCR exposes the node's component runtime.
 func (n *Node) DRCR() *core.DRCR { return n.drcr }
@@ -164,15 +179,19 @@ func (n *Node) Leader() int { return n.leader }
 // Plane exposes the node's observability plane.
 func (n *Node) Plane() *obs.Plane { return n.plane }
 
-func nodeName(id int) string { return fmt.Sprintf("n%d", id) }
+// nodeName is node id's display name, rendered once in New.
+func (c *Cluster) nodeName(id int) string { return c.nodes[id].name }
 
 // report is a node's load/degradation summary as its leader sees it.
+// Reports are immutable once built: a node's own report is shared
+// between its reports table and its cache until the next rebuild.
 type report struct {
-	at       sim.Time
 	load     float64
 	admitted int
-	// comps maps component name → admitted service mode (0 = full).
+	// comps maps component name → admitted service mode (0 = full);
+	// names lists its keys in sorted order.
 	comps map[string]int
+	names []string
 }
 
 // placement is the catalog entry for one cluster-managed component.
@@ -207,6 +226,13 @@ type Cluster struct {
 	// leader compiles for a migration batch is found by key on the
 	// receiving node and applied without recompiling.
 	planCache *plan.Cache
+	// placeGen moves whenever the catalog gains or loses an entry (the
+	// inputs of every node's export set besides its admitted set).
+	placeGen uint64
+	// ungated makes every barrier stage recompute from scratch instead
+	// of skipping work while its inputs hold still: the reference the
+	// change-driven barrier is tested against.
+	ungated bool
 
 	closed bool
 }
@@ -239,7 +265,8 @@ func New(cfg Config) (*Cluster, error) {
 			Shards:  cfg.Shards,
 			Seed:    root.Uint64(),
 		})
-		plane := obs.NewPlane(obs.Options{Level: cfg.ObsLevel, Node: nodeName(i)})
+		name := fmt.Sprintf("n%d", i)
+		plane := obs.NewPlane(obs.Options{Level: cfg.ObsLevel, Node: name})
 		d, err := core.New(fw, kernel, core.Options{
 			Obs:        plane,
 			ExecJitter: cfg.ExecJitter,
@@ -254,6 +281,7 @@ func New(cfg Config) (*Cluster, error) {
 		d.SetPlanCache(c.planCache)
 		n := &Node{
 			id:        i,
+			name:      name,
 			fw:        fw,
 			kernel:    kernel,
 			drcr:      d,
@@ -440,8 +468,7 @@ func (c *Cluster) checkMigrations(b sim.Time) {
 			delete(c.migStart, name)
 			continue
 		}
-		info, ok := c.nodes[pl.node].drcr.Component(name)
-		if !ok || (info.State != core.Active && info.State != core.Suspended) {
+		if !c.admittedOn(c.nodes[pl.node], name) {
 			continue
 		}
 		c.plane.RecordLatency(obs.LatMigrate, int64(b.Sub(c.migStart[name])))

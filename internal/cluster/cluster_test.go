@@ -201,6 +201,7 @@ func TestNodeLossReplacementAndReconcile(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("cluster did not converge after heal")
 	}
+	requireOnePlacement(t, c)
 }
 
 const evacSrcXML = `<component name="esrc" desc="evac source" type="periodic" cpuusage="0.1">
@@ -288,6 +289,7 @@ func TestBatchedEvacuationShipsPlan(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("cluster did not converge after the heal")
 	}
+	requireOnePlacement(t, c)
 }
 
 func TestRevokeBudgetOverNetwork(t *testing.T) {
@@ -401,6 +403,7 @@ func TestDigestDeterminism(t *testing.T) {
 		if err := c.Run(50 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
+		requireOnePlacement(t, c)
 		return c.Digest()
 	}
 	base := Config{Nodes: 4, Seed: 23, Net: net.Config{DropProb: 0.05, DupProb: 0.02}}
@@ -460,6 +463,7 @@ func TestTwoNodePartitionHealPinnedDigest(t *testing.T) {
 	if !c.Converged() {
 		t.Fatal("2-node cluster did not converge after the heal")
 	}
+	requireOnePlacement(t, c)
 	st := c.Net().Stats()
 	if st.PartitionDrops == 0 {
 		t.Fatal("the cut never dropped a message")

@@ -5,6 +5,7 @@ package cluster
 // runs inside atBarrier, single-threaded, in node-id order.
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,43 +18,50 @@ import (
 	"repro/internal/sim"
 )
 
-// admittedComps snapshots a node's admitted components (ACTIVE or
-// SUSPENDED — the states whose contracts count) sorted by name.
-func admittedComps(n *Node) []core.Info {
-	infos := n.drcr.Components()
-	out := infos[:0]
-	for _, info := range infos {
-		if info.State == core.Active || info.State == core.Suspended {
-			out = append(out, info)
-		}
+// admittedComps returns a node's admitted components (ACTIVE or
+// SUSPENDED — the states whose contracts count) in name order. The
+// per-node buffer is re-read only when the DRCR's admitted epoch moved;
+// it is overwritten then, so callers must not keep it across DRCR calls.
+func (c *Cluster) admittedComps(n *Node) []core.Admitted {
+	if e := n.drcr.AdmittedEpoch(); e != n.admEpoch || c.ungated {
+		n.adm = n.drcr.AppendAdmitted(n.adm[:0])
+		n.admEpoch = e
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return n.adm
 }
 
-// localReport builds a node's own load summary.
-func localReport(b sim.Time, n *Node) *report {
-	r := &report{at: b, comps: map[string]int{}}
+// admittedOn reports whether name is admitted on node n.
+func (c *Cluster) admittedOn(n *Node, name string) bool {
+	_, ok := slices.BinarySearchFunc(c.admittedComps(n), name,
+		func(a core.Admitted, name string) int { return strings.Compare(a.Name, name) })
+	return ok
+}
+
+// localReport returns a node's own load summary. Its inputs — the
+// admitted set, admitted modes and declared load — only change with the
+// admitted epoch, so the previous report is reused while that holds.
+func (c *Cluster) localReport(n *Node) *report {
+	adm := c.admittedComps(n)
+	if n.self != nil && n.selfEpoch == n.admEpoch && !c.ungated {
+		return n.self
+	}
+	r := &report{admitted: len(adm), comps: make(map[string]int, len(adm)), names: make([]string, len(adm))}
 	view := n.drcr.GlobalView()
 	for cpu := 0; cpu < view.NumCPUs; cpu++ {
 		r.load += view.Load(cpu)
 	}
-	for _, info := range admittedComps(n) {
-		r.admitted++
-		r.comps[info.Name] = info.Mode
+	for i, a := range adm {
+		r.comps[a.Name] = a.Mode
+		r.names[i] = a.Name
 	}
+	n.self, n.selfEpoch = r, n.admEpoch
 	return r
 }
 
 // encodeReport renders the component→mode map as "a=0,b=1" (sorted).
 func encodeReport(r *report) string {
-	names := make([]string, 0, len(r.comps))
-	for name := range r.comps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var sb strings.Builder
-	for i, name := range names {
+	for i, name := range r.names {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
@@ -64,8 +72,8 @@ func encodeReport(r *report) string {
 	return sb.String()
 }
 
-func decodeReport(at sim.Time, m net.Message) *report {
-	r := &report{at: at, comps: map[string]int{}}
+func decodeReport(m net.Message) *report {
+	r := &report{comps: map[string]int{}}
 	if len(m.Payload) >= 2 {
 		r.load = float64(m.Payload[0]) / 1e6
 		r.admitted = int(m.Payload[1])
@@ -75,16 +83,20 @@ func decodeReport(at sim.Time, m net.Message) *report {
 			if eq := strings.IndexByte(pair, '='); eq > 0 {
 				mode, _ := strconv.Atoi(pair[eq+1:])
 				r.comps[pair[:eq]] = mode
+				r.names = append(r.names, pair[:eq])
 			}
 		}
 	}
+	// The encoder writes each name once, in order; sorting anyway keeps
+	// the leader's walks canonical whatever arrives.
+	sort.Strings(r.names)
 	return r
 }
 
 // stageReport refreshes the node's own summary and, when someone else
 // leads, ships it to them; a leader's own entry never crosses the wire.
 func (c *Cluster) stageReport(b sim.Time, n *Node) {
-	r := localReport(b, n)
+	r := c.localReport(n)
 	if n.leader == n.id {
 		n.reports[n.id] = r
 		return
@@ -100,14 +112,23 @@ func (c *Cluster) stageReport(b sim.Time, n *Node) {
 // admitted components) against what peers were last told, and sends
 // provision on/off messages for the delta. Messages carry the port
 // shape, so the receiver can index and replicate without the descriptor.
+// The export set is a function of the node's admitted set and the
+// catalog alone, and only this diff amends n.exported, so the diff is
+// skipped while neither the admitted epoch nor the catalog generation
+// moved since it last ran.
 func (c *Cluster) stageProvisions(b sim.Time, n *Node) {
+	adm := c.admittedComps(n)
+	if n.provEpoch == n.admEpoch && n.provGen == c.placeGen && !c.ungated {
+		return
+	}
+	n.provEpoch, n.provGen = n.admEpoch, c.placeGen
 	current := map[expKey]descriptor.Port{}
-	for _, info := range admittedComps(n) {
-		pl := c.placements[info.Name]
+	for _, a := range adm {
+		pl := c.placements[a.Name]
 		if pl == nil {
 			continue // not cluster-managed (node-local deployment)
 		}
-		origin := info.Name + "@" + n.Name()
+		origin := a.Name + "@" + n.name
 		for _, out := range pl.desc.OutPorts {
 			current[expKey(out.Name+"|"+origin)] = out
 		}
@@ -134,6 +155,22 @@ func (c *Cluster) stageProvisions(b sim.Time, n *Node) {
 		delete(n.exported, key)
 		c.broadcastProvision(b, n, key, port, false)
 	}
+	if len(added) > 0 || len(removed) > 0 {
+		n.shmTopics = exportedSHMTopics(n)
+	}
+}
+
+// exportedSHMTopics lists, sorted and deduplicated, the SHM topics among
+// a node's exports: the ports stageData replicates.
+func exportedSHMTopics(n *Node) []string {
+	var topics []string
+	for key, port := range n.exported {
+		if topic, _, ok := strings.Cut(string(key), "|"); ok && port.Interface == descriptor.SHM {
+			topics = append(topics, topic)
+		}
+	}
+	sort.Strings(topics)
+	return slices.Compact(topics)
 }
 
 // reprovisionTo re-advertises every current export to one peer — used
@@ -164,7 +201,7 @@ func (c *Cluster) sendProvision(b sim.Time, n *Node, dst int, key expKey, port d
 		verb = "off"
 	}
 	_, origin, _ := strings.Cut(string(key), "|")
-	span := c.plane.Send(b, origin, n.Name(), nodeName(dst), "provision "+verb+" "+port.Name, 0)
+	span := c.plane.Send(b, origin, n.Name(), c.nodeName(dst), "provision "+verb+" "+port.Name, 0)
 	note := verb + ":" + string(port.Interface)
 	// Typed ports append their contract attributes; untyped ports keep
 	// the legacy two-field note byte for byte. The datatype rides last
@@ -186,18 +223,11 @@ func (c *Cluster) sendProvision(b sim.Time, n *Node, dst int, key expKey, port d
 // ports off the wire. Mailbox ports do not replicate (remote releases
 // travel as Trigger messages instead).
 func (c *Cluster) stageData(b sim.Time, n *Node) {
-	topics := map[string]bool{}
-	for key, port := range n.exported {
-		if topic, _, ok := strings.Cut(string(key), "|"); ok && port.Interface == descriptor.SHM {
-			topics[topic] = true
-		}
+	topics := n.shmTopics
+	if c.ungated {
+		topics = exportedSHMTopics(n)
 	}
-	names := make([]string, 0, len(topics))
-	for t := range topics {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	for _, topic := range names {
+	for _, topic := range topics {
 		shm, err := n.kernel.IPC().SHM(topic)
 		if err != nil {
 			continue
@@ -226,7 +256,7 @@ func (c *Cluster) deliver(b sim.Time, m net.Message) {
 	case net.Heartbeat:
 		n.lastHB[m.Src] = b
 	case net.Report:
-		n.reports[m.Src] = decodeReport(b, m)
+		n.reports[m.Src] = decodeReport(m)
 	case net.Provision:
 		c.deliverProvision(b, n, m)
 	case net.Data:
@@ -265,7 +295,7 @@ func (c *Cluster) deliverProvision(b sim.Time, n *Node, m net.Message) {
 			return
 		}
 		n.installed[key] = port
-		recv := c.plane.Recv(b, origin, nodeName(m.Src), n.Name(), "provision on "+topic, obs.SpanID(m.Cause))
+		recv := c.plane.Recv(b, origin, c.nodeName(m.Src), n.Name(), "provision on "+topic, obs.SpanID(m.Cause))
 		// Node-local effects of the arrival chain back to the cluster
 		// Recv span through the stitch table (cross-node Why).
 		n.plane.SetRemoteCause(obs.Ref{Node: "cluster", ID: recv})
@@ -285,7 +315,7 @@ func (c *Cluster) deliverProvision(b sim.Time, n *Node, m net.Message) {
 		}
 		_ = n.drcr.AddRemoteProvider(port, origin)
 	case "off":
-		c.uninstallProvision(b, n, key, nodeName(m.Src), obs.SpanID(m.Cause))
+		c.uninstallProvision(b, n, key, c.nodeName(m.Src), obs.SpanID(m.Cause))
 	}
 }
 
@@ -333,7 +363,7 @@ func (c *Cluster) deliverData(n *Node, m net.Message) {
 // span, so the destination plane's spans stitch back across the network
 // hop to the leader's decision.
 func (c *Cluster) deliverControl(b sim.Time, n *Node, m net.Message) {
-	recv := c.plane.Recv(b, m.Topic, nodeName(m.Src), n.Name(), m.Note, obs.SpanID(m.Cause))
+	recv := c.plane.Recv(b, m.Topic, c.nodeName(m.Src), n.Name(), m.Note, obs.SpanID(m.Cause))
 	n.plane.SetRemoteCause(obs.Ref{Node: "cluster", ID: recv})
 	defer n.plane.ClearRemoteCause()
 	verb, detail := m.Note, ""

@@ -63,7 +63,7 @@ func (c *Cluster) detectFailures(b sim.Time) {
 // lost peer, so consumers cascade to UNSATISFIED instead of reading a
 // frozen replica forever.
 func (c *Cluster) dropProvisionsFrom(b sim.Time, n *Node, peer int) {
-	suffix := "@" + nodeName(peer)
+	suffix := "@" + c.nodeName(peer)
 	keys := make([]expKey, 0)
 	for key := range n.installed {
 		if _, origin, ok := cutKey(key); ok && len(origin) > len(suffix) && origin[len(origin)-len(suffix):] == suffix {
@@ -72,7 +72,7 @@ func (c *Cluster) dropProvisionsFrom(b sim.Time, n *Node, peer int) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	for _, key := range keys {
-		c.uninstallProvision(b, n, key, nodeName(peer), 0)
+		c.uninstallProvision(b, n, key, c.nodeName(peer), 0)
 	}
 }
 
@@ -98,7 +98,7 @@ func (c *Cluster) onNodeLoss(b sim.Time, leader *Node, lost int) {
 			stranded = append(stranded, name)
 		}
 	}
-	span := c.plane.NodeLoss(b, nodeName(lost), int64(len(stranded)),
+	span := c.plane.NodeLoss(b, c.nodeName(lost), int64(len(stranded)),
 		fmt.Sprintf("no heartbeat for %v", c.cfg.NodeLossAfter), 0)
 	delete(leader.reports, lost)
 	// Pick a target for every evacuee first, then ship per target: a
@@ -119,7 +119,7 @@ func (c *Cluster) onNodeLoss(b sim.Time, leader *Node, lost int) {
 		pl.node = target
 		c.cooldown[name] = b
 		c.migStart[name] = b
-		cause := c.plane.Place(b, name, nodeName(target), "re-placed after node loss", span)
+		cause := c.plane.Place(b, name, c.nodeName(target), "re-placed after node loss", span)
 		ev := batches[target]
 		if ev == nil {
 			ev = &evacuation{}
@@ -172,7 +172,7 @@ func (c *Cluster) planOn(b sim.Time, leader *Node, target int, names []string, c
 		return
 	}
 	batch := strings.Join(names, ",")
-	span := c.plane.Send(b, batch, leader.Name(), nodeName(target), "migrate-plan", cause)
+	span := c.plane.Send(b, batch, leader.Name(), c.nodeName(target), "migrate-plan", cause)
 	c.net.Send(b, net.Message{
 		Src: leader.id, Dst: target, Kind: net.Control,
 		Topic: batch, Note: "migrate-plan", Cause: uint64(span),
@@ -215,7 +215,7 @@ func (c *Cluster) placeOn(b sim.Time, leader *Node, target int, name string, cau
 		}
 		return
 	}
-	span := c.plane.Send(b, name, leader.Name(), nodeName(target), "migrate-add", cause)
+	span := c.plane.Send(b, name, leader.Name(), c.nodeName(target), "migrate-add", cause)
 	c.net.Send(b, net.Message{
 		Src: leader.id, Dst: target, Kind: net.Control,
 		Topic: name, Note: "migrate-add", Cause: uint64(span),
@@ -228,7 +228,7 @@ func (c *Cluster) removeFrom(b sim.Time, leader *Node, target int, name string, 
 		_ = leader.drcr.Remove(name)
 		return
 	}
-	span := c.plane.Send(b, name, leader.Name(), nodeName(target), "migrate-rm", cause)
+	span := c.plane.Send(b, name, leader.Name(), c.nodeName(target), "migrate-rm", cause)
 	c.net.Send(b, net.Message{
 		Src: leader.id, Dst: target, Kind: net.Control,
 		Topic: name, Note: "migrate-rm", Cause: uint64(span),
@@ -240,7 +240,7 @@ func (c *Cluster) removeFrom(b sim.Time, leader *Node, target int, name string, 
 // catalog no longer names, and migrate components stuck below their
 // full contract toward nodes with spare budget.
 func (c *Cluster) leaderDuties(b sim.Time, leader *Node) {
-	leader.reports[leader.id] = localReport(b, leader)
+	leader.reports[leader.id] = c.localReport(leader)
 
 	// Reconciliation: a report naming a component whose catalog entry
 	// points elsewhere is a stale duplicate (typically a partition-era
@@ -257,12 +257,7 @@ func (c *Cluster) leaderDuties(b sim.Time, leader *Node) {
 	}
 	sort.Ints(ids)
 	for _, id := range ids {
-		names := make([]string, 0, len(leader.reports[id].comps))
-		for name := range leader.reports[id].comps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range leader.reports[id].names {
 			pl := c.placements[name]
 			if pl == nil || pl.node == id || !c.cooldownOver(b, name) {
 				continue
@@ -277,8 +272,8 @@ func (c *Cluster) leaderDuties(b sim.Time, leader *Node) {
 			// Split-brain guard trip: a stale partition-era duplicate is
 			// being reconciled away — freeze the flight recorder around it.
 			c.plane.TriggerFlight("split-brain-"+name, b)
-			span := c.plane.Migrate(b, name, nodeName(id), nodeName(pl.node),
-				"reconcile: catalog places it on "+nodeName(pl.node), 0)
+			span := c.plane.Migrate(b, name, c.nodeName(id), c.nodeName(pl.node),
+				"reconcile: catalog places it on "+c.nodeName(pl.node), 0)
 			c.removeFrom(b, leader, id, name, span)
 		}
 	}
@@ -288,12 +283,7 @@ func (c *Cluster) leaderDuties(b sim.Time, leader *Node) {
 	// full contract fits.
 	for _, id := range ids {
 		r := leader.reports[id]
-		names := make([]string, 0, len(r.comps))
-		for name := range r.comps {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
+		for _, name := range r.names {
 			mode := r.comps[name]
 			pl := c.placements[name]
 			if mode == 0 || pl == nil || pl.node != id || !c.cooldownOver(b, name) {
@@ -315,8 +305,8 @@ func (c *Cluster) leaderDuties(b sim.Time, leader *Node) {
 			pl.node = target
 			c.cooldown[name] = b
 			c.migStart[name] = b
-			span := c.plane.Migrate(b, name, nodeName(id), nodeName(target),
-				fmt.Sprintf("degraded to mode %d; spare budget on %s", mode, nodeName(target)), 0)
+			span := c.plane.Migrate(b, name, c.nodeName(id), c.nodeName(target),
+				fmt.Sprintf("degraded to mode %d; spare budget on %s", mode, c.nodeName(target)), 0)
 			c.removeFrom(b, leader, id, name, span)
 			c.placeOn(b, leader, target, name, span)
 		}
@@ -363,7 +353,8 @@ func (c *Cluster) DeployOn(node int, desc *descriptor.Component) error {
 		return err
 	}
 	c.placements[desc.Name] = &placement{desc: desc, node: node}
-	c.plane.Place(c.now, desc.Name, nodeName(node), "deployed", 0)
+	c.placeGen++
+	c.plane.Place(c.now, desc.Name, c.nodeName(node), "deployed", 0)
 	return nil
 }
 
@@ -392,6 +383,7 @@ func (c *Cluster) Remove(name string) error {
 		return fmt.Errorf("cluster: %s is not placed", name)
 	}
 	delete(c.placements, name)
+	c.placeGen++
 	return c.nodes[pl.node].drcr.Remove(name)
 }
 
@@ -418,7 +410,7 @@ func (c *Cluster) Migrate(name string, dst int) error {
 	}
 	pl.node = dst
 	c.cooldown[name] = c.now
-	c.plane.Migrate(c.now, name, nodeName(src), nodeName(dst), "manual migration", 0)
+	c.plane.Migrate(c.now, name, c.nodeName(src), c.nodeName(dst), "manual migration", 0)
 	return nil
 }
 
@@ -435,7 +427,7 @@ func (c *Cluster) RevokeBudget(name, reason string) error {
 	if pl.node == leader.id {
 		return leader.drcr.RevokeBudget(name, reason)
 	}
-	span := c.plane.Send(c.now, name, leader.Name(), nodeName(pl.node), "revoke: "+reason, 0)
+	span := c.plane.Send(c.now, name, leader.Name(), c.nodeName(pl.node), "revoke: "+reason, 0)
 	// The reason rides the wire: a probabilistic admission verdict (or
 	// any other revocation cause) lands verbatim in the destination
 	// node's revoke span instead of a generic "cluster revocation".
@@ -456,7 +448,7 @@ func (c *Cluster) RestoreBudget(name string) error {
 	if pl.node == leader.id {
 		return leader.drcr.RestoreBudget(name)
 	}
-	span := c.plane.Send(c.now, name, leader.Name(), nodeName(pl.node), "restore", 0)
+	span := c.plane.Send(c.now, name, leader.Name(), c.nodeName(pl.node), "restore", 0)
 	c.net.Send(c.now, net.Message{
 		Src: leader.id, Dst: pl.node, Kind: net.Control,
 		Topic: name, Note: "restore", Cause: uint64(span),

@@ -41,7 +41,7 @@ func (c *Cluster) WhyOn(node, component string) []obs.StitchedSpan {
 func (c *Cluster) whereIs(component string) string {
 	if pl := c.placements[component]; pl != nil {
 		if _, ok := c.nodes[pl.node].plane.Last(component); ok {
-			return nodeName(pl.node)
+			return c.nodeName(pl.node)
 		}
 	}
 	for _, n := range c.nodes {

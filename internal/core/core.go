@@ -382,6 +382,9 @@ type DRCR struct {
 	viewSnap      policy.View
 	viewSnapEpoch uint64
 	viewSnapValid bool
+	// admittedEpoch moves with viewEpoch and also on ACTIVE<->SUSPENDED,
+	// which leaves the admission view alone (see AdmittedEpoch).
+	admittedEpoch uint64
 
 	// waiting tracks every Unsatisfied/Satisfied component. actPending /
 	// deactPending are the sorted dirty-component staging worklists,
@@ -576,12 +579,42 @@ func (d *DRCR) Component(name string) (Info, bool) {
 func (d *DRCR) Components() []Info {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Info, 0, len(d.comps))
-	for _, c := range d.comps {
-		out = append(out, d.infoLocked(c))
+	out := make([]Info, 0, len(d.allNames))
+	for _, name := range d.allNames {
+		out = append(out, d.infoLocked(d.comps[name]))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// Admitted is one admitted (ACTIVE or SUSPENDED) component and the
+// service mode it runs in (0 = full contract).
+type Admitted struct {
+	Name string
+	Mode int
+}
+
+// AppendAdmitted appends every admitted component to dst in name order
+// and returns the extended slice. It allocates nothing when dst has the
+// capacity, so a caller polling the admitted set can reuse one buffer.
+func (d *DRCR) AppendAdmitted(dst []Admitted) []Admitted {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, name := range d.allNames {
+		if c := d.comps[name]; admittedSet(c.state) {
+			dst = append(dst, Admitted{Name: name, Mode: c.mode})
+		}
+	}
+	return dst
+}
+
+// AdmittedEpoch is a counter that moves whenever the admitted set, the
+// mode of an admitted component, or an admitted component's state
+// (ACTIVE/SUSPENDED) changes. While it holds still, AppendAdmitted and
+// the load of GlobalView are unchanged, so a poller can skip the read.
+func (d *DRCR) AdmittedEpoch() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.admittedEpoch
 }
 
 func (d *DRCR) infoLocked(c *Component) Info {
@@ -685,6 +718,9 @@ func admittedSet(s State) bool { return s == Active || s == Suspended }
 // component's from → to move.
 func (d *DRCR) noteTransitionLocked(c *Component, from, to State) {
 	was, is := admittedSet(from), admittedSet(to)
+	if was || is {
+		d.admittedEpoch++
+	}
 	if was == is {
 		return
 	}

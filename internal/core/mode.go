@@ -98,6 +98,7 @@ func (d *DRCR) setModeLocked(c *Component, mode int, reason string) error {
 		d.degraded = removeName(d.degraded, name)
 	}
 	d.viewEpoch++
+	d.admittedEpoch++
 	d.registerMgmtLocked(c, inst)
 	return nil
 }

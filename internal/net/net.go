@@ -175,6 +175,7 @@ type Network struct {
 	mu      sync.Mutex
 	pending [][]Message // per-src enqueue queues (thread-safe side)
 	seq     []uint64
+	batch   []Message // Advance's reused ingest buffer
 
 	rng      []*sim.Rand // per directed link, index src*Nodes+dst
 	inflight []Message   // sorted by (DeliverAt, Src, Seq)
@@ -278,7 +279,7 @@ func (n *Network) Advance(now sim.Time) (deliveries, dropped []Message, topo []T
 	topo = n.advanceTopoLocked(now, &dropped)
 
 	// Ingest sends in canonical order.
-	var batch []Message
+	batch := n.batch[:0]
 	for src := range n.pending {
 		batch = append(batch, n.pending[src]...)
 		n.pending[src] = n.pending[src][:0]
@@ -295,6 +296,8 @@ func (n *Network) Advance(now sim.Time) (deliveries, dropped []Message, topo []T
 	for _, m := range batch {
 		n.ingestLocked(now, m, &dropped, false)
 	}
+	clear(batch) // drop payload references until the next barrier
+	n.batch = batch
 
 	// Pop deliveries due.
 	cut := 0

@@ -237,6 +237,10 @@ type Options struct {
 	FlightOff  bool
 }
 
+// ringStart is the span ring's initial allocation; it grows by doubling
+// up to Options.Capacity, so a plane that emits little stays small.
+const ringStart = 64
+
 // depthSampleCap bounds the worklist-depth series so pathological churn
 // cannot grow it without bound; the min/max/mean of the first samples
 // plus the running MaxWorklistDepth counter stay exact.
@@ -245,8 +249,12 @@ const depthSampleCap = 4096
 // Plane is the observability plane one DRCR emits into.
 type Plane struct {
 	level Level
-	ring  []Span
-	next  SpanID // last assigned ID; emitted count
+	// ring holds span ID i at index (i-1) % capacity. It starts small and
+	// doubles as spans arrive until it holds exactly capacity, then wraps;
+	// retention is always reckoned against capacity, never len(ring).
+	ring     []Span
+	capacity SpanID
+	next     SpanID // last assigned ID; emitted count
 
 	causeDepth int
 	causeStack [8]SpanID
@@ -361,7 +369,8 @@ func NewPlane(o Options) *Plane {
 	}
 	return &Plane{
 		level:       o.Level,
-		ring:        make([]Span, o.Capacity),
+		ring:        make([]Span, 0, min(ringStart, o.Capacity)),
+		capacity:    SpanID(o.Capacity),
 		open:        map[string]SpanID{},
 		last:        map[string]SpanID{},
 		full:        sha256.New(),
@@ -457,7 +466,12 @@ func (p *Plane) emit(s Span) SpanID {
 	}
 	p.next++
 	s.ID = p.next
-	p.ring[int((s.ID-1)%SpanID(len(p.ring)))] = s
+	if s.ID <= p.capacity {
+		p.growRing()
+		p.ring = append(p.ring, s)
+	} else {
+		p.ring[(s.ID-1)%p.capacity] = s
+	}
 	if s.Component != "" {
 		p.last[s.Component] = s.ID
 	}
@@ -893,13 +907,29 @@ func (p *Plane) NextID() SpanID {
 	return p.next + 1
 }
 
+// growRing makes room for one more span while the ring is filling:
+// capacity doubles, capped at exactly the configured Capacity.
+func (p *Plane) growRing() {
+	if len(p.ring) < cap(p.ring) {
+		return
+	}
+	grown := make([]Span, len(p.ring), min(2*SpanID(cap(p.ring)), p.capacity))
+	copy(grown, p.ring)
+	p.ring = grown
+}
+
+// retained reports whether span id is still in the ring.
+func (p *Plane) retained(id SpanID) bool {
+	return id != 0 && id <= p.next && id+p.capacity > p.next
+}
+
 // Span returns the span with the given ID if it is still retained in
 // the ring.
 func (p *Plane) Span(id SpanID) (Span, bool) {
-	if p == nil || id == 0 || id > p.next || id+SpanID(len(p.ring)) <= p.next {
+	if p == nil || !p.retained(id) {
 		return Span{}, false
 	}
-	return p.ring[int((id-1)%SpanID(len(p.ring)))], true
+	return p.ring[(id-1)%p.capacity], true
 }
 
 // Spans copies every retained span, oldest first.
@@ -913,8 +943,8 @@ func (p *Plane) SpansSince(from SpanID) []Span {
 		return nil
 	}
 	lo := SpanID(1)
-	if p.next > SpanID(len(p.ring)) {
-		lo = p.next - SpanID(len(p.ring)) + 1
+	if p.next > p.capacity {
+		lo = p.next - p.capacity + 1
 	}
 	if from > lo {
 		lo = from
@@ -924,7 +954,7 @@ func (p *Plane) SpansSince(from SpanID) []Span {
 	}
 	out := make([]Span, 0, p.next-lo+1)
 	for id := lo; id <= p.next; id++ {
-		out = append(out, p.ring[int((id-1)%SpanID(len(p.ring)))])
+		out = append(out, p.ring[(id-1)%p.capacity])
 	}
 	return out
 }

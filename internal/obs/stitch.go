@@ -85,9 +85,9 @@ func (p *Plane) linkRemote(id SpanID, r Ref) {
 	}
 	// Prune references to spans long evicted from the ring, so the side
 	// table stays bounded no matter how long the run is.
-	if len(p.remote) > 2*len(p.ring) {
+	if SpanID(len(p.remote)) > 2*p.capacity {
 		for old := range p.remote {
-			if old+SpanID(len(p.ring)) <= p.next {
+			if !p.retained(old) {
 				delete(p.remote, old)
 			}
 		}
