@@ -1,22 +1,19 @@
-// Command latbench regenerates the paper's evaluation: Table 1 (the
-// latency test in light and stress mode, for the pure-RTAI and the
-// declarative hybrid implementation), the latency distribution
-// histograms behind it, and the three design ablations documented in
-// DESIGN.md.
+// Command latbench regenerates the paper's simulated-time evaluation:
+// Table 1 (the latency test in light and stress mode, for the pure-RTAI
+// and the declarative hybrid implementation), the latency distribution
+// histograms behind it, a scheduler Gantt chart, the design ablations
+// documented in DESIGN.md, and the fault, degradation and
+// predictive-admission campaigns. Wall-clock cost is perfbench's job.
 //
 // Usage:
 //
-//	latbench [-samples N] [-seed S] [-workers W] [-table1] [-hist]
-//	         [-ablations] [-faults] [-benchjson FILE]
-//	         [-churn] [-churnjson FILE] [-churnsizes N,N,...] [-churnsteps N]
-//	         [-obs] [-obsjson FILE] [-obssim N]
-//	         [-obs2] [-obs2json FILE] [-obs2sim N]
-//	         [-degrade] [-degradejson FILE]
-//	         [-predict] [-predictjson FILE]
-//	         [-shards] [-shardjson FILE] [-shardsim N]
-//	         [-cluster] [-clusterjson FILE] [-clustersim N]
-//	         [-plan] [-planjson FILE] [-plansizes N,N,...]
-//	         [-all]
+//	latbench [-samples N] [-seed S] [-workers W] [-o FILE] [subcommand]
+//
+// Subcommands: table1 (the default), hist, gantt, dump, ablations,
+// faults, degrade, predict, all. -o names the file dump writes its raw
+// samples to (required) and the file degrade and predict write their
+// JSON report to; all runs everything except dump and writes no file.
+// Flags may come before or after the subcommand.
 package main
 
 import (
@@ -26,9 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -39,125 +33,65 @@ import (
 
 func main() {
 	var (
-		samples    = flag.Int("samples", 60000, "latency samples per configuration")
-		seed       = flag.Uint64("seed", 1, "simulation seed")
-		table1     = flag.Bool("table1", false, "run the Table 1 latency test")
-		hist       = flag.Bool("hist", false, "render latency distribution histograms")
-		ablations  = flag.Bool("ablations", false, "run the design ablations")
-		gantt      = flag.Bool("gantt", false, "render a scheduler Gantt chart of the §4.2 pair")
-		dump       = flag.String("dump", "", "write raw HRC-light latency samples (ns) to this CSV file")
-		workers    = flag.Int("workers", 0, "goroutine pool size for parallel runs (0 = NumCPU)")
-		benchjson  = flag.String("benchjson", "", "measure hot-path and Monte-Carlo perf, write JSON report to this file")
-		faults     = flag.Bool("faults", false, "run the fault-injection ablation (contract guard on/off)")
-		churn      = flag.Bool("churn", false, "run the resolve-churn benchmark (full-sweep vs worklist engine)")
-		churnjson  = flag.String("churnjson", "", "write the resolve-churn JSON report to this file (implies -churn)")
-		churnsizes = flag.String("churnsizes", "100,1000,5000", "comma-separated component-population sizes for -churn")
-		churnsteps = flag.Int("churnsteps", 0, "storm steps per churn size (0 = auto-scale per size)")
-		obsRun     = flag.Bool("obs", false, "run the observability-overhead benchmark (per sampling level)")
-		obsjson    = flag.String("obsjson", "", "write the observability JSON report to this file (implies -obs)")
-		obssim     = flag.Int("obssim", 0, "simulated seconds per obs hot-path run (0 = default 5)")
-		obs2Run    = flag.Bool("obs2", false, "run the federated-observability benchmark (per-shard emission, stitched digest)")
-		obs2json   = flag.String("obs2json", "", "merge the obs2 section into this obs JSON report file (implies -obs2)")
-		obs2sim    = flag.Int("obs2sim", 0, "simulated milliseconds per obs2 campaign run (0 = default 600)")
-		degrade    = flag.Bool("degrade", false, "run the graceful-degradation campaign (mode ladder vs binary baseline)")
-		degradeOut = flag.String("degradejson", "", "write the degradation JSON report to this file (implies -degrade)")
-		predictRun = flag.Bool("predict", false, "run the predictive-admission ablation (reactive vs forecasting guard)")
-		predictOut = flag.String("predictjson", "", "write the predictive-admission JSON report to this file (implies -predict)")
-		shardsRun  = flag.Bool("shards", false, "run the shard-scaling sweep (events/sec per shard count)")
-		shardjson  = flag.String("shardjson", "", "write the shard-scaling JSON report to this file (implies -shards)")
-		shardsim   = flag.Int("shardsim", 0, "simulated seconds per shard-sweep rung (0 = default 10)")
-		clusterRun = flag.Bool("cluster", false, "run the federated cluster-scaling sweep (nodes × partition rates)")
-		clusterOut = flag.String("clusterjson", "", "write the cluster-scaling JSON report to this file (implies -cluster)")
-		clustersim = flag.Int("clustersim", 0, "simulated milliseconds per cluster-sweep rung (0 = default 500)")
-		planRun    = flag.Bool("plan", false, "run the whole-bundle deploy benchmark (event path vs compiled plan)")
-		planjson   = flag.String("planjson", "", "write the plan-deploy JSON report to this file (implies -plan)")
-		plansizes  = flag.String("plansizes", "100,1000,5000", "comma-separated component-population sizes for -plan")
-		all        = flag.Bool("all", false, "run everything")
+		samples = flag.Int("samples", 60000, "latency samples per configuration")
+		seed    = flag.Uint64("seed", 1, "simulation seed")
+		workers = flag.Int("workers", 0, "goroutine pool size for parallel runs (0 = NumCPU)")
+		out     = flag.String("o", "", "output file: CSV samples for dump, JSON report for degrade and predict")
 	)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(),
+			"usage: latbench [flags] [table1|hist|gantt|dump|ablations|faults|degrade|predict|all]")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	if runtime.NumCPU() == 1 {
-		fmt.Fprintln(os.Stderr, "WARNING: single-core host (num_cpu=1): wall-clock rows land in the JSON"+
-			" reports as single_core_host=true and must not be compared against multi-core baselines"+
-			" (see the BENCH_shard.json caveat in README.md)")
-	}
-	perf := *benchjson != ""
-	if *churnjson != "" {
-		*churn = true
-	}
-	if *obsjson != "" {
-		*obsRun = true
-	}
-	if *obs2json != "" {
-		*obs2Run = true
-	}
-	if *degradeOut != "" {
-		*degrade = true
-	}
-	if *predictOut != "" {
-		*predictRun = true
-	}
-	if *shardjson != "" {
-		*shardsRun = true
-	}
-	if *clusterOut != "" {
-		*clusterRun = true
-	}
-	if *planjson != "" {
-		*planRun = true
-	}
-	if *all {
-		*table1, *hist, *ablations, *gantt, *faults, *churn, *obsRun, *obs2Run, *degrade, *predictRun, *shardsRun, *clusterRun, *planRun = true, true, true, true, true, true, true, true, true, true, true, true, true
-		perf = true // hot-path measurements print even without a JSON path
-	}
-	if !*table1 && !*hist && !*ablations && !*gantt && !*faults && !*churn && !*obsRun && !*obs2Run && !*degrade && !*predictRun && !*shardsRun && !*clusterRun && !*planRun && *dump == "" && !perf {
-		*table1 = true // default action
+	cmd := "table1"
+	if flag.NArg() > 0 {
+		cmd = flag.Arg(0)
+		_ = flag.CommandLine.Parse(flag.Args()[1:]) // exits on a bad flag
+		if flag.NArg() > 0 {
+			log.Fatalf("unexpected arguments after %s: %v", cmd, flag.Args())
+		}
 	}
 
-	if *table1 {
-		runTable1(*samples, *seed, *workers)
+	steps := []struct {
+		name string
+		run  func()
+	}{
+		{"table1", func() { runTable1(*samples, *seed, *workers) }},
+		{"degrade", func() { runDegrade(*out, *seed) }},
+		{"predict", func() { runPredict(*out, *seed) }},
+		{"hist", func() { runHistograms(*samples, *seed) }},
+		{"gantt", func() { runGantt(*seed) }},
+		{"dump", func() { runDump(*out, *samples, *seed) }},
+		{"faults", func() { runFaults(*seed) }},
+		{"ablations", func() { runAblations(*seed) }},
 	}
-	if perf {
-		runBenchJSON(*benchjson, *seed, *workers)
+	if cmd == "all" {
+		if *out != "" {
+			log.Fatal("-o does not apply to all")
+		}
+		for _, s := range steps {
+			if s.name != "dump" {
+				s.run()
+			}
+		}
+		return
 	}
-	if *churn {
-		runChurn(*churnjson, *churnsizes, *churnsteps, *seed)
+	for _, s := range steps {
+		if s.name != cmd {
+			continue
+		}
+		switch {
+		case cmd == "dump" && *out == "":
+			log.Fatal("dump needs -o FILE")
+		case cmd != "dump" && cmd != "degrade" && cmd != "predict" && *out != "":
+			log.Fatalf("-o does not apply to %s", cmd)
+		}
+		s.run()
+		return
 	}
-	if *obsRun {
-		runObsJSON(*obsjson, *obssim, *seed)
-	}
-	if *obs2Run {
-		runObs2JSON(*obs2json, *obs2sim, *seed)
-	}
-	if *degrade {
-		runDegradeJSON(*degradeOut, *seed)
-	}
-	if *predictRun {
-		runPredictJSON(*predictOut, *seed)
-	}
-	if *shardsRun {
-		runShardJSON(*shardjson, *shardsim)
-	}
-	if *clusterRun {
-		runClusterJSON(*clusterOut, *clustersim)
-	}
-	if *planRun {
-		runPlanJSON(*planjson, *plansizes, *seed)
-	}
-	if *hist {
-		runHistograms(*samples, *seed)
-	}
-	if *gantt {
-		runGantt(*seed)
-	}
-	if *dump != "" {
-		runDump(*dump, *samples, *seed)
-	}
-	if *faults {
-		runFaults(*seed)
-	}
-	if *ablations {
-		runAblations(*seed)
-	}
+	flag.Usage()
+	os.Exit(2)
 }
 
 // runGantt traces 12 ms of the §4.2 pair plus an equal-priority rival to
@@ -223,220 +157,40 @@ func runTable1(samples int, seed uint64, workers int) {
 	fmt.Println(bench.CompareWithPaper(rows))
 }
 
-// runBenchJSON measures the simulation hot path plus the parallel
-// Monte-Carlo harness. With a path it writes the machine-readable
-// BENCH_sim.json so successive revisions carry a comparable performance
-// trajectory; with an empty path (e.g. under -all) it only prints.
-func runBenchJSON(path string, seed uint64, workers int) {
-	rep, err := bench.MeasurePerf(bench.PerfConfig{BaseSeed: seed, Workers: workers})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatPerf(rep))
-	fmt.Printf("kernel hot path: %.0f events/s, %.1f ns/event, %.4f allocs/event\n",
-		rep.Kernel.EventsPerSec, rep.Kernel.NSPerEvent, rep.Kernel.AllocsPerEvent)
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// runChurn replays the seeded lifecycle storm on the reference full-sweep
-// resolve engine and the incremental worklist engine at each population
-// size. With a path it writes the machine-readable BENCH_resolve.json so
-// successive revisions carry a comparable resolve-throughput trajectory.
-func runChurn(path, sizesCSV string, steps int, seed uint64) {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n <= 0 {
-			log.Fatalf("-churnsizes: bad size %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	rep, err := bench.MeasureChurn(bench.ChurnConfig{
-		Sizes: sizes, Steps: steps, Seed: int64(seed),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatChurn(rep))
-	for _, row := range rep.Rows {
-		if !row.TraceMatch || !row.StateMatch {
-			log.Fatalf("churn engines diverged at N=%d", row.Components)
-		}
-	}
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// runObsJSON measures the observability overhead per sampling level and
-// pins the seeded campaign span digest. With a path it writes the
-// machine-readable BENCH_obs.json, then reads it back and validates it —
-// the CI smoke depends on the written file being well-formed.
-func runObsJSON(path string, simSeconds int, seed uint64) {
-	rep, err := bench.MeasureObs(bench.ObsConfig{SimSeconds: simSeconds, Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatObs(rep))
-	if err := rep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.ObsReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	if err := round.Validate(); err != nil {
-		log.Fatalf("%s failed validation after round trip: %v", path, err)
-	}
-	fmt.Printf("wrote %s (validated)\n", path)
-}
-
-// runObs2JSON runs the federated-observability benchmark: per-shard
-// emission vs the funnel bridge at Full level, latency-histogram
-// quantiles, and the 8-node stitched cross-node digest. With a path it
-// merges the obs2 section into that obs report file (the committed
-// BENCH_obs.json; under -all, runObsJSON has just rewritten it), reads
-// it back and validates it. A missing or unreadable report file is
-// regenerated from scratch first so -obs2json stands alone.
-func runObs2JSON(path string, simMillis int, seed uint64) {
-	cfg := bench.Obs2Config{Seed: seed}
-	if simMillis > 0 {
-		cfg.RunFor = time.Duration(simMillis) * time.Millisecond
-	}
-	rep, err := bench.MeasureObs2(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatObs2(rep))
-	if err := rep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if path == "" {
-		return
-	}
-	var outer bench.ObsReport
-	existing, err := os.ReadFile(path)
-	if err == nil {
-		err = json.Unmarshal(existing, &outer)
-	}
-	if err != nil {
-		fmt.Printf("%s missing or unreadable; regenerating the obs report first\n", path)
-		outer, err = bench.MeasureObs(bench.ObsConfig{Seed: seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	outer.Obs2 = &rep
-	if err := outer.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	data, err := outer.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.ObsReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	if err := round.Validate(); err != nil {
-		log.Fatalf("%s failed validation after round trip: %v", path, err)
-	}
-	if round.Obs2 == nil {
-		log.Fatalf("%s lost the obs2 section in the round trip", path)
-	}
-	fmt.Printf("wrote %s (obs2 section merged, validated)\n", path)
-}
-
-// runDegradeJSON runs the degradation campaign with and without the mode
-// ladder. With a path it writes the machine-readable BENCH_degrade.json,
-// then reads it back and validates it — the CI smoke depends on the
-// written file being well-formed.
-func runDegradeJSON(path string, seed uint64) {
+// runDegrade runs the degradation campaign with and without the mode
+// ladder. With a path it writes the machine-readable BENCH_degrade.json.
+func runDegrade(path string, seed uint64) {
 	rep, err := bench.MeasureDegrade(bench.DegradeBenchConfig{Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(bench.FormatDegrade(rep))
-	if err := rep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.DegradeReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	if err := round.Validate(); err != nil {
-		log.Fatalf("%s failed validation after round trip: %v", path, err)
-	}
-	fmt.Printf("wrote %s (validated)\n", path)
+	writeValidated(path, rep)
 }
 
-// runPredictJSON runs the execution-drift campaign under the reactive
-// and the forecasting guard. With a path it writes the machine-readable
-// BENCH_predict.json, then reads it back and validates it — the CI smoke
-// depends on the written file being well-formed.
-func runPredictJSON(path string, seed uint64) {
+// runPredict runs the execution-drift campaign under the reactive and
+// the forecasting guard. With a path it writes the machine-readable
+// BENCH_predict.json.
+func runPredict(path string, seed uint64) {
 	rep, err := bench.MeasurePredict(bench.PredictBenchConfig{Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println(bench.FormatPredict(rep))
+	writeValidated(path, rep)
+}
+
+// report is a committed BENCH file's schema: bench.DegradeReport or
+// bench.PredictReport.
+type report interface {
+	Validate() error
+	Encode() ([]byte, error)
+}
+
+// writeValidated validates rep and, with a path, writes it there, then
+// reads the file back and validates it again — the CI digest diffs read
+// the written file, so it must be well-formed.
+func writeValidated[R report](path string, rep R) {
 	if err := rep.Validate(); err != nil {
 		log.Fatal(err)
 	}
@@ -454,120 +208,7 @@ func runPredictJSON(path string, seed uint64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var round bench.PredictReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	if err := round.Validate(); err != nil {
-		log.Fatalf("%s failed validation after round trip: %v", path, err)
-	}
-	fmt.Printf("wrote %s (validated)\n", path)
-}
-
-// runShardJSON runs the shard-scaling sweep over the shard ladder. With
-// a path it writes the machine-readable BENCH_shard.json; the speedup
-// column is only meaningful on a machine with real cores to spare
-// (num_cpu in the report records what the sweep had available).
-func runShardJSON(path string, simSeconds int) {
-	rep, err := bench.MeasureShardScaling(bench.ShardConfig{SimSeconds: simSeconds})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatShard(rep))
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.ShardReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// runClusterJSON runs the federated cluster-scaling sweep: node counts
-// 1–16 crossed with partition rates, each rung a live producer→consumer
-// mesh whose wirings deliberately cross the simulated network. With a
-// path it writes the machine-readable BENCH_cluster.json.
-func runClusterJSON(path string, simMillis int) {
-	rep, err := bench.MeasureCluster(bench.ClusterBenchConfig{SimMillis: simMillis})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatCluster(rep))
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.ClusterReport
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	fmt.Printf("wrote %s\n", path)
-}
-
-// runPlanJSON runs the whole-bundle deploy comparison: per-descriptor
-// event-path deploys versus one compiled composition plan (cold and
-// cache-warm), with the plan applies differential-checked against the
-// batched event path. With a path it writes the machine-readable
-// BENCH_plan.json, then reads it back and validates it — the CI smoke
-// depends on the written file being well-formed.
-func runPlanJSON(path, sizesCSV string, seed uint64) {
-	var sizes []int
-	for _, f := range strings.Split(sizesCSV, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n <= 0 {
-			log.Fatalf("-plansizes: bad size %q", f)
-		}
-		sizes = append(sizes, n)
-	}
-	rep, err := bench.MeasurePlan(bench.PlanConfig{Sizes: sizes, Seed: int64(seed)})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(bench.FormatPlan(rep))
-	if err := rep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round bench.PlanReport
+	var round R
 	if err := json.Unmarshal(written, &round); err != nil {
 		log.Fatalf("%s is not valid JSON: %v", path, err)
 	}
@@ -628,5 +269,4 @@ func runAblations(seed uint64) {
 		log.Fatal(err)
 	}
 	fmt.Println(bench.FormatSchedPolicy(d))
-	os.Exit(0)
 }

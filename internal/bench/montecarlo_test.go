@@ -11,10 +11,13 @@ import (
 
 // TestMonteCarloWorkerIndependence demands identical merged results for
 // any worker count: the whole point of per-seed Systems is that goroutine
-// interleave cannot leak into the output.
+// interleave cannot leak into the output. The run is the reference one —
+// eight seeded §4.2 HRC light-load systems of 10,000 samples each, seeds
+// 1..8 — whose pooled row is pinned below; samples merge in seed order,
+// so even the float sums are exact. Refresh deliberately, never casually.
 func TestMonteCarloWorkerIndependence(t *testing.T) {
-	cfg := workload.LatencyConfig{Hybrid: true, Samples: 500}
-	const runs = 4
+	cfg := workload.LatencyConfig{Hybrid: true, Samples: 10000}
+	const runs = 8
 	seq, seqRow, err := MonteCarloLatency(cfg, runs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -30,6 +33,10 @@ func TestMonteCarloWorkerIndependence(t *testing.T) {
 		if !reflect.DeepEqual(seq[i].Row, par[i].Row) {
 			t.Errorf("seed %d row diverged between worker counts", 1+uint64(i))
 		}
+	}
+	if seqRow.N != 80002 || seqRow.Min != -30444 || seqRow.Max != 30972 ||
+		seqRow.Average != -629.0032874178146 || seqRow.AveDev != 3210.06883627221 {
+		t.Errorf("pooled row %+v, want n=80002 avg=-629.0032874178146 avedev=3210.06883627221 min=-30444 max=30972", seqRow)
 	}
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -15,8 +16,9 @@ import (
 //
 // Quantiles are deterministic: Quantile walks the cumulative counts and
 // reports the upper bound of the bucket holding the q-th sample (clamped
-// to the observed maximum), so two runs observing the same multiset of
-// samples report identical quantiles regardless of arrival order.
+// to the observed maximum; 0 for the zeros bucket), so two runs
+// observing the same multiset of samples report identical quantiles
+// regardless of arrival order.
 type Log2Hist struct {
 	counts [65]uint64
 	total  uint64
@@ -71,7 +73,8 @@ func (h *Log2Hist) BucketRange(b int) (lo, hi int64) {
 
 // Quantile reports a deterministic upper bound for the q-quantile
 // (0 <= q <= 1): the upper edge of the bucket containing the ceil(q*n)-th
-// smallest sample, clamped to the observed maximum. Returns 0 when empty.
+// smallest sample, clamped to the observed maximum. The zeros bucket
+// reports 0, not its 1 ns edge. Returns 0 when empty.
 func (h *Log2Hist) Quantile(q float64) int64 {
 	if h.total == 0 {
 		return 0
@@ -82,7 +85,11 @@ func (h *Log2Hist) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := uint64(q * float64(h.total))
+	// The relative slack absorbs float error in q*n (0.07*100 is
+	// 7.000000000000001), so an exact integer product is not bumped to
+	// the next rank.
+	x := q * float64(h.total)
+	rank := uint64(math.Ceil(x - x*1e-12))
 	if rank == 0 {
 		rank = 1
 	}
@@ -93,6 +100,9 @@ func (h *Log2Hist) Quantile(q float64) int64 {
 	for b := 0; b < log2Buckets; b++ {
 		cum += h.counts[b]
 		if cum >= rank {
+			if b == 0 {
+				return 0
+			}
 			_, hi := h.BucketRange(b)
 			if hi > h.max {
 				hi = h.max

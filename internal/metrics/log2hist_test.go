@@ -53,6 +53,47 @@ func TestLog2HistQuantile(t *testing.T) {
 	if h.Quantile(1) != 10000 {
 		t.Fatalf("p100 = %d, want clamp to max 10000", h.Quantile(1))
 	}
+
+	// The zeros bucket reports 0, not its 1 ns upper edge.
+	var zeros Log2Hist
+	zeros.Observe(0)
+	zeros.Observe(0)
+	zeros.Observe(5)
+	if p50 := zeros.Quantile(0.5); p50 != 0 {
+		t.Fatalf("p50 over {0,0,5} = %d, want 0", p50)
+	}
+
+	// The rank is ceil(q*n): p50 of {1,100,10000} is the 2nd sample, in
+	// the [64,128) bucket, not the 1st.
+	var three Log2Hist
+	for _, v := range []int64{1, 100, 10000} {
+		three.Observe(v)
+	}
+	if p50 := three.Quantile(0.5); p50 != 128 {
+		t.Fatalf("p50 over {1,100,10000} = %d, want 128", p50)
+	}
+
+	// q*n that is an integer up to float error keeps its rank: p99 over
+	// 99 ones and one 1000 is the 99th sample, and p7 over 7 ones and 93
+	// 1000s (0.07*100 = 7.000000000000001) is the 7th.
+	var hundred Log2Hist
+	for i := 0; i < 99; i++ {
+		hundred.Observe(1)
+	}
+	hundred.Observe(1000)
+	if p99 := hundred.Quantile(0.99); p99 != 2 {
+		t.Fatalf("p99 over 99 ones and one 1000 = %d, want 2", p99)
+	}
+	var seven Log2Hist
+	for i := 0; i < 7; i++ {
+		seven.Observe(1)
+	}
+	for i := 0; i < 93; i++ {
+		seven.Observe(1000)
+	}
+	if p7 := seven.Quantile(0.07); p7 != 2 {
+		t.Fatalf("p7 over 7 ones and 93 1000s = %d, want 2", p7)
+	}
 }
 
 func TestLog2HistQuantileOrderIndependent(t *testing.T) {

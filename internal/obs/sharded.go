@@ -51,18 +51,6 @@ func (ss *schedSorter) Less(i, j int) bool {
 }
 func (ss *schedSorter) Swap(i, j int) { ss.s[i], ss.s[j] = ss.s[j], ss.s[i] }
 
-// SetSchedFunnel forces (true) or lifts (false) the sequential
-// control-plane funnel for scheduler spans on sharded kernels; the
-// differential tests use it to compare the two emission paths. The
-// default is per-shard emission.
-func (p *Plane) SetSchedFunnel(funnel bool) {
-	if p == nil {
-		return
-	}
-	p.schedFunnel = funnel
-	p.syncKernelSink()
-}
-
 // ensureEmitters sizes the per-shard emitter set and sink table.
 func (p *Plane) ensureEmitters(n int) {
 	if len(p.emitters) == n {

@@ -9,10 +9,10 @@ import (
 
 // runShardedTickers drives a kernel with one periodic task per CPU and
 // returns the bound plane.
-func runShardedTickers(t *testing.T, shards int, funnel bool, runFor time.Duration) *Plane {
+func runShardedTickers(t *testing.T, level Level, shards int, funnel bool, runFor time.Duration) *Plane {
 	t.Helper()
 	k := rtos.NewKernel(rtos.Config{Seed: 1, NumCPUs: 4, Shards: shards})
-	p := NewPlane(Options{Level: Full, SchedFunnel: funnel})
+	p := NewPlane(Options{Level: level, SchedFunnel: funnel})
 	p.BindKernel(k)
 	for cpu := 0; cpu < 4; cpu++ {
 		task, err := k.CreateTask(rtos.TaskSpec{
@@ -38,20 +38,39 @@ func runShardedTickers(t *testing.T, shards int, funnel bool, runFor time.Durati
 // full one (span IDs included; per-shard staging must not perturb ID
 // assignment) and the stream one — at shard counts 1, 2 and 4.
 func TestShardedEmissionDigestsMatchFunnel(t *testing.T) {
-	ref := runShardedTickers(t, 0, false, 100*time.Millisecond)
+	ref := runShardedTickers(t, Full, 0, false, 100*time.Millisecond)
 	refDigest, refStream := ref.Digest(), ref.StreamDigest()
 	if ref.Snapshot().Sched.Events == 0 {
 		t.Fatal("reference run emitted no sched spans")
 	}
 	for _, shards := range []int{1, 2, 4} {
 		for _, funnel := range []bool{true, false} {
-			p := runShardedTickers(t, shards, funnel, 100*time.Millisecond)
+			p := runShardedTickers(t, Full, shards, funnel, 100*time.Millisecond)
 			if d := p.Digest(); d != refDigest {
 				t.Errorf("shards=%d funnel=%v: digest %s != sequential %s", shards, funnel, d, refDigest)
 			}
 			if s := p.StreamDigest(); s != refStream {
 				t.Errorf("shards=%d funnel=%v: stream digest %s != sequential %s", shards, funnel, s, refStream)
 			}
+		}
+	}
+
+	// The scheduler bridge is gated to Full on either emission path:
+	// below it a sharded kernel's plane carries no sched spans at all.
+	for _, level := range []Level{Off, Sampled, Full} {
+		p := runShardedTickers(t, level, 2, false, 100*time.Millisecond)
+		spans := 0
+		for _, s := range p.Spans() {
+			if s.Kind == KindSched {
+				spans++
+			}
+		}
+		bridged := p.Snapshot().Sched.Events
+		if level == Full && (spans == 0 || bridged == 0) {
+			t.Errorf("Full: sharded kernel bridged no sched spans (%d retained, %d counted)", spans, bridged)
+		}
+		if level != Full && (spans != 0 || bridged != 0) {
+			t.Errorf("%s: sched bridge leaked below Full (%d retained, %d counted)", level, spans, bridged)
 		}
 	}
 }

@@ -5,8 +5,7 @@ package workload
 // driving the DRCR's constraint-resolution engine rather than the kernel
 // hot path. The same seeded storm replays bit-identically against the
 // incremental worklist engine and the reference full-sweep engine, which
-// is how bench.MeasureChurn both differential-tests the engines and
-// quantifies the speedup committed in BENCH_resolve.json.
+// is how the workload tests differential-test the two engines.
 
 import (
 	"crypto/sha256"
@@ -15,7 +14,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/descriptor"
@@ -99,9 +97,6 @@ type ChurnStats struct {
 	ObsFullDigest string
 	// Spans is the lifetime span count the storm emitted.
 	Spans uint64
-	// SetupWall / StormWall split untimed population from the timed storm.
-	SetupWall time.Duration
-	StormWall time.Duration
 }
 
 // churnDescriptorXML renders one synthetic component (RTAI names are
@@ -179,10 +174,10 @@ func buildChurnPopulation(spec ChurnSpec) (map[string]*descriptor.Component, map
 }
 
 // RunChurn populates a fresh DRCR (one bundle carrying the whole
-// population, untimed) and then replays the seeded op storm against it
-// (timed). The op stream depends only on the seed and the DRCR's
-// observable state, so the same spec with FullSweep toggled replays the
-// identical scenario on the other engine.
+// population) and then replays the seeded op storm against it. The op
+// stream depends only on the seed and the DRCR's observable state, so
+// the same spec with FullSweep toggled replays the identical scenario on
+// the other engine.
 func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	spec.applyDefaults()
 	descs, srcs, names, err := buildChurnPopulation(spec)
@@ -203,7 +198,6 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	}
 	defer d.Close()
 
-	setupStart := time.Now()
 	m := manifest.New("churn.pop", manifest.MustParseVersion("1.0"))
 	def := osgi.Definition{Manifest: m, Resources: map[string]string{}}
 	for _, name := range names {
@@ -218,10 +212,8 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	if err := b.Start(); err != nil {
 		return ChurnStats{}, err
 	}
-	setup := time.Since(setupStart)
 
 	rng := rand.New(rand.NewSource(spec.Seed))
-	stormStart := time.Now()
 	for i := 0; i < spec.Steps; i++ {
 		target := names[rng.Intn(len(names))]
 		switch rng.Intn(3) {
@@ -249,7 +241,6 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 			}
 		}
 	}
-	storm := time.Since(stormStart)
 
 	evs := d.Events()
 	th := sha256.New()
@@ -280,7 +271,5 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 		ObsDigest:     d.Obs().StreamDigest(),
 		ObsFullDigest: d.Obs().Digest(),
 		Spans:         d.Obs().Emitted(),
-		SetupWall:     setup,
-		StormWall:     storm,
 	}, nil
 }

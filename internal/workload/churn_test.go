@@ -87,4 +87,33 @@ func TestChurnObsDigestLevelIndependent(t *testing.T) {
 	if full.Spans <= sampled.Spans {
 		t.Errorf("full level should emit extra spans: %d vs %d", full.Spans, sampled.Spans)
 	}
+
+	// The reference storm (200 components, 400 steps, seed 1) is pinned
+	// per level: Off emits nothing (the digest of the empty stream), and
+	// Sampled and Full share one stream digest.
+	for _, tc := range []struct {
+		level  obs.Level
+		digest string
+		spans  uint64
+	}{
+		{obs.Off, churnObsDigestOff, 0},
+		{obs.Sampled, churnObsDigestGolden, 1175},
+		{obs.Full, churnObsDigestGolden, 1328},
+	} {
+		got, err := RunChurn(ChurnSpec{Components: 200, Steps: 400, Seed: 1, ObsLevel: tc.level})
+		if err != nil {
+			t.Fatalf("%s run: %v", tc.level, err)
+		}
+		if got.ObsDigest != tc.digest || got.Spans != tc.spans {
+			t.Errorf("%s: stream digest %s with %d spans, want %s with %d",
+				tc.level, got.ObsDigest, got.Spans, tc.digest, tc.spans)
+		}
+	}
 }
+
+// Stream digests of the reference churn storm; Off is SHA-256 of the
+// empty stream. Refresh deliberately, never casually.
+const (
+	churnObsDigestOff    = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+	churnObsDigestGolden = "5c0e06180ad9a27dfe35cf03a3476b471205028329a48589d5d3b8d02aeb8bcb"
+)

@@ -122,8 +122,8 @@ func TestClusterStitchedDigestPinned(t *testing.T) {
 	seen := map[string]obs.LatencyStat{}
 	for _, st := range ref.Latency {
 		seen[st.Name] = st
-		if st.Count > 0 && st.P99NS < st.P50NS {
-			t.Errorf("latency %s: p99 %d < p50 %d", st.Name, st.P99NS, st.P50NS)
+		if st.P50NS > st.P95NS || st.P95NS > st.P99NS || st.P99NS > st.MaxNS {
+			t.Errorf("latency %s: quantiles out of order: %+v", st.Name, st)
 		}
 	}
 	for _, want := range []string{"resolve", "deploy"} {
@@ -158,4 +158,18 @@ func TestClusterStitchedDigestPinned(t *testing.T) {
 	if got.StitchDigest != ref.StitchDigest {
 		t.Fatalf("Parallel changed the stitched digest:\n%s\n%s", ref.StitchDigest, got.StitchDigest)
 	}
+
+	// The default-seed two-CPU spec's stitched digest is a golden.
+	golden, err := RunClusterCampaign(ClusterSpec{Nodes: 8, Seed: 1, NumCPUs: 2, RunFor: 120 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden.StitchDigest != clusterStitchGolden {
+		t.Errorf("seed-1 stitched digest %s, want %s", golden.StitchDigest, clusterStitchGolden)
+	}
 }
+
+// clusterStitchGolden pins the stitched cross-node trace digest of the
+// 8-node campaign at seed 1, two CPUs per node, 120ms. Refresh
+// deliberately, never casually.
+const clusterStitchGolden = "eb3392ab18f5a0687cacff0be454425902a12cb12c0d0decd08494c6a41ca6fb"
