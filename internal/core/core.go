@@ -216,8 +216,8 @@ func keyOf(p descriptor.Port) portKey { return portKey{p.Name, p.Interface, p.Ty
 
 // portProv is one admitted provider of a port topic. It carries the
 // full declared outport so the index answers compatibility queries
-// (size plus the typed version/datatype rules) exactly like the
-// reference scan over descriptors.
+// (size plus the typed version/datatype rules) exactly like a scan over
+// the admitted descriptors.
 type portProv struct {
 	name string
 	port descriptor.Port
@@ -282,21 +282,9 @@ type Options struct {
 	// DefaultAperiodicCost is the simulated cost of an aperiodic job;
 	// defaults to 10µs.
 	DefaultAperiodicCost time.Duration
-	// FullSweepResolve selects the reference fixed-point full-sweep
-	// resolution engine instead of the incremental worklist engine. It
-	// exists for differential testing and benchmarking only: both engines
-	// must produce identical lifecycle outcomes, which the differential
-	// churn tests pin.
-	FullSweepResolve bool
 	// Obs is the observability plane every DRCR decision is traced into;
 	// defaults to a fresh plane at the Sampled level.
 	Obs *obs.Plane
-	// DisablePlanFastPath routes every bundle/batch deploy through the
-	// per-descriptor event path even when a compiled composition plan
-	// could be fast-applied. It exists for differential testing and
-	// benchmarking: both paths must produce identical lifecycle outcomes,
-	// which the plan differential tests pin.
-	DisablePlanFastPath bool
 	// Shards stripes the lifecycle surface by dependency cone (see
 	// cones.go): operations on independent cones run concurrently, each
 	// holding its cone's stripe through mutation plus the resolution it
@@ -353,13 +341,12 @@ type DRCR struct {
 	stochAdmitted int
 
 	// allNames is the sorted name list of every managed component,
-	// maintained incrementally on deploy/destroy so the reference full
-	// sweep never re-sorts. namesScratch / admittedScratch are the reused
-	// snapshot buffers its passes iterate (snapshots are required: event
-	// listeners run unlocked and may mutate the component set).
-	allNames        []string
-	namesScratch    []string
-	admittedScratch []string
+	// maintained incrementally on deploy/destroy so name-ordered walks
+	// never re-sort. namesScratch is the reused snapshot buffer they
+	// iterate (snapshots are required: event listeners run unlocked and
+	// may mutate the component set).
+	allNames     []string
+	namesScratch []string
 
 	// provIndex maps a port topic to its admitted providers (sorted by
 	// name, so provider choice matches the reference scan over the
@@ -371,8 +358,8 @@ type DRCR struct {
 
 	// remoteProv / remoteCons are the federation indexes (remote.go):
 	// topics provided by admitted components on other cluster nodes
-	// (consulted by both resolve engines after the local admitted set)
-	// and topics components here export to other nodes.
+	// (consulted after the local admitted set) and topics components
+	// here export to other nodes.
 	remoteProv map[portKey][]remoteEntry
 	remoteCons map[portKey][]string
 
@@ -428,6 +415,12 @@ type DRCR struct {
 	resolving             bool
 	dirty                 bool
 	closed                bool
+
+	// Test seams, set only by this package's tests: resolvePass replaces
+	// drainWorklist as runResolve's pass (the full-sweep oracle), and
+	// noPlanFastPath sends every batch deploy down the event path.
+	resolvePass    func() bool
+	noPlanFastPath bool
 }
 
 // New attaches a DRCR to a framework and kernel. The DRCR immediately
@@ -498,10 +491,10 @@ func (d *DRCR) takeCause(c *Component) obs.SpanID {
 }
 
 // noteDenyLocked records an admission denial. A deny span is emitted
-// only when the reason changed — the full-sweep engine re-consults every
-// waiting component each pass while the worklist engine re-consults only
-// when something dirtied it, and deduplication makes the two span
-// streams identical.
+// only when the reason changed — the full-sweep test oracle re-consults
+// every waiting component each pass while the worklist engine
+// re-consults only when something dirtied it, and deduplication makes
+// the two span streams identical.
 func (d *DRCR) noteDenyLocked(c *Component, reason string) {
 	cause := d.takeCause(c)
 	if reason != c.lastReason {

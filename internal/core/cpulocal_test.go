@@ -127,7 +127,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 				run := func(fullSweep, wrapped bool) *DRCR {
 					fw := osgi.NewFramework()
 					k := rtos.NewKernel(rtos.Config{NumCPUs: numCPUs, Timing: &noNoise, Seed: 99})
-					d, err := New(fw, k, Options{FullSweepResolve: fullSweep})
+					d, err := newEngine(fw, k, fullSweep)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -173,6 +173,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 						default:
 							applyChurnOp(rig, op, descs)
 						}
+						checkProviderIndex(t, d)
 					}
 					return d
 				}

@@ -1,18 +1,46 @@
 package core
 
 // Reference resolution engine: the literal transcription of the paper's
-// re-resolve-everything reaction to run-time change, selected with
-// Options.FullSweepResolve. Each pass deactivates every admitted
-// component whose inports lost their providers, then tries to activate
-// every waiting component, looping to a fixed point. It is O(n²)–O(n³)
-// under churn and exists so the incremental worklist engine (resolve.go)
-// can be differentially tested and benchmarked against it: both engines
-// must produce identical states, events and reasons.
+// re-resolve-everything reaction to run-time change. Each pass
+// deactivates every admitted component whose inports lost their
+// providers, then tries to activate every waiting component, and
+// runResolve loops passes to a fixed point. It is O(n²)–O(n³) under
+// churn and lives here, as a test oracle, so the incremental worklist
+// engine (resolve.go) can be differentially tested against it: both
+// must produce identical states, events, reasons and span streams.
+//
+// The oracle shares the production lifecycle code, which stages
+// worklist entries as it goes; each pass throws them away at its start
+// and end, so the worklist never carries state from one oracle pass
+// into the next. Provider queries are answered from the provider index;
+// checkProviderIndex pins that index against a brute-force scan.
 
 import (
+	"testing"
+
 	"repro/internal/descriptor"
+	"repro/internal/osgi"
 	"repro/internal/policy"
+	"repro/internal/rtos"
 )
+
+// newEngine builds a DRCR that resolves with the worklist engine, or
+// with the full-sweep oracle when fullSweep is set.
+func newEngine(fw *osgi.Framework, k *rtos.Kernel, fullSweep bool) (*DRCR, error) {
+	d, err := New(fw, k, Options{})
+	if err == nil && fullSweep {
+		d.resolvePass = d.resolveOnce
+	}
+	return d, err
+}
+
+// discardStagedLocked drops every staged worklist entry.
+func (d *DRCR) discardStagedLocked() {
+	d.actPending = d.actPending[:0]
+	d.deactPending = d.deactPending[:0]
+	clear(d.actMember)
+	clear(d.deactMember)
+}
 
 // resolveOnce performs one deactivation sweep and one activation sweep.
 func (d *DRCR) resolveOnce() (changed bool) {
@@ -21,16 +49,17 @@ func (d *DRCR) resolveOnce() (changed bool) {
 	// The sweep walks a snapshot of the admitted set (sorted by name), as
 	// deactivations shrink it mid-loop.
 	d.mu.Lock()
+	d.discardStagedLocked()
 	// One reference pass = one resolution round; the sweep has no staged
 	// worklists, so the depth arguments are zero.
 	d.obs.ResolveRound(d.kernel.Now(), 0, 0)
-	d.admittedScratch = d.admittedScratch[:0]
+	var admitted []string
 	for _, name := range d.allNames {
 		if c := d.comps[name]; admittedSet(c.state) {
-			d.admittedScratch = append(d.admittedScratch, name)
+			admitted = append(admitted, name)
 		}
 	}
-	for _, name := range d.admittedScratch {
+	for _, name := range admitted {
 		c, ok := d.comps[name]
 		if !ok || (c.state != Active && c.state != Suspended) {
 			continue
@@ -79,8 +108,7 @@ func (d *DRCR) resolveOnce() (changed bool) {
 		}
 		view := d.viewLocked()
 		desc := c.desc
-		var stack [4]int
-		ms := append(stack[:0], modes...)
+		ms := append([]int(nil), modes...)
 		d.mu.Unlock()
 
 		// Consult resolving services outside the lock: customized
@@ -120,12 +148,13 @@ func (d *DRCR) resolveOnce() (changed bool) {
 	if len(d.degraded) > 0 && d.promotePendingLocked(d.consultResolversRef) {
 		changed = true
 	}
+	d.discardStagedLocked()
 	d.mu.Unlock()
 	return changed
 }
 
 // consultResolversRef rebuilds the resolver chain from the registry for
-// every consult, as the reference engine always did.
+// every consult instead of using the event-invalidated cache.
 func (d *DRCR) consultResolversRef(view policy.View, cand policy.Contract) policy.Decision {
 	chain := policy.Chain{d.opts.Internal}
 	for _, ref := range d.fw.ServiceReferences(policy.ServiceInterface, nil) {
@@ -134,6 +163,28 @@ func (d *DRCR) consultResolversRef(view policy.View, cand policy.Contract) polic
 		}
 	}
 	return chain.Admit(view, cand)
+}
+
+// checkProviderIndex asserts that, for every managed component, inport
+// and service mode, the provider index gives the answer a brute-force
+// scan of the admitted set gives.
+func checkProviderIndex(t *testing.T, d *DRCR) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, name := range d.allNames {
+		c := d.comps[name]
+		for _, in := range c.desc.InPorts {
+			if got, want := d.findProviderLocked(name, in), d.findProviderScanLocked(name, in); got != want {
+				t.Fatalf("%s inport %s: index provider %q, scan %q", name, in.Name, got, want)
+			}
+		}
+		for m := 0; m < c.desc.NumModes(); m++ {
+			if got, want := d.unsatisfiedInportLocked(c, m), d.unsatisfiedInportScanLocked(c, m); got != want {
+				t.Fatalf("%s mode %d: index says %q unsatisfied, scan %q", name, m, got, want)
+			}
+		}
+	}
 }
 
 // unsatisfiedInportScanLocked is the index-free satisfaction check for
@@ -178,7 +229,5 @@ func (d *DRCR) findProviderScanLocked(self string, in descriptor.Port) string {
 	if best != "" {
 		return best
 	}
-	// Same remote fallback as the worklist engine (shared helper), so the
-	// two engines keep making identical provider choices.
 	return d.remoteProviderLocked(in)
 }

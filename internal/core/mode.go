@@ -7,7 +7,7 @@ package core
 // mode 0 is the full contract, later modes trade rate, budget, or
 // optional inputs for admissibility. Three movements exist:
 //
-//   - downgrade-before-deny at admission time (resolve.go/fullsweep.go):
+//   - downgrade-before-deny at admission time (resolve.go):
 //     if the full contract is denied, the cheapest admissible mode is
 //     activated instead of leaving the component denied;
 //   - Downgrade, the contract guard's first remedy: step a violating

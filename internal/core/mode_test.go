@@ -55,7 +55,7 @@ func TestDowngradeBeforeDeny(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fw := osgi.NewFramework()
 			k := rtos.NewKernel(rtos.Config{NumCPUs: 2, Timing: &noNoise, Seed: 17})
-			d, err := New(fw, k, Options{FullSweepResolve: fullSweep})
+			d, err := newEngine(fw, k, fullSweep)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,10 @@ package core
 // with the same causes, leaving every piece of engine bookkeeping
 // (waiting set, provider index, admission view, drain epochs) in the
 // state a real drain would have left it. Anything else falls back to
-// the per-descriptor event path. The differential tests pin
-// byte-identical event logs and obs digests between the two paths.
+// the per-descriptor event path. The fast path is not a setting:
+// production takes it whenever the guards hold. Only this package's
+// differential tests force the event path (DRCR.noPlanFastPath), and
+// they pin byte-identical event logs and obs digests between the two.
 
 import (
 	"sort"
@@ -153,8 +155,8 @@ func (d *DRCR) deployBatchLocked(descs []*descriptor.Component, b *osgi.Bundle) 
 // reports false — having changed nothing — when any guard fails; the
 // caller then runs the event path.
 func (d *DRCR) tryApplyPlan(descs []*descriptor.Component, b *osgi.Bundle) bool {
-	if d.opts.DisablePlanFastPath || len(descs) == 0 {
-		return false // fast path configured off: not a fallback, no note
+	if d.noPlanFastPath || len(descs) == 0 {
+		return false // test-forced event path: not a fallback, no note
 	}
 	// At Full level the event path's resolve rounds emit spans that
 	// consume span IDs; the fast path has no rounds, so the ID streams

@@ -25,10 +25,11 @@ func newPlanRig(t *testing.T, shards int, disableFastPath bool) *planRig {
 	t.Helper()
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 31})
-	d, err := New(fw, k, Options{Shards: shards, DisablePlanFastPath: disableFastPath})
+	d, err := New(fw, k, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.noPlanFastPath = disableFastPath
 	t.Cleanup(d.Close)
 	return &planRig{fw: fw, k: k, d: d}
 }
@@ -138,7 +139,7 @@ func planCampaign(t *testing.T, r *planRig) {
 }
 
 // TestPlanApplyDifferential deploys identical whole-bundle campaigns on a
-// fast-path system and a DisablePlanFastPath system and requires
+// fast-path system and a forced event-path system and requires
 // byte-identical event logs, obs digests (span IDs and causes included),
 // stream digests, and final states — at shard counts 1 and 4 — while
 // asserting the fast system really exercised plan-apply and its cache.
@@ -185,7 +186,7 @@ func TestPlanApplyDifferential(t *testing.T) {
 				t.Fatal("identical redeploy missed the plan cache")
 			}
 			if slowSnap := slow.d.Obs().Snapshot(); slowSnap.Plan.Applies != 0 {
-				t.Fatalf("DisablePlanFastPath system applied %d plans", slowSnap.Plan.Applies)
+				t.Fatalf("forced event-path system applied %d plans", slowSnap.Plan.Applies)
 			}
 		})
 	}

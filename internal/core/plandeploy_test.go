@@ -1,4 +1,4 @@
-package workload
+package core
 
 import (
 	"crypto/sha256"
@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/osgi"
 	"repro/internal/plan"
@@ -89,7 +88,7 @@ func buildPlanPopulation(spec planDeploySpec) ([]*descriptor.Component, error) {
 	add := func(name, src string) error {
 		c, err := descriptor.Parse(src)
 		if err != nil {
-			return fmt.Errorf("workload: plan descriptor %s: %w", name, err)
+			return fmt.Errorf("plan descriptor %s: %w", name, err)
 		}
 		descs = append(descs, c)
 		return nil
@@ -100,15 +99,15 @@ func buildPlanPopulation(spec planDeploySpec) ([]*descriptor.Component, error) {
 		ug := fmt.Sprintf("u%03d", g)
 		pn := fmt.Sprintf("p%03d", g)
 		rn := fmt.Sprintf("r%03d", g)
-		if err := add(pn, churnDescriptorXML(pn, cpu, 0.0005, nil, []string{tg})); err != nil {
+		if err := add(pn, churnXML(pn, cpu, 0.0005, nil, []string{tg})); err != nil {
 			return nil, err
 		}
-		if err := add(rn, churnDescriptorXML(rn, cpu, 0.0005, []string{tg}, []string{ug})); err != nil {
+		if err := add(rn, churnXML(rn, cpu, 0.0005, []string{tg}, []string{ug})); err != nil {
 			return nil, err
 		}
 		for f := 0; f < spec.FanOut; f++ {
 			cn := fmt.Sprintf("c%03dx%d", g, f)
-			if err := add(cn, churnDescriptorXML(cn, cpu, 0.0005, []string{ug}, nil)); err != nil {
+			if err := add(cn, churnXML(cn, cpu, 0.0005, []string{ug}, nil)); err != nil {
 				return nil, err
 			}
 		}
@@ -130,10 +129,11 @@ func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component,
 	fw := osgi.NewFramework()
 	timing := rtos.TimingModel{}
 	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed)})
-	d, err := core.New(fw, k, core.Options{DisablePlanFastPath: disableFast})
+	d, err := New(fw, k, Options{})
 	if err != nil {
 		return planDeployRun{}, err
 	}
+	d.noPlanFastPath = disableFast
 	defer d.Close()
 	if cache != nil {
 		d.SetPlanCache(cache)
@@ -149,7 +149,7 @@ func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component,
 		sort.Slice(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
 		for _, c := range ordered {
 			if err := d.Deploy(c); err != nil {
-				return planDeployRun{}, fmt.Errorf("workload: plan deploy %s: %w", c.Name, err)
+				return planDeployRun{}, fmt.Errorf("plan deploy %s: %w", c.Name, err)
 			}
 		}
 	} else {
@@ -215,7 +215,7 @@ func runPlanDeploy(spec planDeploySpec) (planDeployStats, error) {
 		return planDeployStats{}, err
 	}
 	if warmer.applies == 0 {
-		return planDeployStats{}, fmt.Errorf("workload: cache-warming run fell back to the event path")
+		return planDeployStats{}, fmt.Errorf("cache-warming run fell back to the event path")
 	}
 
 	return planDeployStats{

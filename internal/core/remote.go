@@ -172,8 +172,7 @@ func sortProvisions(ps []RemoteProvision) {
 }
 
 // remoteProviderLocked answers a provider query from the remote index —
-// the shared fallback both resolve engines call after the local admitted
-// set came up empty, so their choices are identical by construction.
+// the fallback after the local admitted set came up empty.
 func (d *DRCR) remoteProviderLocked(in descriptor.Port) string {
 	if in.Direction != descriptor.In {
 		return ""

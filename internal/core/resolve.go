@@ -3,18 +3,19 @@ package core
 // Incremental worklist-based constraint resolution.
 //
 // The paper's DRCR re-resolves functional and non-functional constraints
-// on every run-time change (§2.2, §4.3). The reference implementation in
-// fullsweep.go reproduces that literally: a fixed-point sweep over every
-// managed component per change, O(n²)–O(n³) under churn. This file is the
-// production engine: every lifecycle operation enqueues exactly the
-// components whose constraints could have changed, and resolution drains
-// that worklist, cascading along the reverse-dependency (port consumer)
-// edges kept in consIndex and answering port queries from the admitted
-// provider index instead of scanning the component set.
+// on every run-time change (§2.2, §4.3). Read literally, that is a
+// fixed-point sweep over every managed component per change, O(n²)–O(n³)
+// under churn; that sweep survives only as the test oracle in
+// fullsweep_test.go. This file is the one production engine: every
+// lifecycle operation enqueues exactly the components whose constraints
+// could have changed, and resolution drains that worklist, cascading
+// along the reverse-dependency (port consumer) edges kept in consIndex
+// and answering port queries from the admitted provider index instead of
+// scanning the component set.
 //
-// The two engines must be observably identical — same final states, same
-// lifecycle events in the same order, same reasons — which the
-// differential churn tests pin. Three ordering rules make that hold:
+// The engine must be observably identical to the oracle — same final
+// states, same lifecycle events in the same order, same reasons — which
+// the differential churn tests pin. Three ordering rules make that hold:
 //
 //  1. deactivation rounds emulate the reference sweep's cursor: a
 //     consumer dirtied behind the cursor waits for the next round, one
@@ -62,7 +63,7 @@ func (d *DRCR) resolveDelta() { d.runResolve(false) }
 
 func (d *DRCR) runResolve(full bool) {
 	d.mu.Lock()
-	if full && !d.opts.FullSweepResolve {
+	if full {
 		d.markAllWaitingLocked()
 	}
 	if d.resolving {
@@ -79,13 +80,12 @@ func (d *DRCR) runResolve(full bool) {
 		d.resolving = false
 		d.mu.Unlock()
 	}()
-	for pass := 0; pass < 1000; pass++ {
-		var changed bool
-		if d.opts.FullSweepResolve {
-			changed = d.resolveOnce()
-		} else {
-			changed = d.drainWorklist()
-		}
+	pass := d.drainWorklist
+	if d.resolvePass != nil {
+		pass = d.resolvePass
+	}
+	for i := 0; i < 1000; i++ {
+		changed := pass()
 		d.mu.Lock()
 		dirty := d.dirty
 		d.dirty = false
@@ -398,9 +398,6 @@ func (d *DRCR) syncWaitersLocked() {
 // markProviderDownLocked stages every consumer of a departed provider's
 // outport topics for a satisfaction re-check.
 func (d *DRCR) markProviderDownLocked(c *Component) {
-	if d.opts.FullSweepResolve {
-		return
-	}
 	for _, out := range c.desc.OutPorts {
 		for _, cn := range d.consIndex[keyOf(out)] {
 			if cn != c.desc.Name {
@@ -416,7 +413,7 @@ func (d *DRCR) markProviderDownLocked(c *Component) {
 // enqueueActLocked stages a component for the activation phase's next
 // round; the staging list stays sorted so rounds run in name order.
 func (d *DRCR) enqueueActLocked(name string) {
-	if d.opts.FullSweepResolve || d.actMember[name] {
+	if d.actMember[name] {
 		return
 	}
 	d.actMember[name] = true
@@ -427,7 +424,7 @@ func (d *DRCR) enqueueActLocked(name string) {
 }
 
 func (d *DRCR) enqueueDeactLocked(name string) {
-	if d.opts.FullSweepResolve || d.deactMember[name] {
+	if d.deactMember[name] {
 		return
 	}
 	d.deactMember[name] = true
@@ -473,14 +470,11 @@ func (d *DRCR) consultResolvers(view policy.View, cand policy.Contract) policy.D
 // components, or "". Mode 0 requires every inport; degraded modes exempt
 // their dropped ones.
 func (d *DRCR) unsatisfiedInportLocked(c *Component, mode int) string {
-	if d.opts.FullSweepResolve {
-		return d.unsatisfiedInportScanLocked(c, mode)
-	}
 	for _, in := range c.desc.InPorts {
 		if !c.desc.RequiresInport(mode, in.Name) {
 			continue
 		}
-		if d.findProviderIndexLocked(c.desc.Name, in) == "" {
+		if d.findProviderLocked(c.desc.Name, in) == "" {
 			return in.Name
 		}
 	}
@@ -515,7 +509,8 @@ func (d *DRCR) feasibleModesLocked(c *Component) (modes []int, missing string) {
 // instead of denying the component outright. When every mode is denied
 // it returns the last (cheapest mode's) denial. note carries the first
 // denial's reason, explaining why a degraded admission fell short of the
-// full contract. Runs without d.mu held; both resolve engines share it.
+// full contract. Runs without d.mu held; the full-sweep test oracle
+// shares it.
 func (d *DRCR) admitWalk(view policy.View, desc *descriptor.Component, modes []int,
 	consult func(policy.View, policy.Contract) policy.Decision) (policy.Decision, int, string) {
 	var decision policy.Decision
@@ -607,19 +602,11 @@ func (d *DRCR) promotionViewLocked(c *Component) policy.View {
 }
 
 // findProviderLocked locates an admitted component whose outport can
-// satisfy the given inport.
+// satisfy the given inport. It answers from the admitted provider index:
+// a map lookup plus a walk of the (tiny, name-sorted) provider list for
+// that topic, so the choice matches a scan over the name-sorted admitted
+// set.
 func (d *DRCR) findProviderLocked(self string, in descriptor.Port) string {
-	if d.opts.FullSweepResolve {
-		return d.findProviderScanLocked(self, in)
-	}
-	return d.findProviderIndexLocked(self, in)
-}
-
-// findProviderIndexLocked answers the provider query from the admitted
-// provider index: a map lookup plus a walk of the (tiny, name-sorted)
-// provider list for that topic, so the choice matches the reference scan
-// over the name-sorted admitted set.
-func (d *DRCR) findProviderIndexLocked(self string, in descriptor.Port) string {
 	if in.Direction != descriptor.In {
 		return ""
 	}

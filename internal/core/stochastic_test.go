@@ -36,7 +36,7 @@ func stochRig(t *testing.T, fullSweep bool) *DRCR {
 	t.Helper()
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{NumCPUs: 1, Timing: &noNoise, Seed: 17})
-	d, err := New(fw, k, Options{FullSweepResolve: fullSweep})
+	d, err := newEngine(fw, k, fullSweep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func newChurnRig(t *testing.T, fullSweep bool) *churnRig {
 	t.Helper()
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 99})
-	d, err := New(fw, k, Options{FullSweepResolve: fullSweep})
+	d, err := newEngine(fw, k, fullSweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,9 @@ func buildChurnTopology(t *testing.T, groups, fanout, heavy int) (map[string]*de
 }
 
 // TestDifferentialRandomChurn replays seeded random lifecycle storms
-// through the reference full-sweep engine and the incremental worklist
-// engine, and requires bit-identical event traces and final states.
+// through the full-sweep oracle and the incremental worklist engine, and
+// requires bit-identical event traces and final states. After every step
+// the provider index of both rigs must agree with a brute-force scan.
 func TestDifferentialRandomChurn(t *testing.T) {
 	descs, names := buildChurnTopology(t, 10, 3, 8)
 	for _, seed := range []int64{1, 7, 42, 1234} {
@@ -193,8 +194,10 @@ func TestDifferentialRandomChurn(t *testing.T) {
 			for _, name := range names {
 				_ = rig.d.Deploy(descs[name])
 			}
+			checkProviderIndex(t, rig.d)
 			for _, op := range ops {
 				applyChurnOp(rig, op, descs)
+				checkProviderIndex(t, rig.d)
 			}
 		}
 

@@ -224,10 +224,6 @@ type Options struct {
 	Capacity int
 	// Node names the plane for federated span identity (see SetNode).
 	Node string
-	// SchedFunnel forces scheduler spans through the sequential
-	// control-plane funnel even on sharded kernels (the pre-v2
-	// behaviour); the differential tests pin funnel == per-shard.
-	SchedFunnel bool
 	// FlightPre / FlightPost size the flight-recorder window around a
 	// trigger (defaults 48 / 16); FlightMax caps retained dumps
 	// (default 8). FlightOff disables the recorder.
@@ -284,13 +280,6 @@ type Plane struct {
 	// after releasing its lock, from concurrent cone-striped operations.
 	latMu sync.Mutex
 	lat   [latKinds]metrics.Log2Hist
-
-	// Per-shard sched emission (sharded.go).
-	schedFunnel bool
-	emitters    []*shardEmitter
-	shardSinks  []rtos.TraceSink
-	schedMerge  []stagedSched
-	sorter      schedSorter
 
 	// Flight recorder (flightrec.go).
 	frPre     int
@@ -368,21 +357,20 @@ func NewPlane(o Options) *Plane {
 		o.FlightMax = 0
 	}
 	return &Plane{
-		level:       o.Level,
-		ring:        make([]Span, 0, min(ringStart, o.Capacity)),
-		capacity:    SpanID(o.Capacity),
-		open:        map[string]SpanID{},
-		last:        map[string]SpanID{},
-		full:        sha256.New(),
-		stream:      sha256.New(),
-		scratch:     make([]byte, 0, 256),
-		iscr:        make([]byte, 0, 64),
-		perComp:     map[string]*compCounters{},
-		node:        o.Node,
-		schedFunnel: o.SchedFunnel,
-		frPre:       o.FlightPre,
-		frPost:      o.FlightPost,
-		frMax:       o.FlightMax,
+		level:    o.Level,
+		ring:     make([]Span, 0, min(ringStart, o.Capacity)),
+		capacity: SpanID(o.Capacity),
+		open:     map[string]SpanID{},
+		last:     map[string]SpanID{},
+		full:     sha256.New(),
+		stream:   sha256.New(),
+		scratch:  make([]byte, 0, 256),
+		iscr:     make([]byte, 0, 64),
+		perComp:  map[string]*compCounters{},
+		node:     o.Node,
+		frPre:    o.FlightPre,
+		frPost:   o.FlightPost,
+		frMax:    o.FlightMax,
 	}
 }
 
@@ -431,23 +419,16 @@ func (p *Plane) syncKernelSink() {
 	}
 	if p.level != Full {
 		p.kernel.SetTraceSink(nil)
-		p.kernel.SetShardTraceSinks(nil, nil)
 		return
 	}
-	if n := p.kernel.Shards(); n > 1 && !p.schedFunnel {
-		// Per-shard emission: each shard stages into its own buffer, the
-		// barrier merges in canonical order (sharded.go).
-		p.ensureEmitters(n)
-		p.kernel.SetTraceSink(nil)
-		p.kernel.SetShardTraceSinks(p.shardSinks, p.mergeShards)
-		return
-	}
-	p.kernel.SetShardTraceSinks(nil, nil)
 	p.kernel.SetTraceSink(p.schedSpan)
 }
 
 // schedSpan is the scheduler trace bridge (Full level only). It must be
-// allocation-free after warm-up: the sim hot path runs through it.
+// allocation-free after warm-up: the sim hot path runs through it. A
+// sharded kernel stages each shard's events and feeds them here at the
+// window barrier in canonical (At, CPU) order, so span IDs and digests
+// do not depend on the shard count.
 func (p *Plane) schedSpan(at sim.Time, kind rtos.TraceEventKind, task string, cpu int) {
 	p.c.schedEvents++
 	p.emit(Span{At: at, Kind: KindSched, Component: task, To: kind.String(), N: int64(cpu)})

@@ -9,10 +9,10 @@ import (
 
 // runShardedTickers drives a kernel with one periodic task per CPU and
 // returns the bound plane.
-func runShardedTickers(t *testing.T, level Level, shards int, funnel bool, runFor time.Duration) *Plane {
+func runShardedTickers(t *testing.T, level Level, shards int, runFor time.Duration) *Plane {
 	t.Helper()
 	k := rtos.NewKernel(rtos.Config{Seed: 1, NumCPUs: 4, Shards: shards})
-	p := NewPlane(Options{Level: level, SchedFunnel: funnel})
+	p := NewPlane(Options{Level: level})
 	p.BindKernel(k)
 	for cpu := 0; cpu < 4; cpu++ {
 		task, err := k.CreateTask(rtos.TaskSpec{
@@ -33,32 +33,31 @@ func runShardedTickers(t *testing.T, level Level, shards int, funnel bool, runFo
 	return p
 }
 
-// Per-shard emission is the funnel bridge, parallelised: on the same
-// kernel config both paths must produce byte-identical digests — the
-// full one (span IDs included; per-shard staging must not perturb ID
-// assignment) and the stream one — at shard counts 1, 2 and 4.
-func TestShardedEmissionDigestsMatchFunnel(t *testing.T) {
-	ref := runShardedTickers(t, Full, 0, false, 100*time.Millisecond)
+// A sharded kernel stages each shard's scheduler events and merges them
+// at the window barrier in canonical order before they reach the plane:
+// the digests must be byte-identical to the sequential kernel's — the
+// full one (span IDs included; staging must not perturb ID assignment)
+// and the stream one — at shard counts 1, 2 and 4.
+func TestShardedEmissionDigestsMatchSequential(t *testing.T) {
+	ref := runShardedTickers(t, Full, 0, 100*time.Millisecond)
 	refDigest, refStream := ref.Digest(), ref.StreamDigest()
 	if ref.Snapshot().Sched.Events == 0 {
 		t.Fatal("reference run emitted no sched spans")
 	}
 	for _, shards := range []int{1, 2, 4} {
-		for _, funnel := range []bool{true, false} {
-			p := runShardedTickers(t, Full, shards, funnel, 100*time.Millisecond)
-			if d := p.Digest(); d != refDigest {
-				t.Errorf("shards=%d funnel=%v: digest %s != sequential %s", shards, funnel, d, refDigest)
-			}
-			if s := p.StreamDigest(); s != refStream {
-				t.Errorf("shards=%d funnel=%v: stream digest %s != sequential %s", shards, funnel, s, refStream)
-			}
+		p := runShardedTickers(t, Full, shards, 100*time.Millisecond)
+		if d := p.Digest(); d != refDigest {
+			t.Errorf("shards=%d: digest %s != sequential %s", shards, d, refDigest)
+		}
+		if s := p.StreamDigest(); s != refStream {
+			t.Errorf("shards=%d: stream digest %s != sequential %s", shards, s, refStream)
 		}
 	}
 
-	// The scheduler bridge is gated to Full on either emission path:
-	// below it a sharded kernel's plane carries no sched spans at all.
+	// The scheduler bridge is gated to Full: below it a sharded kernel's
+	// plane carries no sched spans at all.
 	for _, level := range []Level{Off, Sampled, Full} {
-		p := runShardedTickers(t, level, 2, false, 100*time.Millisecond)
+		p := runShardedTickers(t, level, 2, 100*time.Millisecond)
 		spans := 0
 		for _, s := range p.Spans() {
 			if s.Kind == KindSched {
@@ -75,8 +74,8 @@ func TestShardedEmissionDigestsMatchFunnel(t *testing.T) {
 	}
 }
 
-// The per-shard staging buffers must be allocation-free in steady
-// state, like the funnel bridge they replace.
+// The kernel's per-shard staging buffers, the barrier merge and the
+// plane's scheduler bridge must be allocation-free in steady state.
 func TestShardedEmissionAllocFree(t *testing.T) {
 	k := rtos.NewKernel(rtos.Config{Seed: 1, NumCPUs: 4, Shards: 4})
 	p := NewPlane(Options{Level: Full})
@@ -107,6 +106,6 @@ func TestShardedEmissionAllocFree(t *testing.T) {
 		t.Errorf("sharded emission allocates %.3f per ms of sim time", n)
 	}
 	if after := p.Snapshot().Sched.Events; after <= before {
-		t.Fatal("sharded emitters recorded no sched spans during the measured runs")
+		t.Fatal("sharded kernel bridged no sched spans during the measured runs")
 	}
 }

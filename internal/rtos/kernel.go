@@ -118,12 +118,6 @@ type Kernel struct {
 	tracer  *Tracer
 	sink    TraceSink
 
-	// Per-shard live sinks (see SetShardTraceSinks): shardSinks[i] runs
-	// on shard i's goroutine during a window; shardMerge runs at every
-	// barrier, after the window joined, on the control goroutine.
-	shardSinks []TraceSink
-	shardMerge func()
-
 	// Sharded-engine state (see shard.go). With one shard the window
 	// loop is bypassed entirely and Run drives k.clock directly.
 	shards     []*kshard
@@ -164,7 +158,7 @@ func NewKernel(cfg Config) *Kernel {
 	k.lookahead = sim.Duration(cfg.Lookahead)
 	k.shards = make([]*kshard, cfg.Shards)
 	for s := range k.shards {
-		sh := &kshard{id: s}
+		sh := &kshard{}
 		if cfg.Shards == 1 {
 			// Sequential engine: one clock carries task and control
 			// events alike, byte-identical to the pre-sharding kernel.

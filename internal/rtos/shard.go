@@ -40,7 +40,6 @@ import (
 // kshard is one execution shard: a subset of the simulated CPUs plus the
 // isolated mutable state their event processing touches.
 type kshard struct {
-	id   int
 	clk  *sim.Clock
 	cpus []*cpu
 
@@ -200,9 +199,6 @@ func (k *Kernel) launchWindow(b sim.Time, inclusive bool) error {
 // exactly one shard, so a stable sort yields the engine-independent
 // canonical order (see CanonicalizeTrace).
 func (k *Kernel) mergeWindow() {
-	if k.shardMerge != nil {
-		k.shardMerge()
-	}
 	if k.sink == nil && k.tracer == nil {
 		return // shards recorded nothing
 	}

@@ -1,7 +1,9 @@
 package rtos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,24 +86,6 @@ type TraceSink func(at sim.Time, kind TraceEventKind, task string, cpu int)
 // attached at once.
 func (k *Kernel) SetTraceSink(sink TraceSink) { k.sink = sink }
 
-// SetShardTraceSinks installs per-shard live trace sinks plus a barrier
-// merge hook, or removes both with (nil, nil). sinks must have exactly
-// Shards() entries: sinks[i] receives shard i's scheduler events from
-// shard i's goroutine while a window runs — each sink owns its shard's
-// buffer and needs no locking — and merge runs on the control goroutine
-// at every window barrier (after all shards joined), where the consumer
-// folds its per-shard buffers together in canonical (At, CPU, seq)
-// order. On a sequential kernel (Shards() == 1) there are no window
-// barriers, so merge never runs; sinks[0] still receives every event
-// inline, but consumers should prefer SetTraceSink there.
-func (k *Kernel) SetShardTraceSinks(sinks []TraceSink, merge func()) {
-	if sinks != nil && len(sinks) != len(k.shards) {
-		panic("rtos: SetShardTraceSinks needs exactly Shards() sinks")
-	}
-	k.shardSinks = sinks
-	k.shardMerge = merge
-}
-
 func (k *Kernel) trace(at sim.Time, kind TraceEventKind, task string, cpuID int) {
 	if k.sink != nil {
 		k.sink(at, kind, task, cpuID)
@@ -118,9 +102,6 @@ func (k *Kernel) trace(at sim.Time, kind TraceEventKind, task string, cpuID int)
 // engine appends to the shard's window buffer, which the next barrier
 // merges into the sink in canonical order (see Kernel.mergeWindow).
 func (k *Kernel) traceOn(sh *kshard, at sim.Time, kind TraceEventKind, task string, cpuID int) {
-	if k.shardSinks != nil {
-		k.shardSinks[sh.id](at, kind, task, cpuID)
-	}
 	if len(k.shards) <= 1 {
 		k.trace(at, kind, task, cpuID)
 		return
@@ -137,12 +118,16 @@ func (k *Kernel) traceOn(sh *kshard, at sim.Time, kind TraceEventKind, task stri
 // trace equals the merged trace of a sharded run at any shard count —
 // the equivalence the differential tests pin.
 func CanonicalizeTrace(evs []TraceEvent) {
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].At != evs[j].At {
-			return evs[i].At < evs[j].At
-		}
-		return evs[i].CPU < evs[j].CPU
-	})
+	slices.SortStableFunc(evs, compareTraceOrder)
+}
+
+// compareTraceOrder orders trace events by (At, CPU). It is a plain
+// function, not a closure, so canonicalising a window allocates nothing.
+func compareTraceOrder(a, b TraceEvent) int {
+	if a.At != b.At {
+		return cmp.Compare(a.At, b.At)
+	}
+	return cmp.Compare(a.CPU, b.CPU)
 }
 
 // Events returns the recorded events in order.

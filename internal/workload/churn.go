@@ -3,9 +3,8 @@ package workload
 // Resolve-churn storms: deploy/remove/enable/disable/revoke sequences
 // over a synthetic component population with realistic port fan-out,
 // driving the DRCR's constraint-resolution engine rather than the kernel
-// hot path. The same seeded storm replays bit-identically against the
-// incremental worklist engine and the reference full-sweep engine, which
-// is how the workload tests differential-test the two engines.
+// hot path. The same seeded storm replays bit-identically at every shard
+// count and sampling level, which the workload tests pin.
 
 import (
 	"crypto/sha256"
@@ -41,16 +40,9 @@ type ChurnSpec struct {
 	// (rtos.Config.Shards / core.Options.Shards); 0 or 1 selects the
 	// sequential engines. The storm digests must not depend on it.
 	Shards int
-	// FullSweep selects the reference fixed-point engine instead of the
-	// incremental worklist engine.
-	FullSweep bool
 	// ObsLevel is the observability sampling level for the run (zero
 	// value: Sampled, the default level).
 	ObsLevel obs.Level
-	// SchedFunnel forces the funnel scheduler bridge even on sharded
-	// kernels — the reference path the per-shard emitters are
-	// differential-tested against. Irrelevant below obs.Full.
-	SchedFunnel bool
 }
 
 func (s *ChurnSpec) applyDefaults() {
@@ -82,18 +74,16 @@ type ChurnStats struct {
 	Steps int
 	// Events is the total lifecycle-event count.
 	Events int
-	// TraceDigest is a SHA-256 over the full ordered event log; two
-	// engines replaying the same storm must produce equal digests.
+	// TraceDigest is a SHA-256 over the full ordered event log.
 	TraceDigest string
 	// StateDigest is a SHA-256 over the canonical final component states.
 	StateDigest string
-	// ObsDigest is the observability plane's engine-comparable span
-	// stream digest (IDs, cause edges and resolve-round internals
-	// excluded): the two resolve engines must produce equal values.
+	// ObsDigest is the observability plane's stream digest (IDs, cause
+	// edges and resolve-round internals excluded): it does not depend on
+	// the sampling level.
 	ObsDigest string
-	// ObsFullDigest includes span IDs and cause edges; it separates the
-	// two resolve engines but must not depend on shard count or on the
-	// funnel-vs-per-shard emission path.
+	// ObsFullDigest includes span IDs and cause edges; it must not
+	// depend on the shard count.
 	ObsFullDigest string
 	// Spans is the lifetime span count the storm emitted.
 	Spans uint64
@@ -175,9 +165,7 @@ func buildChurnPopulation(spec ChurnSpec) (map[string]*descriptor.Component, map
 
 // RunChurn populates a fresh DRCR (one bundle carrying the whole
 // population) and then replays the seeded op storm against it. The op
-// stream depends only on the seed and the DRCR's observable state, so
-// the same spec with FullSweep toggled replays the identical scenario on
-// the other engine.
+// stream depends only on the seed and the DRCR's observable state.
 func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	spec.applyDefaults()
 	descs, srcs, names, err := buildChurnPopulation(spec)
@@ -189,9 +177,8 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	timing := rtos.TimingModel{}
 	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed), Shards: spec.Shards})
 	d, err := core.New(fw, k, core.Options{
-		Shards:           spec.Shards,
-		FullSweepResolve: spec.FullSweep,
-		Obs:              obs.NewPlane(obs.Options{Level: spec.ObsLevel, SchedFunnel: spec.SchedFunnel}),
+		Shards: spec.Shards,
+		Obs:    obs.NewPlane(obs.Options{Level: spec.ObsLevel}),
 	})
 	if err != nil {
 		return ChurnStats{}, err

@@ -6,42 +6,40 @@ import (
 	"repro/internal/obs"
 )
 
-// The storm must replay bit-identically on both resolve engines: same
-// event trace, same final state. This is the workload-level counterpart
-// of core's differential test, exercising the bundle-delivery path too.
+// The digests the full-sweep reference engine produced on the storm
+// below. That engine is a test oracle in package core, out of reach of
+// this package; core's differential tests keep the worklist engine in
+// agreement with it.
+const (
+	sweepTraceGolden = "f97efaf7bbed4e0f95a93d9cba077f570656894be874600381e4e61ea04c4cf8"
+	sweepStateGolden = "2e6b71d2199ae7c6fba17bc8fdd5c519aa756465eaccd1f613ca2e1b398cc355"
+	sweepObsGolden   = "8ec22e4d6001c4c1d37cb0e4c9c850e31cc94910fc8ce587c0e9f170d0d29b41"
+	sweepComponents  = 42
+	sweepSpans       = 296
+)
+
+// The storm, bundle-delivery path included, must replay bit-identically
+// to the full-sweep reference engine's recorded run: same event trace,
+// same final state, same engine-comparable span stream (IDs, causes and
+// round internals excluded, so a full-sweep re-consult and a worklist
+// dirty-only consult look identical to observers).
 func TestChurnEnginesAgree(t *testing.T) {
-	spec := ChurnSpec{Components: 40, Steps: 120, Seed: 7}
-	spec.FullSweep = false
-	inc, err := RunChurn(spec)
+	got, err := RunChurn(ChurnSpec{Components: 40, Steps: 120, Seed: 7})
 	if err != nil {
-		t.Fatalf("worklist churn: %v", err)
+		t.Fatal(err)
 	}
-	spec.FullSweep = true
-	ref, err := RunChurn(spec)
-	if err != nil {
-		t.Fatalf("full-sweep churn: %v", err)
+	for _, c := range []struct{ what, got, want string }{
+		{"trace", got.TraceDigest, sweepTraceGolden},
+		{"state", got.StateDigest, sweepStateGolden},
+		{"obs stream", got.ObsDigest, sweepObsGolden},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s digest %s, full-sweep engine had %s", c.what, c.got, c.want)
+		}
 	}
-	if inc.TraceDigest != ref.TraceDigest {
-		t.Errorf("trace digests diverge: worklist %s vs full-sweep %s (events %d vs %d)",
-			inc.TraceDigest, ref.TraceDigest, inc.Events, ref.Events)
-	}
-	if inc.StateDigest != ref.StateDigest {
-		t.Errorf("state digests diverge: worklist %s vs full-sweep %s",
-			inc.StateDigest, ref.StateDigest)
-	}
-	if inc.Components != ref.Components || inc.Components == 0 {
-		t.Errorf("component counts: worklist %d, full-sweep %d", inc.Components, ref.Components)
-	}
-	// The observability stream is part of the engine contract too: the
-	// engine-comparable digest (IDs, causes, and round internals
-	// excluded) must match span for span, so a full-sweep re-consult and
-	// a worklist dirty-only consult look identical to observers.
-	if inc.ObsDigest != ref.ObsDigest {
-		t.Errorf("obs stream digests diverge: worklist %s vs full-sweep %s (spans %d vs %d)",
-			inc.ObsDigest, ref.ObsDigest, inc.Spans, ref.Spans)
-	}
-	if inc.Spans == 0 {
-		t.Error("storm emitted no spans")
+	if got.Components != sweepComponents || got.Spans != sweepSpans {
+		t.Errorf("%d components, %d spans; full-sweep engine had %d, %d",
+			got.Components, got.Spans, sweepComponents, sweepSpans)
 	}
 }
 

@@ -111,9 +111,6 @@ type DegradeConfig struct {
 	Replicas int
 	// ObsLevel is the observability sampling level (zero value: Sampled).
 	ObsLevel obs.Level
-	// SchedFunnel forces the funnel scheduler bridge on sharded kernels
-	// (the per-shard emitters' differential reference).
-	SchedFunnel bool
 }
 
 func (c *DegradeConfig) applyDefaults() {
@@ -183,7 +180,7 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
 	d, err := core.New(fw, k, core.Options{
 		Shards: cfg.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel, SchedFunnel: cfg.SchedFunnel}),
+		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
 	})
 	if err != nil {
 		return DegradeResult{}, err

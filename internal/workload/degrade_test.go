@@ -135,30 +135,26 @@ const (
 	churnSpanCount   = 419
 )
 
-// TestChurnUnchangedBySingleModeComponents differentially pins both
-// resolve engines against the digests captured before multi-mode
-// contracts existed: a population that declares no degraded modes must
-// produce the exact same admission decisions, event trace, and span
-// stream as it did then.
+// TestChurnUnchangedBySingleModeComponents pins the resolve engine
+// against the digests captured before multi-mode contracts existed (both
+// engines then produced them): a population that declares no degraded
+// modes must produce the exact same admission decisions, event trace,
+// and span stream as it did then.
 func TestChurnUnchangedBySingleModeComponents(t *testing.T) {
-	spec := ChurnSpec{Components: 80, Steps: 120, Seed: 7}
-	for _, fullSweep := range []bool{false, true} {
-		spec.FullSweep = fullSweep
-		got, err := RunChurn(spec)
-		if err != nil {
-			t.Fatalf("fullSweep=%v: %v", fullSweep, err)
-		}
-		if got.ObsDigest != churnObsGolden {
-			t.Errorf("fullSweep=%v: obs digest %s, want pre-change %s", fullSweep, got.ObsDigest, churnObsGolden)
-		}
-		if got.TraceDigest != churnTraceGolden {
-			t.Errorf("fullSweep=%v: trace digest %s, want pre-change %s", fullSweep, got.TraceDigest, churnTraceGolden)
-		}
-		if got.StateDigest != churnStateGolden {
-			t.Errorf("fullSweep=%v: state digest %s, want pre-change %s", fullSweep, got.StateDigest, churnStateGolden)
-		}
-		if got.Spans != churnSpanCount {
-			t.Errorf("fullSweep=%v: %d spans, want pre-change %d", fullSweep, got.Spans, churnSpanCount)
-		}
+	got, err := RunChurn(ChurnSpec{Components: 80, Steps: 120, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ObsDigest != churnObsGolden {
+		t.Errorf("obs digest %s, want pre-change %s", got.ObsDigest, churnObsGolden)
+	}
+	if got.TraceDigest != churnTraceGolden {
+		t.Errorf("trace digest %s, want pre-change %s", got.TraceDigest, churnTraceGolden)
+	}
+	if got.StateDigest != churnStateGolden {
+		t.Errorf("state digest %s, want pre-change %s", got.StateDigest, churnStateGolden)
+	}
+	if got.Spans != churnSpanCount {
+		t.Errorf("%d spans, want pre-change %d", got.Spans, churnSpanCount)
 	}
 }

@@ -74,9 +74,6 @@ type FaultCampaignConfig struct {
 	Replicas int
 	// ObsLevel is the observability sampling level (zero value: Sampled).
 	ObsLevel obs.Level
-	// SchedFunnel forces the funnel scheduler bridge on sharded kernels
-	// (the per-shard emitters' differential reference).
-	SchedFunnel bool
 }
 
 func (c *FaultCampaignConfig) applyDefaults() {
@@ -152,7 +149,7 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
 	d, err := core.New(fw, k, core.Options{
 		Shards: cfg.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel, SchedFunnel: cfg.SchedFunnel}),
+		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
 	})
 	if err != nil {
 		return FaultCampaignResult{}, err

@@ -7,39 +7,35 @@ import (
 	"repro/internal/obs"
 )
 
-// ISSUE-9 acceptance gates: at obs.Full the per-shard span emitters
-// must reproduce the funnel bridge byte for byte — the full digest
-// (span IDs and cause edges included) AND the stream digest — at shard
-// counts 1/2/4/8, across the churn, fault and degradation campaigns;
-// and the 8-node cluster campaign's stitched cross-node trace digest
-// must be pinned across runs, shard counts and Parallel.
+// At obs.Full a sharded kernel's staged scheduler spans, merged at the
+// window barrier, must reproduce the single funnel into the plane that
+// the sequential kernel uses, byte for byte: the full digest (span IDs
+// and cause edges included) AND the stream digest, at shard counts
+// 1/2/4/8, across the churn, fault and degradation campaigns.
 
 func TestChurnShardedEmissionMatchesFunnel(t *testing.T) {
 	base := ChurnSpec{Components: 60, Steps: 120, Seed: 11, NumCPUs: 8, ObsLevel: obs.Full}
+	ref, err := RunChurn(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		funnel := base
-		funnel.Shards = shards
-		funnel.SchedFunnel = true
-		ref, err := RunChurn(funnel)
-		if err != nil {
-			t.Fatalf("shards=%d funnel: %v", shards, err)
-		}
 		sharded := base
 		sharded.Shards = shards
 		got, err := RunChurn(sharded)
 		if err != nil {
-			t.Fatalf("shards=%d per-shard: %v", shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.ObsFullDigest != ref.ObsFullDigest {
-			t.Errorf("shards=%d: per-shard full digest %s != funnel %s",
+			t.Errorf("shards=%d: full digest %s != sequential %s",
 				shards, got.ObsFullDigest, ref.ObsFullDigest)
 		}
 		if got.ObsDigest != ref.ObsDigest {
-			t.Errorf("shards=%d: per-shard stream digest %s != funnel %s",
+			t.Errorf("shards=%d: stream digest %s != sequential %s",
 				shards, got.ObsDigest, ref.ObsDigest)
 		}
 		if got.Spans != ref.Spans {
-			t.Errorf("shards=%d: per-shard emitted %d spans, funnel %d", shards, got.Spans, ref.Spans)
+			t.Errorf("shards=%d: emitted %d spans, sequential %d", shards, got.Spans, ref.Spans)
 		}
 	}
 }
@@ -47,31 +43,28 @@ func TestChurnShardedEmissionMatchesFunnel(t *testing.T) {
 func TestFaultCampaignShardedEmissionMatchesFunnel(t *testing.T) {
 	base := FaultCampaignConfig{Seed: 3, RunFor: 400 * time.Millisecond, Guarded: true,
 		NumCPUs: 8, Replicas: 7, ObsLevel: obs.Full}
+	ref, err := RunFaultCampaign(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Obs.Sched.Events == 0 {
+		t.Fatal("Full level recorded no sched spans: scheduler bridge not attached")
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		funnel := base
-		funnel.Shards = shards
-		funnel.SchedFunnel = true
-		ref, err := RunFaultCampaign(funnel)
-		if err != nil {
-			t.Fatalf("shards=%d funnel: %v", shards, err)
-		}
-		if ref.Obs.Sched.Events == 0 {
-			t.Fatalf("shards=%d: Full level recorded no sched spans — bridge not attached", shards)
-		}
 		sharded := base
 		sharded.Shards = shards
 		got, err := RunFaultCampaign(sharded)
 		if err != nil {
-			t.Fatalf("shards=%d per-shard: %v", shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: per-shard span digest %s != funnel %s", shards, got.SpanDigest, ref.SpanDigest)
+			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
 		}
 		if got.StreamDigest != ref.StreamDigest {
-			t.Errorf("shards=%d: per-shard stream digest %s != funnel %s", shards, got.StreamDigest, ref.StreamDigest)
+			t.Errorf("shards=%d: stream digest %s != sequential %s", shards, got.StreamDigest, ref.StreamDigest)
 		}
 		if got.SpanCount != ref.SpanCount {
-			t.Errorf("shards=%d: per-shard emitted %d spans, funnel %d", shards, got.SpanCount, ref.SpanCount)
+			t.Errorf("shards=%d: emitted %d spans, sequential %d", shards, got.SpanCount, ref.SpanCount)
 		}
 	}
 }
@@ -79,25 +72,22 @@ func TestFaultCampaignShardedEmissionMatchesFunnel(t *testing.T) {
 func TestDegradeShardedEmissionMatchesFunnel(t *testing.T) {
 	base := DegradeConfig{Seed: 9, RunFor: 600 * time.Millisecond, NumCPUs: 8, Replicas: 7,
 		ObsLevel: obs.Full}
+	ref, err := RunDegradeCampaign(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		funnel := base
-		funnel.Shards = shards
-		funnel.SchedFunnel = true
-		ref, err := RunDegradeCampaign(funnel)
-		if err != nil {
-			t.Fatalf("shards=%d funnel: %v", shards, err)
-		}
 		sharded := base
 		sharded.Shards = shards
 		got, err := RunDegradeCampaign(sharded)
 		if err != nil {
-			t.Fatalf("shards=%d per-shard: %v", shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: per-shard span digest %s != funnel %s", shards, got.SpanDigest, ref.SpanDigest)
+			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
 		}
 		if got.StreamDigest != ref.StreamDigest {
-			t.Errorf("shards=%d: per-shard stream digest %s != funnel %s", shards, got.StreamDigest, ref.StreamDigest)
+			t.Errorf("shards=%d: stream digest %s != sequential %s", shards, got.StreamDigest, ref.StreamDigest)
 		}
 	}
 }
