@@ -197,8 +197,9 @@ func (s *System) DeployXML(src string) error {
 // consumer's topic but fails its version range or structural datatype —
 // rejects the whole bundle with a *PlanRejectError naming the exact
 // port pair, instead of installing components doomed to wait or be
-// denied. The compiled plan is cached, so the bundle start that follows
-// fast-applies it without recompiling.
+// denied. The bundle start that follows installs every descriptor and
+// resolves them in one worklist drain; the plan only checks. It is
+// cached, so redeploying the same bundle skips recompiling the check.
 func (s *System) DeployBundle(symbolicName, version string, descriptors map[string]string) (*osgi.Bundle, error) {
 	if len(descriptors) == 0 {
 		return nil, errors.New("drcom: bundle needs at least one descriptor")

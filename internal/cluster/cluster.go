@@ -36,7 +36,6 @@ import (
 	"repro/internal/net"
 	"repro/internal/obs"
 	"repro/internal/osgi"
-	"repro/internal/plan"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
@@ -222,10 +221,6 @@ type Cluster struct {
 	// component; the barrier sweep records the end-to-end sim latency
 	// once the component is admitted on its catalog node.
 	migStart map[string]sim.Time
-	// planCache is shared by every node's DRCR: a composition plan the
-	// leader compiles for a migration batch is found by key on the
-	// receiving node and applied without recompiling.
-	planCache *plan.Cache
 	// placeGen moves whenever the catalog gains or loses an entry (the
 	// inputs of every node's export set besides its admitted set).
 	placeGen uint64
@@ -256,7 +251,6 @@ func New(cfg Config) (*Cluster, error) {
 		cooldown:   map[string]sim.Time{},
 		partSpans:  map[int]obs.SpanID{},
 		migStart:   map[string]sim.Time{},
-		planCache:  plan.NewCache(),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		fw := osgi.NewFramework()
@@ -278,7 +272,6 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			return nil, err
 		}
-		d.SetPlanCache(c.planCache)
 		n := &Node{
 			id:        i,
 			name:      name,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/net"
+	"repro/internal/obs"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
@@ -223,12 +224,11 @@ const evacSnkXML = `<component name="esnk" desc="evac sink" type="periodic" cpuu
   <inport name="flow" interface="RTAI.SHM" type="Integer" size="4"/>
 </component>`
 
-// TestBatchedEvacuationShipsPlan pins the plan-shipping path: losing a
+// TestBatchedEvacuationShipsPlan pins the batched evacuation: losing a
 // node that hosts a whole wired chain must evacuate the batch as ONE
-// migrate-plan message. The leader compiles the composition plan into
-// the cluster-shared cache before sending; the receiver deploys the
-// batch in a single pass and finds the plan by key instead of
-// recompiling.
+// migrate-plan message. The leader compiles the batch's composition plan
+// as its typed-conflict check before sending; the receiver deploys the
+// batch with one DeployAll and re-wires it locally.
 func TestBatchedEvacuationShipsPlan(t *testing.T) {
 	c := mkCluster(t, Config{Nodes: 4, Seed: 19})
 	// Occupy the leader so the evacuation targets a remote node — the
@@ -267,14 +267,15 @@ func TestBatchedEvacuationShipsPlan(t *testing.T) {
 	if info, _ := recv.Component("emid"); info.Bindings["pipe"] != "esrc" {
 		t.Fatalf("emid bound to %q, want the local esrc", info.Bindings["pipe"])
 	}
-	// The receiver applied the leader's cached plan: a cache hit and an
-	// apply on the target node, a compile on the leader.
-	if snap := c.nodes[target].plane.Snapshot(); snap.Plan.Applies == 0 || snap.Plan.CacheHits == 0 {
-		t.Fatalf("target node did not fast-apply the shipped plan: %+v", snap.Plan)
+	// The batch crossed the network as one migrate-plan message.
+	var batches []string
+	for _, s := range c.plane.Spans() {
+		if s.Kind == obs.KindSend && s.Detail == "migrate-plan" {
+			batches = append(batches, s.Component)
+		}
 	}
-	hits, misses, _ := c.planCache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("shared plan cache saw hits=%d misses=%d, want the leader's compile and the receiver's hit", hits, misses)
+	if len(batches) != 1 || batches[0] != "emid,esnk,esrc" {
+		t.Fatalf("migrate-plan sends = %q, want one for the whole chain", batches)
 	}
 	// After the heal, reconciliation removes the stale copies on the
 	// returned node and the cluster converges as usual.

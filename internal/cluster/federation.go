@@ -388,9 +388,8 @@ func (c *Cluster) deliverControl(b sim.Time, n *Node, m net.Message) {
 			}
 		}
 	case "migrate-plan":
-		// A batched evacuation: the topic names the batch, the shared
-		// catalog still holds the descriptors, and the shared plan cache
-		// holds the plan the leader compiled before sending.
+		// A batched evacuation: the topic names the batch and the shared
+		// catalog still holds the descriptors.
 		var descs []*descriptor.Component
 		for _, name := range strings.Split(m.Topic, ",") {
 			pl := c.placements[name]

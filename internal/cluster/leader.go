@@ -102,8 +102,8 @@ func (c *Cluster) onNodeLoss(b sim.Time, leader *Node, lost int) {
 		fmt.Sprintf("no heartbeat for %v", c.cfg.NodeLossAfter), 0)
 	delete(leader.reports, lost)
 	// Pick a target for every evacuee first, then ship per target: a
-	// batch of two or more rides one compiled composition plan instead
-	// of N migrate-add messages.
+	// batch of two or more rides one migrate-plan message instead of N
+	// migrate-add messages.
 	type evacuation struct {
 		names  []string
 		causes []obs.SpanID
@@ -140,14 +140,13 @@ func (c *Cluster) onNodeLoss(b sim.Time, leader *Node, lost int) {
 	}
 }
 
-// planOn evacuates a batch of components as one compiled composition
-// plan: the leader compiles the batch against its own view — warming
-// the cluster-shared plan cache — and sends a single migrate-plan
-// control message naming the batch. The receiver re-reads the
-// descriptors from the shared catalog and deploys them in one pass,
-// hitting the cached plan when its view matches the leader's. A batch
-// that fails to compile (a typed port conflict between evacuees)
-// degrades to per-component migrate-add, i.e. the event path.
+// planOn evacuates a batch of components as one unit: the leader
+// compiles the batch's composition plan against its own view as the
+// typed-conflict check, and sends a single migrate-plan control message
+// naming the batch. The receiver re-reads the descriptors from the
+// shared catalog and deploys them with one DeployAll. A batch that
+// fails to compile (a typed port conflict between evacuees) degrades to
+// per-component migrate-add.
 func (c *Cluster) planOn(b sim.Time, leader *Node, target int, names []string, cause obs.SpanID) {
 	descs := make([]*descriptor.Component, 0, len(names))
 	for _, name := range names {

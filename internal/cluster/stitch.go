@@ -70,7 +70,7 @@ func (c *Cluster) StitchDigest() string {
 
 // LatencyStats merges every plane's latency histograms — the cluster
 // plane's migrate-e2e and revoke-propagation distributions plus each
-// node's resolve/deploy/plan-apply wall distributions — into one
+// node's resolve and deploy wall distributions — into one
 // summary in canonical kind order.
 func (c *Cluster) LatencyStats() []obs.LatencyStat {
 	planes := make([]*obs.Plane, 0, len(c.nodes)+1)

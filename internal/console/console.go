@@ -286,7 +286,7 @@ func (c *Console) plan(args []string) error {
 		fmt.Fprintf(c.out, "leftover: %s waits on inport %s\n", lo.Name, lo.Missing)
 	}
 	if p.Fallback != "" {
-		fmt.Fprintf(c.out, "fallback: %s (deploy takes the event path)\n", p.Fallback)
+		fmt.Fprintf(c.out, "fallback: %s\n", p.Fallback)
 	}
 	return nil
 }
@@ -597,7 +597,7 @@ func (c *Console) admit(args []string) error {
 		fmt.Fprintf(c.out, "%s  leftover: %s waits on inport %s\n", tag, lo.Name, lo.Missing)
 	}
 	if p.Fallback != "" {
-		fmt.Fprintf(c.out, "%s  fallback: %s (deploy would take the event path)\n", tag, p.Fallback)
+		fmt.Fprintf(c.out, "%s  fallback: %s\n", tag, p.Fallback)
 	}
 	return nil
 }

@@ -42,21 +42,23 @@ func TestAdmittedEpochMoves(t *testing.T) {
 	step("remove", true, func() error { return d.Remove("calc") })
 	step("no-op resolve after remove", false, func() error { d.Resolve(); return nil })
 
-	// A whole-bundle deploy that takes the plan fast path moves it too.
-	r := newPlanRig(t, 1, false)
+	// A whole-bundle deploy moves it too.
+	r := newPlanRig(t, 1)
 	before := r.d.AdmittedEpoch()
 	r.deployBundle(t, "epoch.bundle", []string{
 		localXML("bp", 0, 0.05, nil, []string{"bt"}, ""),
 		localXML("bc", 1, 0.05, []string{"bt"}, nil, ""),
 	})
-	if r.d.Obs().Snapshot().Plan.Applies == 0 {
-		t.Fatal("bundle deploy did not take the plan fast path")
-	}
 	if r.d.AdmittedEpoch() == before {
-		t.Error("plan apply: admitted epoch did not move")
+		t.Error("bundle deploy: admitted epoch did not move")
 	}
 	if got := r.d.AppendAdmitted(nil); len(got) != 2 {
-		t.Errorf("plan apply admitted %v, want bc and bp", got)
+		t.Errorf("bundle deploy admitted %v, want bc and bp", got)
+	}
+	// The bundle's event log is the one recorded before the plan
+	// fast-apply was retired.
+	if got, want := traceDigest(r.d.Events()), "b3506f8a1010c785e119020b3740464483761027f386a6c1acf69257eac9873f"; got != want {
+		t.Errorf("bundle deploy event trace %s, want %s", got, want)
 	}
 }
 

@@ -154,12 +154,6 @@ type Component struct {
 	mgmtReg *osgi.ServiceRegistration
 	// bindings maps inport name -> providing component name while active.
 	bindings map[string]string
-	// planBinds, when non-nil, holds the precompiled activation-moment
-	// binding row (by InPorts index) the plan apply staged; activateLocked
-	// consumes and clears it instead of querying the provider index.
-	// planSpec is the matching preflight-validated task spec.
-	planBinds []string
-	planSpec  *rtos.TaskSpec
 	// lastReason explains the most recent state decision.
 	lastReason string
 	// revoked bars the component from re-admission after a runtime
@@ -328,8 +322,7 @@ type DRCR struct {
 	factories map[string]BodyFactory
 
 	// planCache holds compiled composition plans keyed by descriptor-set
-	// digest, so redeploys and cluster-shipped batches skip compilation.
-	// Replaceable via SetPlanCache (a cluster shares one across nodes).
+	// digest, so a repeated CompilePlan of the same batch skips compilation.
 	planCache *plan.Cache
 
 	// cpus holds each processor's admission state (cpuAdmission);
@@ -416,11 +409,9 @@ type DRCR struct {
 	dirty                 bool
 	closed                bool
 
-	// Test seams, set only by this package's tests: resolvePass replaces
-	// drainWorklist as runResolve's pass (the full-sweep oracle), and
-	// noPlanFastPath sends every batch deploy down the event path.
-	resolvePass    func() bool
-	noPlanFastPath bool
+	// Test seam, set only by this package's tests: resolvePass replaces
+	// drainWorklist as runResolve's pass (the full-sweep oracle).
+	resolvePass func() bool
 }
 
 // New attaches a DRCR to a framework and kernel. The DRCR immediately
@@ -772,33 +763,6 @@ func insertName(ns []string, name string) []string {
 	copy(ns[i+1:], ns[i:])
 	ns[i] = name
 	return ns
-}
-
-// mergeNames merges a sorted batch of new names into a sorted list —
-// the single-pass equivalent of insertName once per element. Callers
-// guarantee the batch is disjoint from dst (the plan install loop skips
-// duplicates against the component table, which dst mirrors).
-func mergeNames(dst, add []string) []string {
-	if len(add) == 0 {
-		return dst
-	}
-	if len(dst) == 0 || dst[len(dst)-1] < add[0] {
-		return append(dst, add...)
-	}
-	out := make([]string, 0, len(dst)+len(add))
-	i, j := 0, 0
-	for i < len(dst) && j < len(add) {
-		if dst[i] <= add[j] {
-			out = append(out, dst[i])
-			i++
-		} else {
-			out = append(out, add[j])
-			j++
-		}
-	}
-	out = append(out, dst[i:]...)
-	out = append(out, add[j:]...)
-	return out
 }
 
 func removeName(ns []string, name string) []string {

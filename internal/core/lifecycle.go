@@ -185,6 +185,27 @@ func (d *DRCR) adoptBundle(b *osgi.Bundle) {
 	d.deployBatchLocked(descs, b)
 }
 
+// DeployAll deploys a descriptor batch as one unit: every descriptor is
+// installed, then one drain resolves the batch — exactly a bundle
+// adoption without the bundle. The cluster's migration and evacuation
+// batches land here.
+func (d *DRCR) DeployAll(descs []*descriptor.Component) {
+	start := time.Now()
+	defer func() { d.obs.RecordLatency(obs.LatDeploy, time.Since(start).Nanoseconds()) }()
+	t := d.cones.lockAll()
+	defer d.cones.unlock(t)
+	d.deployBatchLocked(descs, nil)
+}
+
+// deployBatchLocked runs under the all-stripes lock: install every
+// descriptor, then drain once.
+func (d *DRCR) deployBatchLocked(descs []*descriptor.Component, b *osgi.Bundle) {
+	for _, desc := range descs {
+		_ = d.addComponent(desc, b) // duplicates are skipped
+	}
+	d.resolveDelta()
+}
+
 func (d *DRCR) dropBundle(b *osgi.Bundle) {
 	t := d.cones.lockAll()
 	defer d.cones.unlock(t)
@@ -280,19 +301,9 @@ func (d *DRCR) addComponent(desc *descriptor.Component, b *osgi.Bundle) error {
 // activateLocked instantiates the component: IPC objects for its
 // outports, the hybrid RT task, and the management service.
 func (d *DRCR) activateLocked(c *Component) error {
-	var spec rtos.TaskSpec
-	if c.planSpec != nil {
-		// The plan preflight already computed and validated this spec;
-		// sim time cannot advance mid-apply, so it is the spec this call
-		// would rebuild.
-		spec = *c.planSpec
-		c.planSpec = nil
-	} else {
-		var err error
-		spec, err = d.taskSpecLocked(c.desc, c.mode)
-		if err != nil {
-			return err
-		}
+	spec, err := d.taskSpecLocked(c.desc, c.mode)
+	if err != nil {
+		return err
 	}
 	// Outport transports first, so the body can look them up.
 	var createdSHM, createdBoxes []string
@@ -349,17 +360,11 @@ func (d *DRCR) activateLocked(c *Component) error {
 	// Record inport bindings for the global view; inports the admitted
 	// mode drops stay unbound.
 	c.bindings = make(map[string]string, len(c.desc.InPorts))
-	planBinds := c.planBinds
-	c.planBinds = nil
-	for i, in := range c.desc.InPorts {
+	for _, in := range c.desc.InPorts {
 		if !c.desc.RequiresInport(c.mode, in.Name) {
 			continue
 		}
-		if planBinds != nil {
-			c.bindings[in.Name] = planBinds[i]
-		} else {
-			c.bindings[in.Name] = d.findProviderLocked(c.desc.Name, in)
-		}
+		c.bindings[in.Name] = d.findProviderLocked(c.desc.Name, in)
 	}
 	c.inst = inst
 	c.ownedSHM = createdSHM
@@ -497,23 +502,6 @@ func (d *DRCR) taskSpecLocked(desc *descriptor.Component, mode int) (rtos.TaskSp
 // setStateLocked performs a checked Figure 1 transition and emits the
 // event.
 func (d *DRCR) setStateLocked(c *Component, to State, reason string) {
-	d.setStateImplLocked(c, to, reason, true)
-}
-
-// setStatePlanLocked is setStateLocked minus the waiting-set upkeep.
-// Only the plan apply's own transitions use it: a scheduled component's
-// Unsatisfied→Satisfied→Active run would add it to the waiting set and
-// immediately remove it again, churn no reader can observe — every read
-// of d.waiting during the apply window is either deferred by d.resolving
-// or owned by the apply, which restores the exact event-path contents
-// (leftovers, failed activations) before any such read. Reentrant
-// listener callbacks keep using setStateLocked, so their transitions
-// maintain the waiting set normally.
-func (d *DRCR) setStatePlanLocked(c *Component, to State, reason string) {
-	d.setStateImplLocked(c, to, reason, false)
-}
-
-func (d *DRCR) setStateImplLocked(c *Component, to State, reason string, trackWaiting bool) {
 	from := c.state
 	if from == to {
 		return
@@ -528,13 +516,11 @@ func (d *DRCR) setStateImplLocked(c *Component, to State, reason string, trackWa
 	// Keep the incremental admission view in sync before the event goes
 	// out: listeners may call back into the DRCR and must see it current.
 	d.noteTransitionLocked(c, from, to)
-	if trackWaiting {
-		switch to {
-		case Unsatisfied, Satisfied:
-			d.waiting[c.desc.Name] = c
-		default:
-			delete(d.waiting, c.desc.Name)
-		}
+	switch to {
+	case Unsatisfied, Satisfied:
+		d.waiting[c.desc.Name] = c
+	default:
+		delete(d.waiting, c.desc.Name)
 	}
 	c.lastSpan = d.obs.Transition(d.kernel.Now(), c.desc.Name, from.String(), to.String(), reason, d.takeCause(c))
 	d.emitLocked(Event{At: d.kernel.Now(), Component: c.desc.Name, From: from, To: to, Reason: reason})

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,14 +18,14 @@ import (
 	"repro/internal/rtos"
 )
 
-// planRig is one DRCR under plan-vs-event-path differential test.
+// planRig is one DRCR under the plan-preview tests.
 type planRig struct {
 	fw *osgi.Framework
 	k  *rtos.Kernel
 	d  *DRCR
 }
 
-func newPlanRig(t *testing.T, shards int, disableFastPath bool) *planRig {
+func newPlanRig(t *testing.T, shards int) *planRig {
 	t.Helper()
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 31})
@@ -29,7 +33,6 @@ func newPlanRig(t *testing.T, shards int, disableFastPath bool) *planRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.noPlanFastPath = disableFastPath
 	t.Cleanup(d.Close)
 	return &planRig{fw: fw, k: k, d: d}
 }
@@ -55,12 +58,122 @@ func (r *planRig) deployBundle(t *testing.T, symbolic string, srcs []string) *os
 	return b
 }
 
-// planCampaign drives one rig through a deployment scenario that a
-// whole-bundle fast path must replicate exactly: an external provider
-// already admitted, a bundle forming a diamond DAG with a leftover
-// consumer and a disabled member, a second bundle consuming across the
-// bundle boundary, churn (stop/start, enable, remove), and a redeploy of
-// an identical bundle that on the fast system must hit the plan cache.
+// checkPreview compiles the plan for a batch against the live view,
+// runs the operation that deploys the batch, and holds the plan to what
+// the one deploy path did:
+//   - Schedule is the order of the batch's SATISFIED→ACTIVE events (for
+//     a plan with a Fallback, the prefix before the member it names,
+//     which must not be ACTIVE);
+//   - CauseIdx names the member whose activation span caused each
+//     activation's UNSATISFIED→SATISFIED span (-1: no batch member did);
+//   - Leftovers are left UNSATISFIED with their "inport X unsatisfied"
+//     reason, and (without a Fallback) no other member is;
+//   - every Edge of an ACTIVE consumer is its Info.Bindings entry.
+func (r *planRig) checkPreview(t *testing.T, srcs []string, deploy func()) {
+	t.Helper()
+	descs := make([]*descriptor.Component, len(srcs))
+	member := map[string]bool{}
+	for i, src := range srcs {
+		descs[i] = mustParse(t, src)
+		member[descs[i].Name] = true
+	}
+	p, err := r.d.CompilePlan(descs)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	firstEvent, firstSpan := len(r.d.Events()), r.d.Obs().NextID()
+	deploy()
+
+	var activated []string
+	for _, ev := range r.d.Events()[firstEvent:] {
+		if member[ev.Component] && ev.From == Satisfied && ev.To == Active {
+			activated = append(activated, ev.Component)
+		}
+	}
+	want := p.Schedule
+	if p.Fallback != "" {
+		stop := -1
+		for i, name := range p.Schedule {
+			if strings.Contains(p.Fallback, strconv.Quote(name)) {
+				stop = i
+				break
+			}
+		}
+		if stop < 0 {
+			t.Fatalf("fallback %q names no scheduled member", p.Fallback)
+		}
+		if st := stateOf(t, r.d, p.Schedule[stop]); st == Active {
+			t.Errorf("fallback %q, but %s went ACTIVE", p.Fallback, p.Schedule[stop])
+		}
+		want = p.Schedule[:stop]
+	}
+	if !reflect.DeepEqual(activated, want) {
+		t.Fatalf("activation order %v, plan schedule %v (fallback %q)", activated, want, p.Fallback)
+	}
+
+	// Causes: each activated member's UNSATISFIED→SATISFIED span.
+	actSpan := map[obs.SpanID]string{} // a member's SATISFIED→ACTIVE span → member
+	satCause := map[string]obs.SpanID{}
+	for _, s := range r.d.Obs().SpansSince(firstSpan) {
+		if s.Kind != obs.KindTransition || !member[s.Component] {
+			continue
+		}
+		switch {
+		case s.From == "SATISFIED" && s.To == "ACTIVE":
+			actSpan[s.ID] = s.Component
+		case s.From == "UNSATISFIED" && s.To == "SATISFIED":
+			satCause[s.Component] = s.Cause
+		}
+	}
+	for i, name := range want {
+		cause, ok := satCause[name]
+		if !ok {
+			t.Fatalf("%s activated without an UNSATISFIED→SATISFIED span", name)
+		}
+		got := actSpan[cause] // "" when no batch member's activation caused it
+		if ci := p.CauseIdx[i]; ci >= 0 {
+			if got != p.Schedule[ci] {
+				t.Errorf("%s: cause span names %q, plan names %q", name, got, p.Schedule[ci])
+			}
+		} else if got != "" {
+			t.Errorf("%s: caused by %s's activation, plan names no cause", name, got)
+		}
+	}
+
+	left := map[string]bool{}
+	for _, lo := range p.Leftovers {
+		left[lo.Name] = true
+		info, _ := r.d.Component(lo.Name)
+		if wantReason := "inport " + lo.Missing + " unsatisfied"; info.State != Unsatisfied || info.LastReason != wantReason {
+			t.Errorf("leftover %s: %v %q, plan expects UNSATISFIED %q", lo.Name, info.State, info.LastReason, wantReason)
+		}
+	}
+	if p.Fallback == "" {
+		for _, desc := range descs {
+			if info, _ := r.d.Component(desc.Name); info.State == Unsatisfied && !left[desc.Name] {
+				t.Errorf("%s left UNSATISFIED (%q) but not a plan leftover", desc.Name, info.LastReason)
+			}
+		}
+	}
+
+	for _, e := range p.Edges {
+		info, _ := r.d.Component(e.Consumer)
+		if info.State != Active {
+			continue
+		}
+		if got := info.Bindings[e.Inport]; got != e.Provider {
+			t.Errorf("%s.%s bound to %q, plan edge names %q", e.Consumer, e.Inport, got, e.Provider)
+		}
+	}
+}
+
+// planCampaign drives one rig through a bundle deployment scenario,
+// checking the compiled plan's preview against every batch: an external
+// provider already admitted, a bundle forming a diamond DAG with a
+// leftover consumer and a disabled member, a second bundle consuming
+// across the bundle boundary, churn (stop/start, enable, remove), a
+// redeploy of an identical bundle (whose compile hits the plan cache),
+// and a batch that overflows one CPU's budget.
 func planCampaign(t *testing.T, r *planRig) {
 	t.Helper()
 	// An external provider deployed the classic way, already admitted
@@ -84,17 +197,19 @@ func planCampaign(t *testing.T, r *planRig) {
 		churnXML("root", 0, 0.01, []string{"base"}, nil),
 		disabled,
 	}
-	b1 := r.deployBundle(t, "plan.diamond", diamond)
+	var b1 *osgi.Bundle
+	r.checkPreview(t, diamond, func() { b1 = r.deployBundle(t, "plan.diamond", diamond) })
 
 	// Bundle 2 consumes across the bundle boundary and feeds the orphan.
 	chain := []string{
 		churnXML("hub", 2, 0.01, []string{"tb"}, []string{"nowhr"}),
 		churnXML("leaf", 3, 0.01, []string{"nowhr"}, nil),
 	}
-	b2 := r.deployBundle(t, "plan.chain", chain)
+	var b2 *osgi.Bundle
+	r.checkPreview(t, chain, func() { b2 = r.deployBundle(t, "plan.chain", chain) })
 
 	// Churn: lifecycle ops between deploys, then teardown and an identical
-	// redeploy — the fast system must serve it from the plan cache.
+	// redeploy.
 	if err := r.d.Enable("off"); err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +219,16 @@ func planCampaign(t *testing.T, r *planRig) {
 	if err := b2.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if err := b2.Start(); err != nil {
-		t.Fatal(err)
-	}
+	r.checkPreview(t, chain, func() {
+		if err := b2.Start(); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if err := r.d.Enable("mid2"); err != nil {
 		t.Fatal(err)
 	}
 	// Tear both bundles down (b2 first, so no waiter outlives b1) and
-	// redeploy the identical diamond on the now-quiet system: the fast
-	// system must serve it straight from the plan cache.
+	// redeploy the identical diamond on the now-quiet system.
 	if err := b2.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,96 +241,72 @@ func planCampaign(t *testing.T, r *planRig) {
 	if err := b1.Uninstall(); err != nil {
 		t.Fatal(err)
 	}
-	r.deployBundle(t, "plan.diamond2", diamond)
+	r.checkPreview(t, diamond, func() { r.deployBundle(t, "plan.diamond2", diamond) })
 
-	// Bundle 3 overflows one CPU's budget mid-batch, forcing the admission
-	// dry-run (fast system) and the deny path (event system) to agree that
-	// only the event path can express the outcome.
+	// Bundle 3 overflows one CPU's budget mid-batch: the plan's admission
+	// dry-run must name the member the deploy denies.
 	heavy := []string{
 		churnXML("hvy1", 1, 0.45, nil, nil),
 		churnXML("hvy2", 1, 0.45, nil, nil),
 		churnXML("hvy3", 1, 0.45, nil, nil),
 	}
-	r.deployBundle(t, "plan.heavy", heavy)
+	r.checkPreview(t, heavy, func() { r.deployBundle(t, "plan.heavy", heavy) })
 }
 
-// TestPlanApplyDifferential deploys identical whole-bundle campaigns on a
-// fast-path system and a forced event-path system and requires
-// byte-identical event logs, obs digests (span IDs and causes included),
-// stream digests, and final states — at shard counts 1 and 4 — while
-// asserting the fast system really exercised plan-apply and its cache.
-func TestPlanApplyDifferential(t *testing.T) {
+// Digests of planCampaign, recorded before the plan fast-apply was
+// retired; the fast-apply and the worklist deploy path both produced
+// them, at 1 and 4 shards. The obs digest moves with the sampling level
+// (Full adds resolve-round spans); the others do not.
+const (
+	planCampaignTrace     = "43aa0b9e193505f8186517972e256a476a1b4078ed6df835b8ce45b78868fc53"
+	planCampaignObs       = "d9aacb70aedf619c0b3c3ca3c387ede5b4f05c41b4694c4bf0bbaf613a375c2d"
+	planCampaignObsFull   = "40d240da081f72436f7176888d88a3c8a2070f35f7853c24a2f889d975416dcf"
+	planCampaignStream    = "a18c2896cfe12e233ed15141e6b9f5ec66feeba7a0701df3b4f75630539d64d7"
+	planCampaignStateHash = "95752708bb41f704ff10504ab82d9a4daececb54f361bd25fd009251f70f555a"
+)
+
+// TestPlanPreviewMatchesDeploy runs planCampaign at 1 and 4 shards, at
+// the default sampling level and at obs.Full: every batch's compiled
+// plan must match what the deploy did (checkPreview), the identical
+// redeploy's compile must hit the plan cache, and the event log, obs
+// digests and final states must equal the recorded goldens.
+func TestPlanPreviewMatchesDeploy(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			fast := newPlanRig(t, shards, false)
-			slow := newPlanRig(t, shards, true)
-			planCampaign(t, fast)
-			planCampaign(t, slow)
+			for _, level := range []obs.Level{obs.Sampled, obs.Full} {
+				r := newPlanRig(t, shards)
+				r.d.Obs().SetLevel(level)
+				planCampaign(t, r)
 
-			if f, s := traceDigest(fast.d.Events()), traceDigest(slow.d.Events()); f != s {
-				fe, se := fast.d.Events(), slow.d.Events()
-				t.Errorf("event traces diverge (fast %d events, slow %d events)", len(fe), len(se))
-				for i := 0; i < len(fe) || i < len(se); i++ {
-					var a, b string
-					if i < len(fe) {
-						a = fe[i].String()
-					}
-					if i < len(se) {
-						b = se[i].String()
-					}
-					if a != b {
-						t.Fatalf("first divergence at event %d:\n  fast: %s\n  slow: %s", i, a, b)
+				wantObs := planCampaignObs
+				if level == obs.Full {
+					wantObs = planCampaignObsFull
+				}
+				sum := sha256.Sum256([]byte(stateSummary(r.d)))
+				for _, c := range []struct{ what, got, want string }{
+					{"event trace", traceDigest(r.d.Events()), planCampaignTrace},
+					{"obs digest", r.d.Obs().Digest(), wantObs},
+					{"obs stream digest", r.d.Obs().StreamDigest(), planCampaignStream},
+					{"final states", hex.EncodeToString(sum[:]), planCampaignStateHash},
+				} {
+					if c.got != c.want {
+						t.Errorf("level %v: %s %s, want %s", level, c.what, c.got, c.want)
 					}
 				}
-			}
-			if f, s := fast.d.Obs().Digest(), slow.d.Obs().Digest(); f != s {
-				t.Errorf("obs digests diverge: fast %s slow %s", f[:12], s[:12])
-			}
-			if f, s := fast.d.Obs().StreamDigest(), slow.d.Obs().StreamDigest(); f != s {
-				t.Errorf("obs stream digests diverge: fast %s slow %s", f[:12], s[:12])
-			}
-			if f, s := stateSummary(fast.d), stateSummary(slow.d); f != s {
-				t.Errorf("final states diverge:\nfast:\n%s\nslow:\n%s", f, s)
-			}
-
-			// The comparison is only meaningful if the fast path actually ran.
-			snap := fast.d.Obs().Snapshot()
-			if snap.Plan.Applies == 0 {
-				t.Fatal("fast system never applied a plan; differential test is vacuous")
-			}
-			if snap.Plan.CacheHits == 0 {
-				t.Fatal("identical redeploy missed the plan cache")
-			}
-			if slowSnap := slow.d.Obs().Snapshot(); slowSnap.Plan.Applies != 0 {
-				t.Fatalf("forced event-path system applied %d plans", slowSnap.Plan.Applies)
+				if r.d.Obs().Snapshot().Plan.CacheHits == 0 {
+					t.Errorf("level %v: identical redeploy missed the plan cache", level)
+				}
 			}
 		})
 	}
 }
 
-// TestPlanApplyDifferentialFullObs pins that at obs Level Full — where
-// resolve-round spans consume span IDs — the fast path stands down, so
-// digests trivially agree and nothing diverges.
-func TestPlanApplyDifferentialFullObs(t *testing.T) {
-	fast := newPlanRig(t, 1, false)
-	slow := newPlanRig(t, 1, true)
-	fast.d.Obs().SetLevel(obs.Full)
-	slow.d.Obs().SetLevel(obs.Full)
-	planCampaign(t, fast)
-	planCampaign(t, slow)
-	if f, s := fast.d.Obs().Digest(), slow.d.Obs().Digest(); f != s {
-		t.Errorf("obs digests diverge at Full level: fast %s slow %s", f[:12], s[:12])
-	}
-	if snap := fast.d.Obs().Snapshot(); snap.Plan.Applies != 0 {
-		t.Fatalf("fast path ran %d times at Full obs level; resolve-round spans would diverge", snap.Plan.Applies)
-	}
-}
-
-// TestPlanFastPathFallsBackUnderWaiters: with a waiting consumer already
-// in the runtime, a bundle deploy must take the event path (cascades can
-// touch pre-existing waiters), and the fallback counter must say so.
-func TestPlanFastPathFallsBackUnderWaiters(t *testing.T) {
-	r := newPlanRig(t, 1, false)
+// TestBundleDeployWakesPreexistingWaiter: a bundle whose member provides
+// the topic a directly deployed component already waits on must wake
+// that waiter in the bundle's drain. The event log, obs digest and final
+// states are the ones recorded before the plan fast-apply was retired.
+func TestBundleDeployWakesPreexistingWaiter(t *testing.T) {
+	r := newPlanRig(t, 1)
 	if err := r.d.Deploy(mustParse(t, churnXML("lone", 0, 0.01, []string{"gap"}, nil))); err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +316,15 @@ func TestPlanFastPathFallsBackUnderWaiters(t *testing.T) {
 	if st := stateOf(t, r.d, "lone"); st != Active {
 		t.Fatalf("lone = %v after provider bundle, want ACTIVE", st)
 	}
-	snap := r.d.Obs().Snapshot()
-	if snap.Plan.Applies != 0 {
-		t.Fatalf("plan applied across a pre-existing waiter (applies=%d)", snap.Plan.Applies)
-	}
-	if snap.Plan.Fallbacks == 0 {
-		t.Fatal("fallback not counted")
+	sum := sha256.Sum256([]byte(stateSummary(r.d)))
+	for _, c := range []struct{ what, got, want string }{
+		{"event trace", traceDigest(r.d.Events()), "8fe2fc0a8abdc237b5de51e7b816785cad7148cb2c133b9baac187f496919fdd"},
+		{"obs digest", r.d.Obs().Digest(), "06c3ad10f4908adf4389a85c0d6971ba2aa1637e7fb5cc405bc0faa9e283a977"},
+		{"final states", hex.EncodeToString(sum[:]), "be0eae2dc503692de5d668c71c191abd9c568e322b381a68ad331df97c243fe6"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s %s, want %s", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -247,7 +342,7 @@ func TestCompilePlanTypedReject(t *testing.T) {
 	  <periodictask frequence="100" runoncup="1" priority="5"/>
 	  <inport name="feed" interface="RTAI.SHM" type="Integer" size="64" version="[2.0.0,3.0.0)" datatype="struct{seq:int32}"/>
 	</component>`
-	r := newPlanRig(t, 1, false)
+	r := newPlanRig(t, 1)
 	descs := []*descriptor.Component{mustParse(t, prov), mustParse(t, cons)}
 	_, err := r.d.CompilePlan(descs)
 	var rej *plan.RejectError

@@ -9,17 +9,15 @@ import (
 
 	"repro/internal/descriptor"
 	"repro/internal/osgi"
-	"repro/internal/plan"
 	"repro/internal/rtos"
 )
 
-// Whole-bundle deploy parity: the same synthetic composition DAG is
-// deployed four ways — one event-path Deploy per descriptor (the legacy
-// loop), one batched DeployAll with the plan fast path disabled (the
-// event-path reference the plan must match byte for byte), one batched
-// DeployAll that compiles and applies a fresh plan, and one that
-// fast-applies a plan already sitting in a shared cache (the migration
-// and redeploy case) — and the digests must agree.
+// Whole-bundle deploy goldens: the same synthetic composition DAG is
+// deployed two ways — one Deploy per descriptor (the legacy loop) and
+// one batched DeployAll (the path bundle adoption and cluster batches
+// take) — and the batched run's digests must equal the ones recorded
+// before the plan fast-apply was retired, when the fast-apply and the
+// worklist deploy path both produced them.
 
 // planDeploySpec sizes one whole-bundle deploy comparison.
 type planDeploySpec struct {
@@ -52,30 +50,19 @@ func (s *planDeploySpec) applyDefaults() {
 	}
 }
 
-// planDeployStats reports the parity checks across the four deploys.
+// planDeployStats reports one deploy of the population both ways.
 type planDeployStats struct {
-	// Components actually built (groups × (FanOut+2)).
-	Components int
-	// DigestMatch confirms the plan applies (cold and warm) reproduced
-	// the event-batch run bit for bit: event trace, observability
-	// stream with span IDs and causes, and final states all equal.
-	DigestMatch bool
+	// Batch is the batched DeployAll run.
+	Batch planDeployRun
 	// StateMatch confirms the per-descriptor loop converged to the same
 	// final states (its event interleaving legitimately differs).
 	StateMatch bool
-	// PlanApplied confirms the fast path actually ran on both plan runs
-	// (a silent fallback would compare the event path with itself).
-	PlanApplied bool
-	// CacheHit confirms the warm run found the shared cache entry
-	// instead of recompiling.
-	CacheHit bool
 }
 
 // buildPlanPopulation renders a feasible composition DAG: producer →
 // relay → FanOut consumers per group, every group admitted at full
-// contract, so the whole batch plan-applies. Unlike the churn
-// population there is no over-budget heavy tail — an admission-denied
-// batch deliberately falls back to the event path.
+// contract, so the whole batch activates at mode 0. Unlike the churn
+// population there is no over-budget heavy tail.
 func buildPlanPopulation(spec planDeploySpec) ([]*descriptor.Component, error) {
 	groups := spec.Components / (spec.FanOut + 2)
 	if groups < 1 {
@@ -120,12 +107,9 @@ type planDeployRun struct {
 	traceDigest string
 	obsDigest   string
 	stateDigest string
-	applies     uint64
-	cacheHits   uint64
 }
 
-func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component,
-	disableFast, perDescriptor bool, cache *plan.Cache) (planDeployRun, error) {
+func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component, perDescriptor bool) (planDeployRun, error) {
 	fw := osgi.NewFramework()
 	timing := rtos.TimingModel{}
 	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed)})
@@ -133,11 +117,7 @@ func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component,
 	if err != nil {
 		return planDeployRun{}, err
 	}
-	d.noPlanFastPath = disableFast
 	defer d.Close()
-	if cache != nil {
-		d.SetPlanCache(cache)
-	}
 
 	if perDescriptor {
 		// Deploy in lexicographic name order — the order bundle adoption
@@ -173,71 +153,41 @@ func runPlanDeployOnce(spec planDeploySpec, descs []*descriptor.Component,
 		}
 		sh.Write([]byte("\n"))
 	}
-	snap := d.Obs().Snapshot()
 	return planDeployRun{
 		traceDigest: hex.EncodeToString(th.Sum(nil)),
 		obsDigest:   d.Obs().Digest(),
 		stateDigest: hex.EncodeToString(sh.Sum(nil)),
-		applies:     snap.Plan.Applies,
-		cacheHits:   snap.Plan.CacheHits,
 	}, nil
 }
 
-// runPlanDeploy deploys the same population four ways on fresh
-// systems and compares.
+// runPlanDeploy deploys the same population both ways on fresh systems
+// and compares their final states.
 func runPlanDeploy(spec planDeploySpec) (planDeployStats, error) {
 	spec.applyDefaults()
 	descs, err := buildPlanPopulation(spec)
 	if err != nil {
 		return planDeployStats{}, err
 	}
-	perDesc, err := runPlanDeployOnce(spec, descs, true, true, nil)
+	perDesc, err := runPlanDeployOnce(spec, descs, true)
 	if err != nil {
 		return planDeployStats{}, err
 	}
-	batch, err := runPlanDeployOnce(spec, descs, true, false, nil)
+	batch, err := runPlanDeployOnce(spec, descs, false)
 	if err != nil {
 		return planDeployStats{}, err
 	}
-	cold, err := runPlanDeployOnce(spec, descs, false, false, nil)
-	if err != nil {
-		return planDeployStats{}, err
-	}
-	// The warm run shares a cache another system already compiled into —
-	// what a redeploy on the same node or a cluster migration target sees.
-	shared := plan.NewCache()
-	warmer, err := runPlanDeployOnce(spec, descs, false, false, shared)
-	if err != nil {
-		return planDeployStats{}, err
-	}
-	warm, err := runPlanDeployOnce(spec, descs, false, false, shared)
-	if err != nil {
-		return planDeployStats{}, err
-	}
-	if warmer.applies == 0 {
-		return planDeployStats{}, fmt.Errorf("cache-warming run fell back to the event path")
-	}
-
 	return planDeployStats{
-		Components: len(descs),
-		DigestMatch: batch.traceDigest == cold.traceDigest &&
-			batch.obsDigest == cold.obsDigest &&
-			batch.stateDigest == cold.stateDigest &&
-			batch.traceDigest == warm.traceDigest &&
-			batch.obsDigest == warm.obsDigest &&
-			batch.stateDigest == warm.stateDigest,
-		StateMatch:  perDesc.stateDigest == batch.stateDigest,
-		PlanApplied: cold.applies > 0 && warm.applies > 0,
-		CacheHit:    warm.cacheHits > 0,
+		Batch:      batch,
+		StateMatch: perDesc.stateDigest == batch.stateDigest,
 	}, nil
 }
 
 // The edgecluster example's bundles, grouped per node exactly as its
 // console script deploys them. The XML mirrors examples/edgecluster —
-// the canonical "real application" bundle set — so the plan fast path
-// is smoked against descriptors that were not written for it: pinned
-// CPUs, multi-mode contracts, and an aggregator whose inports are
-// remote in the example and therefore stay unsatisfied leftovers here.
+// the canonical "real application" bundle set — so the batched deploy is
+// pinned on descriptors that were not written for it: pinned CPUs,
+// multi-mode contracts, and an aggregator whose inports are remote in
+// the example and therefore stay unsatisfied leftovers here.
 var edgeclusterBundles = map[string][]string{
 	"n0": {`<component name="agg" desc="feed aggregator" type="periodic" cpuusage="0.35">
   <implementation bincode="edge.Agg"/>
@@ -275,10 +225,29 @@ var edgeclusterBundles = map[string][]string{
 </component>`},
 }
 
-// TestEdgeclusterBundlePlanDigest compiles and plan-applies each
-// edgecluster node bundle and asserts byte-identical event traces, obs
-// streams, and final states against the batched event path — the CI
-// plan smoke step.
+// edgeclusterDigests are each node bundle's batched-deploy digests
+// (event trace, obs stream, final states), recorded before the plan
+// fast-apply was retired; the fast-apply and the worklist deploy path
+// both produced them.
+var edgeclusterDigests = map[string][3]string{
+	"n0": {"731b10e883b845292afd2ae5c39618b99b2351616ad67a0c0098c805ca3ea8ec",
+		"210c38c068938305027d52c8e0aedec2bf14d4caccdd366468cbbb0ef12c76dd",
+		"c261bf8b5f200778eea926f831592e084b8effbf55200a3bd839ddc24f8f74ef"},
+	"n1": {"6d45d32dd0a3d7d6355d70707398b1efe1c2ff4d94955a634a583cabc9188951",
+		"8d54ccf2c3116fe6ea4365e36b0fcfcf9725e956322f92b59c0ad72f79039121",
+		"1534e21fe39b253d228f345e1113e5432714b43faaafb522375597524a2e5430"},
+	"n2": {"46f3365242027d80d5dc04ee0571a537a620a60694ef2248a8546aafbf8cfc48",
+		"d05a0e3cff7256c736053059bf36e3d15f3bcb0967eb6da6e1013f3707fb89a9",
+		"c5788fb4f32cad307ef435b6ccb61465e36754bc0e4d2ac3f41b9bdd591146c7"},
+	"n3": {"34e5670dcb3601189a141e5e7fda0558c3c408e570c1858dad0be8da3298b38b",
+		"f526fdecd56826fdb16aed735f070d59d6a251c3a2c8f52e722085e9141492ba",
+		"17bccfd3eb42b76a0731c4ff131c6660df68a7e9f3d9a84b8573a7648dd905b4"},
+}
+
+// TestEdgeclusterBundlePlanDigest compiles each edgecluster node bundle
+// (no typed conflict may reject it), deploys it with DeployAll, and pins
+// the event trace, obs stream and final states to edgeclusterDigests —
+// the CI plan smoke step.
 func TestEdgeclusterBundlePlanDigest(t *testing.T) {
 	for node, xmls := range edgeclusterBundles {
 		t.Run(node, func(t *testing.T) {
@@ -292,52 +261,53 @@ func TestEdgeclusterBundlePlanDigest(t *testing.T) {
 			}
 			spec := planDeploySpec{Components: len(descs), Seed: 21, NumCPUs: 4}
 			spec.applyDefaults()
-			event, err := runPlanDeployOnce(spec, descs, true, false, nil)
+			if _, err := newPlanRig(t, 1).d.CompilePlan(descs); err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			got, err := runPlanDeployOnce(spec, descs, false)
 			if err != nil {
-				t.Fatalf("event path: %v", err)
+				t.Fatalf("deploy: %v", err)
 			}
-			planned, err := runPlanDeployOnce(spec, descs, false, false, nil)
-			if err != nil {
-				t.Fatalf("plan path: %v", err)
-			}
-			if planned.applies == 0 {
-				t.Fatalf("plan fast path fell back on the %s bundle", node)
-			}
-			for _, d := range []struct{ what, a, b string }{
-				{"event trace", event.traceDigest, planned.traceDigest},
-				{"obs stream", event.obsDigest, planned.obsDigest},
-				{"final states", event.stateDigest, planned.stateDigest},
+			want := edgeclusterDigests[node]
+			for i, d := range []struct{ what, got string }{
+				{"event trace", got.traceDigest},
+				{"obs stream", got.obsDigest},
+				{"final states", got.stateDigest},
 			} {
-				if d.a != d.b {
-					t.Errorf("%s diverged: event %s != plan %s", d.what, d.a, d.b)
+				if d.got != want[i] {
+					t.Errorf("%s digest %s, want %s", d.what, d.got, want[i])
 				}
 			}
 		})
 	}
 }
 
-// TestRunPlanDeployRepsParity pins the parity contract on repeated
-// runs: every rep must match digests, converge the per-descriptor loop
-// to the same states, apply the plan without fallback and hit the warm
-// cache.
+// TestRunPlanDeployRepsParity pins the batched deploy of a 40-component
+// composition DAG on repeated runs: every rep must reproduce the
+// recorded digests and converge the per-descriptor loop to the same
+// states.
 func TestRunPlanDeployRepsParity(t *testing.T) {
+	const (
+		wantTrace = "e4450d16cbc9c2521061021d4bb6eee7fcd994c4c12c19276d4889af6aa0fed2"
+		wantObs   = "8aca646d6089228463e305ca0354afca822879103a044abef11c062df6a9c707"
+		wantState = "090b0471803de764dffbbb17ac33c25eb7e361f4ea97866115c7e01446236bd8"
+	)
 	for rep := 0; rep < 2; rep++ {
 		st, err := runPlanDeploy(planDeploySpec{Components: 40, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, check := range []struct {
-			what string
-			ok   bool
-		}{
-			{"digest match", st.DigestMatch},
-			{"state match", st.StateMatch},
-			{"plan applied", st.PlanApplied},
-			{"cache hit", st.CacheHit},
+		for _, check := range []struct{ what, got, want string }{
+			{"event trace", st.Batch.traceDigest, wantTrace},
+			{"obs stream", st.Batch.obsDigest, wantObs},
+			{"final states", st.Batch.stateDigest, wantState},
 		} {
-			if !check.ok {
-				t.Errorf("rep %d: %s failed", rep, check.what)
+			if check.got != check.want {
+				t.Errorf("rep %d: %s digest %s, want %s", rep, check.what, check.got, check.want)
 			}
+		}
+		if !st.StateMatch {
+			t.Errorf("rep %d: per-descriptor loop converged to different states", rep)
 		}
 	}
 }

@@ -109,13 +109,13 @@ func TestStochasticPlanVerdictMatchesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Fallback == "" {
-		t.Fatal("stochastic plan must route to the event path")
+	if p.Fallback != "" {
+		t.Fatalf("admitted stochastic plan has fallback %q", p.Fallback)
 	}
 	if len(p.Admissions) != 1 || p.Admissions[0].Name != "calc" {
 		t.Fatalf("plan admissions = %+v", p.Admissions)
 	}
-	// Deploy through the event path and compare the verdict strings: the
+	// Deploy both and compare the verdict strings: the
 	// compile-time Monte-Carlo verdict must be byte-identical to the
 	// runtime's admit-span detail (shared sampler, shared seed).
 	for _, src := range []string{stochCalcXML, stochDispXML} {

@@ -1,7 +1,7 @@
 // Latency histograms: fixed-bucket log2 distributions for the DRCR's
 // end-to-end reaction latencies, recorded with a zero-allocation path
 // (an inline array of metrics.Log2Hist — no pointers, no maps). Wall
-// latencies (resolve, deploy, plan apply) measure host nanoseconds of
+// latencies (resolve, deploy) measure host nanoseconds of
 // the management operation; propagation latencies (migration, cluster
 // revocation) measure simulated nanoseconds between cause and effect.
 // None of them enter any digest — wall times are machine-dependent by
@@ -26,8 +26,6 @@ const (
 	LatResolve LatencyKind = iota
 	// LatDeploy is the wall time of one Deploy or DeployAll call.
 	LatDeploy
-	// LatPlanApply is the wall time of one compiled-plan fast-path apply.
-	LatPlanApply
 	// LatMigrate is the simulated end-to-end time of one migration:
 	// from the leader's decision to the component admitted on the
 	// destination node.
@@ -41,11 +39,10 @@ const (
 
 // latencyNames is the static name table, indexed by LatencyKind.
 var latencyNames = [latKinds]string{
-	LatResolve:   "resolve",
-	LatDeploy:    "deploy",
-	LatPlanApply: "plan-apply",
-	LatMigrate:   "migrate-e2e",
-	LatRevoke:    "revoke-propagation",
+	LatResolve: "resolve",
+	LatDeploy:  "deploy",
+	LatMigrate: "migrate-e2e",
+	LatRevoke:  "revoke-propagation",
 }
 
 func (k LatencyKind) String() string {

@@ -87,7 +87,7 @@ func TestSummaryJSONStable(t *testing.T) {
 	if string(emptyBytes) != "{\n  \"node\": \"n3\",\n  \"latency\": []\n}\n" {
 		t.Fatalf("empty summary drifted:\n%q", emptyBytes)
 	}
-	p.RecordLatency(LatPlanApply, 2048)
+	p.RecordLatency(LatDeploy, 2048)
 	out, err := p.SummaryJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestSummaryJSONStable(t *testing.T) {
 	if err := json.Unmarshal(out, &decoded); err != nil {
 		t.Fatalf("summary not valid JSON: %v\n%s", err, out)
 	}
-	if decoded.Node != "n3" || len(decoded.Latency) != 1 || decoded.Latency[0].Name != "plan-apply" {
+	if decoded.Node != "n3" || len(decoded.Latency) != 1 || decoded.Latency[0].Name != "deploy" {
 		t.Fatalf("summary content: %+v", decoded)
 	}
 	again, err := p.SummaryJSON()
@@ -115,7 +115,7 @@ func TestRecordLatencyAllocFree(t *testing.T) {
 	v := int64(1)
 	avg := testing.AllocsPerRun(1000, func() {
 		p.RecordLatency(LatResolve, v)
-		p.RecordLatency(LatPlanApply, v*7)
+		p.RecordLatency(LatDeploy, v*7)
 		v++
 	})
 	if avg > 0.001 {

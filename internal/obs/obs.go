@@ -323,8 +323,6 @@ type counters struct {
 	nodeLosses    uint64
 	planCompiles  uint64
 	planCacheHits uint64
-	planApplies   uint64
-	planFallbacks uint64
 	admits        uint64
 	forecasts     uint64
 }
@@ -799,9 +797,8 @@ func (p *Plane) NoteDrain() {
 	p.c.resolveDrains++
 }
 
-// Plan-pipeline counters (counter-only, like NoteDrain: the plan fast
-// path must emit exactly the spans the event path would, so its own
-// bookkeeping never enters the digests).
+// Plan-pipeline counters (counter-only, like NoteDrain: compiling a plan
+// is a check and a preview, so its bookkeeping never enters the digests).
 
 // NotePlanCompile counts one composition-plan compilation.
 func (p *Plane) NotePlanCompile() {
@@ -811,30 +808,12 @@ func (p *Plane) NotePlanCompile() {
 	p.c.planCompiles++
 }
 
-// NotePlanCacheHit counts a deploy served from the compiled-plan cache.
+// NotePlanCacheHit counts a compile answered from the compiled-plan cache.
 func (p *Plane) NotePlanCacheHit() {
 	if !p.enabled() {
 		return
 	}
 	p.c.planCacheHits++
-}
-
-// NotePlanApply counts one whole-bundle plan fast-path apply.
-func (p *Plane) NotePlanApply() {
-	if !p.enabled() {
-		return
-	}
-	p.c.planApplies++
-}
-
-// NotePlanFallback counts a deploy that compiled a plan but had to run
-// the per-descriptor event path (guard failure, degraded-only
-// feasibility, admission denial, ...).
-func (p *Plane) NotePlanFallback() {
-	if !p.enabled() {
-		return
-	}
-	p.c.planFallbacks++
 }
 
 // ResolveRound records one resolution round over deact staged

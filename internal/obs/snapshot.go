@@ -78,16 +78,17 @@ type ResolveStats struct {
 	DepthMax     int64   `json:"depth_max"`
 }
 
-// PlanStats count composition-plan pipeline activity (zero when every
-// deploy ran the per-descriptor event path).
+// PlanStats count composition-plan compilations: the typed-conflict
+// checks and previews (plans are never applied).
 type PlanStats struct {
-	// Compiles counts plan compilations; CacheHits deploys answered from
-	// the compiled-plan cache without recompiling.
+	// Compiles counts plan compilations; CacheHits compiles answered
+	// from the compiled-plan cache without recompiling.
 	Compiles  uint64 `json:"compiles"`
 	CacheHits uint64 `json:"cache_hits"`
-	// Applies counts whole-bundle fast-path applies; Fallbacks deploys
-	// that compiled but ran the event path anyway.
-	Applies   uint64 `json:"applies"`
+	// Deprecated: plans are no longer applied; Applies always reads 0.
+	Applies uint64 `json:"applies"`
+	// Deprecated: with one deploy path nothing falls back; Fallbacks
+	// always reads 0.
 	Fallbacks uint64 `json:"fallbacks"`
 }
 
@@ -199,8 +200,6 @@ func (p *Plane) Snapshot() Snapshot {
 		Plan: PlanStats{
 			Compiles:  p.c.planCompiles,
 			CacheHits: p.c.planCacheHits,
-			Applies:   p.c.planApplies,
-			Fallbacks: p.c.planFallbacks,
 		},
 		Lifecycle: LifecycleStats{
 			Deploys:       p.c.deploys,
@@ -329,9 +328,8 @@ func (s Snapshot) Format() string {
 	fmt.Fprintf(&b, "  resolve:   %d drains, %d rounds, max depth %d (mean %.1f over %d non-empty)\n",
 		s.Resolve.Drains, s.Resolve.Rounds, s.Resolve.MaxWorklistDepth,
 		s.Resolve.DepthMean, s.Resolve.DepthSamples)
-	if s.Plan.Compiles > 0 || s.Plan.CacheHits > 0 || s.Plan.Applies > 0 || s.Plan.Fallbacks > 0 {
-		fmt.Fprintf(&b, "  plans:     %d compiled, %d cache hits, %d applied, %d fallbacks\n",
-			s.Plan.Compiles, s.Plan.CacheHits, s.Plan.Applies, s.Plan.Fallbacks)
+	if s.Plan.Compiles > 0 || s.Plan.CacheHits > 0 {
+		fmt.Fprintf(&b, "  plans:     %d compiled, %d cache hits\n", s.Plan.Compiles, s.Plan.CacheHits)
 	}
 	fmt.Fprintf(&b, "  lifecycle: %d deploys, %d transitions, %d act, %d deact, %d denied\n",
 		s.Lifecycle.Deploys, s.Lifecycle.Transitions, s.Lifecycle.Activations,

@@ -2,12 +2,12 @@ package plan
 
 import "sync"
 
-// Cache stores compiled plans keyed by descriptor-set digest, so a
-// redeploy of the same bundle — or a cluster-side install of a plan the
-// leader already compiled — skips compilation. Entries are immutable
-// once stored; staleness against a moved runtime view is handled by the
-// consumer (fingerprint comparison plus an admission dry-run re-run),
-// never by invalidation.
+// Cache stores compiled plans keyed by descriptor-set digest, so the
+// typed-conflict check of a redeployed bundle skips compilation. Entries
+// are immutable once stored; staleness is handled by the consumer, which
+// reuses an entry only while its external-provider fingerprint still
+// matches, never by invalidation. A reused plan's admission preview
+// (Deltas, Admissions) reflects the view it was compiled against.
 type Cache struct {
 	mu      sync.Mutex
 	m       map[string]*Plan
@@ -18,8 +18,8 @@ type Cache struct {
 }
 
 // defaultCacheSize bounds a cache; at capacity the oldest-inserted entry
-// is evicted (plans are cheap to recompile, the cache is a fast path),
-// so which plans survive depends only on the sequence of Puts.
+// is evicted (plans are cheap to recompile), so which plans survive
+// depends only on the sequence of Puts.
 const defaultCacheSize = 256
 
 // NewCache builds an empty plan cache.

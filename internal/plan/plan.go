@@ -2,18 +2,16 @@
 // a snapshot of the DRCR's current admitted view — into a pre-validated
 // composition plan: typed, versioned port contracts checked at compile
 // time, a flat wiring table (provider→consumer edges resolved per mode
-// ladder), a topologically ordered activation schedule that reproduces
-// the worklist engine's cursor order exactly, and precomputed admission
-// deltas (per-CPU budget sums).
+// ladder), the activation schedule the worklist engine's cursor will
+// follow, and precomputed admission deltas (per-CPU budget sums).
 //
-// A plan is the unit the runtime fast-applies (core.ApplyPlan installs,
-// wires and activates the whole DAG in one pass) and the unit the
-// cluster ships between nodes for migration and evacuation. The plan
-// path is a pure fast path, never a semantic fork: everything a plan
-// asserts is revalidated against the live runtime before it is applied,
-// and any mismatch falls back to the per-descriptor event path. The
-// differential tests pin byte-identical event logs and observability
-// digests between the two paths.
+// A plan is a check and a preview, never something the runtime applies.
+// System.DeployBundle compiles one to reject typed port conflicts before
+// anything is installed, the cluster leader compiles one for the same
+// check before shipping an evacuation batch, and the console's plan and
+// admit commands render one. The deploy itself always takes the one
+// deploy path (install every descriptor, then one worklist drain); the
+// core tests hold the preview to what that path actually does.
 //
 // Compilation rejects impossible compositions early — reject-at-compile
 // beats deny-at-runtime. A rejection is raised only for a *typed*
@@ -65,7 +63,7 @@ type ExtProvider struct {
 }
 
 // Edge is one row of the flat wiring table: a consumer inport and the
-// provider the engines would bind it to (or "" when unbound).
+// provider the runtime would bind it to (or "" when unbound).
 type Edge struct {
 	Consumer string
 	Inport   string
@@ -88,7 +86,7 @@ type CPUDelta struct {
 type Leftover struct {
 	Name string
 	// Missing is mode 0's first unsatisfied inport once the whole
-	// schedule has run — the reason string the engines would leave.
+	// schedule has run — the reason string the deploy path leaves.
 	Missing string
 	// CauseIdx is the schedule index of the provider whose activation
 	// seeds the component's pending span cause (-1: none).
@@ -112,14 +110,6 @@ type Plan struct {
 	Leftovers []Leftover
 	// Edges is the wiring table, sorted by consumer then inport.
 	Edges []Edge
-	// BindRows has one row per Schedule entry: the provider each of the
-	// member's inports (by InPorts index) binds to at its activation
-	// moment — only earlier-scheduled members and external providers are
-	// live then, so a row can differ from the final Edges table. The
-	// apply fast path installs these instead of re-querying the provider
-	// index per inport; values are bit-identical to findProviderLocked's
-	// at the same point in the schedule.
-	BindRows [][]string
 	// Deltas is the per-CPU admission delta of activating the schedule
 	// at mode 0 against the compile-time view.
 	Deltas []CPUDelta
@@ -132,17 +122,17 @@ type Plan struct {
 	// schedule step (members with distribution-valued budgets, or
 	// constant members joining a CPU that already carries one). Verdicts
 	// are byte-identical to the runtime's: both sides call
-	// policy.MCVerdict over the same composition. Non-empty Admissions
-	// always comes with a Fallback — the event path emits the admit
-	// spans the fast path cannot replicate.
+	// policy.MCVerdict over the same composition.
 	Admissions []AdmitNote
 	// ExtFP fingerprints which (member, inport) pairs were satisfiable
-	// by providers outside the bundle at compile time. Apply revalidates
-	// it against the live indexes; a mismatch forces recompilation.
+	// by providers outside the bundle at compile time. A cached plan is
+	// reused only while the live providers still produce this
+	// fingerprint; a mismatch forces recompilation.
 	ExtFP string
-	// Fallback is non-empty when the plan compiled but cannot be
-	// fast-applied (degraded-only feasibility, admission denial, ...);
-	// the caller uses the per-descriptor event path instead.
+	// Fallback is non-empty when the schedule does not tell the whole
+	// outcome of the deploy (a member feasible only in a degraded mode,
+	// an admission denial, a batch that cannot install as a whole); it
+	// says why, and the schedule past that point is not a prediction.
 	Fallback string
 }
 
@@ -247,9 +237,8 @@ type member struct {
 }
 
 // Compile builds a plan. A typed port conflict returns (*RejectError);
-// every other obstacle to the fast path compiles successfully with
-// Fallback set, so callers can still render the plan and route the
-// deploy through the event path.
+// every other obstacle compiles successfully with Fallback set, so
+// callers can still render the plan.
 func Compile(descs []*descriptor.Component, env Env) (*Plan, error) {
 	p := &Plan{Key: KeyOf(descs), Components: descs}
 	if env.Bound <= 0 {
@@ -275,7 +264,7 @@ func Compile(descs []*descriptor.Component, env Env) (*Plan, error) {
 	}
 
 	// Internal provider index: topic → enabled members declaring an
-	// outport on it, name-sorted (the engines' provider choice order).
+	// outport on it, name-sorted (the runtime's provider choice order).
 	provIdx := map[portKey][]string{}
 	for _, name := range names {
 		m := members[name]
@@ -393,68 +382,8 @@ func Compile(descs []*descriptor.Component, env Env) (*Plan, error) {
 	if p.Fallback == "" {
 		p.compileAdmission(members, env)
 	}
-	if p.Fallback == "" {
-		p.compileBindings(members, extLocal, extRemote)
-	}
 	p.compileEdges(members, names, extLocal, extRemote)
 	return p, nil
-}
-
-// compileBindings precomputes each scheduled member's activation-moment
-// inport bindings. The runtime binds inports right before a component
-// goes Active, when the provider index holds the pre-batch admitted set
-// plus only the members scheduled earlier — so the simulation replays
-// the schedule against a name-sorted index seeded with the external
-// local providers, falling back to remote provisions in index order,
-// exactly findProviderLocked's walk. The apply fast path installs these
-// rows instead of paying an index query per inport per component.
-func (p *Plan) compileBindings(members map[string]*member,
-	extLocal, extRemote map[portKey][]ExtProvider) {
-
-	type prov struct {
-		origin string
-		port   descriptor.Port
-	}
-	idx := map[portKey][]prov{}
-	insert := func(k portKey, pr prov) {
-		ps := idx[k]
-		i := sort.Search(len(ps), func(i int) bool { return ps[i].origin >= pr.origin })
-		ps = append(ps, prov{})
-		copy(ps[i+1:], ps[i:])
-		ps[i] = pr
-		idx[k] = ps
-	}
-	for k, eps := range extLocal {
-		for _, ep := range eps {
-			insert(k, prov{ep.Origin, ep.Port})
-		}
-	}
-	p.BindRows = make([][]string, len(p.Schedule))
-	for si, name := range p.Schedule {
-		m := members[name]
-		row := make([]string, len(m.desc.InPorts))
-		for pi, in := range m.desc.InPorts {
-			k := keyOf(in)
-			for _, pr := range idx[k] {
-				if pr.origin != name && pr.port.CanSatisfy(in) {
-					row[pi] = pr.origin
-					break
-				}
-			}
-			if row[pi] == "" {
-				for _, ep := range extRemote[k] {
-					if ep.Port.CanSatisfy(in) {
-						row[pi] = ep.Origin
-						break
-					}
-				}
-			}
-		}
-		p.BindRows[si] = row
-		for _, out := range m.desc.OutPorts {
-			insert(keyOf(out), prov{name, out})
-		}
-	}
 }
 
 // satisfiedBy reports whether inport in of member name is satisfied
@@ -495,8 +424,8 @@ func mode0Missing(name string, members map[string]*member,
 // lets a consumer dirtied ahead of it join the current round while one
 // behind it waits for the next, and cause seeding along the topic
 // edges. Any member feasible only in a degraded mode (or denied — see
-// compileAdmission) routes the whole plan to the event path, where
-// downgrade-before-deny runs for real.
+// compileAdmission) sets Fallback: downgrade-before-deny runs at deploy
+// time and the schedule cannot predict its span chain.
 func (p *Plan) compileSchedule(members map[string]*member, names []string,
 	provIdx map[portKey][]string,
 	extLocal, extRemote map[portKey][]ExtProvider) {
@@ -596,9 +525,9 @@ func (p *Plan) compileSchedule(members map[string]*member, names []string,
 			continue
 		}
 		// Not schedulable at mode 0. If a degraded mode is feasible the
-		// event path must run it (downgrade-before-deny emits its own
-		// span chain); a member with no feasible mode at all just stays
-		// Unsatisfied, which the fast path reproduces exactly.
+		// deploy downgrades it (downgrade-before-deny emits its own span
+		// chain); a member with no feasible mode at all just stays
+		// Unsatisfied, which the plan lists as a leftover.
 		for mi := 1; mi < m.desc.NumModes(); mi++ {
 			feasible := true
 			for _, in := range m.desc.InPorts {
@@ -632,7 +561,7 @@ func (p *Plan) compileSchedule(members map[string]*member, names []string,
 // accumulators are re-summed from scratch in admitted-name order after
 // every activation (the DRCR's per-CPU load rule), so the partial sums —
 // and therefore every admit/deny verdict — are bit-for-bit the ones the
-// event path computes. Any denial routes the plan to the event path.
+// deploy path computes. A denial sets Fallback.
 func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 	admitted := env.View.All()
 	before := make([]float64, env.NumCPUs)
@@ -726,18 +655,10 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 		}
 		p.RungDeltas = append(p.RungDeltas, sums)
 	}
-
-	if len(p.Admissions) > 0 && p.Fallback == "" {
-		// Every stochastic step admitted, but the fast path cannot
-		// replicate the admit spans the event path emits per activation —
-		// route the apply there; the compiled verdicts above are the ones
-		// the engines will reproduce.
-		p.Fallback = "stochastic budgets admit: event path carries the Monte-Carlo admit spans"
-	}
 }
 
 // compileEdges fills the wiring table: for every enabled member inport,
-// the provider the engines would bind once the whole schedule is active
+// the provider the runtime binds once the whole schedule is active
 // — plan members and already-admitted local components in one
 // name-sorted order, then remote provisions in origin order.
 func (p *Plan) compileEdges(members map[string]*member, names []string,
@@ -809,74 +730,9 @@ func (p *Plan) compileEdges(members map[string]*member, names []string,
 	})
 }
 
-// AdmitDryRun re-runs the admission dry-run against a live view (see
-// compileAdmission); it returns "" when every scheduled member admits
-// at mode 0, else the reason the fast path must not run.
-func (p *Plan) AdmitDryRun(view policy.View, numCPUs int, bound float64) string {
-	if bound <= 0 {
-		bound = 1.0
-	}
-	// A view that has gained distribution-valued contracts since compile
-	// time decides admission by Monte-Carlo sampling, not the constant
-	// sums below; the event path must run so its verdicts (and admit
-	// spans) are the ones recorded.
-	if view.Stochastic {
-		return "admitted view carries stochastic budgets: the event path decides admission"
-	}
-	byName := map[string]*descriptor.Component{}
-	for _, d := range p.Components {
-		byName[d.Name] = d
-	}
-	// The engine re-sums a CPU's load from scratch, in admitted-name
-	// order, after each admission there; the dry-run must reproduce
-	// those float sums bit for bit. Keeping one name-ordered
-	// usage list per CPU preserves exactly that addition order while
-	// re-summing only the CPU an admission lands on — an insert on cpu c
-	// cannot change any other CPU's element sequence.
-	names := make([][]string, numCPUs)
-	usages := make([][]float64, numCPUs)
-	load := make([]float64, numCPUs)
-	for cpu := range names {
-		for _, ct := range view.OnCPU(cpu) {
-			names[cpu] = append(names[cpu], ct.Name)
-			usages[cpu] = append(usages[cpu], ct.CPUUsage)
-		}
-	}
-	resum := func(cpu int) {
-		s := 0.0
-		for _, u := range usages[cpu] {
-			s += u
-		}
-		load[cpu] = s
-	}
-	for cpu := range load {
-		resum(cpu)
-	}
-	for _, name := range p.Schedule {
-		desc := byName[name]
-		cpu := desc.CPU()
-		if cpu < 0 || cpu >= numCPUs {
-			return fmt.Sprintf("component %q pinned to cpu%d out of range", name, cpu)
-		}
-		if sum := desc.CPUUsage + load[cpu]; sum > bound+admitEps {
-			return fmt.Sprintf("component %q would be denied at mode 0 (cpu%d budget %.3f exceeds bound %.3f)",
-				name, cpu, sum, bound)
-		}
-		i := sort.SearchStrings(names[cpu], name)
-		names[cpu] = append(names[cpu], "")
-		copy(names[cpu][i+1:], names[cpu][i:])
-		names[cpu][i] = name
-		usages[cpu] = append(usages[cpu], 0)
-		copy(usages[cpu][i+1:], usages[cpu][i:])
-		usages[cpu][i] = desc.CPUUsage
-		resum(cpu)
-	}
-	return ""
-}
-
 // Fingerprint recomputes the external-satisfiability fingerprint
-// against a live provider set; apply compares it with the compile-time
-// ExtFP and recompiles on mismatch.
+// against a live provider set; a cache lookup compares it with the
+// compile-time ExtFP and recompiles on mismatch.
 func Fingerprint(descs []*descriptor.Component, providers []ExtProvider) string {
 	extLocal := map[portKey][]ExtProvider{}
 	extRemote := map[portKey][]ExtProvider{}

@@ -125,8 +125,8 @@ func TestCompileLeftoverAndExternal(t *testing.T) {
 }
 
 // TestCompileAdmissionDenyFallback: a schedule overflowing one CPU's
-// budget must compile with Fallback set (the event path runs the real
-// deny), never reject.
+// budget must compile with Fallback set (the deploy runs the real deny),
+// never reject.
 func TestCompileAdmissionDenyFallback(t *testing.T) {
 	descs := []*descriptor.Component{
 		mustParse(t, xml("h1", 0, 0.6, nil, nil, "")),
@@ -142,8 +142,8 @@ func TestCompileAdmissionDenyFallback(t *testing.T) {
 }
 
 // TestCompileDegradedOnlyFallback: a member whose mode 0 is infeasible
-// but whose degraded mode drops the missing inport routes the plan to
-// the event path, where downgrade-before-deny runs for real.
+// but whose degraded mode drops the missing inport sets Fallback: the
+// deploy runs downgrade-before-deny for real.
 func TestCompileDegradedOnlyFallback(t *testing.T) {
 	eco := `  <mode name="eco" frequence="50" cpuusage="0.01" drops="gap"/>` + "\n"
 	descs := []*descriptor.Component{
@@ -224,26 +224,6 @@ func TestCacheStatsAndEviction(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	nilCache.Put(&Plan{Key: "x"}) // must not panic
-}
-
-// TestAdmitDryRunMovedView: a plan compiled against an empty view must
-// fail its dry-run once the live view is loaded past the bound.
-func TestAdmitDryRunMovedView(t *testing.T) {
-	descs := []*descriptor.Component{mustParse(t, xml("c", 0, 0.3, nil, nil, ""))}
-	p, err := Compile(descs, env2())
-	if err != nil || p.Fallback != "" {
-		t.Fatalf("compile: %v %q", err, p.Fallback)
-	}
-	free := policy.View{NumCPUs: 2}
-	if why := p.AdmitDryRun(free, 2, 1.0); why != "" {
-		t.Fatalf("dry-run against free view: %s", why)
-	}
-	busy := policy.NewView(2, []policy.Contract{
-		{Name: "big", CPU: 0, CPUUsage: 0.8},
-	})
-	if why := p.AdmitDryRun(busy, 2, 1.0); !strings.Contains(why, "denied") {
-		t.Fatalf("dry-run against busy view = %q, want denial", why)
-	}
 }
 
 // TestFingerprintTracksProviders: the external-satisfiability
