@@ -265,39 +265,54 @@ const (
 	planCampaignStateHash = "95752708bb41f704ff10504ab82d9a4daececb54f361bd25fd009251f70f555a"
 )
 
-// TestPlanPreviewMatchesDeploy runs planCampaign at 1 and 4 shards, at
-// the default sampling level and at obs.Full: every batch's compiled
-// plan must match what the deploy did (checkPreview), the identical
-// redeploy's compile must hit the plan cache, and the event log, obs
-// digests and final states must equal the recorded goldens.
-func TestPlanPreviewMatchesDeploy(t *testing.T) {
+// checkPlanCampaign runs planCampaign on a fresh rig at the given shard
+// count and sampling level: every batch's compiled plan must match what
+// the deploy applied (checkPreview), the identical redeploy's compile
+// must hit the plan cache, and the event log, obs digests and final
+// states must equal the recorded goldens.
+func checkPlanCampaign(t *testing.T, shards int, level obs.Level) {
+	t.Helper()
+	r := newPlanRig(t, shards)
+	r.d.Obs().SetLevel(level)
+	planCampaign(t, r)
+
+	wantObs := planCampaignObs
+	if level == obs.Full {
+		wantObs = planCampaignObsFull
+	}
+	sum := sha256.Sum256([]byte(stateSummary(r.d)))
+	for _, c := range []struct{ what, got, want string }{
+		{"event trace", traceDigest(r.d.Events()), planCampaignTrace},
+		{"obs digest", r.d.Obs().Digest(), wantObs},
+		{"obs stream digest", r.d.Obs().StreamDigest(), planCampaignStream},
+		{"final states", hex.EncodeToString(sum[:]), planCampaignStateHash},
+	} {
+		if c.got != c.want {
+			t.Errorf("shards %d, level %v: %s %s, want %s", shards, level, c.what, c.got, c.want)
+		}
+	}
+	if r.d.Obs().Snapshot().Plan.CacheHits == 0 {
+		t.Errorf("shards %d, level %v: identical redeploy missed the plan cache", shards, level)
+	}
+}
+
+// TestPlanApplyDifferential holds each compiled plan to the batch the
+// one deploy path applied, and the campaign's digests to the goldens
+// both former deploy paths produced, at shard counts 1 and 4.
+func TestPlanApplyDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, level := range []obs.Level{obs.Sampled, obs.Full} {
-				r := newPlanRig(t, shards)
-				r.d.Obs().SetLevel(level)
-				planCampaign(t, r)
-
-				wantObs := planCampaignObs
-				if level == obs.Full {
-					wantObs = planCampaignObsFull
-				}
-				sum := sha256.Sum256([]byte(stateSummary(r.d)))
-				for _, c := range []struct{ what, got, want string }{
-					{"event trace", traceDigest(r.d.Events()), planCampaignTrace},
-					{"obs digest", r.d.Obs().Digest(), wantObs},
-					{"obs stream digest", r.d.Obs().StreamDigest(), planCampaignStream},
-					{"final states", hex.EncodeToString(sum[:]), planCampaignStateHash},
-				} {
-					if c.got != c.want {
-						t.Errorf("level %v: %s %s, want %s", level, c.what, c.got, c.want)
-					}
-				}
-				if r.d.Obs().Snapshot().Plan.CacheHits == 0 {
-					t.Errorf("level %v: identical redeploy missed the plan cache", level)
-				}
-			}
+			checkPlanCampaign(t, shards, obs.Sampled)
 		})
+	}
+}
+
+// TestPlanApplyDifferentialFullObs runs the same campaign at obs Level
+// Full, where resolve-round spans consume span IDs, and pins the
+// Full-level obs digest at shard counts 1 and 4.
+func TestPlanApplyDifferentialFullObs(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		checkPlanCampaign(t, shards, obs.Full)
 	}
 }
 
