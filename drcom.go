@@ -218,14 +218,16 @@ func (s *System) DeployBundle(symbolicName, version string, descriptors map[stri
 	var descs []*descriptor.Component
 	for _, path := range paths {
 		src := descriptors[path]
-		if err := descriptor.Sniff(src); err != nil {
+		// A valid descriptor needs no sniff. One that fails validation
+		// but is still a DRCom document installs and is skipped at
+		// adoption.
+		if desc, err := descriptor.Parse(src); err == nil {
+			descs = append(descs, desc)
+		} else if err := descriptor.Sniff(src); err != nil {
 			return nil, fmt.Errorf("drcom: resource %s: %w", path, err)
 		}
 		m.DRComComponents = append(m.DRComComponents, path)
 		resources[path] = src
-		if desc, err := descriptor.Parse(src); err == nil {
-			descs = append(descs, desc) // malformed ones are skipped at adoption
-		}
 	}
 	if len(descs) > 0 {
 		if _, err := s.drcr.CompilePlan(descs); err != nil {

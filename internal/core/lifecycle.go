@@ -163,9 +163,9 @@ func (d *DRCR) bundleChanged(ev osgi.BundleEvent) {
 	}
 }
 
+// adoptBundle parses the bundle's descriptors before taking the
+// all-stripes lock, so decoding holds up no other operation.
 func (d *DRCR) adoptBundle(b *osgi.Bundle) {
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	m := b.Manifest()
 	if m == nil {
 		return
@@ -182,6 +182,8 @@ func (d *DRCR) adoptBundle(b *osgi.Bundle) {
 		}
 		descs = append(descs, desc)
 	}
+	t := d.cones.lockAll()
+	defer d.cones.unlock(t)
 	d.deployBatchLocked(descs, b)
 }
 

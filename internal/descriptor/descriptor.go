@@ -297,6 +297,9 @@ func (c *Component) Priority() int {
 
 // xml wire format ---------------------------------------------------------
 
+// The wire structs keep their encoding/xml tags: the decoder below reads
+// them by hand, and the tests hold it to xml.Unmarshal over this schema.
+
 type xmlPort struct {
 	Name      string `xml:"name,attr"`
 	Interface string `xml:"interface,attr"`
@@ -304,6 +307,44 @@ type xmlPort struct {
 	Size      string `xml:"size,attr"`
 	Version   string `xml:"version,attr"`
 	DataType  string `xml:"datatype,attr"`
+}
+
+type xmlImplementation struct {
+	Bincode string `xml:"bincode,attr"`
+	Class   string `xml:"class,attr"` // conventional alias
+}
+
+type xmlPeriodic struct {
+	Frequence string `xml:"frequence,attr"`
+	Frequency string `xml:"frequency,attr"` // alias
+	RunOnCup  string `xml:"runoncup,attr"`
+	RunOnCPU  string `xml:"runoncpu,attr"` // alias
+	Priority  string `xml:"priority,attr"`
+}
+
+type xmlAperiodic struct {
+	RunOnCup string `xml:"runoncup,attr"`
+	RunOnCPU string `xml:"runoncpu,attr"`
+	Priority string `xml:"priority,attr"`
+}
+
+type xmlBudget struct {
+	Dist string `xml:"dist,attr"`
+	P    string `xml:"p,attr"`
+}
+
+type xmlMode struct {
+	Name      string `xml:"name,attr"`
+	Frequence string `xml:"frequence,attr"`
+	Frequency string `xml:"frequency,attr"` // alias
+	CPUUsage  string `xml:"cpuusage,attr"`
+	Drops     string `xml:"drops,attr"` // space-separated inport names
+}
+
+type xmlProperty struct {
+	Name  string `xml:"name,attr"`
+	Type  string `xml:"type,attr"`
+	Value string `xml:"value,attr"`
 }
 
 type xmlComponent struct {
@@ -315,46 +356,131 @@ type xmlComponent struct {
 	CPUUsage   string   `xml:"cpuusage,attr"`
 	Importance string   `xml:"importance,attr"`
 
-	Implementation struct {
-		Bincode string `xml:"bincode,attr"`
-		Class   string `xml:"class,attr"` // conventional alias
-	} `xml:"implementation"`
+	Implementation xmlImplementation `xml:"implementation"`
+	PeriodicTask   *xmlPeriodic      `xml:"periodictask"`
+	AperiodicTask  *xmlAperiodic     `xml:"aperiodictask"`
+	Budget         *xmlBudget        `xml:"budget"`
+	OutPorts       []xmlPort         `xml:"outport"`
+	InPorts        []xmlPort         `xml:"inport"`
+	Modes          []xmlMode         `xml:"mode"`
+	Properties     []xmlProperty     `xml:"property"`
+}
 
-	PeriodicTask *struct {
-		Frequence string `xml:"frequence,attr"`
-		Frequency string `xml:"frequency,attr"` // alias
-		RunOnCup  string `xml:"runoncup,attr"`
-		RunOnCPU  string `xml:"runoncpu,attr"` // alias
-		Priority  string `xml:"priority,attr"`
-	} `xml:"periodictask"`
+// firstStart skips the prolog (declaration, comments, directives,
+// whitespace) to the document's root start element.
+func firstStart(d *xml.Decoder) (xml.StartElement, error) {
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return xml.StartElement{}, err
+		}
+		if start, ok := tok.(xml.StartElement); ok {
+			return start, nil
+		}
+	}
+}
 
-	AperiodicTask *struct {
-		RunOnCup string `xml:"runoncup,attr"`
-		RunOnCPU string `xml:"runoncpu,attr"`
-		Priority string `xml:"priority,attr"`
-	} `xml:"aperiodictask"`
+// setAttrs copies each attribute whose local name is names[i] into
+// *fields[i]; a later duplicate overwrites an earlier one, as in
+// xml.Unmarshal.
+func setAttrs(attrs []xml.Attr, names []string, fields ...*string) {
+	for _, a := range attrs {
+		for i, n := range names {
+			if a.Name.Local == n {
+				*fields[i] = a.Value
+			}
+		}
+	}
+}
 
-	Budget *struct {
-		Dist string `xml:"dist,attr"`
-		P    string `xml:"p,attr"`
-	} `xml:"budget"`
+// Attribute names per element, in the order decode passes the fields.
+var (
+	componentAttrs = []string{"name", "desc", "type", "enabled", "cpuusage", "importance"}
+	implAttrs      = []string{"bincode", "class"}
+	periodicAttrs  = []string{"frequence", "frequency", "runoncup", "runoncpu", "priority"}
+	aperiodicAttrs = []string{"runoncup", "runoncpu", "priority"}
+	budgetAttrs    = []string{"dist", "p"}
+	portAttrs      = []string{"name", "interface", "type", "size", "version", "datatype"}
+	modeAttrs      = []string{"name", "frequence", "frequency", "cpuusage", "drops"}
+	propertyAttrs  = []string{"name", "type", "value"}
+)
 
-	OutPorts []xmlPort `xml:"outport"`
-	InPorts  []xmlPort `xml:"inport"`
+// decode reads one descriptor document into its wire form. It reads the
+// same token stream xml.Unmarshal would over the xmlComponent schema and
+// stops where Unmarshal stops, at the root's end tag, so it yields the
+// same struct and the same errors: attributes match by local name and a
+// later duplicate wins, a repeated single element merges into the first,
+// and unknown or deeper elements are skipped.
+func decode(src string) (xmlComponent, error) {
+	var xc xmlComponent
+	d := xml.NewDecoder(strings.NewReader(src))
+	root, err := firstStart(d)
+	if err != nil {
+		return xc, err
+	}
+	if root.Name.Local != "component" {
+		return xc, xml.UnmarshalError("expected element type <component> but have <" + root.Name.Local + ">")
+	}
+	xc.XMLName = root.Name
+	setAttrs(root.Attr, componentAttrs, &xc.Name, &xc.Desc, &xc.Type, &xc.Enabled, &xc.CPUUsage, &xc.Importance)
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return xc, err
+		}
+		switch t := tok.(type) {
+		case xml.EndElement:
+			return xc, nil
+		case xml.StartElement:
+			xc.child(t)
+			// Children carry no content the schema reads.
+			if err := d.Skip(); err != nil {
+				return xc, err
+			}
+		}
+	}
+}
 
-	Modes []struct {
-		Name      string `xml:"name,attr"`
-		Frequence string `xml:"frequence,attr"`
-		Frequency string `xml:"frequency,attr"` // alias
-		CPUUsage  string `xml:"cpuusage,attr"`
-		Drops     string `xml:"drops,attr"` // space-separated inport names
-	} `xml:"mode"`
-
-	Properties []struct {
-		Name  string `xml:"name,attr"`
-		Type  string `xml:"type,attr"`
-		Value string `xml:"value,attr"`
-	} `xml:"property"`
+// child records the attributes of one top-level element.
+func (xc *xmlComponent) child(el xml.StartElement) {
+	switch el.Name.Local {
+	case "implementation":
+		im := &xc.Implementation
+		setAttrs(el.Attr, implAttrs, &im.Bincode, &im.Class)
+	case "periodictask":
+		if xc.PeriodicTask == nil {
+			xc.PeriodicTask = &xmlPeriodic{}
+		}
+		pt := xc.PeriodicTask
+		setAttrs(el.Attr, periodicAttrs, &pt.Frequence, &pt.Frequency, &pt.RunOnCup, &pt.RunOnCPU, &pt.Priority)
+	case "aperiodictask":
+		if xc.AperiodicTask == nil {
+			xc.AperiodicTask = &xmlAperiodic{}
+		}
+		at := xc.AperiodicTask
+		setAttrs(el.Attr, aperiodicAttrs, &at.RunOnCup, &at.RunOnCPU, &at.Priority)
+	case "budget":
+		if xc.Budget == nil {
+			xc.Budget = &xmlBudget{}
+		}
+		setAttrs(el.Attr, budgetAttrs, &xc.Budget.Dist, &xc.Budget.P)
+	case "outport", "inport":
+		var p xmlPort
+		setAttrs(el.Attr, portAttrs, &p.Name, &p.Interface, &p.Type, &p.Size, &p.Version, &p.DataType)
+		if el.Name.Local == "outport" {
+			xc.OutPorts = append(xc.OutPorts, p)
+		} else {
+			xc.InPorts = append(xc.InPorts, p)
+		}
+	case "mode":
+		var m xmlMode
+		setAttrs(el.Attr, modeAttrs, &m.Name, &m.Frequence, &m.Frequency, &m.CPUUsage, &m.Drops)
+		xc.Modes = append(xc.Modes, m)
+	case "property":
+		var p xmlProperty
+		setAttrs(el.Attr, propertyAttrs, &p.Name, &p.Type, &p.Value)
+		xc.Properties = append(xc.Properties, p)
+	}
 }
 
 // ValidationError aggregates everything wrong with a descriptor.
@@ -370,15 +496,15 @@ func (e *ValidationError) Error() string {
 
 // Parse reads and validates one DRCom component descriptor.
 func Parse(src string) (*Component, error) {
-	var xc xmlComponent
-	if err := xml.Unmarshal([]byte(src), &xc); err != nil {
+	xc, err := decode(src)
+	if err != nil {
 		return nil, fmt.Errorf("descriptor: XML: %w", err)
 	}
 	c := &Component{
 		Name:        strings.TrimSpace(xc.Name),
 		Description: xc.Desc,
 		Kind:        TaskKind(strings.ToLower(strings.TrimSpace(xc.Type))),
-		Enabled:     xc.Enabled != "false",
+		Enabled:     strings.TrimSpace(xc.Enabled) != "false",
 	}
 	var problems []string
 	addf := func(format string, args ...any) {
@@ -392,7 +518,7 @@ func Parse(src string) (*Component, error) {
 	}
 
 	if xc.CPUUsage != "" {
-		u, err := strconv.ParseFloat(xc.CPUUsage, 64)
+		u, err := strconv.ParseFloat(strings.TrimSpace(xc.CPUUsage), 64)
 		if err != nil || u < 0 || u > 1 {
 			addf("cpuusage %q must be a fraction in [0,1]", xc.CPUUsage)
 		} else {
@@ -685,15 +811,19 @@ func firstNonEmpty(ss ...string) string {
 var ErrNotDRCom = errors.New("descriptor: not a DRCom component document")
 
 // Sniff reports whether src looks like a DRCom component descriptor
-// (root element "component"), without full validation.
+// (root element "component"), without full validation. It reads through
+// the root element, so a malformed document is an XML error whatever its
+// root.
 func Sniff(src string) error {
-	var probe struct {
-		XMLName xml.Name
+	d := xml.NewDecoder(strings.NewReader(src))
+	root, err := firstStart(d)
+	if err == nil {
+		err = d.Skip()
 	}
-	if err := xml.Unmarshal([]byte(src), &probe); err != nil {
+	if err != nil {
 		return fmt.Errorf("descriptor: XML: %w", err)
 	}
-	if probe.XMLName.Local != "component" {
+	if root.Name.Local != "component" {
 		return ErrNotDRCom
 	}
 	return nil

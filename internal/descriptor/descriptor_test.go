@@ -119,6 +119,41 @@ func TestParseDisabled(t *testing.T) {
 	}
 }
 
+// TestParseTrimsComponentAttributes: the root's cpuusage and enabled
+// attributes are trimmed like every other numeric or flag attribute.
+func TestParseTrimsComponentAttributes(t *testing.T) {
+	cases := []struct {
+		attrs   string
+		usage   float64
+		enabled bool
+	}{
+		{`cpuusage="0.2"`, 0.2, true},
+		{`cpuusage=" 0.2"`, 0.2, true},
+		{`cpuusage="0.2 "`, 0.2, true},
+		{"cpuusage=\"\t0.2\n\"", 0.2, true},
+		{`enabled="false"`, 0, false},
+		{`enabled=" false"`, 0, false},
+		{`enabled="false "`, 0, false},
+		{`enabled=" true "`, 0, true},
+		{`enabled="no"`, 0, true},
+		{`enabled=" false " cpuusage=" 0.5 "`, 0.5, false},
+	}
+	for _, c := range cases {
+		src := `<component name="tr" type="aperiodic" ` + c.attrs + `><implementation bincode="x"/></component>`
+		got, err := Parse(src)
+		if err != nil {
+			t.Errorf("%s: %v", c.attrs, err)
+			continue
+		}
+		if got.CPUUsage != c.usage || got.Enabled != c.enabled {
+			t.Errorf("%s: cpuusage=%g enabled=%v, want %g %v", c.attrs, got.CPUUsage, got.Enabled, c.usage, c.enabled)
+		}
+	}
+	if _, err := Parse(`<component name="tr" type="aperiodic" cpuusage=" "><implementation bincode="x"/></component>`); err == nil {
+		t.Error("blank cpuusage accepted")
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -260,6 +295,17 @@ func TestSniff(t *testing.T) {
 	}
 	if err := Sniff(`<<<`); err == nil {
 		t.Fatal("Sniff parsed garbage")
+	}
+	// Sniff reads through the root: a malformed document is an XML
+	// error whatever its root, and bytes after the root are ignored.
+	if err := Sniff(`<other><open></other>`); err == nil || err == ErrNotDRCom {
+		t.Fatalf("Sniff(malformed other) = %v", err)
+	}
+	if err := Sniff(`<component name="c">`); err == nil {
+		t.Fatal("Sniff accepted an unclosed root")
+	}
+	if err := Sniff(`<x:component xmlns:x="urn:x"/><<<`); err != nil {
+		t.Fatalf("Sniff(namespaced root, trailing garbage) = %v", err)
 	}
 }
 

@@ -1,11 +1,162 @@
 package descriptor
 
 import (
+	"encoding/xml"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/policy"
+	"repro/internal/rtos/ipc"
 )
+
+// renderFmt is Render written with fmt verbs: the reference the
+// strconv-built Render must match byte for byte.
+func renderFmt(c *Component) string {
+	attr := func(v string) string {
+		var b strings.Builder
+		_ = xml.EscapeText(&b, []byte(v))
+		return `"` + strings.ReplaceAll(b.String(), `"`, "&#34;") + `"`
+	}
+	typedAttrs := func(p Port) string {
+		var b strings.Builder
+		if p.Version != "" {
+			fmt.Fprintf(&b, ` version=%s`, attr(p.Version))
+		}
+		if p.DataType != "" {
+			fmt.Fprintf(&b, ` datatype=%s`, attr(p.DataType))
+		}
+		return b.String()
+	}
+	var b strings.Builder
+	b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
+	fmt.Fprintf(&b, `<drt:component name=%s`, attr(c.Name))
+	if c.Description != "" {
+		fmt.Fprintf(&b, ` desc=%s`, attr(c.Description))
+	}
+	fmt.Fprintf(&b, ` type=%s`, attr(string(c.Kind)))
+	if !c.Enabled {
+		b.WriteString(` enabled="false"`)
+	}
+	if c.CPUUsage != 0 {
+		fmt.Fprintf(&b, ` cpuusage="%g"`, c.CPUUsage)
+	}
+	if c.Importance != 0 {
+		fmt.Fprintf(&b, ` importance="%d"`, c.Importance)
+	}
+	b.WriteString(` xmlns:drt="urn:drcom">` + "\n")
+
+	fmt.Fprintf(&b, "  <implementation bincode=%s/>\n", attr(c.Implementation))
+	if c.Periodic != nil {
+		fmt.Fprintf(&b, `  <periodictask frequence="%g" runoncup="%d" priority="%d"/>`+"\n",
+			c.Periodic.FrequencyHz, c.Periodic.CPU, c.Periodic.Priority)
+	}
+	if c.Aperiodic != nil && (c.Aperiodic.CPU != 0 || c.Aperiodic.Priority != 0) {
+		fmt.Fprintf(&b, `  <aperiodictask runoncup="%d" priority="%d"/>`+"\n",
+			c.Aperiodic.CPU, c.Aperiodic.Priority)
+	}
+	if c.Budget != nil {
+		fmt.Fprintf(&b, `  <budget dist=%s p="%g"/>`+"\n", attr(c.Budget.String()), c.BudgetP)
+	}
+	for _, p := range c.OutPorts {
+		fmt.Fprintf(&b, `  <outport name=%s interface=%s type=%s size="%d"%s/>`+"\n",
+			attr(p.Name), attr(string(p.Interface)), attr(p.Type.String()), p.Size, typedAttrs(p))
+	}
+	for _, p := range c.InPorts {
+		fmt.Fprintf(&b, `  <inport name=%s interface=%s type=%s size="%d"%s/>`+"\n",
+			attr(p.Name), attr(string(p.Interface)), attr(p.Type.String()), p.Size, typedAttrs(p))
+	}
+	for _, m := range c.Modes {
+		fmt.Fprintf(&b, `  <mode name=%s`, attr(m.Name))
+		if m.FrequencyHz != 0 {
+			fmt.Fprintf(&b, ` frequence="%g"`, m.FrequencyHz)
+		}
+		fmt.Fprintf(&b, ` cpuusage="%g"`, m.CPUUsage)
+		if len(m.Drops) != 0 {
+			fmt.Fprintf(&b, ` drops=%s`, attr(strings.Join(m.Drops, " ")))
+		}
+		b.WriteString("/>\n")
+	}
+	for _, p := range c.Properties {
+		fmt.Fprintf(&b, `  <property name=%s type=%s value=%s/>`+"\n",
+			attr(p.Name), attr(p.Type), attr(p.Value))
+	}
+	b.WriteString("</drt:component>\n")
+	return b.String()
+}
+
+// TestRenderMatchesFmt holds Render byte-equal to the fmt reference on
+// the forms where strconv and fmt could part: +Inf and NaN rates, %g's
+// exponent forms, negative and zero values, empty optional fields,
+// drops lists, and attribute values needing XML escapes.
+func TestRenderMatchesFmt(t *testing.T) {
+	parsed, err := Parse(`<component name="inf" type="periodic" cpuusage="0.5">
+  <implementation bincode="i.Nf"/>
+  <periodictask frequence="Inf" runoncup="1" priority="3"/>
+  <mode name="eco" frequence="Inf" cpuusage="0.25"/>
+</component>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := policy.ParseDist("normal(0.3,0.05)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*Component{
+		"frequence Inf": parsed,
+		"exponents": {
+			Name: "exp", Kind: Periodic, Enabled: true, CPUUsage: 1e-05, Importance: 7,
+			Implementation: "e.Xp",
+			Periodic:       &PeriodicSpec{FrequencyHz: 1e+21, CPU: 2, Priority: 1},
+			Budget:         norm, BudgetP: 0.999999,
+			Modes: []Mode{
+				{Name: "m1", FrequencyHz: 1e-07, CPUUsage: 5e-06},
+				{Name: "m2", FrequencyHz: 123456789012, CPUUsage: 1.25e-300},
+				{Name: "m3", FrequencyHz: math.NaN(), CPUUsage: math.Inf(-1)},
+				{Name: "m4", FrequencyHz: math.Copysign(0, -1), CPUUsage: -0.5},
+			},
+		},
+		"empty optionals": {
+			Name: "", Kind: "", Enabled: false, Aperiodic: &AperiodicSpec{},
+		},
+		"aperiodic": {
+			Name: "ap", Kind: Aperiodic, Enabled: true, Importance: -3,
+			Implementation: "a.P", Aperiodic: &AperiodicSpec{CPU: 0, Priority: -1},
+		},
+		"ports and drops": {
+			Name: "pd", Kind: Periodic, Enabled: true, CPUUsage: 0.2, Implementation: "p.D",
+			Periodic: &PeriodicSpec{FrequencyHz: 100},
+			OutPorts: []Port{
+				{Name: "o", Interface: SHM, Type: ipc.Integer, Size: 8, Direction: Out, Version: "1.2.0", DataType: "struct{seq:int32,val:int32[4]}"},
+				{Name: "b", Interface: Mailbox, Type: ipc.Byte, Size: 64, Direction: Out},
+			},
+			InPorts: []Port{
+				{Name: "i", Interface: SHM, Type: ipc.Integer, Size: 4, Direction: In, Version: "[1.0.0,2.0.0)"},
+				{Name: "j", Interface: Mailbox, Type: ipc.Byte, Size: 1, Direction: In, DataType: "byte[16][2]"},
+			},
+			Modes: []Mode{{Name: "eco", CPUUsage: 0.1, Drops: []string{"i", "j"}}, {Name: "min", CPUUsage: 0.05, Drops: []string{"j"}}},
+		},
+		"escapes": {
+			Name: `q"'&<>`, Description: "tab\tnl\ncr\r ctl\x01 del\x7f é \xff\xfe \uFFFD end",
+			Kind: Periodic, Enabled: true, Implementation: "a&b",
+			Periodic:   &PeriodicSpec{FrequencyHz: 0.1},
+			Properties: []Property{{Name: "p<", Type: "String", Value: `he said "hi" & 'bye'`}, {Name: "n", Type: "Integer", Value: "-12"}},
+		},
+	}
+	// Each escapable character alone in an otherwise plain value.
+	for _, ch := range []string{`"`, "'", "&", "<", ">", "\t", "\n", "\r", "\x01", "\x7f", "é", "\xff", "\uFFFD"} {
+		cases["escape "+ch] = &Component{Name: "e", Kind: Aperiodic, Enabled: true, Implementation: "i" + ch,
+			Properties: []Property{{Name: "p", Type: "String", Value: "a" + ch + "b"}}}
+	}
+	for name, c := range cases {
+		if got, want := c.Render(), renderFmt(c); got != want {
+			t.Errorf("%s: Render differs from the fmt reference:\ngot:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
 
 func TestRenderRoundTripFigure2(t *testing.T) {
 	c, err := Parse(figure2)

@@ -657,6 +657,13 @@ func (p *Plan) compileAdmission(members map[string]*member, env Env) {
 	}
 }
 
+// edgeCand is one outport a consumer inport could bind to.
+type edgeCand struct {
+	origin string
+	port   descriptor.Port
+	ext    bool
+}
+
 // compileEdges fills the wiring table: for every enabled member inport,
 // the provider the runtime binds once the whole schedule is active
 // — plan members and already-admitted local components in one
@@ -667,6 +674,18 @@ func (p *Plan) compileEdges(members map[string]*member, names []string,
 	for _, n := range p.Schedule {
 		scheduled[n] = true
 	}
+	// Topic → scheduled members' outports on it, in name order.
+	byKey := map[portKey][]edgeCand{}
+	for _, name := range names {
+		if !scheduled[name] {
+			continue
+		}
+		for _, out := range members[name].desc.OutPorts {
+			k := keyOf(out)
+			byKey[k] = append(byKey[k], edgeCand{name, out, false})
+		}
+	}
+	var cands []edgeCand
 	for _, name := range names {
 		m := members[name]
 		if !m.enabled {
@@ -683,25 +702,15 @@ func (p *Plan) compileEdges(members map[string]*member, names []string,
 			k := keyOf(in)
 			// Merge plan members and external local providers in name
 			// order, mirroring the admitted-set scan.
-			type cand struct {
-				origin string
-				port   descriptor.Port
-				ext    bool
-			}
-			var cands []cand
-			for _, pn := range names {
-				if pn == name || !scheduled[pn] {
-					continue
-				}
-				for _, out := range members[pn].desc.OutPorts {
-					if keyOf(out) == k {
-						cands = append(cands, cand{pn, out, false})
-					}
+			cands = cands[:0]
+			for _, c := range byKey[k] {
+				if c.origin != name {
+					cands = append(cands, c)
 				}
 			}
 			for _, ep := range extLocal[k] {
 				if ep.Origin != name {
-					cands = append(cands, cand{ep.Origin, ep.Port, true})
+					cands = append(cands, edgeCand{ep.Origin, ep.Port, true})
 				}
 			}
 			sort.SliceStable(cands, func(i, j int) bool { return cands[i].origin < cands[j].origin })
