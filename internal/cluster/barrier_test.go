@@ -132,21 +132,19 @@ func barrierCampaign(t *testing.T, cfg Config, ungated bool) (digest, stitched s
 // stages while their inputs hold still (the admitted-epoch gate on the
 // provision diff and the leader's own report) is invisible: the cluster
 // and stitched digests equal an ungated reference that recomputes every
-// stage at every barrier, across per-node shards 1/2 and sequential and
-// parallel node advancement.
+// stage at every barrier, under sequential and parallel node
+// advancement.
 func TestChangeDrivenBarrierMatchesUngated(t *testing.T) {
 	base := Config{Nodes: 4, NumCPUs: 2, Seed: 29, Net: net.Config{DropProb: 0.03, DupProb: 0.02}}
 	refDigest, refStitch := barrierCampaign(t, base, true)
-	for _, shards := range []int{1, 2} {
-		for _, parallel := range []bool{false, true} {
-			cfg := base
-			cfg.Shards, cfg.Parallel = shards, parallel
-			for _, ungated := range []bool{false, true} {
-				d, s := barrierCampaign(t, cfg, ungated)
-				if d != refDigest || s != refStitch {
-					t.Errorf("shards %d parallel %v ungated %v: digests %s/%s, want %s/%s",
-						shards, parallel, ungated, d[:12], s[:12], refDigest[:12], refStitch[:12])
-				}
+	for _, parallel := range []bool{false, true} {
+		cfg := base
+		cfg.Parallel = parallel
+		for _, ungated := range []bool{false, true} {
+			d, s := barrierCampaign(t, cfg, ungated)
+			if d != refDigest || s != refStitch {
+				t.Errorf("parallel %v ungated %v: digests %s/%s, want %s/%s",
+					parallel, ungated, d[:12], s[:12], refDigest[:12], refStitch[:12])
 			}
 		}
 	}

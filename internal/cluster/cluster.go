@@ -5,13 +5,12 @@
 // The cluster advances all node kernels in lockstep windows whose width
 // is the network's conservative lookahead bound (the minimum one-way
 // link latency): a message sent inside a window cannot be due before the
-// window's closing barrier, so nodes never roll back — the same
-// conservative-window discipline the sharded kernel uses for CPUs,
-// lifted one level up. All federation logic (heartbeats, reports,
-// provision exchange, data replication, failure detection, leader
-// election, placement and migration) runs single-threaded at barriers,
-// so cluster runs are byte-deterministic and digest-pinnable even when
-// Config.Parallel advances node windows on real OS threads.
+// window's closing barrier, so nodes never roll back. All federation
+// logic (heartbeats, reports, provision exchange, data replication,
+// failure detection, leader election, placement and migration) runs
+// single-threaded at barriers, so cluster runs are byte-deterministic
+// and digest-pinnable even when Config.Parallel advances node windows on
+// real OS threads.
 //
 // Leadership is bully-lite: every node believes the lowest-numbered node
 // it can still hear heartbeats from (itself included) is the leader.
@@ -46,8 +45,6 @@ type Config struct {
 	Nodes int
 	// NumCPUs is the simulated processor count per node (default 1).
 	NumCPUs int
-	// Shards is the per-node kernel shard count (default 1, sequential).
-	Shards int
 	// Seed drives every stream: node kernels and the network fork from it
 	// (default 1).
 	Seed uint64
@@ -82,9 +79,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.NumCPUs <= 0 {
 		c.NumCPUs = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -256,7 +250,6 @@ func New(cfg Config) (*Cluster, error) {
 		fw := osgi.NewFramework()
 		kernel := rtos.NewKernel(rtos.Config{
 			NumCPUs: cfg.NumCPUs,
-			Shards:  cfg.Shards,
 			Seed:    root.Uint64(),
 		})
 		name := fmt.Sprintf("n%d", i)

@@ -547,7 +547,7 @@ func (c *Cluster) Converged() bool {
 // Digest folds every node's lifecycle event log and observability
 // stream, the cluster control plane's stream, and the network ledger
 // into one hex SHA-256. Two runs with the same Config must agree byte
-// for byte, for any per-node Shards setting and Parallel on or off.
+// for byte, with Parallel on or off.
 func (c *Cluster) Digest() string {
 	h := sha256.New()
 	for _, n := range c.nodes {

@@ -54,8 +54,8 @@ func (c *Cluster) whereIs(component string) string {
 
 // StitchDigest folds the stitched Why-chains of every cluster-managed
 // component — roots in catalog name order — into one hex SHA-256. Like
-// Cluster.Digest it is byte-deterministic for a Config at any per-node
-// Shards setting and Parallel on or off; unlike Digest it pins the
+// Cluster.Digest it is byte-deterministic for a Config with Parallel on
+// or off; unlike Digest it pins the
 // *cross-node* causality the stitch table reconstructs, so a regression
 // that breaks remote-parent links moves this digest even when every
 // single-plane stream is intact.

@@ -37,7 +37,7 @@ const consXML = `<component name="eater" type="periodic" cpuusage="0.05">
   <inport name="ghost" interface="RTAI.SHM" type="Integer" size="16"/>
 </component>`
 
-func newConsole(t *testing.T) (*Console, *strings.Builder) {
+func newConsole(t testing.TB) (*Console, *strings.Builder) {
 	t.Helper()
 	sys, err := drcom.NewSystem(drcom.Config{Seed: 12})
 	if err != nil {

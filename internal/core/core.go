@@ -286,7 +286,9 @@ type Options struct {
 	// take every stripe. 0 or 1 disables striping — the runtime mutex
 	// alone serialises, exactly the pre-sharding behaviour. With
 	// striping on, event listeners must not call lifecycle operations
-	// inline; schedule them on the kernel clock instead.
+	// inline; schedule them on the kernel clock instead. This is the
+	// only meaning of "shards" in the stack: the kernel has one engine
+	// and ignores rtos.Config.Shards.
 	Shards int
 }
 

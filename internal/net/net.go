@@ -5,8 +5,7 @@
 // virtual time — the same discipline as the fault injector (package
 // fault) applies to a single node.
 //
-// Determinism rests on three rules, mirroring the sharded kernel's
-// cross-shard exchange:
+// Determinism rests on three rules:
 //
 //   - Sends enqueue per source node and are ingested only at barriers,
 //     sorted by (SentAt, Src, Seq); the per-source Seq is assigned in the
@@ -251,8 +250,8 @@ func (n *Network) Partitioned(a, b int) bool {
 
 // Send enqueues a message; Src, Dst, Kind and payload fields must be
 // set by the caller, SentAt is stamped here from the supplied time.
-// Safe from any goroutine (a task body running inside a node window may
-// send), like Kernel.TriggerAsync.
+// Safe from any goroutine: with cluster.Config.Parallel, task bodies on
+// different nodes send while their kernels advance concurrently.
 func (n *Network) Send(at sim.Time, m Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -423,10 +423,7 @@ func (p *Plane) syncKernelSink() {
 }
 
 // schedSpan is the scheduler trace bridge (Full level only). It must be
-// allocation-free after warm-up: the sim hot path runs through it. A
-// sharded kernel stages each shard's events and feeds them here at the
-// window barrier in canonical (At, CPU) order, so span IDs and digests
-// do not depend on the shard count.
+// allocation-free after warm-up: the sim hot path runs through it.
 func (p *Plane) schedSpan(at sim.Time, kind rtos.TraceEventKind, task string, cpu int) {
 	p.c.schedEvents++
 	p.emit(Span{At: at, Kind: KindSched, Component: task, To: kind.String(), N: int64(cpu)})

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/rtos"
 	"repro/internal/sim"
 )
 
@@ -72,6 +73,45 @@ func TestOffLevelEmitsNothing(t *testing.T) {
 	nilPlane.PopCause()
 	if nilPlane.Level() != Off {
 		t.Fatal("nil plane level must read Off")
+	}
+}
+
+// The scheduler bridge is gated to Full: a bound 4-CPU kernel feeds the
+// plane sched spans at Full and none at all below it.
+func TestSchedBridgeGatedToFull(t *testing.T) {
+	for _, level := range []Level{Off, Sampled, Full} {
+		k := rtos.NewKernel(rtos.Config{Seed: 1, NumCPUs: 4})
+		p := NewPlane(Options{Level: level})
+		p.BindKernel(k)
+		for cpu := 0; cpu < 4; cpu++ {
+			task, err := k.CreateTask(rtos.TaskSpec{
+				Name: "tk" + string(rune('a'+cpu)), Type: rtos.Periodic,
+				Period:   time.Duration(1+cpu) * time.Millisecond,
+				ExecTime: 30 * time.Microsecond, CPU: cpu,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := task.Start(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.Run(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		spans := 0
+		for _, s := range p.Spans() {
+			if s.Kind == KindSched {
+				spans++
+			}
+		}
+		bridged := p.Snapshot().Sched.Events
+		if level == Full && (spans == 0 || bridged == 0) {
+			t.Errorf("Full: kernel bridged no sched spans (%d retained, %d counted)", spans, bridged)
+		}
+		if level != Full && (spans != 0 || bridged != 0) {
+			t.Errorf("%s: sched bridge leaked below Full (%d retained, %d counted)", level, spans, bridged)
+		}
 	}
 }
 

@@ -13,7 +13,6 @@ package rtos
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/rtos/ipc"
@@ -57,17 +56,11 @@ type Config struct {
 	Timing *TimingModel
 	// Policy selects the scheduling discipline; default FixedPriority.
 	Policy SchedPolicy
-	// Shards partitions the simulated CPUs across real OS threads: shard
-	// s owns the CPUs with id ≡ s (mod Shards), each with its own event
-	// clock, job pool and trace buffer, advancing in conservative
-	// lookahead windows bounded by the next control-plane event (see
-	// shard.go). 0 or 1 selects the sequential engine; values above
-	// NumCPUs are clamped to NumCPUs.
+	// Shards is kept so existing configurations still compile.
+	//
+	// Deprecated: ignored. The kernel has one engine: a single event
+	// clock carries task and control events alike.
 	Shards int
-	// Lookahead bounds the width of a sharded execution window, and with
-	// it the worst-case latency of cross-shard TriggerAsync delivery.
-	// Zero selects 1ms. Ignored by the sequential engine.
-	Lookahead time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -86,27 +79,14 @@ func (c *Config) applyDefaults() {
 	if c.Mode != LightLoad && c.Mode != StressLoad {
 		c.Mode = LightLoad
 	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Shards > c.NumCPUs {
-		c.Shards = c.NumCPUs
-	}
-	if c.Lookahead <= 0 {
-		c.Lookahead = time.Millisecond
-	}
 }
 
-// Kernel is the simulated RTAI instance. Its management surface is not
-// safe for concurrent use: the control plane is single-threaded by
-// design, like the event loop of the real scheduler. With Config.Shards
-// above one, Run internally executes the per-CPU schedules on parallel
-// shard clocks between control-plane barriers; the only kernel APIs a
-// task body may then touch from its shard are its own task, the IPC
-// registry (whose objects are individually locked), and TriggerAsync.
+// Kernel is the simulated RTAI instance. It is not safe for concurrent
+// use: like the event loop of the real scheduler, one goroutine drives
+// it, and task bodies and clock handlers run on that goroutine inside
+// Run. Distinct kernels share nothing and may run on distinct goroutines.
 type Kernel struct {
-	clock   *sim.Clock // control clock; also shard 0's clock when Shards == 1
-	cfg     Config
+	clock   *sim.Clock // carries every task, dispatcher and control event
 	mode    LoadMode
 	timing  TimingModel
 	rng     *sim.Rand
@@ -118,24 +98,12 @@ type Kernel struct {
 	tracer  *Tracer
 	sink    TraceSink
 
-	// Sharded-engine state (see shard.go). With one shard the window
-	// loop is bypassed entirely and Run drives k.clock directly.
-	shards     []*kshard
-	lookahead  sim.Duration
-	winRunning bool
-	winWG      sync.WaitGroup
-	mergeBuf   []TraceEvent
+	// freeJobs is the job pool; steady-state release → dispatch →
+	// complete cycles allocate nothing.
+	freeJobs *job
 
-	// xs is the cross-shard trigger exchange: requests queue under mu
-	// and are delivered, sorted by task name, at the next barrier.
-	xs struct {
-		mu        sync.Mutex
-		pending   []string
-		batch     []string
-		sent      uint64
-		delivered uint64
-		dropped   uint64
-	}
+	// triggers is the TriggerAsync conservation ledger.
+	triggers struct{ sent, delivered, dropped uint64 }
 }
 
 // NewKernel boots a kernel with the given configuration.
@@ -143,7 +111,6 @@ func NewKernel(cfg Config) *Kernel {
 	cfg.applyDefaults()
 	k := &Kernel{
 		clock:   sim.NewClock(),
-		cfg:     cfg,
 		mode:    cfg.Mode,
 		rng:     sim.NewRand(cfg.Seed),
 		quantum: cfg.Quantum,
@@ -155,30 +122,10 @@ func NewKernel(cfg Config) *Kernel {
 	} else {
 		k.timing = TimingForMode(cfg.Mode)
 	}
-	k.lookahead = sim.Duration(cfg.Lookahead)
-	k.shards = make([]*kshard, cfg.Shards)
-	for s := range k.shards {
-		sh := &kshard{}
-		if cfg.Shards == 1 {
-			// Sequential engine: one clock carries task and control
-			// events alike, byte-identical to the pre-sharding kernel.
-			sh.clk = k.clock
-		} else {
-			sh.clk = sim.NewClock()
-		}
-		sh.runFn = func() {
-			sh.runWindow()
-			k.winWG.Done()
-		}
-		k.shards[s] = sh
-	}
 	k.cpus = make([]*cpu, cfg.NumCPUs)
 	for i := range k.cpus {
 		c := &cpu{id: i}
 		c.ready.edf = cfg.Policy == EarliestDeadlineFirst
-		c.sh = k.shards[i%cfg.Shards]
-		c.clk = c.sh.clk
-		c.sh.cpus = append(c.sh.cpus, c)
 		// Bind the slice-event handlers once; the dispatcher re-arms them
 		// every slice without allocating fresh closures.
 		c.completeFn = func(at sim.Time) {
@@ -194,13 +141,12 @@ func NewKernel(cfg Config) *Kernel {
 	return k
 }
 
-// Clock exposes the kernel's virtual clock — the control clock of a
-// sharded kernel. Management-plane code (guards, injectors, samplers)
-// must schedule here: control events double as the conservative barriers
-// shard clocks synchronise on.
+// Clock exposes the kernel's virtual clock. Management-plane code
+// (guards, injectors, samplers) schedules its events here, interleaved
+// with the dispatcher's.
 func (k *Kernel) Clock() *sim.Clock { return k.clock }
 
-// Now returns the current virtual time of the control clock.
+// Now returns the current virtual time.
 func (k *Kernel) Now() sim.Time { return k.clock.Now() }
 
 // NumCPUs returns the processor count.
@@ -237,8 +183,6 @@ func (k *Kernel) CreateTask(spec TaskSpec) (*Task, error) {
 	}
 	t := &Task{
 		k:     k,
-		sh:    k.cpus[spec.CPU].sh,
-		clk:   k.cpus[spec.CPU].clk,
 		spec:  spec,
 		state: TaskCreated,
 		rng:   k.rng.Fork(),
@@ -296,19 +240,47 @@ func (k *Kernel) BusyTime(cpuID int) (time.Duration, error) {
 }
 
 // Run advances virtual time by d, executing all releases, dispatches and
-// completions that fall in the window. A sharded kernel runs its shards
-// in parallel between control-plane barriers (see shard.go).
-func (k *Kernel) Run(d time.Duration) error {
-	if len(k.shards) == 1 {
-		return k.clock.RunFor(d)
-	}
-	return k.runWindows(k.clock.Now().Add(d))
-}
+// completions that fall in the window.
+func (k *Kernel) Run(d time.Duration) error { return k.clock.RunFor(d) }
 
 // RunUntil advances virtual time to the absolute instant at.
-func (k *Kernel) RunUntil(at sim.Time) error {
-	if len(k.shards) == 1 {
-		return k.clock.RunUntil(at)
+func (k *Kernel) RunUntil(at sim.Time) error { return k.clock.RunUntil(at) }
+
+// EventsFired is the total number of simulation events executed so far;
+// it equals Clock().Fired().
+func (k *Kernel) EventsFired() uint64 { return k.clock.Fired() }
+
+// TriggerAsync requests one job release of an aperiodic task by name and
+// records the outcome in the conservation ledger. Unlike Task.Trigger it
+// never fails: a request whose target is missing, periodic or not active
+// counts as dropped. The release is delivered at once, so nothing is
+// ever queued. Like the rest of the kernel it must be called from the
+// goroutine driving the kernel: a task body, a clock handler, or code
+// running between Run calls (such as a cluster barrier delivering a
+// remote release).
+func (k *Kernel) TriggerAsync(name string) {
+	k.triggers.sent++
+	if t, ok := k.tasks[name]; ok && t.Trigger() == nil {
+		k.triggers.delivered++
+	} else {
+		k.triggers.dropped++
 	}
-	return k.runWindows(at)
+}
+
+// NoteDroppedTrigger records a trigger request that was lost before
+// reaching the kernel — a release intent dropped by an external delivery
+// fabric (a partitioned or lossy simulated network link) rather than by a
+// missing or inactive target. It counts as sent and dropped, so the
+// ledger still balances over the sender's intents. The same goroutine
+// rule as TriggerAsync applies.
+func (k *Kernel) NoteDroppedTrigger() {
+	k.triggers.sent++
+	k.triggers.dropped++
+}
+
+// TriggerStats reports the trigger conservation ledger. Every request is
+// delivered or dropped on the spot, so queued is always 0 and
+// sent == delivered + dropped + queued holds at every instant.
+func (k *Kernel) TriggerStats() (sent, delivered, dropped, queued uint64) {
+	return k.triggers.sent, k.triggers.delivered, k.triggers.dropped, 0
 }

@@ -85,13 +85,9 @@ func (q *readyQueue) remove(j *job) {
 	j.queued = false
 }
 
-// cpu is one simulated processor with its own run queue. clk and sh are
-// the clock and shard the CPU's event processing runs on (the kernel's
-// own clock and single shard in the sequential engine).
+// cpu is one simulated processor with its own run queue.
 type cpu struct {
 	id         int
-	clk        *sim.Clock
-	sh         *kshard
 	ready      readyQueue
 	running    *job
 	sliceStart sim.Time
@@ -147,7 +143,7 @@ func (c *cpu) dispatch(k *Kernel, now sim.Time) {
 	}
 	c.running = j
 	c.sliceStart = now
-	k.traceOn(c.sh, now, TraceDispatch, j.task.spec.Name, c.id)
+	k.trace(now, TraceDispatch, j.task.spec.Name, c.id)
 	if !j.dispatched {
 		j.dispatched = true
 		j.dispatchTime = now
@@ -171,7 +167,7 @@ func (c *cpu) dispatch(k *Kernel, now sim.Time) {
 func (c *cpu) scheduleSlice(k *Kernel, now sim.Time) {
 	j := c.running
 	complAt := now.Add(j.remaining)
-	ev, err := c.clk.Schedule(complAt, j.task.completeLabel, c.completeFn)
+	ev, err := k.clock.Schedule(complAt, j.task.completeLabel, c.completeFn)
 	if err != nil {
 		panic(err) // virtual-time scheduling cannot fail here
 	}
@@ -198,7 +194,7 @@ func (c *cpu) armQuantum(k *Kernel, now sim.Time) {
 	if at < now {
 		at = now
 	}
-	qev, err := c.clk.Schedule(at, j.task.quantumLabel, c.quantumFn)
+	qev, err := k.clock.Schedule(at, j.task.quantumLabel, c.quantumFn)
 	if err != nil {
 		panic(err)
 	}
@@ -212,7 +208,7 @@ func (c *cpu) preemptRunning(k *Kernel, now sim.Time) {
 	if j == nil {
 		return
 	}
-	k.traceOn(c.sh, now, TracePreempt, j.task.spec.Name, c.id)
+	k.trace(now, TracePreempt, j.task.spec.Name, c.id)
 	elapsed := now.Sub(c.sliceStart)
 	j.remaining -= elapsed
 	if j.remaining < 0 {
@@ -244,13 +240,13 @@ func (c *cpu) rotate(k *Kernel, now sim.Time) {
 	c.cancelSliceEvents()
 	c.running = nil
 	if j.remaining > 0 {
-		k.traceOn(c.sh, now, TraceRotate, j.task.spec.Name, c.id)
+		k.trace(now, TraceRotate, j.task.spec.Name, c.id)
 		j.seq = c.nextSeq
 		c.nextSeq++
 		c.ready.push(j)
 	} else {
 		c.finishJob(k, j, now)
-		c.sh.recycleJob(j)
+		k.recycleJob(j)
 	}
 	c.dispatch(k, now)
 }
@@ -267,7 +263,7 @@ func (c *cpu) complete(k *Kernel, now sim.Time) {
 	c.running = nil
 	j.remaining = 0
 	c.finishJob(k, j, now)
-	c.sh.recycleJob(j)
+	k.recycleJob(j)
 	c.dispatch(k, now)
 }
 
@@ -276,7 +272,7 @@ func (c *cpu) finishJob(k *Kernel, j *job, now sim.Time) {
 	if t.state == TaskDeleted {
 		return
 	}
-	k.traceOn(c.sh, now, TraceComplete, t.spec.Name, c.id)
+	k.trace(now, TraceComplete, t.spec.Name, c.id)
 	t.response.Add(int64(now.Sub(j.nominal)))
 	t.jobsDone++
 	if d := t.deadline(); d > 0 && now > j.nominal.Add(d) {
@@ -296,4 +292,22 @@ func (c *cpu) cancelSliceEvents() {
 		c.quantEv.Cancel()
 		c.quantEv = nil
 	}
+}
+
+// allocJob takes a job from the kernel's free list.
+func (k *Kernel) allocJob() *job {
+	if j := k.freeJobs; j != nil {
+		k.freeJobs = j.nextFree
+		j.nextFree = nil
+		return j
+	}
+	return &job{}
+}
+
+// recycleJob returns a finished (or withdrawn) job to the free list. The
+// caller must guarantee no live reference remains: not running, not in
+// a ready queue, and not a task's pending job.
+func (k *Kernel) recycleJob(j *job) {
+	*j = job{nextFree: k.freeJobs}
+	k.freeJobs = j
 }

@@ -129,9 +129,9 @@ func (s TaskSpec) validate(numCPU int) error {
 	return nil
 }
 
-// job is one release of a task. Jobs are pooled per shard
-// (kshard.allocJob/recycleJob); a finished job's struct is reused by a
-// later release on the same shard.
+// job is one release of a task. Jobs are pooled by the kernel
+// (allocJob/recycleJob); a finished job's struct is reused by a later
+// release.
 type job struct {
 	task         *Task
 	nominal      sim.Time
@@ -149,8 +149,6 @@ type job struct {
 // Task is a created RT task.
 type Task struct {
 	k     *Kernel
-	sh    *kshard    // shard owning the task's CPU
-	clk   *sim.Clock // the shard's clock; all task events schedule here
 	spec  TaskSpec
 	state TaskState
 
@@ -339,7 +337,7 @@ func (t *Task) Suspend() error {
 		t.k.cpus[t.spec.CPU].ready.remove(j)
 		t.pending = nil
 		if !j.queued {
-			t.sh.recycleJob(j)
+			t.k.recycleJob(j)
 		}
 	}
 	return nil
@@ -358,7 +356,7 @@ func (t *Task) Resume() error {
 	}
 	t.state = TaskActive
 	if t.spec.Type == Periodic {
-		now := t.clk.Now()
+		now := t.k.clock.Now()
 		period := sim.Time(t.spec.Period)
 		phase := sim.Time(t.spec.Phase)
 		if now > phase {
@@ -383,7 +381,7 @@ func (t *Task) Trigger() error {
 	if t.state != TaskActive {
 		return fmt.Errorf("rtos: task %s not active", t.spec.Name)
 	}
-	now := t.clk.Now()
+	now := t.k.clock.Now()
 	t.release(now, now)
 	return nil
 }
@@ -412,12 +410,12 @@ func (t *Task) Delete() error {
 func (t *Task) scheduleNextRelease() error {
 	nominal := sim.Time(t.spec.Phase) + sim.Time(t.releases)*sim.Time(t.spec.Period)
 	actual := nominal.Add(t.k.timing.SampleOffset(t.rng))
-	now := t.clk.Now()
+	now := t.k.clock.Now()
 	if actual < now {
 		actual = now
 	}
 	t.nextNominal = nominal
-	ev, err := t.clk.Schedule(actual, t.releaseLabel, t.releaseFn)
+	ev, err := t.k.clock.Schedule(actual, t.releaseLabel, t.releaseFn)
 	if err != nil {
 		return err
 	}
@@ -456,7 +454,7 @@ func (t *Task) release(now, nominal sim.Time) {
 		// Previous job still in flight: the release is skipped, the
 		// "task skipping" failure mode the paper warns about.
 		t.skips++
-		t.k.traceOn(t.sh, now, TraceSkip, t.spec.Name, t.spec.CPU)
+		t.k.trace(now, TraceSkip, t.spec.Name, t.spec.CPU)
 		return
 	}
 	exec := t.sampleExec()
@@ -464,10 +462,10 @@ func (t *Task) release(now, nominal sim.Time) {
 	if d := t.deadline(); d > 0 {
 		absDeadline = nominal.Add(d)
 	}
-	j := t.sh.allocJob()
+	j := t.k.allocJob()
 	*j = job{task: t, nominal: nominal, absDeadline: absDeadline, exec: exec, remaining: exec}
 	t.pending = j
-	t.k.traceOn(t.sh, now, TraceRelease, t.spec.Name, t.spec.CPU)
+	t.k.trace(now, TraceRelease, t.spec.Name, t.spec.CPU)
 	t.k.cpus[t.spec.CPU].enqueue(t.k, j, now)
 }
 

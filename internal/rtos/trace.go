@@ -1,9 +1,7 @@
 package rtos
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -95,39 +93,6 @@ func (k *Kernel) trace(at sim.Time, kind TraceEventKind, task string, cpuID int)
 		return
 	}
 	tr.events = append(tr.events, TraceEvent{At: at, Kind: kind, Task: task, CPU: cpuID})
-}
-
-// traceOn records one scheduler event originating on shard sh. The
-// sequential engine feeds the live sink and tracer directly; the sharded
-// engine appends to the shard's window buffer, which the next barrier
-// merges into the sink in canonical order (see Kernel.mergeWindow).
-func (k *Kernel) traceOn(sh *kshard, at sim.Time, kind TraceEventKind, task string, cpuID int) {
-	if len(k.shards) <= 1 {
-		k.trace(at, kind, task, cpuID)
-		return
-	}
-	if k.sink == nil && k.tracer == nil {
-		return
-	}
-	sh.buf = append(sh.buf, TraceEvent{At: at, Kind: kind, Task: task, CPU: cpuID})
-}
-
-// CanonicalizeTrace stable-sorts a scheduler trace into the canonical
-// (At, CPU) order, preserving each CPU's relative event order. Because
-// per-CPU schedules are engine-independent, a canonicalised sequential
-// trace equals the merged trace of a sharded run at any shard count —
-// the equivalence the differential tests pin.
-func CanonicalizeTrace(evs []TraceEvent) {
-	slices.SortStableFunc(evs, compareTraceOrder)
-}
-
-// compareTraceOrder orders trace events by (At, CPU). It is a plain
-// function, not a closure, so canonicalising a window allocates nothing.
-func compareTraceOrder(a, b TraceEvent) int {
-	if a.At != b.At {
-		return cmp.Compare(a.At, b.At)
-	}
-	return cmp.Compare(a.CPU, b.CPU)
 }
 
 // Events returns the recorded events in order.

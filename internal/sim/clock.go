@@ -169,17 +169,6 @@ func (c *Clock) Pending() int { return len(c.queue) - c.cancelled }
 // Fired reports the total number of events executed so far.
 func (c *Clock) Fired() uint64 { return c.fired }
 
-// NextEventTime reports the due time of the earliest pending (not
-// cancelled) event, or Infinity when the queue is empty. Conservative
-// parallel execution uses it to compute the horizon a clock may safely
-// advance to.
-func (c *Clock) NextEventTime() Time {
-	if e := c.peek(); e != nil {
-		return e.at
-	}
-	return Infinity
-}
-
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) is an error; scheduling exactly at Now is allowed and the
 // event runs on the next step. The label is for diagnostics only.
@@ -303,34 +292,6 @@ func (c *Clock) RunUntil(deadline Time) error {
 	}
 	if deadline > c.now && deadline != Infinity {
 		c.now = deadline
-	}
-	return nil
-}
-
-// RunBefore fires events in order while they are strictly before t, then
-// advances the clock to t without firing anything due exactly at t.
-// Sharded kernels use it to realise the "control events first" tie rule
-// at lookahead barriers: a shard clock is brought up to the barrier
-// instant while events scheduled exactly at the barrier stay queued for
-// the next window.
-func (c *Clock) RunBefore(t Time) error {
-	if c.running {
-		return ErrReentrantRun
-	}
-	if t < c.now {
-		return fmt.Errorf("sim: barrier %v before now %v", t, c.now)
-	}
-	c.running = true
-	defer func() { c.running = false }()
-	for {
-		next := c.peek()
-		if next == nil || next.at >= t {
-			break
-		}
-		c.Step()
-	}
-	if t > c.now && t != Infinity {
-		c.now = t
 	}
 	return nil
 }

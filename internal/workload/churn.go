@@ -36,9 +36,9 @@ type ChurnSpec struct {
 	Seed int64
 	// NumCPUs for the simulated kernel (default 4).
 	NumCPUs int
-	// Shards runs the simulated kernel and the DRCR sharded
-	// (rtos.Config.Shards / core.Options.Shards); 0 or 1 selects the
-	// sequential engines. The storm digests must not depend on it.
+	// Shards stripes the DRCR's lifecycle locks by dependency cone
+	// (core.Options.Shards); 0 or 1 disables striping. The kernel has
+	// one engine either way. The storm digests must not depend on it.
 	Shards int
 	// ObsLevel is the observability sampling level for the run (zero
 	// value: Sampled, the default level).
@@ -175,7 +175,7 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 
 	fw := osgi.NewFramework()
 	timing := rtos.TimingModel{}
-	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed), Shards: spec.Shards})
+	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed)})
 	d, err := core.New(fw, k, core.Options{
 		Shards: spec.Shards,
 		Obs:    obs.NewPlane(obs.Options{Level: spec.ObsLevel}),

@@ -6,8 +6,8 @@ package workload
 // cluster in half. The campaign digest folds every node's lifecycle
 // log, the per-node observability streams, the cluster control plane
 // and the network conservation ledger; two runs with the same spec must
-// agree byte for byte for any per-node kernel shard count, which is how
-// the federation layer's determinism is pinned in CI.
+// agree byte for byte, with Parallel on or off, which is how the
+// federation layer's determinism is pinned in CI.
 
 import (
 	"fmt"
@@ -32,10 +32,7 @@ type ClusterSpec struct {
 	Seed uint64
 	// RunFor is the simulated campaign length (default 200ms).
 	RunFor time.Duration
-	// Shards is the per-node kernel shard count; the digest must not
-	// depend on it.
-	Shards int
-	// NumCPUs per node (default 2, so sharding has CPUs to split).
+	// NumCPUs per node (default 2).
 	NumCPUs int
 	// PartitionAt/PartitionFor place one cut isolating the upper half of
 	// the node ids (defaults: RunFor/4 and RunFor/4).
@@ -84,7 +81,7 @@ type ClusterResult struct {
 	Digest string
 	// StitchDigest pins the cross-node causal chains the stitch tables
 	// reconstruct (see Cluster.StitchDigest); like Digest it must not
-	// depend on per-node shard count or Parallel.
+	// depend on Parallel.
 	StitchDigest string
 	// Latency is the cluster-merged latency histogram summary
 	// (resolve/deploy on node planes, migrate-e2e/revoke-propagation on
@@ -126,7 +123,6 @@ func RunClusterCampaign(spec ClusterSpec) (ClusterResult, error) {
 	c, err := cluster.New(cluster.Config{
 		Nodes:    spec.Nodes,
 		NumCPUs:  spec.NumCPUs,
-		Shards:   spec.Shards,
 		Seed:     spec.Seed,
 		Parallel: spec.Parallel,
 		ObsLevel: spec.ObsLevel,

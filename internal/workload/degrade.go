@@ -103,8 +103,9 @@ type DegradeConfig struct {
 	Supervise supervise.Options
 	// NumCPUs sizes the simulated kernel (default 1).
 	NumCPUs int
-	// Shards runs the kernel and the DRCR sharded; 0 or 1 selects the
-	// sequential engines. The campaign digests must not depend on it.
+	// Shards stripes the DRCR's lifecycle locks by dependency cone
+	// (core.Options.Shards); 0 or 1 disables striping. The campaign
+	// digests must not depend on it.
 	Shards int
 	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
 	// ignored when NumCPUs == 1.
@@ -177,7 +178,7 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 	cfg.applyDefaults()
 
 	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
+	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
 		Shards: cfg.Shards,
 		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),

@@ -64,12 +64,12 @@ type FaultCampaignConfig struct {
 	// NumCPUs sizes the simulated kernel (default 1 — the paper's
 	// single-CPU scenario, byte-identical to earlier revisions).
 	NumCPUs int
-	// Shards runs the kernel and the DRCR sharded (rtos.Config.Shards /
-	// core.Options.Shards); 0 or 1 selects the sequential engines. The
-	// campaign digests must not depend on it.
+	// Shards stripes the DRCR's lifecycle locks by dependency cone
+	// (core.Options.Shards); 0 or 1 disables striping. The campaign
+	// digests must not depend on it.
 	Shards int
 	// Replicas deploys that many background calc/disp pairs spread over
-	// CPUs 1..NumCPUs-1, giving multi-CPU campaigns real per-shard
+	// CPUs 1..NumCPUs-1, giving multi-CPU campaigns real per-CPU
 	// scheduling work. Ignored when NumCPUs == 1.
 	Replicas int
 	// ObsLevel is the observability sampling level (zero value: Sampled).
@@ -146,7 +146,7 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 	}
 
 	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
+	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
 		Shards: cfg.Shards,
 		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),

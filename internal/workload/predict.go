@@ -71,11 +71,12 @@ type PredictConfig struct {
 	// Guard overrides the guard options. Predict is forced to match
 	// Predictive; PredictLead defaults to 6 here (the drift is steep).
 	Guard contract.Options
-	// NumCPUs sizes the simulated kernel (default 4, so shard counts up
-	// to 4 partition real work).
+	// NumCPUs sizes the simulated kernel (default 4, so DRCR stripe
+	// counts up to 4 have independent cones to split).
 	NumCPUs int
-	// Shards runs the kernel and the DRCR sharded; 0 or 1 selects the
-	// sequential engines. The campaign digests must not depend on it.
+	// Shards stripes the DRCR's lifecycle locks by dependency cone
+	// (core.Options.Shards); 0 or 1 disables striping. The campaign
+	// digests must not depend on it.
 	Shards int
 	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
 	// ignored when NumCPUs == 1 (default 3, one per remaining CPU).
@@ -149,7 +150,7 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 	cfg.applyDefaults()
 
 	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
+	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
 		Shards: cfg.Shards,
 		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),

@@ -5,10 +5,11 @@ import (
 	"time"
 )
 
-// The ISSUE-6 acceptance gate: campaign digests — seed-tree scheduler
-// digests and obs span digests alike — must be byte-identical between
-// the sequential engines and the sharded ones at shard counts 1/2/4/8,
-// across the churn, fault, and degradation campaigns.
+// Campaign digests — seed-tree scheduler digests and obs span digests
+// alike — must be byte-identical between the unstriped DRCR and one
+// whose lifecycle locks are striped by dependency cone
+// (core.Options.Shards) at stripe counts 1/2/4/8, across the churn,
+// latency, fault, and degradation campaigns.
 
 func TestChurnShardInvariance(t *testing.T) {
 	base := ChurnSpec{Components: 80, Steps: 160, Seed: 5, NumCPUs: 8}

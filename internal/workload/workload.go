@@ -52,7 +52,7 @@ const DisplayXML = `<component name="disp" desc="display scheduling latency at 4
 // replicaPairXML renders one background calc/disp replica pair pinned
 // to a CPU: the §4.2 rates and budgets under unique names with a
 // replica-private SHM topic, and an unregistered bincode, so multi-CPU
-// campaigns get real per-shard scheduling work without touching the
+// campaigns get real per-CPU scheduling work without touching the
 // foreground scenario.
 func replicaPairXML(i, cpu int) [2]string {
 	shm := fmt.Sprintf("lt%02d", i)
@@ -103,12 +103,11 @@ type LatencyConfig struct {
 	Warmup time.Duration
 	// Seed drives all randomness. Default 1.
 	Seed uint64
-	// NumCPUs and Shards size the simulated machine and its multi-core
-	// execution (both default 1, matching the paper's single-CPU
-	// testbed). The §4.2 pair is pinned to CPU 0, so extra shards
-	// parallelise only load placed on the remaining CPUs; results are
-	// byte-identical at every shard count either way. MonteCarlo fans
-	// these configs out run-level, so Shards parallelises within a run.
+	// NumCPUs sizes the simulated machine (default 1, matching the
+	// paper's single-CPU testbed). Shards stripes the hybrid run's DRCR
+	// lifecycle locks by dependency cone (core.Options.Shards); the pure
+	// run has no DRCR and ignores it. Results are byte-identical at every
+	// shard count. MonteCarlo fans these configs out run-level.
 	NumCPUs int
 	Shards  int
 }
@@ -160,7 +159,7 @@ func RunLatency(cfg LatencyConfig) (LatencyResult, error) {
 // paper's "Pure RTAI user model" baseline.
 func runPureLatency(cfg LatencyConfig) (LatencyResult, error) {
 	k := rtos.NewKernel(rtos.Config{Mode: cfg.Mode, Seed: cfg.Seed,
-		NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
+		NumCPUs: cfg.NumCPUs})
 	if err := addStressLoad(k, cfg.Mode); err != nil {
 		return LatencyResult{}, err
 	}
@@ -207,7 +206,7 @@ func runPureLatency(cfg LatencyConfig) (LatencyResult, error) {
 func runHybridLatency(cfg LatencyConfig) (LatencyResult, error) {
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{Mode: cfg.Mode, Seed: cfg.Seed ^ 0x4852_4331, // "HRC1"
-		NumCPUs: cfg.NumCPUs, Shards: cfg.Shards})
+		NumCPUs: cfg.NumCPUs})
 	if err := addStressLoad(k, cfg.Mode); err != nil {
 		return LatencyResult{}, err
 	}
