@@ -16,7 +16,7 @@ import (
 // and once with the forecasting estimator on top (project the trend,
 // step down before the miss). The committed BENCH_predict.json pins the
 // headline claim — strictly fewer hard deadline misses at equal or
-// better availability — plus byte-determinism across shard counts.
+// better availability — plus byte-determinism across reruns.
 
 // PredictBenchConfig sizes MeasurePredict. The zero value selects the
 // reference configuration the committed baseline uses.
@@ -46,11 +46,9 @@ type PredictVariant struct {
 	Downgrades        int     `json:"downgrades"`
 	PredictDowngrades int     `json:"predict_downgrades"`
 	Revokes           int     `json:"revokes"`
-	// StreamDigest is the ID-free span-stream digest (shard-comparable);
-	// ShardInvariant confirms shard counts 1 and 4 reproduced it.
-	StreamDigest   string `json:"stream_digest"`
-	SpanCount      uint64 `json:"span_count"`
-	ShardInvariant bool   `json:"shard_invariant"`
+	// StreamDigest is the ID-free span-stream digest.
+	StreamDigest string `json:"stream_digest"`
+	SpanCount    uint64 `json:"span_count"`
 }
 
 // PredictReport is the machine-readable snapshot cmd/latbench writes to
@@ -65,8 +63,7 @@ type PredictReport struct {
 }
 
 // MeasurePredict runs the drift campaign in both guard configurations,
-// then re-runs each arm at shard counts 1 and 4 to pin digest
-// invariance.
+// then re-runs the predictive arm to pin digest repeatability.
 func MeasurePredict(cfg PredictBenchConfig) (PredictReport, error) {
 	cfg.applyDefaults()
 	rep := PredictReport{
@@ -82,8 +79,7 @@ func MeasurePredict(cfg PredictBenchConfig) (PredictReport, error) {
 	}
 	var predictiveDigest string
 	for _, predictive := range []bool{false, true} {
-		base := workload.PredictConfig{Seed: cfg.Seed, Predictive: predictive}
-		res, err := workload.RunPredictCampaign(base)
+		res, err := workload.RunPredictCampaign(workload.PredictConfig{Seed: cfg.Seed, Predictive: predictive})
 		if err != nil {
 			return PredictReport{}, fmt.Errorf("bench: predict campaign (predictive=%v): %w", predictive, err)
 		}
@@ -98,23 +94,10 @@ func MeasurePredict(cfg PredictBenchConfig) (PredictReport, error) {
 			Revokes:           res.Revokes,
 			StreamDigest:      res.StreamDigest,
 			SpanCount:         res.SpanCount,
-			ShardInvariant:    true,
 		}
 		if predictive {
 			v.Variant = "predictive"
 			predictiveDigest = res.StreamDigest
-		}
-		for _, shards := range []int{1, 4} {
-			sharded := base
-			sharded.Shards = shards
-			again, err := workload.RunPredictCampaign(sharded)
-			if err != nil {
-				return PredictReport{}, fmt.Errorf("bench: predict campaign (predictive=%v, shards=%d): %w",
-					predictive, shards, err)
-			}
-			if again.StreamDigest != res.StreamDigest || again.HardMisses != res.HardMisses {
-				v.ShardInvariant = false
-			}
 		}
 		rep.Variants = append(rep.Variants, v)
 	}
@@ -137,9 +120,6 @@ func (r PredictReport) Validate() error {
 	for _, v := range r.Variants {
 		if len(v.StreamDigest) != 64 || v.SpanCount == 0 {
 			return fmt.Errorf("predict report: variant %s span pin incomplete", v.Variant)
-		}
-		if !v.ShardInvariant {
-			return fmt.Errorf("predict report: variant %s digests depend on the shard count", v.Variant)
 		}
 		byName[v.Variant] = v
 	}
@@ -192,12 +172,12 @@ func (r PredictReport) Encode() ([]byte, error) {
 func FormatPredict(r PredictReport) string {
 	var b strings.Builder
 	b.WriteString("Predictive admission — same drift, reactive vs forecasting guard\n")
-	fmt.Fprintf(&b, "%11s %7s %14s %12s %6s %5s %6s %4s %7s\n",
-		"variant", "misses", "first-miss-ms", "forecast-ms", "avail", "down", "p-down", "rev", "shards")
+	fmt.Fprintf(&b, "%11s %7s %14s %12s %6s %5s %6s %4s\n",
+		"variant", "misses", "first-miss-ms", "forecast-ms", "avail", "down", "p-down", "rev")
 	for _, v := range r.Variants {
-		fmt.Fprintf(&b, "%11s %7d %14.1f %12.1f %6.3f %5d %6d %4d %7v\n",
+		fmt.Fprintf(&b, "%11s %7d %14.1f %12.1f %6.3f %5d %6d %4d\n",
 			v.Variant, v.HardMisses, v.FirstMissMS, v.ForecastMS, v.Availability,
-			v.Downgrades, v.PredictDowngrades, v.Revokes, v.ShardInvariant)
+			v.Downgrades, v.PredictDowngrades, v.Revokes)
 	}
 	fmt.Fprintf(&b, "repeatable=%v\n", r.Repeatable)
 	return b.String()

@@ -84,6 +84,12 @@ func (c *Console) Run(in io.Reader) error {
 	return sc.Err()
 }
 
+// noArgCommands take no arguments; Exec rejects a line that gives any.
+var noArgCommands = map[string]bool{
+	"modes": true, "list": true, "lb": true, "ss": true, "events": true, "metrics": true,
+	"timeline": true, "latency": true, "view": true, "nodes": true, "links": true,
+}
+
 // Exec interprets one command line; it reports whether the session should
 // end.
 func (c *Console) Exec(line string) (quit bool) {
@@ -101,6 +107,10 @@ func (c *Console) Exec(line string) (quit bool) {
 			fmt.Fprintf(c.out, "error: %q needs a single-node system; this console drives a cluster (try nodes, links, migrate)\n", cmd)
 			return false
 		}
+	}
+	if noArgCommands[cmd] && len(args) > 0 {
+		fmt.Fprintf(c.out, "error: %s takes no arguments\n", cmd)
+		return false
 	}
 	switch cmd {
 	case "help":

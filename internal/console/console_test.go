@@ -492,3 +492,35 @@ forecast nosuch
 		}
 	}
 }
+
+// TestZeroArgCommandsRejectArguments: a command that takes no arguments
+// answers extra ones with an error instead of silently ignoring them,
+// and still runs when given none.
+func TestZeroArgCommandsRejectArguments(t *testing.T) {
+	for _, tc := range []struct{ line, cmd string }{
+		{"modes camera", "modes"},
+		{"list extra", "list"},
+		{"lb extra", "lb"},
+		{"ss a b", "ss"},
+		{"events 5", "events"},
+		{"metrics all", "metrics"},
+		{"timeline 10ms", "timeline"},
+		{"latency camera", "latency"},
+		{"view cpu0", "view"},
+		{"nodes x", "nodes"},
+		{"links x", "links"},
+	} {
+		c, out := newConsole(t)
+		c.Exec("deploy camera.xml")
+		out.Reset()
+		c.Exec(tc.line)
+		if want := "error: " + tc.cmd + " takes no arguments\n"; out.String() != want {
+			t.Errorf("%q: got %q, want %q", tc.line, out.String(), want)
+		}
+		out.Reset()
+		c.Exec(tc.cmd)
+		if strings.Contains(out.String(), "takes no arguments") {
+			t.Errorf("bare %q rejected: %q", tc.cmd, out.String())
+		}
+	}
+}

@@ -26,8 +26,8 @@ var fuzzSeeds = []string{
 
 // fuzzArity lists the argument counts each command accepts (max < 0:
 // unbounded). A line outside its command's range is malformed and must
-// be answered with an error line. Commands absent here take no
-// arguments and ignore any given.
+// be answered with an error line. Commands absent here (help, quit,
+// exit) ignore any arguments given.
 var fuzzArity = map[string][2]int{
 	"deploy": {1, 1}, "plan": {1, -1}, "remove": {1, 1}, "enable": {1, 1},
 	"disable": {1, 1}, "suspend": {1, 1}, "resume": {1, 1}, "run": {1, 1},
@@ -35,6 +35,9 @@ var fuzzArity = map[string][2]int{
 	"admit": {1, -1}, "spans": {0, 1}, "why": {1, 1}, "watch": {1, 1},
 	"flightrec": {0, 1}, "status": {1, 1}, "set": {3, 3}, "trace": {1, 1},
 	"gantt": {1, 1}, "migrate": {2, 2},
+	"modes": {0, 0}, "list": {0, 0}, "lb": {0, 0}, "ss": {0, 0}, "events": {0, 0},
+	"metrics": {0, 0}, "timeline": {0, 0}, "latency": {0, 0}, "view": {0, 0},
+	"nodes": {0, 0}, "links": {0, 0},
 }
 
 // helpCommands parses the command names out of the help text.
@@ -70,7 +73,8 @@ func FuzzExec(f *testing.F) {
 		}
 	}
 	for _, s := range []string{"bogus", "run notaduration", "run -3ms", "spans -1", "set camera",
-		"deploy nope.xml", "why ghost", "trace sideways", "admit camera.xml", "run 1h"} {
+		"deploy nope.xml", "why ghost", "trace sideways", "admit camera.xml", "run 1h",
+		"list extra", "nodes x", "events 5", "view cpu0"} {
 		f.Add(s)
 	}
 

@@ -43,7 +43,7 @@ func TestAdmittedEpochMoves(t *testing.T) {
 	step("no-op resolve after remove", false, func() error { d.Resolve(); return nil })
 
 	// A whole-bundle deploy moves it too.
-	r := newPlanRig(t, 1)
+	r := newPlanRig(t)
 	before := r.d.AdmittedEpoch()
 	r.deployBundle(t, "epoch.bundle", []string{
 		localXML("bp", 0, 0.05, nil, []string{"bt"}, ""),
@@ -88,70 +88,68 @@ func TestAppendAdmittedMatchesComponents(t *testing.T) {
 			`<mode name="eco" cpuusage="0.1"/>`))
 		names = append(names, name)
 	}
-	for _, shards := range []int{1, 4} {
-		for _, seed := range []int64{1, 2, 3} {
-			fw := osgi.NewFramework()
-			k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 5})
-			d, err := New(fw, k, Options{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range names {
-				_ = d.Deploy(descs[name])
-			}
-			rng := rand.New(rand.NewSource(seed))
-			var buf []Admitted
-			lastEpoch, last := d.AdmittedEpoch(), admittedFromComponents(d)
-			for op := 0; op < 400; op++ {
-				name := names[rng.Intn(len(names))]
-				info, deployed := d.Component(name)
-				switch rng.Intn(5) {
-				case 0:
-					if deployed {
-						_ = d.Remove(name)
-					} else {
-						_ = d.Deploy(descs[name])
-					}
-				case 1:
-					if info.State == Disabled {
-						_ = d.Enable(name)
-					} else {
-						_ = d.Disable(name)
-					}
-				case 2:
-					if info.Revoked {
-						_ = d.RestoreBudget(name)
-					} else {
-						_ = d.RevokeBudget(name, "churn")
-					}
-				case 3:
-					if info.State == Suspended {
-						_ = d.Resume(name)
-					} else {
-						_ = d.Suspend(name)
-					}
-				case 4:
-					if info.Mode > 0 {
-						_ = d.AllowPromotion(name)
-					} else {
-						_ = d.Downgrade(name, "churn")
-					}
-				}
-				want := admittedFromComponents(d)
-				buf = d.AppendAdmitted(buf[:0])
-				if !reflect.DeepEqual(append([]Admitted(nil), buf...), want) {
-					t.Fatalf("shards %d seed %d op %d: AppendAdmitted %v, want %v", shards, seed, op, buf, want)
-				}
-				epoch := d.AdmittedEpoch()
-				if epoch == lastEpoch && !reflect.DeepEqual(want, last) {
-					t.Fatalf("shards %d seed %d op %d: admitted set changed without the epoch moving", shards, seed, op)
-				}
-				lastEpoch, last = epoch, want
-			}
-			if n := testing.AllocsPerRun(20, func() { buf = d.AppendAdmitted(buf[:0]) }); n != 0 {
-				t.Errorf("shards %d: AppendAdmitted into a sized buffer allocates %.0f", shards, n)
-			}
-			d.Close()
+	for _, seed := range []int64{1, 2, 3} {
+		fw := osgi.NewFramework()
+		k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 5})
+		d, err := New(fw, k, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for _, name := range names {
+			_ = d.Deploy(descs[name])
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var buf []Admitted
+		lastEpoch, last := d.AdmittedEpoch(), admittedFromComponents(d)
+		for op := 0; op < 400; op++ {
+			name := names[rng.Intn(len(names))]
+			info, deployed := d.Component(name)
+			switch rng.Intn(5) {
+			case 0:
+				if deployed {
+					_ = d.Remove(name)
+				} else {
+					_ = d.Deploy(descs[name])
+				}
+			case 1:
+				if info.State == Disabled {
+					_ = d.Enable(name)
+				} else {
+					_ = d.Disable(name)
+				}
+			case 2:
+				if info.Revoked {
+					_ = d.RestoreBudget(name)
+				} else {
+					_ = d.RevokeBudget(name, "churn")
+				}
+			case 3:
+				if info.State == Suspended {
+					_ = d.Resume(name)
+				} else {
+					_ = d.Suspend(name)
+				}
+			case 4:
+				if info.Mode > 0 {
+					_ = d.AllowPromotion(name)
+				} else {
+					_ = d.Downgrade(name, "churn")
+				}
+			}
+			want := admittedFromComponents(d)
+			buf = d.AppendAdmitted(buf[:0])
+			if !reflect.DeepEqual(append([]Admitted(nil), buf...), want) {
+				t.Fatalf("seed %d op %d: AppendAdmitted %v, want %v", seed, op, buf, want)
+			}
+			epoch := d.AdmittedEpoch()
+			if epoch == lastEpoch && !reflect.DeepEqual(want, last) {
+				t.Fatalf("seed %d op %d: admitted set changed without the epoch moving", seed, op)
+			}
+			lastEpoch, last = epoch, want
+		}
+		if n := testing.AllocsPerRun(20, func() { buf = d.AppendAdmitted(buf[:0]) }); n != 0 {
+			t.Errorf("seed %d: AppendAdmitted into a sized buffer allocates %.0f", seed, n)
+		}
+		d.Close()
 	}
 }

@@ -279,16 +279,11 @@ type Options struct {
 	// Obs is the observability plane every DRCR decision is traced into;
 	// defaults to a fresh plane at the Sampled level.
 	Obs *obs.Plane
-	// Shards stripes the lifecycle surface by dependency cone (see
-	// cones.go): operations on independent cones run concurrently, each
-	// holding its cone's stripe through mutation plus the resolution it
-	// triggers; whole-table operations (Resolve, bundle events, Close)
-	// take every stripe. 0 or 1 disables striping — the runtime mutex
-	// alone serialises, exactly the pre-sharding behaviour. With
-	// striping on, event listeners must not call lifecycle operations
-	// inline; schedule them on the kernel clock instead. This is the
-	// only meaning of "shards" in the stack: the kernel has one engine
-	// and ignores rtos.Config.Shards.
+	// Shards is kept so existing configurations still compile.
+	//
+	// Deprecated: ignored. d.mu is the one executive lock: every
+	// lifecycle operation takes it for its mutation and for the resolve
+	// drain it triggers.
 	Shards int
 }
 
@@ -312,8 +307,7 @@ func (o *Options) applyDefaults() {
 
 // DRCR is the declarative real-time component runtime.
 type DRCR struct {
-	mu    sync.Mutex
-	cones *coneLocks // cone-striped op locking; nil unless Options.Shards > 1
+	mu sync.Mutex
 
 	fw     *osgi.Framework
 	kernel *rtos.Kernel
@@ -440,7 +434,6 @@ func New(fw *osgi.Framework, kernel *rtos.Kernel, opts Options) (*DRCR, error) {
 	d.cpus = make([]cpuAdmission, kernel.NumCPUs())
 	d.cpuLoad = make([]float64, kernel.NumCPUs())
 	d.drainCPUEpoch = make([]uint64, kernel.NumCPUs())
-	d.cones = newConeLocks(kernel.NumCPUs(), opts.Shards)
 	d.obs.BindKernel(kernel)
 	d.obs.SetLoadFunc(d.declaredLoad)
 	d.chainDirty.Store(true) // build the resolver chain on first consult
@@ -516,7 +509,12 @@ func (d *DRCR) RegisterBody(bincode string, f BodyFactory) error {
 }
 
 // AddListener subscribes to lifecycle events; the returned function
-// unsubscribes.
+// unsubscribes. Listeners run synchronously, in registration order, with
+// d.mu released, so a listener may call lifecycle operations (Disable,
+// Remove, RevokeBudget, ...) inline: the call's mutation lands at once
+// and its resolution merges into the drain already running, which
+// settles it before the outer operation returns. The drain re-validates
+// what it relies on after each callout.
 func (d *DRCR) AddListener(f func(Event)) (remove func()) {
 	if f == nil {
 		return func() {}
@@ -842,8 +840,6 @@ func (d *DRCR) sortedNamesLocked() []string {
 // Close detaches the DRCR from framework events and destroys every
 // component.
 func (d *DRCR) Close() {
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()

@@ -25,10 +25,6 @@ var (
 func (d *DRCR) Deploy(desc *descriptor.Component) error {
 	start := time.Now()
 	defer func() { d.obs.RecordLatency(obs.LatDeploy, time.Since(start).Nanoseconds()) }()
-	if desc != nil && d.cones != nil {
-		t := d.cones.lockWiring(desc.CPU(), portKeysOf(desc))
-		defer d.cones.unlock(t)
-	}
 	if err := d.addComponent(desc, nil); err != nil {
 		return err
 	}
@@ -39,8 +35,6 @@ func (d *DRCR) Deploy(desc *descriptor.Component) error {
 // Remove destroys a component: deactivating it (and, through resolution,
 // its dependents) and deleting its record.
 func (d *DRCR) Remove(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -63,8 +57,6 @@ func (d *DRCR) Remove(name string) error {
 
 // Enable re-enables a disabled component (the paper's enableRTComponent).
 func (d *DRCR) Enable(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -82,8 +74,6 @@ func (d *DRCR) Enable(name string) error {
 
 // Disable deactivates (if needed) and disables a component.
 func (d *DRCR) Disable(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -112,8 +102,6 @@ func (d *DRCR) Disable(name string) error {
 // The contract (budget, ports) stays admitted, so dependants remain
 // satisfied; the RT task parks at its next job boundary.
 func (d *DRCR) Suspend(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -133,8 +121,6 @@ func (d *DRCR) Suspend(name string) error {
 
 // Resume reactivates a suspended component.
 func (d *DRCR) Resume(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -163,8 +149,8 @@ func (d *DRCR) bundleChanged(ev osgi.BundleEvent) {
 	}
 }
 
-// adoptBundle parses the bundle's descriptors before taking the
-// all-stripes lock, so decoding holds up no other operation.
+// adoptBundle parses the bundle's descriptors outside d.mu, so decoding
+// holds up no other operation, then deploys them as one batch.
 func (d *DRCR) adoptBundle(b *osgi.Bundle) {
 	m := b.Manifest()
 	if m == nil {
@@ -182,9 +168,7 @@ func (d *DRCR) adoptBundle(b *osgi.Bundle) {
 		}
 		descs = append(descs, desc)
 	}
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
-	d.deployBatchLocked(descs, b)
+	d.deployBatch(descs, b)
 }
 
 // DeployAll deploys a descriptor batch as one unit: every descriptor is
@@ -194,14 +178,11 @@ func (d *DRCR) adoptBundle(b *osgi.Bundle) {
 func (d *DRCR) DeployAll(descs []*descriptor.Component) {
 	start := time.Now()
 	defer func() { d.obs.RecordLatency(obs.LatDeploy, time.Since(start).Nanoseconds()) }()
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
-	d.deployBatchLocked(descs, nil)
+	d.deployBatch(descs, nil)
 }
 
-// deployBatchLocked runs under the all-stripes lock: install every
-// descriptor, then drain once.
-func (d *DRCR) deployBatchLocked(descs []*descriptor.Component, b *osgi.Bundle) {
+// deployBatch installs every descriptor, then drains once.
+func (d *DRCR) deployBatch(descs []*descriptor.Component, b *osgi.Bundle) {
 	for _, desc := range descs {
 		_ = d.addComponent(desc, b) // duplicates are skipped
 	}
@@ -209,8 +190,6 @@ func (d *DRCR) deployBatchLocked(descs []*descriptor.Component, b *osgi.Bundle) 
 }
 
 func (d *DRCR) dropBundle(b *osgi.Bundle) {
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	var names []string
 	for name, c := range d.comps {
@@ -441,19 +420,6 @@ func (d *DRCR) deactivateLocked(c *Component, reason string) {
 	c.promoHold = false
 	c.admitVerdict = ""
 	c.lastReason = reason
-}
-
-// portKeysOf lists a descriptor's port topics (in- and outports), the
-// edges that couple dependency cones.
-func portKeysOf(desc *descriptor.Component) []portKey {
-	keys := make([]portKey, 0, len(desc.InPorts)+len(desc.OutPorts))
-	for _, p := range desc.InPorts {
-		keys = append(keys, keyOf(p))
-	}
-	for _, p := range desc.OutPorts {
-		keys = append(keys, keyOf(p))
-	}
-	return keys
 }
 
 // taskSpecLocked maps a descriptor's real-time contract in service mode

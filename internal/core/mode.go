@@ -120,8 +120,6 @@ func (d *DRCR) emitModeEventLocked(c *Component, reason string) {
 // The component keeps running under the cheaper contract; best-effort
 // promotion back toward mode 0 is barred until AllowPromotion.
 func (d *DRCR) Downgrade(name, reason string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -158,8 +156,6 @@ func (d *DRCR) Downgrade(name, reason string) error {
 // the next resolution pass consider stepping the component back toward
 // its full contract. The guard calls this when its backoff expires.
 func (d *DRCR) AllowPromotion(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -178,8 +174,6 @@ func (d *DRCR) AllowPromotion(name string) error {
 // supervise) owns bringing it back via Enable, under its restart
 // budget.
 func (d *DRCR) Crash(name, reason string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {

@@ -25,11 +25,17 @@ type planRig struct {
 	d  *DRCR
 }
 
-func newPlanRig(t *testing.T, shards int) *planRig {
+func newPlanRig(t *testing.T) *planRig {
+	t.Helper()
+	return newPlanRigWith(t, Options{})
+}
+
+// newPlanRigWith is newPlanRig with explicit DRCR options.
+func newPlanRigWith(t *testing.T, opts Options) *planRig {
 	t.Helper()
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{NumCPUs: 4, Timing: &noNoise, Seed: 31})
-	d, err := New(fw, k, Options{Shards: shards})
+	d, err := New(fw, k, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +261,8 @@ func planCampaign(t *testing.T, r *planRig) {
 
 // Digests of planCampaign, recorded before the plan fast-apply was
 // retired; the fast-apply and the worklist deploy path both produced
-// them, at 1 and 4 shards. The obs digest moves with the sampling level
-// (Full adds resolve-round spans); the others do not.
+// them. The obs digest moves with the sampling level (Full adds
+// resolve-round spans); the others do not.
 const (
 	planCampaignTrace     = "43aa0b9e193505f8186517972e256a476a1b4078ed6df835b8ce45b78868fc53"
 	planCampaignObs       = "d9aacb70aedf619c0b3c3ca3c387ede5b4f05c41b4694c4bf0bbaf613a375c2d"
@@ -265,14 +271,14 @@ const (
 	planCampaignStateHash = "95752708bb41f704ff10504ab82d9a4daececb54f361bd25fd009251f70f555a"
 )
 
-// checkPlanCampaign runs planCampaign on a fresh rig at the given shard
-// count and sampling level: every batch's compiled plan must match what
-// the deploy applied (checkPreview), the identical redeploy's compile
-// must hit the plan cache, and the event log, obs digests and final
-// states must equal the recorded goldens.
-func checkPlanCampaign(t *testing.T, shards int, level obs.Level) {
+// checkPlanCampaign runs planCampaign on a fresh rig with the given
+// options and sampling level: every batch's compiled plan must match
+// what the deploy applied (checkPreview), the identical redeploy's
+// compile must hit the plan cache, and the event log, obs digests and
+// final states must equal the recorded goldens.
+func checkPlanCampaign(t *testing.T, opts Options, level obs.Level) {
 	t.Helper()
-	r := newPlanRig(t, shards)
+	r := newPlanRigWith(t, opts)
 	r.d.Obs().SetLevel(level)
 	planCampaign(t, r)
 
@@ -288,32 +294,32 @@ func checkPlanCampaign(t *testing.T, shards int, level obs.Level) {
 		{"final states", hex.EncodeToString(sum[:]), planCampaignStateHash},
 	} {
 		if c.got != c.want {
-			t.Errorf("shards %d, level %v: %s %s, want %s", shards, level, c.what, c.got, c.want)
+			t.Errorf("level %v: %s %s, want %s", level, c.what, c.got, c.want)
 		}
 	}
 	if r.d.Obs().Snapshot().Plan.CacheHits == 0 {
-		t.Errorf("shards %d, level %v: identical redeploy missed the plan cache", shards, level)
+		t.Errorf("level %v: identical redeploy missed the plan cache", level)
 	}
 }
 
 // TestPlanApplyDifferential holds each compiled plan to the batch the
 // one deploy path applied, and the campaign's digests to the goldens
-// both former deploy paths produced, at shard counts 1 and 4.
+// both former deploy paths produced. The subtests set the deprecated
+// Options.Shards to 1 and 4: the field is ignored, so both must land
+// on the same goldens.
 func TestPlanApplyDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			checkPlanCampaign(t, shards, obs.Sampled)
+			checkPlanCampaign(t, Options{Shards: shards}, obs.Sampled)
 		})
 	}
 }
 
 // TestPlanApplyDifferentialFullObs runs the same campaign at obs Level
 // Full, where resolve-round spans consume span IDs, and pins the
-// Full-level obs digest at shard counts 1 and 4.
+// Full-level obs digest.
 func TestPlanApplyDifferentialFullObs(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		checkPlanCampaign(t, shards, obs.Full)
-	}
+	checkPlanCampaign(t, Options{}, obs.Full)
 }
 
 // TestBundleDeployWakesPreexistingWaiter: a bundle whose member provides
@@ -321,7 +327,7 @@ func TestPlanApplyDifferentialFullObs(t *testing.T) {
 // that waiter in the bundle's drain. The event log, obs digest and final
 // states are the ones recorded before the plan fast-apply was retired.
 func TestBundleDeployWakesPreexistingWaiter(t *testing.T) {
-	r := newPlanRig(t, 1)
+	r := newPlanRig(t)
 	if err := r.d.Deploy(mustParse(t, churnXML("lone", 0, 0.01, []string{"gap"}, nil))); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +363,7 @@ func TestCompilePlanTypedReject(t *testing.T) {
 	  <periodictask frequence="100" runoncup="1" priority="5"/>
 	  <inport name="feed" interface="RTAI.SHM" type="Integer" size="64" version="[2.0.0,3.0.0)" datatype="struct{seq:int32}"/>
 	</component>`
-	r := newPlanRig(t, 1)
+	r := newPlanRig(t)
 	descs := []*descriptor.Component{mustParse(t, prov), mustParse(t, cons)}
 	_, err := r.d.CompilePlan(descs)
 	var rej *plan.RejectError

@@ -261,7 +261,7 @@ func TestEdgeclusterBundlePlanDigest(t *testing.T) {
 			}
 			spec := planDeploySpec{Components: len(descs), Seed: 21, NumCPUs: 4}
 			spec.applyDefaults()
-			if _, err := newPlanRig(t, 1).d.CompilePlan(descs); err != nil {
+			if _, err := newPlanRig(t).d.CompilePlan(descs); err != nil {
 				t.Fatalf("compile: %v", err)
 			}
 			got, err := runPlanDeployOnce(spec, descs, false)

@@ -41,8 +41,6 @@ func (d *DRCR) AddRemoteProvider(out descriptor.Port, origin string) error {
 	if origin == "" || out.Direction != descriptor.Out {
 		return fmt.Errorf("core: remote provider needs an origin and an outport, got %q/%v", origin, out.Direction)
 	}
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -69,8 +67,6 @@ func (d *DRCR) AddRemoteProvider(out descriptor.Port, origin string) error {
 // it cascade through resolution exactly like consumers of a departed
 // local provider.
 func (d *DRCR) RemoveRemoteProvider(out descriptor.Port, origin string) error {
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()

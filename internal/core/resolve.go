@@ -53,8 +53,6 @@ import (
 // Reentrant calls — e.g. service events raised while activating —
 // coalesce into an extra pass.
 func (d *DRCR) Resolve() {
-	t := d.cones.lockAll()
-	defer d.cones.unlock(t)
 	d.runResolve(true)
 }
 
@@ -74,12 +72,7 @@ func (d *DRCR) runResolve(full bool) {
 	d.resolving = true
 	d.mu.Unlock()
 	start := time.Now()
-	defer func() {
-		d.obs.RecordLatency(obs.LatResolve, time.Since(start).Nanoseconds())
-		d.mu.Lock()
-		d.resolving = false
-		d.mu.Unlock()
-	}()
+	defer func() { d.obs.RecordLatency(obs.LatResolve, time.Since(start).Nanoseconds()) }()
 	pass := d.drainWorklist
 	if d.resolvePass != nil {
 		pass = d.resolvePass
@@ -89,11 +82,19 @@ func (d *DRCR) runResolve(full bool) {
 		d.mu.Lock()
 		dirty := d.dirty
 		d.dirty = false
-		d.mu.Unlock()
 		if !changed && !dirty {
+			// Stop and release the drain under one hold of d.mu: work a
+			// concurrent caller stages after this check finds resolving
+			// false and drains itself; none is left to a finished drain.
+			d.resolving = false
+			d.mu.Unlock()
 			return
 		}
+		d.mu.Unlock()
 	}
+	d.mu.Lock()
+	d.resolving = false
+	d.mu.Unlock()
 }
 
 // markAllWaitingLocked arms every waiting component for re-examination —
@@ -316,6 +317,17 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	if !decision.Admit {
 		d.noteDenyLocked(c, "admission denied: "+decision.Reason)
 		c.wait = waitAdmission
+		return changed
+	}
+	// The Satisfied event and the resolver consult ran without d.mu, and
+	// a listener or a concurrent caller may have taken a provider away
+	// meanwhile: re-check the chosen mode's inports and, if one is gone,
+	// let the next round re-walk the modes still feasible (or demote the
+	// component) instead of binding it to nothing. The cached verdict is
+	// dropped: a remote withdrawal moves no epoch, so it would hit again.
+	if d.unsatisfiedInportLocked(c, mode) != "" {
+		c.cacheValid = false
+		d.enqueueActLocked(name)
 		return changed
 	}
 	c.mode = mode

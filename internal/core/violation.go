@@ -20,8 +20,6 @@ import "fmt"
 // the component is excluded from the activation sweep until
 // RestoreBudget lifts the revocation.
 func (d *DRCR) RevokeBudget(name, reason string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {
@@ -49,8 +47,6 @@ func (d *DRCR) RevokeBudget(name, reason string) error {
 // on the next resolution pass (run immediately), so a healed component
 // and its dependants return to ACTIVE in dependency order.
 func (d *DRCR) RestoreBudget(name string) error {
-	t := d.coneOf(name)
-	defer d.cones.unlock(t)
 	d.mu.Lock()
 	c, ok := d.comps[name]
 	if !ok {

@@ -277,7 +277,7 @@ type Plane struct {
 
 	// Latency histograms (latency.go); inline values, zero-alloc record.
 	// latMu guards them: the DRCR records drain and deploy latencies
-	// after releasing its lock, from concurrent cone-striped operations.
+	// after releasing its lock, from concurrent management calls.
 	latMu sync.Mutex
 	lat   [latKinds]metrics.Log2Hist
 

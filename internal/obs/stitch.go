@@ -167,8 +167,8 @@ func stitchChain(planes map[string]*Plane, node string, s Span) []StitchedSpan {
 // component) roots — in the order given, which the caller must keep
 // canonical — into one hex SHA-256. Each chain element is rendered
 // without span IDs or cause values (the chain structure itself carries
-// causality), so the digest is comparable across engines and shard
-// counts, like StreamDigest.
+// causality), so the digest is comparable across engines, like
+// StreamDigest.
 func StitchDigest(planes map[string]*Plane, roots []StitchRoot) string {
 	h := sha256.New()
 	var scratch []byte

@@ -9,8 +9,8 @@
 // with a probability p, asking to be admitted iff the composed load on
 // its CPU stays under the bound with probability ≥ p. The sampler is
 // seeded from the participating contracts themselves, so the verdict is
-// a pure function of the composition — byte-identical across engines,
-// shard counts, and the plan compiler.
+// a pure function of the composition — byte-identical across engines
+// and the plan compiler.
 package policy
 
 import (
@@ -309,8 +309,8 @@ func metP(p float64) float64 {
 
 // mcSeed folds the admission question into a 64-bit FNV-1a digest: the
 // CPU, the bound, and every stochastic participant's identity. No clock,
-// no map order, no shard count — the seed is stable wherever the same
-// composition is tested.
+// no map order — the seed is stable wherever the same composition is
+// tested.
 func mcSeed(bound float64, cpu int, stoch []Contract, cand Contract) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

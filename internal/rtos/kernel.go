@@ -59,7 +59,8 @@ type Config struct {
 	// Shards is kept so existing configurations still compile.
 	//
 	// Deprecated: ignored. The kernel has one engine: a single event
-	// clock carries task and control events alike.
+	// clock carries task and control events alike. No layer of the
+	// stack shards any more (core.Options.Shards is ignored too).
 	Shards int
 }
 

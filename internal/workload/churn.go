@@ -3,8 +3,8 @@ package workload
 // Resolve-churn storms: deploy/remove/enable/disable/revoke sequences
 // over a synthetic component population with realistic port fan-out,
 // driving the DRCR's constraint-resolution engine rather than the kernel
-// hot path. The same seeded storm replays bit-identically at every shard
-// count and sampling level, which the workload tests pin.
+// hot path. The same seeded storm replays bit-identically at every
+// sampling level, which the workload tests pin.
 
 import (
 	"crypto/sha256"
@@ -36,10 +36,6 @@ type ChurnSpec struct {
 	Seed int64
 	// NumCPUs for the simulated kernel (default 4).
 	NumCPUs int
-	// Shards stripes the DRCR's lifecycle locks by dependency cone
-	// (core.Options.Shards); 0 or 1 disables striping. The kernel has
-	// one engine either way. The storm digests must not depend on it.
-	Shards int
 	// ObsLevel is the observability sampling level for the run (zero
 	// value: Sampled, the default level).
 	ObsLevel obs.Level
@@ -82,8 +78,7 @@ type ChurnStats struct {
 	// edges and resolve-round internals excluded): it does not depend on
 	// the sampling level.
 	ObsDigest string
-	// ObsFullDigest includes span IDs and cause edges; it must not
-	// depend on the shard count.
+	// ObsFullDigest includes span IDs and cause edges.
 	ObsFullDigest string
 	// Spans is the lifetime span count the storm emitted.
 	Spans uint64
@@ -177,8 +172,7 @@ func RunChurn(spec ChurnSpec) (ChurnStats, error) {
 	timing := rtos.TimingModel{}
 	k := rtos.NewKernel(rtos.Config{NumCPUs: spec.NumCPUs, Timing: &timing, Seed: uint64(spec.Seed)})
 	d, err := core.New(fw, k, core.Options{
-		Shards: spec.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: spec.ObsLevel}),
+		Obs: obs.NewPlane(obs.Options{Level: spec.ObsLevel}),
 	})
 	if err != nil {
 		return ChurnStats{}, err

@@ -103,10 +103,6 @@ type DegradeConfig struct {
 	Supervise supervise.Options
 	// NumCPUs sizes the simulated kernel (default 1).
 	NumCPUs int
-	// Shards stripes the DRCR's lifecycle locks by dependency cone
-	// (core.Options.Shards); 0 or 1 disables striping. The campaign
-	// digests must not depend on it.
-	Shards int
 	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
 	// ignored when NumCPUs == 1.
 	Replicas int
@@ -160,7 +156,7 @@ type DegradeResult struct {
 	Escalations uint64
 
 	SpanDigest string
-	// StreamDigest is the ID-free engine/shard-comparable variant.
+	// StreamDigest is the ID-free variant (IDs and cause edges excluded).
 	StreamDigest string
 	SpanCount    uint64
 	Spans        []obs.Span
@@ -180,8 +176,7 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
-		Shards: cfg.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
+		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
 	})
 	if err != nil {
 		return DegradeResult{}, err

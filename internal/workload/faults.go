@@ -64,10 +64,6 @@ type FaultCampaignConfig struct {
 	// NumCPUs sizes the simulated kernel (default 1 — the paper's
 	// single-CPU scenario, byte-identical to earlier revisions).
 	NumCPUs int
-	// Shards stripes the DRCR's lifecycle locks by dependency cone
-	// (core.Options.Shards); 0 or 1 disables striping. The campaign
-	// digests must not depend on it.
-	Shards int
 	// Replicas deploys that many background calc/disp pairs spread over
 	// CPUs 1..NumCPUs-1, giving multi-CPU campaigns real per-CPU
 	// scheduling work. Ignored when NumCPUs == 1.
@@ -110,7 +106,7 @@ type FaultCampaignResult struct {
 	// teardown; same seed + same campaign ⇒ byte-identical. SpanCount is
 	// the number of spans behind it, and Obs the metric snapshot.
 	SpanDigest string
-	// StreamDigest is the ID-free engine/shard-comparable variant.
+	// StreamDigest is the ID-free variant (IDs and cause edges excluded).
 	StreamDigest string
 	SpanCount    uint64
 	Obs          obs.Snapshot
@@ -148,8 +144,7 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
-		Shards: cfg.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
+		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
 	})
 	if err != nil {
 		return FaultCampaignResult{}, err

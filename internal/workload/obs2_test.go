@@ -8,87 +8,59 @@ import (
 )
 
 // At obs.Full, striping the DRCR's lifecycle locks by dependency cone
-// must leave the plane's span stream unchanged, byte for byte: the full
-// digest (span IDs and cause edges included) AND the stream digest, at
-// stripe counts 1/2/4/8 against the unstriped run, across the churn,
-// fault and degradation campaigns.
+// used to leave the plane's span stream unchanged, byte for byte. The
+// DRCR now has one executive lock; each test pins the full digest (span
+// IDs and cause edges included), the stream digest and the span count
+// that every stripe count reproduced, across the churn, fault and
+// degradation campaigns.
 
 func TestChurnShardedEmissionMatchesFunnel(t *testing.T) {
-	base := ChurnSpec{Components: 60, Steps: 120, Seed: 11, NumCPUs: 8, ObsLevel: obs.Full}
-	ref, err := RunChurn(base)
+	got, err := RunChurn(ChurnSpec{Components: 60, Steps: 120, Seed: 11, NumCPUs: 8, ObsLevel: obs.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		sharded := base
-		sharded.Shards = shards
-		got, err := RunChurn(sharded)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.ObsFullDigest != ref.ObsFullDigest {
-			t.Errorf("shards=%d: full digest %s != sequential %s",
-				shards, got.ObsFullDigest, ref.ObsFullDigest)
-		}
-		if got.ObsDigest != ref.ObsDigest {
-			t.Errorf("shards=%d: stream digest %s != sequential %s",
-				shards, got.ObsDigest, ref.ObsDigest)
-		}
-		if got.Spans != ref.Spans {
-			t.Errorf("shards=%d: emitted %d spans, sequential %d", shards, got.Spans, ref.Spans)
-		}
+	if got.ObsFullDigest != "374086409ad73cc63e70b50865073a8065fa49fe9eae1d3887447bf9afbd4d9b" {
+		t.Errorf("full digest %s drifted", got.ObsFullDigest)
+	}
+	if got.ObsDigest != "c448a064042b49fc43c1b742573efae848c0017a9aa9d1cc5470e449fb0233df" {
+		t.Errorf("stream digest %s drifted", got.ObsDigest)
+	}
+	if got.Spans != 403 {
+		t.Errorf("emitted %d spans, pinned 403", got.Spans)
 	}
 }
 
 func TestFaultCampaignShardedEmissionMatchesFunnel(t *testing.T) {
-	base := FaultCampaignConfig{Seed: 3, RunFor: 400 * time.Millisecond, Guarded: true,
-		NumCPUs: 8, Replicas: 7, ObsLevel: obs.Full}
-	ref, err := RunFaultCampaign(base)
+	got, err := RunFaultCampaign(FaultCampaignConfig{Seed: 3, RunFor: 400 * time.Millisecond, Guarded: true,
+		NumCPUs: 8, Replicas: 7, ObsLevel: obs.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Obs.Sched.Events == 0 {
+	if got.Obs.Sched.Events == 0 {
 		t.Fatal("Full level recorded no sched spans: scheduler bridge not attached")
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		sharded := base
-		sharded.Shards = shards
-		got, err := RunFaultCampaign(sharded)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
-		}
-		if got.StreamDigest != ref.StreamDigest {
-			t.Errorf("shards=%d: stream digest %s != sequential %s", shards, got.StreamDigest, ref.StreamDigest)
-		}
-		if got.SpanCount != ref.SpanCount {
-			t.Errorf("shards=%d: emitted %d spans, sequential %d", shards, got.SpanCount, ref.SpanCount)
-		}
+	if got.SpanDigest != "b5a237ed90f9ace4199f3b0e8149752498bbfa6b5b34128d4a79480023f7d1de" {
+		t.Errorf("span digest %s drifted", got.SpanDigest)
+	}
+	if got.StreamDigest != "042a680c1a61c24e0ef2c54555cf7c35afd9ed6f2cb4a54adf5bf5f22e20a7a7" {
+		t.Errorf("stream digest %s drifted", got.StreamDigest)
+	}
+	if got.SpanCount != 2565 {
+		t.Errorf("emitted %d spans, pinned 2565", got.SpanCount)
 	}
 }
 
 func TestDegradeShardedEmissionMatchesFunnel(t *testing.T) {
-	base := DegradeConfig{Seed: 9, RunFor: 600 * time.Millisecond, NumCPUs: 8, Replicas: 7,
-		ObsLevel: obs.Full}
-	ref, err := RunDegradeCampaign(base)
+	got, err := RunDegradeCampaign(DegradeConfig{Seed: 9, RunFor: 600 * time.Millisecond, NumCPUs: 8, Replicas: 7,
+		ObsLevel: obs.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		sharded := base
-		sharded.Shards = shards
-		got, err := RunDegradeCampaign(sharded)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
-		}
-		if got.StreamDigest != ref.StreamDigest {
-			t.Errorf("shards=%d: stream digest %s != sequential %s", shards, got.StreamDigest, ref.StreamDigest)
-		}
+	if got.SpanDigest != "6cdc24cef060eca2e4588acf7b0c4e087220e1d53e062fa1c09d2924812d6ffa" {
+		t.Errorf("span digest %s drifted", got.SpanDigest)
+	}
+	if got.StreamDigest != "e57d7da3b04dd52b5347ddd9800a728479eca988138b0f1432c09461b3cc6b75" {
+		t.Errorf("stream digest %s drifted", got.StreamDigest)
 	}
 }
 

@@ -71,13 +71,8 @@ type PredictConfig struct {
 	// Guard overrides the guard options. Predict is forced to match
 	// Predictive; PredictLead defaults to 6 here (the drift is steep).
 	Guard contract.Options
-	// NumCPUs sizes the simulated kernel (default 4, so DRCR stripe
-	// counts up to 4 have independent cones to split).
+	// NumCPUs sizes the simulated kernel (default 4).
 	NumCPUs int
-	// Shards stripes the DRCR's lifecycle locks by dependency cone
-	// (core.Options.Shards); 0 or 1 disables striping. The campaign
-	// digests must not depend on it.
-	Shards int
 	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
 	// ignored when NumCPUs == 1 (default 3, one per remaining CPU).
 	Replicas int
@@ -133,8 +128,7 @@ type PredictResult struct {
 
 	TraceDigest string
 	// SpanDigest is the full span-trace digest; StreamDigest the ID-free
-	// engine/shard-comparable variant. Same seed + same config ⇒
-	// byte-identical, at any shard count.
+	// variant. Same seed + same config ⇒ byte-identical.
 	SpanDigest   string
 	StreamDigest string
 	SpanCount    uint64
@@ -152,8 +146,7 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
 	d, err := core.New(fw, k, core.Options{
-		Shards: cfg.Shards,
-		Obs:    obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
+		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
 	})
 	if err != nil {
 		return PredictResult{}, err

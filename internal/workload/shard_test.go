@@ -1,125 +1,99 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Campaign digests — seed-tree scheduler digests and obs span digests
-// alike — must be byte-identical between the unstriped DRCR and one
-// whose lifecycle locks are striped by dependency cone
-// (core.Options.Shards) at stripe counts 1/2/4/8, across the churn,
-// latency, fault, and degradation campaigns.
+// alike — used to be compared between the unstriped DRCR and one whose
+// lifecycle locks were striped by dependency cone. The DRCR now has one
+// executive lock, so each test pins the values every stripe count
+// reproduced, across the churn, latency, fault, degradation and
+// predictive campaigns.
 
 func TestChurnShardInvariance(t *testing.T) {
-	base := ChurnSpec{Components: 80, Steps: 160, Seed: 5, NumCPUs: 8}
-	ref, err := RunChurn(base)
+	got, err := RunChurn(ChurnSpec{Components: 80, Steps: 160, Seed: 5, NumCPUs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		spec := base
-		spec.Shards = shards
-		got, err := RunChurn(spec)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.TraceDigest != ref.TraceDigest {
-			t.Errorf("shards=%d: trace digest %s != sequential %s", shards, got.TraceDigest, ref.TraceDigest)
-		}
-		if got.StateDigest != ref.StateDigest {
-			t.Errorf("shards=%d: state digest %s != sequential %s", shards, got.StateDigest, ref.StateDigest)
-		}
-		if got.ObsDigest != ref.ObsDigest {
-			t.Errorf("shards=%d: obs digest %s != sequential %s", shards, got.ObsDigest, ref.ObsDigest)
+	for _, c := range []struct{ what, got, want string }{
+		{"trace digest", got.TraceDigest, "4b0434738a76e6e51e6a603d5dbff0806adf04bb0749cf7e3aae79d2cf2ccdcd"},
+		{"state digest", got.StateDigest, "7c92bf4bfdc4645e88ef9de2c1138a526aa46f51339dc201069cd9f11d95fc1f"},
+		{"obs digest", got.ObsDigest, "9ad07e1126b1a449473c4eff3832f99b5ce6222af2ee15300d5273bdf5423b4b"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s %s, pinned %s", c.what, c.got, c.want)
 		}
 	}
 }
 
+// samplesDigest folds a latency sample series into one SHA-256.
+func samplesDigest(samples []int64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range samples {
+		binary.LittleEndian.PutUint64(b[:], uint64(s))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func TestLatencyShardInvariance(t *testing.T) {
-	base := LatencyConfig{Hybrid: true, Samples: 3000, Seed: 7, NumCPUs: 4}
-	ref, err := RunLatency(base)
+	got, err := RunLatency(LatencyConfig{Hybrid: true, Samples: 3000, Seed: 7, NumCPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := RunLatency(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.Row != ref.Row {
-			t.Errorf("shards=%d: latency row %+v != sequential %+v", shards, got.Row, ref.Row)
-		}
-		if len(got.Samples) != len(ref.Samples) {
-			t.Fatalf("shards=%d: %d samples, sequential had %d", shards, len(got.Samples), len(ref.Samples))
-		}
-		for i := range got.Samples {
-			if got.Samples[i] != ref.Samples[i] {
-				t.Fatalf("shards=%d: sample %d is %d, sequential %d", shards, i, got.Samples[i], ref.Samples[i])
-			}
-		}
+	wantRow := metrics.Row{Label: "HRC (light)", Average: -683.4391869376874, AveDev: 3188.8111418153253,
+		Min: -26034, Max: 23884, N: 3001}
+	if got.Row != wantRow {
+		t.Errorf("latency row %+v, pinned %+v", got.Row, wantRow)
+	}
+	if len(got.Samples) != 3001 {
+		t.Fatalf("%d samples, pinned 3001", len(got.Samples))
+	}
+	if d := samplesDigest(got.Samples); d != "5c022120196d4930480214652641170659a427d11a37bf9b761167c43a47173a" {
+		t.Errorf("sample digest %s drifted from the pinned series", d)
 	}
 }
 
 func TestFaultCampaignShardInvariance(t *testing.T) {
-	base := FaultCampaignConfig{Seed: 3, RunFor: 600 * time.Millisecond, Guarded: true,
-		NumCPUs: 8, Replicas: 7}
-	ref, err := RunFaultCampaign(base)
+	got, err := RunFaultCampaign(FaultCampaignConfig{Seed: 3, RunFor: 600 * time.Millisecond, Guarded: true,
+		NumCPUs: 8, Replicas: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.SpanDigest == "" || len(ref.Events) == 0 {
-		t.Fatal("reference run produced no observable activity")
+	if got.SpanDigest != "423eb843b0d95827cae07b9a6047892244ff50b75152fa2d329d2106d7849fd2" {
+		t.Errorf("span digest %s drifted", got.SpanDigest)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := RunFaultCampaign(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
-		}
-		if got.TraceDigest != ref.TraceDigest {
-			t.Errorf("shards=%d: guard trace digest %s != sequential %s", shards, got.TraceDigest, ref.TraceDigest)
-		}
-		if len(got.Events) != len(ref.Events) {
-			t.Errorf("shards=%d: %d lifecycle events, sequential had %d", shards, len(got.Events), len(ref.Events))
-		}
-		if got.DispMaxAbs != ref.DispMaxAbs {
-			t.Errorf("shards=%d: disp max |latency| %d != sequential %d", shards, got.DispMaxAbs, ref.DispMaxAbs)
-		}
+	if got.TraceDigest != "a5c7c21bde99788341033c0ec0f6ecdff1e95c5be8133228c666f1ce7d608b41" {
+		t.Errorf("guard trace digest %s drifted", got.TraceDigest)
+	}
+	if len(got.Events) != 160 {
+		t.Errorf("%d lifecycle events, pinned 160", len(got.Events))
+	}
+	if got.DispMaxAbs != 29574 {
+		t.Errorf("disp max |latency| %d, pinned 29574", got.DispMaxAbs)
 	}
 }
 
 func TestDegradeShardInvariance(t *testing.T) {
-	base := DegradeConfig{Seed: 9, RunFor: 1200 * time.Millisecond, NumCPUs: 8, Replicas: 7}
-	ref, err := RunDegradeCampaign(base)
+	got, err := RunDegradeCampaign(DegradeConfig{Seed: 9, RunFor: 1200 * time.Millisecond, NumCPUs: 8, Replicas: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.SpanDigest == "" || ref.Downgrades == 0 {
-		t.Fatalf("reference run not exercising the mode ladder (downgrades=%d)", ref.Downgrades)
+	if got.SpanDigest != "21c873f3d6760e3560fe50db9ab05946c2999342d2c80281647f83753e216501" {
+		t.Errorf("span digest %s drifted", got.SpanDigest)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.Shards = shards
-		got, err := RunDegradeCampaign(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got.SpanDigest != ref.SpanDigest {
-			t.Errorf("shards=%d: span digest %s != sequential %s", shards, got.SpanDigest, ref.SpanDigest)
-		}
-		if got.MeanUtil != ref.MeanUtil {
-			t.Errorf("shards=%d: mean util %v != sequential %v", shards, got.MeanUtil, ref.MeanUtil)
-		}
-		if got.Downgrades != ref.Downgrades || got.Restarts != ref.Restarts {
-			t.Errorf("shards=%d: downgrades/restarts %d/%d != sequential %d/%d",
-				shards, got.Downgrades, got.Restarts, ref.Downgrades, ref.Restarts)
-		}
+	if got.MeanUtil != 0.17816666666666683 {
+		t.Errorf("mean util %v, pinned 0.17816666666666683", got.MeanUtil)
+	}
+	if got.Downgrades != 5 || got.Restarts != 1 {
+		t.Errorf("downgrades/restarts %d/%d, pinned 5/1", got.Downgrades, got.Restarts)
 	}
 }

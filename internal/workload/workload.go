@@ -104,12 +104,9 @@ type LatencyConfig struct {
 	// Seed drives all randomness. Default 1.
 	Seed uint64
 	// NumCPUs sizes the simulated machine (default 1, matching the
-	// paper's single-CPU testbed). Shards stripes the hybrid run's DRCR
-	// lifecycle locks by dependency cone (core.Options.Shards); the pure
-	// run has no DRCR and ignores it. Results are byte-identical at every
-	// shard count. MonteCarlo fans these configs out run-level.
+	// paper's single-CPU testbed). MonteCarlo fans these configs out
+	// run-level.
 	NumCPUs int
-	Shards  int
 }
 
 func (c *LatencyConfig) applyDefaults() {
@@ -210,7 +207,7 @@ func runHybridLatency(cfg LatencyConfig) (LatencyResult, error) {
 	if err := addStressLoad(k, cfg.Mode); err != nil {
 		return LatencyResult{}, err
 	}
-	d, err := core.New(fw, k, core.Options{Internal: policy.Utilization{}, Shards: cfg.Shards})
+	d, err := core.New(fw, k, core.Options{Internal: policy.Utilization{}})
 	if err != nil {
 		return LatencyResult{}, err
 	}
