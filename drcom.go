@@ -63,8 +63,8 @@ type (
 	// MetricsSnapshot is the stable-ordered metrics export.
 	MetricsSnapshot = obs.Snapshot
 
-	// Plan is a compiled, pre-validated composition plan (typed port
-	// checks, wiring table, activation schedule, admission deltas).
+	// Plan is a batch that passed the typed-port check (version ranges,
+	// structural datatypes), with its wiring table.
 	Plan = plan.Plan
 	// PlanRejectError aggregates the typed port conflicts that made a
 	// bundle impossible to compose; DeployBundle returns it before
@@ -192,14 +192,13 @@ func (s *System) DeployXML(src string) error {
 // "delivered as individual bundles". Resources are installed in sorted
 // path order, so the deploy is deterministic regardless of map order.
 //
-// Before anything is installed, the descriptor set is compiled into a
-// composition plan: a typed port conflict — a provider speaks a
+// Before anything is installed, the descriptor set runs the typed-port
+// check: a typed port conflict — a provider speaks a
 // consumer's topic but fails its version range or structural datatype —
 // rejects the whole bundle with a *PlanRejectError naming the exact
 // port pair, instead of installing components doomed to wait or be
 // denied. The bundle start that follows installs every descriptor and
-// resolves them in one worklist drain; the plan only checks. It is
-// cached, so redeploying the same bundle skips recompiling the check.
+// resolves them in one worklist drain; the plan only checks.
 func (s *System) DeployBundle(symbolicName, version string, descriptors map[string]string) (*osgi.Bundle, error) {
 	if len(descriptors) == 0 {
 		return nil, errors.New("drcom: bundle needs at least one descriptor")
@@ -244,10 +243,10 @@ func (s *System) DeployBundle(symbolicName, version string, descriptors map[stri
 	return b, nil
 }
 
-// CompilePlan compiles (or fetches from the plan cache) the composition
-// plan for a set of descriptor sources in the given order, against the
-// system's current admitted view — what the console's `plan` command
-// renders. A typed port conflict returns a *PlanRejectError.
+// CompilePlan runs the typed-port check on a set of descriptor sources
+// in the given order, against the system's admitted providers — what the
+// console's `plan` command renders. A typed port conflict returns a
+// *PlanRejectError.
 func (s *System) CompilePlan(srcs []string) (*Plan, error) {
 	descs, err := descriptor.ParseAll(srcs)
 	if err != nil {

@@ -203,7 +203,9 @@ const clusterStochXML = `<component name="stoch" type="periodic" cpuusage="0.3">
 </component>`
 
 // TestClusterSessionForecastAndAdmit pins the node-qualified variants:
-// admit compiles against an explicit node's view, and forecast reads
+// admit asks an explicit node's resolver chain against its view (the
+// stochastic component already there puts prod under Monte-Carlo
+// admission), and forecast reads
 // per-node guards with node and node/name filters.
 func TestClusterSessionForecastAndAdmit(t *testing.T) {
 	c, out := newClusterConsole(t, 3)
@@ -235,8 +237,9 @@ forecast n0
 	}
 	got := out.String()
 	for _, want := range []string{
-		"[n1] admit (dry run): 1 components, 1 schedulable, 0 stochastic verdicts",
-		"[n1]   prod     constant budget (deterministic admission)",
+		"[n1] admit (dry run): 1 components, 1 admitted, 0 denied",
+		"[n1]   prod     admit mode full: all 1 resolvers admitted prod",
+		"[n1]            verdict: cpu0 P(load≤1.000)=1.000 meets p=0.970 (512 trials)",
 		"error: usage: admit <node> <file.xml> [more.xml ...] -dry",
 		"[n1] stoch    P(miss)=",
 		"no forecasts yet", // n0 has no guard attached

@@ -7,6 +7,7 @@ package console
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,10 +20,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/contract"
+	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/rtos"
 )
 
@@ -183,7 +184,7 @@ func (c *Console) Exec(line string) (quit bool) {
 func (c *Console) printHelp() {
 	fmt.Fprint(c.out, `commands:
   deploy <file.xml>       parse and deploy a component descriptor
-  plan <file.xml> [...]   compile a bundle's composition plan (no deploy)
+  plan <file.xml> [...]   typed-port check and wiring table (no deploy)
   remove|enable|disable|suspend|resume <name>
   run <duration>          advance simulated time (e.g. run 500ms)
   mode light|stress       switch the load regime
@@ -192,7 +193,10 @@ func (c *Console) printHelp() {
   promote <name>          allow a downgraded component to re-promote
   forecast [name]         guard's predicted miss probabilities per component
   admit <file.xml> [...] -dry
-                          dry-run admission: Monte-Carlo verdicts, no deploy
+                          dry-run admission, no deploy: the live resolver
+                          chain asked about each component alone against
+                          the current view; customized resolvers see the
+                          consult exactly as at deploy
   list                    component table (alias: lb, ss)
   events                  unified decision timeline (with why column)
   spans [n]               last n observability spans (default 20)
@@ -236,11 +240,11 @@ func (c *Console) deploy(args []string) error {
 	return nil
 }
 
-// plan compiles — without deploying — the composition plan for the
-// given descriptor files, in argument order, against the live system,
-// and renders it: activation schedule, wiring table, admission deltas,
-// leftovers. Every section iterates pre-sorted plan slices, so the
-// render is deterministic.
+// plan runs the typed-port check — without deploying — on the given
+// descriptor files, in argument order, against the live system, and
+// renders the component count, the wiring table and the typed conflicts.
+// A conflict is the check's answer, not a command error. The wiring
+// table is pre-sorted, so the render is deterministic.
 func (c *Console) plan(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: plan <file.xml> [more.xml ...]")
@@ -254,21 +258,23 @@ func (c *Console) plan(args []string) error {
 		srcs = append(srcs, string(data))
 	}
 	p, err := c.sys.CompilePlan(srcs)
+	var rej *drcom.PlanRejectError
+	if errors.As(err, &rej) {
+		fmt.Fprintf(c.out, "plan: %d components, %d typed conflicts\n", len(srcs), len(rej.Conflicts))
+		for _, x := range rej.Conflicts {
+			fmt.Fprintf(c.out, "  conflict: %s\n", strings.TrimPrefix(x.Error(), "plan: "))
+		}
+		return nil
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(c.out, "plan %s: %d components, %d schedulable, %d leftover\n",
-		p.Key[:12], len(p.Components), len(p.Schedule), len(p.Leftovers))
-	if len(p.Schedule) > 0 {
-		fmt.Fprintln(c.out, "activation order:")
-		for i, name := range p.Schedule {
-			cause := "-"
-			if ci := p.CauseIdx[i]; ci >= 0 {
-				cause = p.Schedule[ci]
-			}
-			fmt.Fprintf(c.out, "  %2d. %-8s cause %s\n", i+1, name, cause)
-		}
+	if p.Fallback != "" {
+		fmt.Fprintf(c.out, "plan: %d components, not checked: %s\n", len(p.Components), p.Fallback)
+		return nil
 	}
+	fmt.Fprintf(c.out, "plan: %d components, %d inport edges, no typed conflicts\n",
+		len(p.Components), len(p.Edges))
 	if len(p.Edges) > 0 {
 		fmt.Fprintln(c.out, "wiring:")
 		for _, e := range p.Edges {
@@ -285,18 +291,6 @@ func (c *Console) plan(args []string) error {
 			}
 			fmt.Fprintln(c.out)
 		}
-	}
-	if len(p.Deltas) > 0 {
-		fmt.Fprintln(c.out, "admission delta:")
-		for _, d := range p.Deltas {
-			fmt.Fprintf(c.out, "  cpu%d: %.3f -> %.3f (%+.3f)\n", d.CPU, d.Before, d.After, d.Delta)
-		}
-	}
-	for _, lo := range p.Leftovers {
-		fmt.Fprintf(c.out, "leftover: %s waits on inport %s\n", lo.Name, lo.Missing)
-	}
-	if p.Fallback != "" {
-		fmt.Fprintf(c.out, "fallback: %s\n", p.Fallback)
 	}
 	return nil
 }
@@ -520,12 +514,13 @@ func (c *Console) forecast(args []string) error {
 	return nil
 }
 
-// admit dry-runs admission for a bundle of descriptor files: it compiles
-// the composition plan against the live admitted view and prints the
-// Monte-Carlo verdict of every stochastic budget plus the admission
-// deltas — without deploying anything. The -dry flag is required; the
-// deploy command is how a bundle is applied. In cluster mode a leading
-// node argument picks the node whose view the bundle is tried against.
+// admit dry-runs admission for descriptor files without deploying
+// anything: it asks the live resolver chain about each component, alone
+// and against the current admitted view, through the very mode walk the
+// engine runs at deploy, and prints the mode it would admit, or the
+// denial, with the chain's reason. The -dry flag is required; the deploy
+// command is how a bundle is applied. In cluster mode a leading node
+// argument picks the node whose chain and view are asked.
 func (c *Console) admit(args []string) error {
 	dry := false
 	files := make([]string, 0, len(args))
@@ -562,52 +557,46 @@ func (c *Console) admit(args []string) error {
 		}
 		srcs = append(srcs, string(data))
 	}
-	var (
-		p   *plan.Plan
-		err error
-	)
+	descs, err := descriptor.ParseAll(srcs)
+	if err != nil {
+		return err
+	}
 	tag := ""
+	var drcr *core.DRCR
 	if c.sys != nil {
-		p, err = c.sys.CompilePlan(srcs)
+		drcr = c.sys.DRCR()
 	} else {
 		if node == "" {
 			return fmt.Errorf("%s", usage)
 		}
 		tag = "[" + node + "] "
-		id, perr := parseNodeID(node, c.cl.Nodes())
-		if perr != nil {
-			return perr
+		id, err := parseNodeID(node, c.cl.Nodes())
+		if err != nil {
+			return err
 		}
-		descs, perr := descriptor.ParseAll(srcs)
-		if perr != nil {
-			return perr
-		}
-		p, err = c.cl.Node(id).DRCR().CompilePlan(descs)
+		drcr = c.cl.Node(id).DRCR()
 	}
-	if err != nil {
-		return err
-	}
-	verdicts := make(map[string]string, len(p.Admissions))
-	for _, a := range p.Admissions {
-		verdicts[a.Name] = a.Verdict
-	}
-	fmt.Fprintf(c.out, "%sadmit (dry run): %d components, %d schedulable, %d stochastic verdicts\n",
-		tag, len(p.Components), len(p.Schedule), len(p.Admissions))
-	for _, name := range p.Schedule {
-		if v, ok := verdicts[name]; ok {
-			fmt.Fprintf(c.out, "%s  %-8s %s\n", tag, name, v)
-		} else {
-			fmt.Fprintf(c.out, "%s  %-8s constant budget (deterministic admission)\n", tag, name)
+	previews := drcr.DryAdmit(descs)
+	admitted := 0
+	for _, pv := range previews {
+		if pv.Admit {
+			admitted++
 		}
 	}
-	for _, d := range p.Deltas {
-		fmt.Fprintf(c.out, "%s  cpu%d: %.3f -> %.3f (%+.3f)\n", tag, d.CPU, d.Before, d.After, d.Delta)
-	}
-	for _, lo := range p.Leftovers {
-		fmt.Fprintf(c.out, "%s  leftover: %s waits on inport %s\n", tag, lo.Name, lo.Missing)
-	}
-	if p.Fallback != "" {
-		fmt.Fprintf(c.out, "%s  fallback: %s\n", tag, p.Fallback)
+	fmt.Fprintf(c.out, "%sadmit (dry run): %d components, %d admitted, %d denied\n",
+		tag, len(previews), admitted, len(previews)-admitted)
+	for _, pv := range previews {
+		verdict := "deny "
+		if pv.Admit {
+			verdict = "admit"
+		}
+		fmt.Fprintf(c.out, "%s  %-8s %s mode %s: %s\n", tag, pv.Name, verdict, pv.Mode, pv.Reason)
+		if pv.Verdict != "" {
+			fmt.Fprintf(c.out, "%s  %-8s verdict: %s\n", tag, "", pv.Verdict)
+		}
+		if pv.Admit && pv.Note != "" {
+			fmt.Fprintf(c.out, "%s  %-8s full contract denied: %s\n", tag, "", pv.Note)
+		}
 	}
 	return nil
 }
@@ -734,19 +723,15 @@ func (c *Console) why(args []string) error {
 	return nil
 }
 
-// metrics prints the observability snapshot, plus the compiled-plan
-// cache counters (lookups live outside the obs plane, in the cache).
-// Cluster mode prints the control-plane snapshot and the latency
-// summary merged across every node's histograms.
+// metrics prints the observability snapshot. Cluster mode prints the
+// control-plane snapshot and the latency summary merged across every
+// node's histograms.
 func (c *Console) metrics() {
 	if c.sys == nil {
 		c.metricsCluster()
 		return
 	}
 	fmt.Fprint(c.out, c.sys.Observer().Snapshot().Format())
-	if hits, misses, size := c.sys.DRCR().PlanCache().Stats(); hits+misses+uint64(size) > 0 {
-		fmt.Fprintf(c.out, "  plan cache: %d hits, %d misses, %d entries\n", hits, misses, size)
-	}
 }
 
 // watch advances simulated time and prints every span the interval

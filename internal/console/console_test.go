@@ -370,30 +370,37 @@ func TestSessionWhyChainAfterFaultCampaign(t *testing.T) {
 	}
 }
 
-// TestPlanCommand compiles a two-descriptor bundle without deploying:
-// the render must show the activation schedule, the wiring table
-// (bound, unbound), the admission delta, the leftover, and the metrics
-// snapshot must grow a plan-cache line once a compile has happened.
+// TestPlanCommand checks a two-descriptor bundle without deploying: the
+// render must show the component count, the conflict-free verdict and
+// the wiring table (bound, unbound), and the metrics snapshot must count
+// the compile. A consumer whose version range the provider misses is
+// listed as a typed conflict.
 func TestPlanCommand(t *testing.T) {
-	out := session(t, `
+	c, buf := newConsole(t)
+	prev := c.ReadFile
+	c.ReadFile = func(path string) ([]byte, error) {
+		if path == "v2.xml" {
+			return []byte(strings.Replace(consXML, `name="beam" interface="RTAI.SHM"`,
+				`name="beam" version="[2.0.0,3.0.0)" interface="RTAI.SHM"`, 1)), nil
+		}
+		return prev(path)
+	}
+	if err := c.Run(strings.NewReader(`
 plan prov.xml cons.xml
 metrics
+plan prov.xml v2.xml
 quit
-`)
+`)); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
 	for _, want := range []string{
-		"plan ",
-		"2 components, 1 schedulable, 1 leftover",
-		"activation order:",
-		" 1. feeder",
+		"plan: 2 components, 2 inport edges, no typed conflicts",
 		"wiring:",
 		"eater.beam <- feeder",
 		"eater.ghost <- (unbound)",
-		"admission delta:",
-		"cpu0: 0.000 -> 0.050 (+0.050)",
-		"leftover: eater waits on inport ghost",
-		"plans:",
-		"1 compiled",
-		"plan cache: 0 hits, 1 misses, 1 entries",
+		"plans:     1 compiled\n",
+		"plan: 2 components, 1 typed conflicts\n  conflict: feeder.beam cannot satisfy eater.beam: ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("plan output missing %q:\n%s", want, out)
@@ -402,6 +409,9 @@ quit
 	// Nothing was deployed: plan is read-only.
 	if strings.Contains(out, "deployed") {
 		t.Error("plan command deployed something")
+	}
+	if strings.Contains(out, "plan cache") {
+		t.Errorf("metrics still renders a plan cache:\n%s", out)
 	}
 }
 
@@ -413,9 +423,9 @@ const stochConsoleXML = `<component name="stoch" type="periodic" cpuusage="0.3">
   <property name="drcom.exectime.us" type="Integer" value="300"/>
 </component>`
 
-// TestSessionAdmitDryRun pins the admit command: it renders the
-// compile-time Monte-Carlo verdicts without deploying, refuses to run
-// without -dry, and its verdict matches what the runtime admit emits.
+// TestSessionAdmitDryRun pins the admit command: it renders the resolver
+// chain's verdict and the Monte-Carlo verdict without deploying, and
+// refuses to run without -dry.
 func TestSessionAdmitDryRun(t *testing.T) {
 	c, out := newConsole(t)
 	prev := c.ReadFile
@@ -434,11 +444,40 @@ list
 	}
 	got := out.String()
 	for _, want := range []string{
-		"admit (dry run): 1 components, 1 schedulable, 1 stochastic verdicts",
-		"meets p=0.970",
-		"cpu0: 0.000 -> 0.300 (+0.300)",
+		"admit (dry run): 1 components, 1 admitted, 0 denied",
+		"  stoch    admit mode full: all 1 resolvers admitted stoch",
+		"           verdict: cpu0 P(load≤1.000)=",
+		"meets p=0.970 (512 trials)",
 		"error: usage: admit <file.xml> [more.xml ...] -dry (admission is a dry run; deploy applies a bundle)",
 		"0 components", // the dry run must not have deployed anything
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestSessionAdmitAsksCustomResolver: under a customized resolving
+// service the dry admit reports that resolver's denial and reason — the
+// answer the deploy then gives — instead of the internal resolver's.
+func TestSessionAdmitAsksCustomResolver(t *testing.T) {
+	c, out := newConsole(t)
+	veto := drcom.Static{AdmitAll: false, Label: "veto"}
+	if _, err := c.sys.RegisterResolver(veto); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(strings.NewReader(`
+admit prov.xml -dry
+deploy prov.xml
+list
+`)); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"admit (dry run): 1 components, 0 admitted, 1 denied",
+		"  feeder   deny  mode full: veto: static deny",
+		"feeder   SATISFIED", // the deploy agrees: functionally ok, not admitted
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

@@ -28,7 +28,6 @@ import (
 	"repro/internal/ldap"
 	"repro/internal/obs"
 	"repro/internal/osgi"
-	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/rtos"
 	"repro/internal/rtos/ipc"
@@ -317,10 +316,6 @@ type DRCR struct {
 	comps     map[string]*Component
 	factories map[string]BodyFactory
 
-	// planCache holds compiled composition plans keyed by descriptor-set
-	// digest, so a repeated CompilePlan of the same batch skips compilation.
-	planCache *plan.Cache
-
 	// cpus holds each processor's admission state (cpuAdmission);
 	// cpuLoad is the matching per-CPU summed declared budget, re-summed
 	// lazily for processors flagged loadStale. stochAdmitted counts the
@@ -424,7 +419,6 @@ func New(fw *osgi.Framework, kernel *rtos.Kernel, opts Options) (*DRCR, error) {
 		obs:         opts.Obs,
 		comps:       map[string]*Component{},
 		factories:   map[string]BodyFactory{},
-		planCache:   plan.NewCache(),
 		provIndex:   map[portKey][]portProv{},
 		consIndex:   map[portKey][]string{},
 		waiting:     map[string]*Component{},

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -15,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/osgi"
 	"repro/internal/plan"
+	"repro/internal/policy"
 	"repro/internal/rtos"
 )
 
@@ -64,104 +64,21 @@ func (r *planRig) deployBundle(t *testing.T, symbolic string, srcs []string) *os
 	return b
 }
 
-// checkPreview compiles the plan for a batch against the live view,
-// runs the operation that deploys the batch, and holds the plan to what
-// the one deploy path did:
-//   - Schedule is the order of the batch's SATISFIED→ACTIVE events (for
-//     a plan with a Fallback, the prefix before the member it names,
-//     which must not be ACTIVE);
-//   - CauseIdx names the member whose activation span caused each
-//     activation's UNSATISFIED→SATISFIED span (-1: no batch member did);
-//   - Leftovers are left UNSATISFIED with their "inport X unsatisfied"
-//     reason, and (without a Fallback) no other member is;
-//   - every Edge of an ACTIVE consumer is its Info.Bindings entry.
+// checkPreview runs the typed-port check on a batch against the live
+// system — a deployable batch must pass it — then runs the operation
+// that deploys the batch and holds the wiring table to what the deploy
+// bound: every Edge of an ACTIVE consumer is its Info.Bindings entry.
 func (r *planRig) checkPreview(t *testing.T, srcs []string, deploy func()) {
 	t.Helper()
 	descs := make([]*descriptor.Component, len(srcs))
-	member := map[string]bool{}
 	for i, src := range srcs {
 		descs[i] = mustParse(t, src)
-		member[descs[i].Name] = true
 	}
 	p, err := r.d.CompilePlan(descs)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	firstEvent, firstSpan := len(r.d.Events()), r.d.Obs().NextID()
 	deploy()
-
-	var activated []string
-	for _, ev := range r.d.Events()[firstEvent:] {
-		if member[ev.Component] && ev.From == Satisfied && ev.To == Active {
-			activated = append(activated, ev.Component)
-		}
-	}
-	want := p.Schedule
-	if p.Fallback != "" {
-		stop := -1
-		for i, name := range p.Schedule {
-			if strings.Contains(p.Fallback, strconv.Quote(name)) {
-				stop = i
-				break
-			}
-		}
-		if stop < 0 {
-			t.Fatalf("fallback %q names no scheduled member", p.Fallback)
-		}
-		if st := stateOf(t, r.d, p.Schedule[stop]); st == Active {
-			t.Errorf("fallback %q, but %s went ACTIVE", p.Fallback, p.Schedule[stop])
-		}
-		want = p.Schedule[:stop]
-	}
-	if !reflect.DeepEqual(activated, want) {
-		t.Fatalf("activation order %v, plan schedule %v (fallback %q)", activated, want, p.Fallback)
-	}
-
-	// Causes: each activated member's UNSATISFIED→SATISFIED span.
-	actSpan := map[obs.SpanID]string{} // a member's SATISFIED→ACTIVE span → member
-	satCause := map[string]obs.SpanID{}
-	for _, s := range r.d.Obs().SpansSince(firstSpan) {
-		if s.Kind != obs.KindTransition || !member[s.Component] {
-			continue
-		}
-		switch {
-		case s.From == "SATISFIED" && s.To == "ACTIVE":
-			actSpan[s.ID] = s.Component
-		case s.From == "UNSATISFIED" && s.To == "SATISFIED":
-			satCause[s.Component] = s.Cause
-		}
-	}
-	for i, name := range want {
-		cause, ok := satCause[name]
-		if !ok {
-			t.Fatalf("%s activated without an UNSATISFIED→SATISFIED span", name)
-		}
-		got := actSpan[cause] // "" when no batch member's activation caused it
-		if ci := p.CauseIdx[i]; ci >= 0 {
-			if got != p.Schedule[ci] {
-				t.Errorf("%s: cause span names %q, plan names %q", name, got, p.Schedule[ci])
-			}
-		} else if got != "" {
-			t.Errorf("%s: caused by %s's activation, plan names no cause", name, got)
-		}
-	}
-
-	left := map[string]bool{}
-	for _, lo := range p.Leftovers {
-		left[lo.Name] = true
-		info, _ := r.d.Component(lo.Name)
-		if wantReason := "inport " + lo.Missing + " unsatisfied"; info.State != Unsatisfied || info.LastReason != wantReason {
-			t.Errorf("leftover %s: %v %q, plan expects UNSATISFIED %q", lo.Name, info.State, info.LastReason, wantReason)
-		}
-	}
-	if p.Fallback == "" {
-		for _, desc := range descs {
-			if info, _ := r.d.Component(desc.Name); info.State == Unsatisfied && !left[desc.Name] {
-				t.Errorf("%s left UNSATISFIED (%q) but not a plan leftover", desc.Name, info.LastReason)
-			}
-		}
-	}
-
 	for _, e := range p.Edges {
 		info, _ := r.d.Component(e.Consumer)
 		if info.State != Active {
@@ -174,12 +91,12 @@ func (r *planRig) checkPreview(t *testing.T, srcs []string, deploy func()) {
 }
 
 // planCampaign drives one rig through a bundle deployment scenario,
-// checking the compiled plan's preview against every batch: an external
-// provider already admitted, a bundle forming a diamond DAG with a
-// leftover consumer and a disabled member, a second bundle consuming
-// across the bundle boundary, churn (stop/start, enable, remove), a
-// redeploy of an identical bundle (whose compile hits the plan cache),
-// and a batch that overflows one CPU's budget.
+// checking each batch's wiring table against what its deploy bound: an
+// external provider already admitted, a bundle forming a diamond DAG
+// with a leftover consumer and a disabled member, a second bundle
+// consuming across the bundle boundary, churn (stop/start, enable,
+// remove), a redeploy of an identical bundle, and a batch that
+// overflows one CPU's budget.
 func planCampaign(t *testing.T, r *planRig) {
 	t.Helper()
 	// An external provider deployed the classic way, already admitted
@@ -249,8 +166,8 @@ func planCampaign(t *testing.T, r *planRig) {
 	}
 	r.checkPreview(t, diamond, func() { r.deployBundle(t, "plan.diamond2", diamond) })
 
-	// Bundle 3 overflows one CPU's budget mid-batch: the plan's admission
-	// dry-run must name the member the deploy denies.
+	// Bundle 3 overflows one CPU's budget mid-batch: the typed check
+	// passes it, and the deploy denies the member that does not fit.
 	heavy := []string{
 		churnXML("hvy1", 1, 0.45, nil, nil),
 		churnXML("hvy2", 1, 0.45, nil, nil),
@@ -272,9 +189,8 @@ const (
 )
 
 // checkPlanCampaign runs planCampaign on a fresh rig with the given
-// options and sampling level: every batch's compiled plan must match
-// what the deploy applied (checkPreview), the identical redeploy's
-// compile must hit the plan cache, and the event log, obs digests and
+// options and sampling level: every batch's wiring table must match what
+// the deploy bound (checkPreview), and the event log, obs digests and
 // final states must equal the recorded goldens.
 func checkPlanCampaign(t *testing.T, opts Options, level obs.Level) {
 	t.Helper()
@@ -297,13 +213,10 @@ func checkPlanCampaign(t *testing.T, opts Options, level obs.Level) {
 			t.Errorf("level %v: %s %s, want %s", level, c.what, c.got, c.want)
 		}
 	}
-	if r.d.Obs().Snapshot().Plan.CacheHits == 0 {
-		t.Errorf("level %v: identical redeploy missed the plan cache", level)
-	}
 }
 
-// TestPlanApplyDifferential holds each compiled plan to the batch the
-// one deploy path applied, and the campaign's digests to the goldens
+// TestPlanApplyDifferential holds each batch's wiring table to what the
+// one deploy path bound, and the campaign's digests to the goldens
 // both former deploy paths produced. The subtests set the deprecated
 // Options.Shards to 1 and 4: the field is ignored, so both must land
 // on the same goldens.
@@ -397,12 +310,73 @@ func TestCompilePlanTypedReject(t *testing.T) {
 		t.Fatalf("kind = %q, want structure", rej.Conflicts[0].Kind)
 	}
 
-	// An absent provider is NOT a typed conflict — the consumer waits.
+	// An absent provider is NOT a typed conflict — the consumer waits,
+	// its inport unbound in the wiring table.
 	p, err := r.d.CompilePlan([]*descriptor.Component{mustParse(t, cons)})
 	if err != nil {
 		t.Fatalf("lone consumer: %v", err)
 	}
-	if len(p.Leftovers) != 1 {
-		t.Fatalf("leftovers = %d, want 1", len(p.Leftovers))
+	if len(p.Edges) != 1 || p.Edges[0].Provider != "" {
+		t.Fatalf("edges = %+v, want one unbound inport", p.Edges)
+	}
+}
+
+// TestDryAdmitConsultsLiveChain: the dry admit asks the live resolver
+// chain, customized resolving services included, and answers what the
+// deploy then does. A quota resolver denies every contract over 0.2: a
+// laddered component is previewed — and deployed — in its degraded
+// mode, and a single-mode one is denied with the resolver's reason.
+// Each deploy's admission walk hands the resolver the same candidate
+// contracts the preview did.
+func TestDryAdmitConsultsLiveChain(t *testing.T) {
+	r := newPlanRig(t)
+	var seen []policy.Contract
+	quota := policy.Func{Label: "quota", F: func(_ policy.View, cand policy.Contract) policy.Decision {
+		seen = append(seen, cand)
+		if cand.CPUUsage > 0.2 {
+			return policy.Decision{Reason: cand.Name + " over quota"}
+		}
+		return policy.Decision{Admit: true, Reason: "within quota"}
+	}}
+	if _, err := r.fw.RegisterService([]string{policy.ServiceInterface}, policy.Resolver(quota), nil); err != nil {
+		t.Fatal(err)
+	}
+	lad := strings.Replace(churnXML("lad", 0, 0.3, nil, nil), "</component>",
+		`<mode name="eco" frequence="50" cpuusage="0.1"/></component>`, 1)
+	descs := []*descriptor.Component{mustParse(t, lad), mustParse(t, churnXML("big", 1, 0.3, nil, nil))}
+
+	got := r.d.DryAdmit(descs)
+	want := []AdmitPreview{
+		{Name: "lad", Admit: true, Mode: "eco", Reason: "all 2 resolvers admitted lad", Note: "quota: lad over quota"},
+		{Name: "big", Admit: false, Mode: descriptor.FullModeName, Reason: "quota: big over quota", Note: "quota: big over quota"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("dry admit:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if len(r.d.Components()) != 0 {
+		t.Fatal("dry admit installed a component")
+	}
+	// The walks: lad full then eco, big full.
+	dry := map[string][]policy.Contract{"lad": seen[:2], "big": seen[2:]}
+	if len(seen) != 3 {
+		t.Fatalf("dry admit consults = %+v, want 3", seen)
+	}
+
+	for _, desc := range descs {
+		seen = nil
+		if err := r.d.Deploy(desc); err != nil {
+			t.Fatal(err)
+		}
+		// Promotion attempts may follow the admission walk.
+		walk := dry[desc.Name]
+		if len(seen) < len(walk) || !reflect.DeepEqual(seen[:len(walk)], walk) {
+			t.Errorf("%s: deploy consults %+v, dry admit %+v", desc.Name, seen, walk)
+		}
+	}
+	if info, _ := r.d.Component("lad"); info.State != Active || info.ModeName != "eco" {
+		t.Errorf("lad = %v in mode %q, want ACTIVE in eco", info.State, info.ModeName)
+	}
+	if info, _ := r.d.Component("big"); info.State != Satisfied || info.LastReason != "admission denied: "+want[1].Reason {
+		t.Errorf("big = %v %q, want SATISFIED denied with %q", info.State, info.LastReason, want[1].Reason)
 	}
 }

@@ -102,22 +102,20 @@ func TestStochasticDenyCarriesProbability(t *testing.T) {
 	}
 }
 
+// TestStochasticPlanVerdictMatchesRuntime: the dry admit's Monte-Carlo
+// verdict for a stochastic component is byte-identical to the runtime's
+// admit-span detail (one resolver chain, shared sampler, shared seed).
 func TestStochasticPlanVerdictMatchesRuntime(t *testing.T) {
 	d := stochRig(t, false)
 	batch := []*descriptor.Component{mustParse(t, stochCalcXML), mustParse(t, stochDispXML)}
-	p, err := d.CompilePlan(batch)
-	if err != nil {
-		t.Fatal(err)
+	previews := d.DryAdmit(batch)
+	if len(previews) != 2 || previews[0].Name != "calc" || !previews[0].Admit || previews[0].Verdict == "" {
+		t.Fatalf("dry admit = %+v, want calc admitted with a Monte-Carlo verdict", previews)
 	}
-	if p.Fallback != "" {
-		t.Fatalf("admitted stochastic plan has fallback %q", p.Fallback)
+	if previews[1].Verdict != "" {
+		t.Fatalf("constant-budget disp carries a verdict: %+v", previews[1])
 	}
-	if len(p.Admissions) != 1 || p.Admissions[0].Name != "calc" {
-		t.Fatalf("plan admissions = %+v", p.Admissions)
-	}
-	// Deploy both and compare the verdict strings: the
-	// compile-time Monte-Carlo verdict must be byte-identical to the
-	// runtime's admit-span detail (shared sampler, shared seed).
+	// Deploy both and compare the verdict strings.
 	for _, src := range []string{stochCalcXML, stochDispXML} {
 		if err := d.Deploy(mustParse(t, src)); err != nil {
 			t.Fatal(err)
@@ -132,8 +130,8 @@ func TestStochasticPlanVerdictMatchesRuntime(t *testing.T) {
 	if detail == "" {
 		t.Fatal("no admit span for calc")
 	}
-	if detail != p.Admissions[0].Verdict {
-		t.Fatalf("compile-time verdict diverges from runtime:\nplan:    %q\nruntime: %q",
-			p.Admissions[0].Verdict, detail)
+	if detail != previews[0].Verdict {
+		t.Fatalf("dry-admit verdict diverges from runtime:\ndry:     %q\nruntime: %q",
+			previews[0].Verdict, detail)
 	}
 }

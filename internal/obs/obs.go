@@ -322,7 +322,6 @@ type counters struct {
 	placements    uint64
 	nodeLosses    uint64
 	planCompiles  uint64
-	planCacheHits uint64
 	admits        uint64
 	forecasts     uint64
 }
@@ -795,7 +794,7 @@ func (p *Plane) NoteDrain() {
 }
 
 // Plan-pipeline counters (counter-only, like NoteDrain: compiling a plan
-// is a check and a preview, so its bookkeeping never enters the digests).
+// is a check, so its bookkeeping never enters the digests).
 
 // NotePlanCompile counts one composition-plan compilation.
 func (p *Plane) NotePlanCompile() {
@@ -803,14 +802,6 @@ func (p *Plane) NotePlanCompile() {
 		return
 	}
 	p.c.planCompiles++
-}
-
-// NotePlanCacheHit counts a compile answered from the compiled-plan cache.
-func (p *Plane) NotePlanCacheHit() {
-	if !p.enabled() {
-		return
-	}
-	p.c.planCacheHits++
 }
 
 // ResolveRound records one resolution round over deact staged

@@ -79,11 +79,11 @@ type ResolveStats struct {
 }
 
 // PlanStats count composition-plan compilations: the typed-conflict
-// checks and previews (plans are never applied).
+// checks and wiring previews (plans are never applied).
 type PlanStats struct {
-	// Compiles counts plan compilations; CacheHits compiles answered
-	// from the compiled-plan cache without recompiling.
-	Compiles  uint64 `json:"compiles"`
+	// Compiles counts plan compilations.
+	Compiles uint64 `json:"compiles"`
+	// Deprecated: plans are no longer cached; CacheHits always reads 0.
 	CacheHits uint64 `json:"cache_hits"`
 	// Deprecated: plans are no longer applied; Applies always reads 0.
 	Applies uint64 `json:"applies"`
@@ -197,10 +197,7 @@ func (p *Plane) Snapshot() Snapshot {
 			DepthMean:        p.depth.Mean(),
 			DepthMax:         p.depth.Max(),
 		},
-		Plan: PlanStats{
-			Compiles:  p.c.planCompiles,
-			CacheHits: p.c.planCacheHits,
-		},
+		Plan: PlanStats{Compiles: p.c.planCompiles},
 		Lifecycle: LifecycleStats{
 			Deploys:       p.c.deploys,
 			Transitions:   p.c.transitions,
@@ -328,8 +325,8 @@ func (s Snapshot) Format() string {
 	fmt.Fprintf(&b, "  resolve:   %d drains, %d rounds, max depth %d (mean %.1f over %d non-empty)\n",
 		s.Resolve.Drains, s.Resolve.Rounds, s.Resolve.MaxWorklistDepth,
 		s.Resolve.DepthMean, s.Resolve.DepthSamples)
-	if s.Plan.Compiles > 0 || s.Plan.CacheHits > 0 {
-		fmt.Fprintf(&b, "  plans:     %d compiled, %d cache hits\n", s.Plan.Compiles, s.Plan.CacheHits)
+	if s.Plan.Compiles > 0 {
+		fmt.Fprintf(&b, "  plans:     %d compiled\n", s.Plan.Compiles)
 	}
 	fmt.Fprintf(&b, "  lifecycle: %d deploys, %d transitions, %d act, %d deact, %d denied\n",
 		s.Lifecycle.Deploys, s.Lifecycle.Transitions, s.Lifecycle.Activations,

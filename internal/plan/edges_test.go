@@ -12,35 +12,31 @@ import (
 )
 
 // compileEdgesScan is the wiring-table compiler as a member × outport
-// scan: for every consumer inport it walks every scheduled member's
+// scan: for every consumer inport it walks every enabled member's
 // outports. It is the reference the indexed compileEdges must match.
-func compileEdgesScan(p *Plan, members map[string]*member, names []string,
+func compileEdgesScan(members map[string]*descriptor.Component, names []string,
 	extLocal, extRemote map[portKey][]ExtProvider) []Edge {
-	scheduled := map[string]bool{}
-	for _, n := range p.Schedule {
-		scheduled[n] = true
-	}
 	var edges []Edge
 	for _, name := range names {
-		m := members[name]
-		if !m.enabled {
+		d := members[name]
+		if !d.Enabled {
 			continue
 		}
-		for _, in := range m.desc.InPorts {
+		for _, in := range d.InPorts {
 			var modes []string
-			for mi := 0; mi < m.desc.NumModes(); mi++ {
-				if m.desc.RequiresInport(mi, in.Name) {
-					modes = append(modes, m.desc.ModeName(mi))
+			for mi := 0; mi < d.NumModes(); mi++ {
+				if d.RequiresInport(mi, in.Name) {
+					modes = append(modes, d.ModeName(mi))
 				}
 			}
 			e := Edge{Consumer: name, Inport: in.Name, Modes: modes}
 			k := keyOf(in)
 			var cands []edgeCand
 			for _, pn := range names {
-				if pn == name || !scheduled[pn] {
+				if pn == name || !members[pn].Enabled {
 					continue
 				}
-				for _, out := range members[pn].desc.OutPorts {
+				for _, out := range members[pn].OutPorts {
 					if keyOf(out) == k {
 						cands = append(cands, edgeCand{pn, out, false})
 					}
@@ -81,9 +77,9 @@ func compileEdgesScan(p *Plan, members map[string]*member, names []string,
 // edgeBatch generates one random batch and its compile environment:
 // disabled members, members that provide their own topic, several
 // providers per topic at mixed sizes and transports, versioned ports,
-// mode ladders that drop inports (degraded-only members end the schedule
-// early with a Fallback), CPUs overloaded into an admission Fallback,
-// and external local and remote providers, some named like members.
+// mode ladders that drop inports, CPUs overloaded past their bound (the
+// wiring table ignores budgets), and external local and remote
+// providers, some named like members.
 func edgeBatch(rng *rand.Rand) ([]*descriptor.Component, Env) {
 	topics := []string{"ta", "tb", "tc", "td", "te", "tf"}
 	port := func(dir descriptor.Direction) descriptor.Port {
@@ -161,7 +157,7 @@ func edgeBatch(rng *rand.Rand) ([]*descriptor.Component, Env) {
 // TestCompileEdgesMatchesScan holds the indexed wiring-table compiler to
 // the member × outport scan on 200 seeded random batches.
 func TestCompileEdgesMatchesScan(t *testing.T) {
-	var compiled, fallbacks, external, selfExcluded, selfProviders int
+	var compiled, external, selfExcluded, selfProviders int
 	for seed := int64(1); seed <= 200; seed++ {
 		descs, env := edgeBatch(rand.New(rand.NewSource(seed)))
 		p, err := Compile(descs, env)
@@ -169,15 +165,12 @@ func TestCompileEdgesMatchesScan(t *testing.T) {
 			continue // a typed conflict rejects before any wiring
 		}
 		compiled++
-		if p.Fallback != "" {
-			fallbacks++
-		}
 
 		// The inputs Compile hands compileEdges.
-		members := map[string]*member{}
+		members := map[string]*descriptor.Component{}
 		var names []string
 		for _, d := range descs {
-			members[d.Name] = &member{desc: d, enabled: d.Enabled}
+			members[d.Name] = d
 			names = append(names, d.Name)
 			for _, in := range d.InPorts {
 				for _, out := range d.OutPorts {
@@ -208,7 +201,7 @@ func TestCompileEdgesMatchesScan(t *testing.T) {
 			sort.Slice(eps, func(i, j int) bool { return eps[i].Origin < eps[j].Origin })
 		}
 
-		want := compileEdgesScan(p, members, names, extLocal, extRemote)
+		want := compileEdgesScan(members, names, extLocal, extRemote)
 		if !reflect.DeepEqual(p.Edges, want) {
 			t.Fatalf("seed %d: indexed edges differ from the scan:\ngot:  %+v\nwant: %+v", seed, p.Edges, want)
 		}
@@ -219,8 +212,8 @@ func TestCompileEdgesMatchesScan(t *testing.T) {
 		}
 	}
 	// The generator must reach the cases it exists for.
-	if compiled < 150 || fallbacks == 0 || external == 0 || selfExcluded == 0 || selfProviders == 0 {
-		t.Fatalf("weak coverage: compiled=%d fallbacks=%d external edges=%d member-named external providers=%d self-providers=%d",
-			compiled, fallbacks, external, selfExcluded, selfProviders)
+	if compiled < 150 || external == 0 || selfExcluded == 0 || selfProviders == 0 {
+		t.Fatalf("weak coverage: compiled=%d external edges=%d member-named external providers=%d self-providers=%d",
+			compiled, external, selfExcluded, selfProviders)
 	}
 }
