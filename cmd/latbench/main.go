@@ -11,14 +11,13 @@
 //
 // Subcommands: table1 (the default), hist, gantt, dump, ablations,
 // faults, degrade, predict, all. -o names the file dump writes its raw
-// samples to (required) and the file degrade and predict write their
-// JSON report to; all runs everything except dump and writes no file.
-// Flags may come before or after the subcommand.
+// samples to (required there, rejected elsewhere); every other
+// subcommand prints to stdout and writes no file, and all runs
+// everything except dump. Flags may come before or after the subcommand.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +35,7 @@ func main() {
 		samples = flag.Int("samples", 60000, "latency samples per configuration")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
 		workers = flag.Int("workers", 0, "goroutine pool size for parallel runs (0 = NumCPU)")
-		out     = flag.String("o", "", "output file: CSV samples for dump, JSON report for degrade and predict")
+		out     = flag.String("o", "", "output file for dump's CSV samples (dump only)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(),
@@ -58,40 +57,33 @@ func main() {
 		run  func()
 	}{
 		{"table1", func() { runTable1(*samples, *seed, *workers) }},
-		{"degrade", func() { runDegrade(*out, *seed) }},
-		{"predict", func() { runPredict(*out, *seed) }},
+		{"degrade", func() { runDegrade(*seed) }},
+		{"predict", func() { runPredict(*seed) }},
 		{"hist", func() { runHistograms(*samples, *seed) }},
 		{"gantt", func() { runGantt(*seed) }},
 		{"dump", func() { runDump(*out, *samples, *seed) }},
 		{"faults", func() { runFaults(*seed) }},
 		{"ablations", func() { runAblations(*seed) }},
 	}
-	if cmd == "all" {
-		if *out != "" {
-			log.Fatal("-o does not apply to all")
-		}
-		for _, s := range steps {
-			if s.name != "dump" {
-				s.run()
-			}
-		}
-		return
+	known := cmd == "all"
+	for _, s := range steps {
+		known = known || s.name == cmd
+	}
+	if !known {
+		flag.Usage()
+		os.Exit(2)
+	}
+	switch {
+	case cmd == "dump" && *out == "":
+		log.Fatal("dump needs -o FILE")
+	case cmd != "dump" && *out != "":
+		log.Fatalf("-o does not apply to %s", cmd)
 	}
 	for _, s := range steps {
-		if s.name != cmd {
-			continue
+		if s.name == cmd || cmd == "all" && s.name != "dump" {
+			s.run()
 		}
-		switch {
-		case cmd == "dump" && *out == "":
-			log.Fatal("dump needs -o FILE")
-		case cmd != "dump" && cmd != "degrade" && cmd != "predict" && *out != "":
-			log.Fatalf("-o does not apply to %s", cmd)
-		}
-		s.run()
-		return
 	}
-	flag.Usage()
-	os.Exit(2)
 }
 
 // runGantt traces 12 ms of the §4.2 pair plus an equal-priority rival to
@@ -157,65 +149,24 @@ func runTable1(samples int, seed uint64, workers int) {
 	fmt.Println(bench.CompareWithPaper(rows))
 }
 
-// runDegrade runs the degradation campaign with and without the mode
-// ladder. With a path it writes the machine-readable BENCH_degrade.json.
-func runDegrade(path string, seed uint64) {
-	rep, err := bench.MeasureDegrade(bench.DegradeBenchConfig{Seed: seed})
+// runDegrade renders the degradation campaign with and without the mode
+// ladder.
+func runDegrade(seed uint64) {
+	rows, err := bench.AblationDegrade(seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(bench.FormatDegrade(rep))
-	writeValidated(path, rep)
+	fmt.Println(bench.FormatDegrade(rows))
 }
 
-// runPredict runs the execution-drift campaign under the reactive and
-// the forecasting guard. With a path it writes the machine-readable
-// BENCH_predict.json.
-func runPredict(path string, seed uint64) {
-	rep, err := bench.MeasurePredict(bench.PredictBenchConfig{Seed: seed})
+// runPredict renders the execution-drift campaign under the reactive and
+// the forecasting guard.
+func runPredict(seed uint64) {
+	rows, err := bench.AblationPredict(seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(bench.FormatPredict(rep))
-	writeValidated(path, rep)
-}
-
-// report is a committed BENCH file's schema: bench.DegradeReport or
-// bench.PredictReport.
-type report interface {
-	Validate() error
-	Encode() ([]byte, error)
-}
-
-// writeValidated validates rep and, with a path, writes it there, then
-// reads the file back and validates it again — the CI digest diffs read
-// the written file, so it must be well-formed.
-func writeValidated[R report](path string, rep R) {
-	if err := rep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if path == "" {
-		return
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	written, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var round R
-	if err := json.Unmarshal(written, &round); err != nil {
-		log.Fatalf("%s is not valid JSON: %v", path, err)
-	}
-	if err := round.Validate(); err != nil {
-		log.Fatalf("%s failed validation after round trip: %v", path, err)
-	}
-	fmt.Printf("wrote %s (validated)\n", path)
+	fmt.Println(bench.FormatPredict(rows))
 }
 
 // runFaults renders Ablation E: the standard fault campaign with the

@@ -1,187 +1,51 @@
 package bench
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/workload"
 )
 
-// Graceful-degradation benchmark: the seeded degradation campaign run
-// twice — once with the declared mode ladders (downgrade-before-deny,
-// guard step-down, supervised restart) and once with them stripped (the
-// binary admit-or-deny baseline). The committed BENCH_degrade.json
-// quantifies what the ladder buys: availability preserved under the same
-// faults, and a bounded time back to the full contract.
-
-// DegradeBenchConfig sizes MeasureDegrade. The zero value selects the
-// reference configuration the committed baseline uses.
-type DegradeBenchConfig struct {
-	// Seed drives everything (default 1).
-	Seed uint64
-}
-
-func (c *DegradeBenchConfig) applyDefaults() {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
-// DegradeVariant is one campaign run (graceful or binary).
-type DegradeVariant struct {
-	Variant string `json:"variant"` // "degrade" | "binary"
-	// Availability per component over the run (fraction of sim time
-	// ACTIVE, possibly under a degraded contract).
-	CalcAvailability float64 `json:"calc_availability"`
-	DispAvailability float64 `json:"disp_availability"`
-	AuxAvailability  float64 `json:"aux_availability"`
-	// MeanUtil is the mean admitted budget across the run's samples.
-	MeanUtil float64 `json:"mean_util"`
-	// TimeToRepromoMS is calc's final re-promotion minus the fault
-	// clear, in milliseconds; negative means it never happened.
-	TimeToRepromoMS float64 `json:"time_to_repromo_ms"`
-	Denies          int     `json:"denies"`
-	Revokes         int     `json:"revokes"`
-	Downgrades      uint64  `json:"downgrades"`
-	Upgrades        uint64  `json:"upgrades"`
-	Restarts        uint64  `json:"restarts"`
-	Escalations     uint64  `json:"escalations"`
-	SpanDigest      string  `json:"span_digest"`
-	SpanCount       uint64  `json:"span_count"`
-}
-
-// DegradeReport is the machine-readable snapshot cmd/latbench writes to
-// BENCH_degrade.json.
-type DegradeReport struct {
-	GoVersion string           `json:"go_version"`
-	NumCPU    int              `json:"num_cpu"`
-	Seed      uint64           `json:"seed"`
-	Variants  []DegradeVariant `json:"variants"`
-	// Repeatable confirms a second graceful run reproduced the digest.
-	Repeatable bool `json:"repeatable"`
-}
-
-// MeasureDegrade runs the degradation campaign in both configurations.
-func MeasureDegrade(cfg DegradeBenchConfig) (DegradeReport, error) {
-	cfg.applyDefaults()
-	rep := DegradeReport{
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Seed:      cfg.Seed,
-	}
-	var firstDigest string
+// AblationDegrade runs the seeded degradation campaign twice under the
+// same faults: once with the declared mode ladders (downgrade-before-
+// deny, guard step-down, supervised restart) and once with them stripped
+// (the binary admit-or-deny baseline). The graceful row comes first.
+// The campaign's digests are pinned in internal/workload's
+// TestDegradeCampaignGolden and TestDegradeBinaryAblation.
+func AblationDegrade(seed uint64) ([]workload.DegradeResult, error) {
+	var rows []workload.DegradeResult
 	for _, binary := range []bool{false, true} {
-		res, err := workload.RunDegradeCampaign(workload.DegradeConfig{Seed: cfg.Seed, Binary: binary})
+		res, err := workload.RunDegradeCampaign(workload.DegradeConfig{Seed: seed, Binary: binary})
 		if err != nil {
-			return DegradeReport{}, fmt.Errorf("bench: degrade campaign (binary=%v): %w", binary, err)
+			return nil, fmt.Errorf("bench: degrade campaign (binary=%v): %w", binary, err)
 		}
-		v := DegradeVariant{
-			Variant:          "degrade",
-			CalcAvailability: res.Availability["calc"],
-			DispAvailability: res.Availability["disp"],
-			AuxAvailability:  res.Availability["zaux"],
-			MeanUtil:         res.MeanUtil,
-			TimeToRepromoMS:  float64(res.TimeToRepromo.Nanoseconds()) / 1e6,
-			Denies:           res.Denies,
-			Revokes:          res.Revokes,
-			Downgrades:       res.Downgrades,
-			Upgrades:         res.Upgrades,
-			Restarts:         res.Restarts,
-			Escalations:      res.Escalations,
-			SpanDigest:       res.SpanDigest,
-			SpanCount:        res.SpanCount,
-		}
-		if binary {
-			v.Variant = "binary"
-		} else {
-			firstDigest = res.SpanDigest
-		}
-		rep.Variants = append(rep.Variants, v)
+		rows = append(rows, res)
 	}
-	again, err := workload.RunDegradeCampaign(workload.DegradeConfig{Seed: cfg.Seed})
-	if err != nil {
-		return DegradeReport{}, fmt.Errorf("bench: degrade campaign repeat: %w", err)
-	}
-	rep.Repeatable = again.SpanDigest == firstDigest
-	return rep, nil
+	return rows, nil
 }
 
-// Validate checks the invariants a fresh or committed report must
-// satisfy; cmd/latbench runs it after writing BENCH_degrade.json, and
-// the CI smoke runs it against the committed file.
-func (r DegradeReport) Validate() error {
-	if len(r.Variants) != 2 {
-		return fmt.Errorf("degrade report: %d variants, want 2 (degrade/binary)", len(r.Variants))
-	}
-	byName := map[string]DegradeVariant{}
-	for _, v := range r.Variants {
-		if len(v.SpanDigest) != 64 || v.SpanCount == 0 {
-			return fmt.Errorf("degrade report: variant %s span pin incomplete", v.Variant)
-		}
-		byName[v.Variant] = v
-	}
-	grace, ok := byName["degrade"]
-	if !ok {
-		return errors.New("degrade report: graceful variant missing")
-	}
-	binary, ok := byName["binary"]
-	if !ok {
-		return errors.New("degrade report: binary variant missing")
-	}
-	if grace.CalcAvailability != 1 || grace.DispAvailability != 1 {
-		return fmt.Errorf("degrade report: graceful calc/disp availability %v/%v, want 1/1",
-			grace.CalcAvailability, grace.DispAvailability)
-	}
-	if grace.Denies != 0 || grace.Revokes != 0 {
-		return fmt.Errorf("degrade report: graceful run denied (%d) or revoked (%d)",
-			grace.Denies, grace.Revokes)
-	}
-	if grace.Downgrades == 0 || grace.Upgrades == 0 || grace.TimeToRepromoMS <= 0 {
-		return fmt.Errorf("degrade report: graceful ladder inactive: %+v", grace)
-	}
-	if binary.Denies == 0 || binary.Revokes == 0 {
-		return fmt.Errorf("degrade report: binary baseline never denied (%d) or revoked (%d)",
-			binary.Denies, binary.Revokes)
-	}
-	if binary.Downgrades != 0 || binary.Upgrades != 0 {
-		return fmt.Errorf("degrade report: binary baseline used the mode ladder: %+v", binary)
-	}
-	if binary.CalcAvailability >= grace.CalcAvailability ||
-		binary.AuxAvailability >= grace.AuxAvailability {
-		return fmt.Errorf("degrade report: binary availability not below graceful: %+v vs %+v",
-			binary, grace)
-	}
-	if !r.Repeatable {
-		return errors.New("degrade report: span digest not repeatable across runs")
-	}
-	return nil
-}
-
-// Encode renders the report the way the committed BENCH_degrade.json is
-// stored: two-space indentation, trailing newline, human-diffable.
-func (r DegradeReport) Encode() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// FormatDegrade renders the report for terminal output.
-func FormatDegrade(r DegradeReport) string {
+// FormatDegrade renders the degradation ablation: per-component
+// availability, mean admitted budget, ladder and supervisor activity,
+// and calc's time back to the full contract after the fault clears
+// ("-" when it never returned).
+func FormatDegrade(rows []workload.DegradeResult) string {
+	variant := map[bool]string{false: "degrade", true: "binary"} // by Binary
 	var b strings.Builder
 	b.WriteString("Graceful degradation — same faults, with and without the mode ladder\n")
 	fmt.Fprintf(&b, "%8s %6s %6s %6s %9s %7s %7s %6s %6s %6s %11s\n",
 		"variant", "calc", "disp", "aux", "mean-util", "denies", "revokes", "down", "up", "rstrt", "repromo-ms")
-	for _, v := range r.Variants {
-		fmt.Fprintf(&b, "%8s %6.3f %6.3f %6.3f %9.3f %7d %7d %6d %6d %6d %11.1f\n",
-			v.Variant, v.CalcAvailability, v.DispAvailability, v.AuxAvailability,
-			v.MeanUtil, v.Denies, v.Revokes, v.Downgrades, v.Upgrades, v.Restarts,
-			v.TimeToRepromoMS)
+	for _, r := range rows {
+		repromo := "-"
+		if r.TimeToRepromo >= 0 {
+			repromo = fmt.Sprintf("%.1f", float64(r.TimeToRepromo)/1e6)
+		}
+		fmt.Fprintf(&b, "%8s %6.3f %6.3f %6.3f %9.3f %7d %7d %6d %6d %6d %11s\n",
+			variant[r.Binary], r.Availability["calc"], r.Availability["disp"], r.Availability["zaux"],
+			r.MeanUtil, r.Denies, r.Revokes, r.Downgrades, r.Upgrades, r.Restarts, repromo)
 	}
-	fmt.Fprintf(&b, "repeatable=%v\n", r.Repeatable)
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s span digest: %s\n", variant[r.Binary], r.SpanDigest)
+	}
 	return b.String()
 }

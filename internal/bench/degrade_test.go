@@ -1,61 +1,37 @@
 package bench
 
 import (
-	"encoding/json"
+	"strings"
 	"testing"
 )
 
+// TestMeasureDegrade runs the degradation ablation and checks its table:
+// graceful row first, the binary row's time back to the full contract
+// printed as "-" (it never returned), never as the -1 ns sentinel.
 func TestMeasureDegrade(t *testing.T) {
-	rep, err := MeasureDegrade(DegradeBenchConfig{})
+	rows, err := AblationDegrade(1)
 	if err != nil {
-		t.Fatalf("MeasureDegrade: %v", err)
+		t.Fatalf("AblationDegrade: %v", err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if len(rows) != 2 || rows[0].Binary || !rows[1].Binary {
+		t.Fatalf("got %d rows, want graceful then binary", len(rows))
 	}
-	enc, err := rep.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
+	if rows[0].TimeToRepromo <= 0 || rows[1].TimeToRepromo >= 0 {
+		t.Errorf("repromotion graceful=%v binary=%v, want positive and never",
+			rows[0].TimeToRepromo, rows[1].TimeToRepromo)
 	}
-	var back DegradeReport
-	if err := json.Unmarshal(enc, &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("Validate after round-trip: %v", err)
-	}
-	if FormatDegrade(rep) == "" {
-		t.Error("FormatDegrade returned empty string")
-	}
-}
-
-func TestDegradeReportValidateRejectsBroken(t *testing.T) {
-	rep, err := MeasureDegrade(DegradeBenchConfig{})
-	if err != nil {
-		t.Fatalf("MeasureDegrade: %v", err)
-	}
-	broken := rep
-	broken.Variants = rep.Variants[:1]
-	if broken.Validate() == nil {
-		t.Error("Validate accepted a report with a missing variant")
-	}
-	broken = rep
-	broken.Repeatable = false
-	if broken.Validate() == nil {
-		t.Error("Validate accepted a non-repeatable digest")
-	}
-	// Swapping the availability numbers makes the binary baseline look
-	// better than the graceful run — the exact regression the committed
-	// report is meant to catch.
-	broken = rep
-	broken.Variants = append([]DegradeVariant{}, rep.Variants...)
-	for i := range broken.Variants {
-		if broken.Variants[i].Variant == "binary" {
-			broken.Variants[i].CalcAvailability = 1
-			broken.Variants[i].AuxAvailability = 1
+	out := FormatDegrade(rows)
+	for _, want := range []string{
+		" degrade  1.000  1.000  0.983     0.154       0       0      5      3      1       220.0\n",
+		"  binary  0.517  0.517  0.483     0.500       3       1      0      0      1           -\n",
+		"degrade span digest: " + rows[0].SpanDigest + "\n",
+		"binary span digest: " + rows[1].SpanDigest + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
 		}
 	}
-	if broken.Validate() == nil {
-		t.Error("Validate accepted a binary baseline with full availability")
+	if strings.Contains(out, "-0.0") {
+		t.Errorf("table prints the never-sentinel as a number:\n%s", out)
 	}
 }

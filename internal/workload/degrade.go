@@ -5,11 +5,8 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/descriptor"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/osgi"
-	"repro/internal/rtos"
 	"repro/internal/sim"
 	"repro/internal/supervise"
 )
@@ -173,85 +170,30 @@ type DegradeResult struct {
 func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 	cfg.applyDefaults()
 
-	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
-	d, err := core.New(fw, k, core.Options{
-		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
-	})
-	if err != nil {
-		return DegradeResult{}, err
-	}
-	defer d.Close()
-
-	err = d.RegisterBody("rtai.demo.Calculation", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_ = shm.Set(0, int64(j.Now.Sub(j.Nominal)))
-			}
-		}
-	})
-	if err != nil {
-		return DegradeResult{}, err
-	}
-	err = d.RegisterBody("rtai.demo.Display", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_, _ = shm.Get(0)
-			}
-		}
-	})
-	if err != nil {
-		return DegradeResult{}, err
-	}
-	var auxJobs uint64
-	err = d.RegisterBody("rtai.demo.Aux", func(*descriptor.Component) rtos.Body {
-		return func(*rtos.JobContext) { auxJobs++ }
-	})
-	if err != nil {
-		return DegradeResult{}, err
-	}
-
 	calcSrc, zauxSrc := CalcModesXML, ZauxXML
 	if cfg.Binary {
 		calcSrc, zauxSrc = CalcXML, ZauxBinaryXML
 	}
-	for _, src := range []string{calcSrc, DisplayXML, zauxSrc} {
-		desc, err := descriptor.Parse(src)
-		if err != nil {
-			return DegradeResult{}, err
-		}
-		if err := d.Deploy(desc); err != nil {
-			return DegradeResult{}, err
-		}
-	}
-	if err := deployReplicas(d, cfg.Replicas, cfg.NumCPUs); err != nil {
-		return DegradeResult{}, err
-	}
-
-	inj, err := fault.New(d, fw)
+	r, err := newRig(rigSpec{
+		seed:     cfg.Seed,
+		numCPUs:  cfg.NumCPUs,
+		obsLevel: cfg.ObsLevel,
+		bodies: map[string]core.BodyFactory{
+			"rtai.demo.Calculation": calcBody,
+			"rtai.demo.Display":     displayBody(nil),
+			"rtai.demo.Aux":         noopBody,
+		},
+		descs:     []string{calcSrc, DisplayXML, zauxSrc},
+		replicas:  cfg.Replicas,
+		campaign:  DegradeCampaign(),
+		guard:     &cfg.Guard,
+		supervise: &cfg.Supervise,
+	})
 	if err != nil {
 		return DegradeResult{}, err
 	}
-	defer inj.Close()
-	if err := inj.Install(DegradeCampaign()); err != nil {
-		return DegradeResult{}, err
-	}
-
-	guard, err := contract.New(d, cfg.Guard)
-	if err != nil {
-		return DegradeResult{}, err
-	}
-	if err := guard.Start(); err != nil {
-		return DegradeResult{}, err
-	}
-	defer guard.Stop()
-
-	sup, err := supervise.New(d, cfg.Supervise)
-	if err != nil {
-		return DegradeResult{}, err
-	}
-	sup.Start()
-	defer sup.Stop()
+	defer r.close()
+	d, k := r.d, r.k
 
 	// Utilization sampler: the admitted budget of the ACTIVE set, every
 	// SamplePeriod on the simulated clock.
@@ -282,8 +224,8 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 		Binary:         cfg.Binary,
 		Events:         d.Events(),
 		Final:          d.Components(),
-		GuardTrace:     guard.Trace(),
-		SuperviseTrace: sup.Trace(),
+		GuardTrace:     r.guard.Trace(),
+		SuperviseTrace: r.sup.Trace(),
 		SpanDigest:     d.Obs().Digest(),
 		StreamDigest:   d.Obs().StreamDigest(),
 		SpanCount:      d.Obs().Emitted(),

@@ -83,11 +83,21 @@ func TestDegradeCampaignGolden(t *testing.T) {
 
 // TestDegradeBinaryAblation pins the baseline the mode ladder is measured
 // against: without declared fallbacks the same faults force denial and
-// revocation, and availability collapses for every component.
+// revocation, and availability collapses for every component, strictly
+// below the graceful run's.
 func TestDegradeBinaryAblation(t *testing.T) {
 	res, err := RunDegradeCampaign(DegradeConfig{Binary: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	grace, err := RunDegradeCampaign(DegradeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"calc", "zaux"} {
+		if b, g := res.Availability[name], grace.Availability[name]; b >= g {
+			t.Errorf("%s availability binary %v, want strictly below graceful %v", name, b, g)
+		}
 	}
 	if res.Denies == 0 || res.Revokes == 0 {
 		t.Errorf("denies=%d revokes=%d, want both nonzero in binary mode", res.Denies, res.Revokes)

@@ -5,11 +5,8 @@ import (
 
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/descriptor"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/osgi"
-	"repro/internal/rtos"
 	"repro/internal/sim"
 )
 
@@ -141,85 +138,39 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 		campaign = *cfg.Campaign
 	}
 
-	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
-	d, err := core.New(fw, k, core.Options{
-		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
-	})
-	if err != nil {
-		return FaultCampaignResult{}, err
-	}
-	defer d.Close()
-
 	var dispLat []int64
-	err = d.RegisterBody("rtai.demo.Calculation", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_ = shm.Set(0, int64(j.Now.Sub(j.Nominal)))
-			}
-		}
-	})
-	if err != nil {
-		return FaultCampaignResult{}, err
+	spec := rigSpec{
+		seed:     cfg.Seed,
+		numCPUs:  cfg.NumCPUs,
+		obsLevel: cfg.ObsLevel,
+		bodies: map[string]core.BodyFactory{
+			"rtai.demo.Calculation": calcBody,
+			"rtai.demo.Display":     displayBody(func(lat int64) { dispLat = append(dispLat, lat) }),
+		},
+		descs:    []string{CalcXML, DisplayXML},
+		replicas: cfg.Replicas,
+		campaign: campaign,
 	}
-	err = d.RegisterBody("rtai.demo.Display", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_, _ = shm.Get(0)
-			}
-			dispLat = append(dispLat, int64(j.Now.Sub(j.Nominal)))
-		}
-	})
-	if err != nil {
-		return FaultCampaignResult{}, err
-	}
-
-	for _, src := range []string{CalcXML, DisplayXML} {
-		desc, err := descriptor.Parse(src)
-		if err != nil {
-			return FaultCampaignResult{}, err
-		}
-		if err := d.Deploy(desc); err != nil {
-			return FaultCampaignResult{}, err
-		}
-	}
-	if err := deployReplicas(d, cfg.Replicas, cfg.NumCPUs); err != nil {
-		return FaultCampaignResult{}, err
-	}
-
-	inj, err := fault.New(d, fw)
-	if err != nil {
-		return FaultCampaignResult{}, err
-	}
-	defer inj.Close()
-	if err := inj.Install(campaign); err != nil {
-		return FaultCampaignResult{}, err
-	}
-
-	var guard *contract.Guard
 	if cfg.Guarded {
-		guard, err = contract.New(d, cfg.Guard)
-		if err != nil {
-			return FaultCampaignResult{}, err
-		}
-		if err := guard.Start(); err != nil {
-			return FaultCampaignResult{}, err
-		}
-		defer guard.Stop()
+		spec.guard = &cfg.Guard
 	}
+	r, err := newRig(spec)
+	if err != nil {
+		return FaultCampaignResult{}, err
+	}
+	defer r.close()
+	d, inj, guard := r.d, r.inj, r.guard
 
-	if err := k.Run(cfg.RunFor); err != nil {
+	if err := r.k.Run(cfg.RunFor); err != nil {
 		return FaultCampaignResult{}, err
 	}
 
 	res := FaultCampaignResult{
-		Campaign:    campaign.Name,
-		InjectTrace: inj.Trace(),
-		Events:      d.Events(),
-		Final:       d.Components(),
-		DispSamples: dispLat,
-		// Captured before the deferred Close/inj.Close so teardown spans
-		// don't enter the pinned digest.
+		Campaign:     campaign.Name,
+		InjectTrace:  inj.Trace(),
+		Events:       d.Events(),
+		Final:        d.Components(),
+		DispSamples:  dispLat,
 		SpanDigest:   d.Obs().Digest(),
 		StreamDigest: d.Obs().StreamDigest(),
 		SpanCount:    d.Obs().Emitted(),

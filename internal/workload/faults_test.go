@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -225,5 +226,19 @@ func TestFaultCampaignOtherKinds(t *testing.T) {
 		if info.State != core.Active {
 			t.Errorf("after freeze cleared, %s = %v, want ACTIVE", info.Name, info.State)
 		}
+	}
+}
+
+// TestFaultCampaignRejectsBadCampaign: a campaign the injector rejects
+// after scheduling its first fault fails the run, and the rig's partial
+// teardown (injector and DRCR, no guard yet) does not panic.
+func TestFaultCampaignRejectsBadCampaign(t *testing.T) {
+	bad := fault.Campaign{Name: "bad", Faults: []fault.Fault{
+		{Kind: fault.ExecInflate, Target: "calc", At: 10 * time.Millisecond, For: 10 * time.Millisecond, Factor: 2},
+		{Kind: fault.ExecInflate},
+	}}
+	_, err := RunFaultCampaign(FaultCampaignConfig{Guarded: true, Campaign: &bad})
+	if err == nil || !strings.Contains(err.Error(), "needs a target") {
+		t.Fatalf("err = %v, want the injector's missing-target error", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/descriptor"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/osgi"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
@@ -138,70 +137,46 @@ type PredictResult struct {
 	Final      []core.Info
 }
 
+// loadBody stamps the current time on a replica's first outport.
+func loadBody(c *descriptor.Component) rtos.Body {
+	if len(c.OutPorts) == 0 {
+		return func(*rtos.JobContext) {}
+	}
+	topic := c.OutPorts[0].Name
+	return func(j *rtos.JobContext) {
+		if shm, err := j.Kernel.IPC().SHM(topic); err == nil {
+			_ = shm.Set(0, int64(j.Now))
+		}
+	}
+}
+
 // RunPredictCampaign executes the drift campaign under the configured
 // guard and reports misses, forecasts, and step-down activity.
 func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 	cfg.applyDefaults()
 
-	fw := osgi.NewFramework()
-	k := rtos.NewKernel(rtos.Config{Seed: cfg.Seed, NumCPUs: cfg.NumCPUs})
-	d, err := core.New(fw, k, core.Options{
-		Obs: obs.NewPlane(obs.Options{Level: cfg.ObsLevel}),
+	r, err := newRig(rigSpec{
+		seed:     cfg.Seed,
+		numCPUs:  cfg.NumCPUs,
+		obsLevel: cfg.ObsLevel,
+		bodies: map[string]core.BodyFactory{
+			"rtai.demo.PredictCalc": noopBody,
+			// The replica load bodies must actually write their outports:
+			// with the default no-op body the guard flags every replica
+			// port-stale and the revoke/restore churn buries the ablation
+			// signal.
+			"rtai.demo.Load": loadBody,
+		},
+		descs:    []string{PredictCalcXML},
+		replicas: cfg.Replicas,
+		campaign: PredictCampaign(),
+		guard:    &cfg.Guard,
 	})
 	if err != nil {
 		return PredictResult{}, err
 	}
-	defer d.Close()
-
-	if err := d.RegisterBody("rtai.demo.PredictCalc", func(*descriptor.Component) rtos.Body {
-		return func(*rtos.JobContext) {}
-	}); err != nil {
-		return PredictResult{}, err
-	}
-	// The replica load bodies must actually write their outports: with the
-	// default no-op body the guard flags every replica port-stale and the
-	// revoke/restore churn buries the ablation signal.
-	if err := d.RegisterBody("rtai.demo.Load", func(c *descriptor.Component) rtos.Body {
-		if len(c.OutPorts) == 0 {
-			return func(*rtos.JobContext) {}
-		}
-		topic := c.OutPorts[0].Name
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(topic); err == nil {
-				_ = shm.Set(0, int64(j.Now))
-			}
-		}
-	}); err != nil {
-		return PredictResult{}, err
-	}
-	desc, err := descriptor.Parse(PredictCalcXML)
-	if err != nil {
-		return PredictResult{}, err
-	}
-	if err := d.Deploy(desc); err != nil {
-		return PredictResult{}, err
-	}
-	if err := deployReplicas(d, cfg.Replicas, cfg.NumCPUs); err != nil {
-		return PredictResult{}, err
-	}
-
-	inj, err := fault.New(d, fw)
-	if err != nil {
-		return PredictResult{}, err
-	}
-	defer inj.Close()
-	if err := inj.Install(PredictCampaign()); err != nil {
-		return PredictResult{}, err
-	}
-
-	guard, err := contract.New(d, cfg.Guard)
-	if err != nil {
-		return PredictResult{}, err
-	}
-	if err := guard.Start(); err != nil {
-		return PredictResult{}, err
-	}
-	defer guard.Stop()
+	defer r.close()
+	d, k, guard := r.d, r.k, r.guard
 
 	// Miss meter: kernel counters die with each task incarnation (a
 	// downgrade swaps the task), so poll deltas every millisecond with

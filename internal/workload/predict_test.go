@@ -40,6 +40,10 @@ func TestPredictAblation(t *testing.T) {
 	if predictive.PredictDowngrades == 0 {
 		t.Error("predictive run never stepped down on a forecast")
 	}
+	if predictive.ForecastAt == 0 || predictive.ForecastAt >= reactive.FirstMissAt {
+		t.Errorf("predictive forecast at %v, want strictly before the reactive first miss at %v",
+			predictive.ForecastAt, reactive.FirstMissAt)
+	}
 	if reactive.ForecastAt != 0 || reactive.PredictDowngrades != 0 {
 		t.Errorf("reactive baseline forecast (at=%v, downs=%d); the ablation arms are crossed",
 			reactive.ForecastAt, reactive.PredictDowngrades)

@@ -212,24 +212,10 @@ func runHybridLatency(cfg LatencyConfig) (LatencyResult, error) {
 		return LatencyResult{}, err
 	}
 	defer d.Close()
-	err = d.RegisterBody("rtai.demo.Calculation", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_ = shm.Set(0, int64(j.Now.Sub(j.Nominal)))
-			}
-		}
-	})
-	if err != nil {
+	if err := d.RegisterBody("rtai.demo.Calculation", calcBody); err != nil {
 		return LatencyResult{}, err
 	}
-	err = d.RegisterBody("rtai.demo.Display", func(*descriptor.Component) rtos.Body {
-		return func(j *rtos.JobContext) {
-			if shm, err := j.Kernel.IPC().SHM(LatencySHM); err == nil {
-				_, _ = shm.Get(0)
-			}
-		}
-	})
-	if err != nil {
+	if err := d.RegisterBody("rtai.demo.Display", displayBody(nil)); err != nil {
 		return LatencyResult{}, err
 	}
 	for _, src := range []string{CalcXML, DisplayXML} {
