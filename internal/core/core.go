@@ -353,6 +353,11 @@ type DRCR struct {
 	viewSnap      policy.View
 	viewSnapEpoch uint64
 	viewSnapValid bool
+	// loadSnap is the list-free view (Epoch, NumCPUs, CPULoad) that
+	// load-only chains consult at loadSnapEpoch; see loadViewLocked.
+	loadSnap      policy.View
+	loadSnapEpoch uint64
+	loadSnapValid bool
 	// admittedEpoch moves with viewEpoch and also on ACTIVE<->SUSPENDED,
 	// which leaves the admission view alone (see AdmittedEpoch).
 	admittedEpoch uint64
@@ -363,6 +368,11 @@ type DRCR struct {
 	// drain* fields remember the epochs the last waiter synchronisation
 	// ran against (drainCPUEpoch: each processor's cpuAdmission.epoch).
 	waiting map[string]*Component
+	// sideWaiters is the waiter index's side set: the name-sorted waiters
+	// of d.waiting whose wait is waitActivation, or waitAdmission with an
+	// out-of-range pin. Admission waiters pinned to a processor live in
+	// its cpuAdmission.waiters; waiterSetLocked picks the set.
+	sideWaiters []string
 	// degraded is the sorted name list of admitted components running
 	// below mode 0; the best-effort promotion pass walks it only when
 	// non-empty, keeping the steady state allocation-free.
@@ -385,11 +395,12 @@ type DRCR struct {
 
 	// Resolver-chain cache: rebuilt only when a drcom.ResolvingService
 	// registry event fires, instead of on every consult.
-	chainDirty atomic.Bool
-	chainEpoch atomic.Uint64
-	chainMu    sync.Mutex
-	chain      policy.Chain
-	chainLocal bool // policy.IsCPULocal(chain), under chainMu
+	chainDirty    atomic.Bool
+	chainEpoch    atomic.Uint64
+	chainMu       sync.Mutex
+	chain         policy.Chain
+	chainLocal    bool // policy.IsCPULocal(chain), under chainMu
+	chainLoadOnly bool // policy.IsLoadOnly(chain), under chainMu
 
 	events    []Event
 	listeners []func(Event)
@@ -470,17 +481,24 @@ func (d *DRCR) takeCause(c *Component) obs.SpanID {
 	return id
 }
 
-// noteDenyLocked records an admission denial. A deny span is emitted
-// only when the reason changed — the full-sweep test oracle re-consults
-// every waiting component each pass while the worklist engine
-// re-consults only when something dirtied it, and deduplication makes
-// the two span streams identical.
+// deniedPrefix heads every admission-denial reason.
+const deniedPrefix = "admission denied: "
+
+// noteDenyLocked records an admission denial for the resolver chain's
+// reason. A deny span is emitted only when the reason changed — the
+// full-sweep test oracle re-consults every waiting component each pass
+// while the worklist engine re-consults only when something dirtied it,
+// and deduplication makes the two span streams identical. The prefixed
+// reason is compared in place and built only when it changed.
 func (d *DRCR) noteDenyLocked(c *Component, reason string) {
 	cause := d.takeCause(c)
-	if reason != c.lastReason {
-		c.lastSpan = d.obs.Deny(d.kernel.Now(), c.desc.Name, reason, cause)
+	last := c.lastReason
+	if len(last) == len(deniedPrefix)+len(reason) && last[:len(deniedPrefix)] == deniedPrefix &&
+		last[len(deniedPrefix):] == reason {
+		return
 	}
-	c.lastReason = reason
+	c.lastReason = deniedPrefix + reason
+	c.lastSpan = d.obs.Deny(d.kernel.Now(), c.desc.Name, c.lastReason, cause)
 }
 
 // Framework returns the owning framework.
@@ -687,6 +705,24 @@ func (d *DRCR) viewLocked() policy.View {
 	d.viewSnapEpoch = d.viewEpoch
 	d.viewSnapValid = true
 	return v
+}
+
+// loadViewLocked returns the list-free admission view for the current
+// view epoch: Epoch, NumCPUs and CPULoad, no contract lists. Only a
+// policy.LoadOnly chain consulted about a constant-budget candidate
+// while no distribution budget is admitted gets it; every other consult
+// reads viewLocked's full snapshot.
+func (d *DRCR) loadViewLocked() policy.View {
+	if !d.loadSnapValid || d.loadSnapEpoch != d.viewEpoch {
+		d.loadSnap = policy.View{
+			NumCPUs: len(d.cpus),
+			Epoch:   d.viewEpoch,
+			CPULoad: append([]float64(nil), d.loadLocked()...),
+		}
+		d.loadSnapEpoch = d.viewEpoch
+		d.loadSnapValid = true
+	}
+	return d.loadSnap
 }
 
 // admittedSet reports whether a state counts into the admission view.

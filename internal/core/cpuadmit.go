@@ -4,9 +4,20 @@ package core
 // candidate from its own processor's contracts alone, so the DRCR keeps
 // the admitted set per processor: a lifecycle change touches one list,
 // one load sum and one epoch; a view snapshot re-copies only the lists
-// that changed; and with a CPU-local resolver chain the worklist engine
-// re-consults only the admission waiters of processors whose epoch moved
-// (syncWaitersLocked).
+// that changed; and a load-only chain (policy.LoadOnly) deciding a
+// constant-budget candidate reads a view with no lists at all
+// (loadViewLocked).
+//
+// The admission waiters are indexed the same way: each processor holds
+// the names of the components of d.waiting pinned to it whose wait is
+// waitAdmission, and a small side set holds the activation waiters and
+// any admission waiter pinned out of range. The index changes only
+// through setWaitLocked (every c.wait assignment) and addWaitingLocked /
+// dropWaitingLocked (every d.waiting insert and delete). With a
+// CPU-local chain the worklist engine re-arms the side set and the sets
+// of processors whose epoch moved (syncWaitersLocked, and the cursor
+// hook in tryActivateLocked), so one admission change costs work in the
+// waiters of the processor it touched, not in the whole waiting set.
 
 import (
 	"slices"
@@ -28,6 +39,9 @@ type cpuAdmission struct {
 	snap      []policy.Contract
 	snapStale bool
 	loadStale bool
+	// waiters is the name-sorted set of admission waiters pinned here:
+	// the components of d.waiting whose wait is waitAdmission.
+	waiters []string
 }
 
 // touch records a change to the processor's admitted list.
@@ -101,14 +115,80 @@ func (d *DRCR) noteStochLocked(was, is bool) {
 	}
 }
 
-// cpuMovedLocked reports whether a waiter pinned to cpu may see a
-// different CPU-local verdict than at the last waiter synchronisation.
-// An out-of-range pin has no epoch and counts as moved.
+// cpuMovedLocked reports whether a waiter pinned to processor cpu may
+// see a different CPU-local verdict than at the last waiter
+// synchronisation. A waiter pinned out of range has no epoch: the side
+// set holds it and is always re-armed.
 func (d *DRCR) cpuMovedLocked(cpu int) bool {
-	if cpu < 0 || cpu >= len(d.cpus) {
-		return true
-	}
 	return d.cpus[cpu].epoch != d.drainCPUEpoch[cpu]
+}
+
+// waiterSetLocked returns the waiter-index set that holds c while it is
+// in d.waiting: its processor's set for an admission waiter, the side set
+// for an activation waiter or an out-of-range pin, and nil for a waiter
+// no admitted-set change can help (port waiters, fresh records).
+func (d *DRCR) waiterSetLocked(c *Component) *[]string {
+	switch c.wait {
+	case waitAdmission:
+		if cpu := c.desc.CPU(); cpu >= 0 && cpu < len(d.cpus) {
+			return &d.cpus[cpu].waiters
+		}
+		return &d.sideWaiters
+	case waitActivation:
+		return &d.sideWaiters
+	}
+	return nil
+}
+
+// indexWaiterLocked files c in (on) or takes it out of its waiter set.
+func (d *DRCR) indexWaiterLocked(c *Component, on bool) {
+	set := d.waiterSetLocked(c)
+	switch {
+	case set == nil:
+	case on:
+		*set = insertName(*set, c.desc.Name)
+	default:
+		*set = removeName(*set, c.desc.Name)
+	}
+}
+
+// setWaitLocked records why c waits, moving it between waiter sets when
+// it is the record d.waiting holds. Every c.wait assignment goes here.
+func (d *DRCR) setWaitLocked(c *Component, w waitKind) {
+	if c.wait == w {
+		return
+	}
+	indexed := d.waiting[c.desc.Name] == c
+	if indexed {
+		d.indexWaiterLocked(c, false)
+	}
+	c.wait = w
+	if indexed {
+		d.indexWaiterLocked(c, true)
+	}
+}
+
+// addWaitingLocked files c in d.waiting and its waiter set, replacing any
+// record of the same name. Every d.waiting insert goes here.
+func (d *DRCR) addWaitingLocked(c *Component) {
+	name := c.desc.Name
+	if w, ok := d.waiting[name]; ok {
+		if w == c {
+			return
+		}
+		d.indexWaiterLocked(w, false)
+	}
+	d.waiting[name] = c
+	d.indexWaiterLocked(c, true)
+}
+
+// dropWaitingLocked takes the record named name out of d.waiting and its
+// waiter set. Every d.waiting delete goes here.
+func (d *DRCR) dropWaitingLocked(name string) {
+	if w, ok := d.waiting[name]; ok {
+		delete(d.waiting, name)
+		d.indexWaiterLocked(w, false)
+	}
 }
 
 // markSyncedLocked records the epochs a waiter synchronisation ran

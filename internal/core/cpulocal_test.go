@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -174,6 +176,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 							applyChurnOp(rig, op, descs)
 						}
 						checkProviderIndex(t, d)
+						checkWaiterIndex(t, d)
 					}
 					return d
 				}
@@ -205,6 +208,39 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkWaiterIndex asserts that the admission-waiter index holds exactly
+// the waiters d.waiting implies: each processor's set its pinned
+// admission waiters, the side set the activation waiters and any
+// admission waiter pinned out of range, all in name order.
+func checkWaiterIndex(t *testing.T, d *DRCR) {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	perCPU := make([][]string, len(d.cpus))
+	var side []string
+	for name, c := range d.waiting {
+		cpu := c.desc.CPU()
+		switch {
+		case c.wait == waitAdmission && cpu >= 0 && cpu < len(d.cpus):
+			perCPU[cpu] = append(perCPU[cpu], name)
+		case c.wait == waitAdmission || c.wait == waitActivation:
+			side = append(side, name)
+		}
+	}
+	same := func(got, want []string) bool {
+		sort.Strings(want)
+		return slices.Equal(got, want)
+	}
+	for i := range d.cpus {
+		if !same(d.cpus[i].waiters, perCPU[i]) {
+			t.Fatalf("cpu%d waiter index %v, d.waiting implies %v", i, d.cpus[i].waiters, perCPU[i])
+		}
+	}
+	if !same(d.sideWaiters, side) {
+		t.Fatalf("side waiter index %v, d.waiting implies %v", d.sideWaiters, side)
 	}
 }
 
@@ -318,5 +354,101 @@ func TestGlobalViewSharesUnchangedCPUs(t *testing.T) {
 	}
 	if got, want := later.Load(0), on0[0].CPUUsage+on0[1].CPUUsage; got != want {
 		t.Fatalf("later Load(0) = %v", got)
+	}
+}
+
+// viewProbe is a customized resolving service that admits everything and
+// records the view each candidate was last consulted with.
+type viewProbe struct {
+	loadOnly bool
+	seen     map[string]policy.View
+}
+
+func (p *viewProbe) Name() string   { return "probe" }
+func (p *viewProbe) CPULocal() bool { return true }
+func (p *viewProbe) LoadOnly() bool { return p.loadOnly }
+func (p *viewProbe) Admit(view policy.View, cand policy.Contract) policy.Decision {
+	p.seen[cand.Name] = view
+	return policy.Decision{Admit: true, Reason: "probe ok"}
+}
+
+// TestLoadOnlyView: a load-only chain consulted about a constant-budget
+// candidate sees no contract lists, and the epoch and per-CPU load of the
+// full view at that moment. A stochastic candidate, a view with a
+// distribution budget admitted, and a chain with a policy.Func member
+// see the full lists.
+func TestLoadOnlyView(t *testing.T) {
+	fw, _, d := newRig(t)
+	probe := &viewProbe{loadOnly: true, seen: map[string]policy.View{}}
+	if _, err := fw.RegisterService([]string{policy.ServiceInterface}, probe, nil); err != nil {
+		t.Fatal(err)
+	}
+	deploy := func(src string) policy.View {
+		t.Helper()
+		before := d.GlobalView()
+		desc := mustParse(t, src)
+		if err := d.Deploy(desc); err != nil {
+			t.Fatal(err)
+		}
+		if st := stateOf(t, d, desc.Name); st != Active {
+			t.Fatalf("%s = %v, want ACTIVE", desc.Name, st)
+		}
+		seen, ok := probe.seen[desc.Name]
+		if !ok {
+			t.Fatalf("%s: probe not consulted", desc.Name)
+		}
+		if seen.Epoch != before.Epoch || seen.NumCPUs != before.NumCPUs || seen.Stochastic != before.Stochastic {
+			t.Fatalf("%s: saw epoch %d, %d CPUs, stochastic %v; full view %d, %d, %v", desc.Name,
+				seen.Epoch, seen.NumCPUs, seen.Stochastic, before.Epoch, before.NumCPUs, before.Stochastic)
+		}
+		for cpu := 0; cpu < before.NumCPUs; cpu++ {
+			if seen.Load(cpu) != before.Load(cpu) {
+				t.Fatalf("%s: saw Load(%d) = %v, full view %v", desc.Name, cpu, seen.Load(cpu), before.Load(cpu))
+			}
+		}
+		return seen
+	}
+	full := func(label string, seen policy.View) {
+		t.Helper()
+		want := d.GlobalView().Len() - 1 // the candidate itself is admitted now
+		if got := seen.Len(); got != want || got == 0 {
+			t.Fatalf("%s: saw %d contracts, want the full %d", label, got, want)
+		}
+	}
+	deploy(churnXML("a0", 0, 0.1, nil, nil))
+	deploy(churnXML("b1", 1, 0.1, nil, nil))
+	if seen := deploy(churnXML("c0", 0, 0.1, nil, nil)); seen.Len() != 0 || seen.OnCPU(0) != nil {
+		t.Fatalf("load-only consult saw %d contracts, want none", seen.Len())
+	}
+
+	full("stochastic candidate", deploy(stochXML))
+	full("stochastic view", deploy(churnXML("d0", 0, 0.1, nil, nil)))
+	if err := d.Remove("sdist"); err != nil {
+		t.Fatal(err)
+	}
+	if seen := deploy(churnXML("e0", 0, 0.1, nil, nil)); seen.Len() != 0 {
+		t.Fatalf("load-only consult after the stochastic admission left saw %d contracts", seen.Len())
+	}
+
+	f := policy.Func{Label: "func", F: func(policy.View, policy.Contract) policy.Decision {
+		return policy.Decision{Admit: true, Reason: "func ok"}
+	}}
+	if _, err := fw.RegisterService([]string{policy.ServiceInterface}, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	full("chain with a Func", deploy(churnXML("f1", 1, 0.1, nil, nil)))
+
+	// A consult handed the list-free view after the chain lost LoadOnly
+	// (a resolver registered between choosing the view and consulting)
+	// runs over the full view.
+	d.mu.Lock()
+	lean := d.loadViewLocked()
+	d.mu.Unlock()
+	if lean.Len() != 0 {
+		t.Fatalf("list-free view holds %d contracts", lean.Len())
+	}
+	d.consultLoadOnly(lean, policy.Contract{Name: "late", CPU: 0, CPUUsage: 0.1})
+	if seen, want := probe.seen["late"].Len(), d.GlobalView().Len(); seen != want {
+		t.Fatalf("consult after the chain lost LoadOnly saw %d contracts, want %d", seen, want)
 	}
 }

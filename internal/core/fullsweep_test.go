@@ -121,7 +121,7 @@ func (d *DRCR) resolveOnce() (changed bool) {
 			continue
 		}
 		if !decision.Admit {
-			d.noteDenyLocked(c, "admission denied: "+decision.Reason)
+			d.noteDenyLocked(c, decision.Reason)
 			d.mu.Unlock()
 			continue
 		}

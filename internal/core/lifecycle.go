@@ -234,7 +234,7 @@ func (d *DRCR) removeRecordLocked(c *Component) {
 			d.consIndex[key] = ns
 		}
 	}
-	delete(d.waiting, name)
+	d.dropWaitingLocked(name)
 }
 
 func (d *DRCR) addComponent(desc *descriptor.Component, b *osgi.Bundle) error {
@@ -268,7 +268,7 @@ func (d *DRCR) addComponent(desc *descriptor.Component, b *osgi.Bundle) error {
 		d.consIndex[key] = insertName(d.consIndex[key], desc.Name)
 	}
 	if c.state == Unsatisfied {
-		d.waiting[desc.Name] = c
+		d.addWaitingLocked(c)
 		d.enqueueActLocked(desc.Name)
 	}
 	c.lastSpan = d.obs.Deploy(d.kernel.Now(), desc.Name, c.state.String(), c.lastReason)
@@ -486,9 +486,9 @@ func (d *DRCR) setStateLocked(c *Component, to State, reason string) {
 	d.noteTransitionLocked(c, from, to)
 	switch to {
 	case Unsatisfied, Satisfied:
-		d.waiting[c.desc.Name] = c
+		d.addWaitingLocked(c)
 	default:
-		delete(d.waiting, c.desc.Name)
+		d.dropWaitingLocked(c.desc.Name)
 	}
 	c.lastSpan = d.obs.Transition(d.kernel.Now(), c.desc.Name, from.String(), to.String(), reason, d.takeCause(c))
 	d.emitLocked(Event{At: d.kernel.Now(), Component: c.desc.Name, From: from, To: to, Reason: reason})

@@ -25,14 +25,21 @@ package core
 //     admitted-set or resolver-chain change, mirroring the reference
 //     fixed point. When every resolver in the chain is policy.CPULocal
 //     (its verdict reads only the candidate's own processor), a waiter is
-//     re-armed only when its processor's epoch moved (cpuadmit.go): any
-//     other re-consult would repeat the denial it already holds. Two
-//     hooks keep that invisible — spans, causes and round order included
-//     — next to re-arming everyone: a waiter ahead of the activation
-//     cursor joins the round when an activation moves its processor, and
-//     a waiting consumer whose provider a deactivation round takes down
-//     goes straight to that pass's activation round. A chain change, a
-//     non-local chain, or a full Resolve re-arms every waiter;
+//     re-armed only when its processor's epoch moved: any other
+//     re-consult would repeat the denial it already holds. A per-CPU
+//     waiter index (cpuadmit.go) makes that re-arm visit only the moved
+//     processors' admission waiters plus a small side set (activation
+//     waiters, out-of-range pins), never the whole waiting set. Two hooks
+//     keep the partial re-arm invisible — spans, causes and round order
+//     included — next to re-arming everyone: a waiter ahead of the
+//     activation cursor joins the round when an activation moves its
+//     processor, and a waiting consumer whose provider a deactivation
+//     round takes down goes straight to that pass's activation round. A
+//     chain change, a non-local chain, or a full Resolve re-arms every
+//     waiter. A policy.LoadOnly chain consulted about a constant-budget
+//     candidate, while no distribution budget is admitted, reads a view
+//     with the per-CPU loads but no contract lists (loadViewLocked), so a
+//     moved epoch costs no list copy;
 //  3. admission decisions are cached only while the drain, the view
 //     epoch and the resolver-chain epoch all stand still — customized
 //     resolving services may be stateful across Resolve calls (the fault
@@ -265,7 +272,7 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	changed := false
 	modes, missing := d.feasibleModesLocked(c)
 	if len(modes) == 0 {
-		c.wait = waitPorts
+		d.setWaitLocked(c, waitPorts)
 		if c.state == Satisfied {
 			d.setStateLocked(c, Unsatisfied, "inport "+missing+" unsatisfied")
 			return true
@@ -280,7 +287,6 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		// Unsatisfied→Satisfied move that enabled it.
 		c.obsCause = c.lastSpan
 	}
-	view := d.viewLocked()
 	chainEpoch := d.chainEpoch.Load()
 	var decision policy.Decision
 	var mode int
@@ -292,13 +298,22 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	} else {
 		viewEpoch, drainID := d.viewEpoch, d.drainID
 		desc := c.desc
+		// A load-only chain decides a constant candidate over a constant
+		// view on Load alone: hand it the list-free view.
+		var view policy.View
+		consult := d.consultResolvers
+		if desc.Budget == nil && d.stochAdmitted == 0 && d.chainLoadOnlyLocked() {
+			view, consult = d.loadViewLocked(), d.consultLoadOnly
+		} else {
+			view = d.viewLocked()
+		}
 		// Snapshot the feasible-mode list before unlocking: the scratch
 		// buffer is reused by reentrant resolution work.
 		var stack [4]int
 		ms := append(stack[:0], modes...)
 		d.mu.Unlock()
 		var note string
-		decision, mode, note = d.admitWalk(view, desc, ms, d.consultResolvers)
+		decision, mode, note = d.admitWalk(view, desc, ms, consult)
 		ce := d.chainEpoch.Load()
 		d.mu.Lock()
 		c2, ok := d.comps[name]
@@ -315,8 +330,8 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		c.admitNote = note
 	}
 	if !decision.Admit {
-		d.noteDenyLocked(c, "admission denied: "+decision.Reason)
-		c.wait = waitAdmission
+		d.noteDenyLocked(c, decision.Reason)
+		d.setWaitLocked(c, waitAdmission)
 		return changed
 	}
 	// The Satisfied event and the resolver consult ran without d.mu, and
@@ -338,19 +353,29 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		c.mode = 0
 		c.admitVerdict = ""
 		c.lastReason = "activation failed: " + err.Error()
-		c.wait = waitActivation
+		d.setWaitLocked(c, waitActivation)
 		return changed
 	}
-	c.wait = waitNone
+	d.setWaitLocked(c, waitNone)
 	c.cacheValid = false
 	if d.rearmPartial {
 		// Re-arming every waiter would have put each in this round; the
 		// per-CPU re-arm left out those whose processor had not moved.
-		// One ahead of the cursor whose processor this activation moved
-		// would see the change here, so it joins the round.
-		for wn, w := range d.waiting {
-			if wn > name && w.wait == waitAdmission && d.cpuMovedLocked(w.desc.CPU()) {
+		// An admission waiter ahead of the cursor whose processor this
+		// activation moved (or that is pinned out of range) would see the
+		// change here, so it joins the round.
+		for _, wn := range d.sideWaiters {
+			if wn > name && d.waiting[wn].wait == waitAdmission {
 				d.actRound = insertRound(d.actRound, i, wn)
+			}
+		}
+		for cpu := range d.cpus {
+			if ws := d.cpus[cpu].waiters; d.cpuMovedLocked(cpu) {
+				for _, wn := range ws[sort.SearchStrings(ws, name):] {
+					if wn != name {
+						d.actRound = insertRound(d.actRound, i, wn)
+					}
+				}
 			}
 		}
 	}
@@ -381,10 +406,12 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 // syncWaitersLocked re-arms admission waiters when the admitted set or
 // the resolver chain changed since the last synchronisation — the
 // worklist equivalent of the reference engine running another full pass
-// after any change. With an unchanged CPU-local chain only the waiters
-// pinned to a processor whose epoch moved are re-armed: every other
-// waiter's verdict is provably the one it already holds. A chain change
-// or a non-local chain re-arms them all.
+// after any change. With an unchanged CPU-local chain only the side set
+// and the waiters pinned to a processor whose epoch moved are re-armed:
+// every other waiter's verdict is provably the one it already holds. A
+// chain change or a non-local chain re-arms them all. Every set is
+// name-sorted and staging is sorted insertion, so the visit order does
+// not show.
 func (d *DRCR) syncWaitersLocked() {
 	d.chainMu.Lock()
 	ce, local := d.chainEpoch.Load(), d.chainLocal
@@ -394,12 +421,12 @@ func (d *DRCR) syncWaitersLocked() {
 	}
 	local = local && d.drainChainEpoch == ce
 	d.rearmPartial = d.rearmPartial || local
-	for name, c := range d.waiting {
-		switch c.wait {
-		case waitActivation:
-			d.enqueueActLocked(name)
-		case waitAdmission:
-			if !local || d.cpuMovedLocked(c.desc.CPU()) {
+	for _, name := range d.sideWaiters {
+		d.enqueueActLocked(name)
+	}
+	for cpu := range d.cpus {
+		if !local || d.cpuMovedLocked(cpu) {
+			for _, name := range d.cpus[cpu].waiters {
 				d.enqueueActLocked(name)
 			}
 		}
@@ -462,8 +489,16 @@ func (d *DRCR) refreshChain() {
 	d.chainMu.Lock()
 	d.chain = chain
 	d.chainLocal = policy.IsCPULocal(chain)
+	d.chainLoadOnly = policy.IsLoadOnly(chain)
 	d.chainEpoch.Add(1)
 	d.chainMu.Unlock()
+}
+
+// chainLoadOnlyLocked reports whether the cached chain is policy.LoadOnly.
+func (d *DRCR) chainLoadOnlyLocked() bool {
+	d.chainMu.Lock()
+	defer d.chainMu.Unlock()
+	return d.chainLoadOnly
 }
 
 // consultResolvers chains the internal resolving service with every
@@ -474,6 +509,20 @@ func (d *DRCR) consultResolvers(view policy.View, cand policy.Contract) policy.D
 	d.chainMu.Lock()
 	chain := d.chain
 	d.chainMu.Unlock()
+	return chain.Admit(view, cand)
+}
+
+// consultLoadOnly is consultResolvers over a list-free view. A resolver
+// registered since the view was chosen may have cost the chain its
+// LoadOnly capability; the consult then runs over the full view instead.
+func (d *DRCR) consultLoadOnly(view policy.View, cand policy.Contract) policy.Decision {
+	d.refreshChain()
+	d.chainMu.Lock()
+	chain, loadOnly := d.chain, d.chainLoadOnly
+	d.chainMu.Unlock()
+	if !loadOnly {
+		view = d.GlobalView()
+	}
 	return chain.Admit(view, cand)
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -200,6 +201,42 @@ func IsCPULocal(r Resolver) bool {
 	return ok && l.CPULocal()
 }
 
+// LoadOnly is the optional capability of a Resolver whose verdict on a
+// candidate without a distribution budget (Budget nil), over a view whose
+// Stochastic is false, reads only the view's NumCPUs, Stochastic and
+// Load(cand.CPU): no contract list, no state of its own. For such
+// consults the DRCR hands the chain a view that carries Epoch, NumCPUs
+// and CPULoad but no lists, instead of copying every changed processor's
+// admitted set. A chain with any member lacking the capability, a
+// stochastic candidate and a stochastic view always see the full lists.
+type LoadOnly interface {
+	Resolver
+	// LoadOnly reports whether the guarantee holds for this value.
+	LoadOnly() bool
+}
+
+// IsLoadOnly reports whether r declares the LoadOnly guarantee.
+func IsLoadOnly(r Resolver) bool {
+	l, ok := r.(LoadOnly)
+	return ok && l.LoadOnly()
+}
+
+// cpuReason renders "cpu<cpu><mid><x><rel>", followed by bound when
+// bounded, with x and bound at three decimals: byte for byte what
+// fmt's %d and %.3f verbs give, without fmt.
+func cpuReason(cpu int, mid string, x float64, rel string, bound float64, bounded bool) string {
+	var buf [64]byte
+	b := append(buf[:0], "cpu"...)
+	b = strconv.AppendInt(b, int64(cpu), 10)
+	b = append(b, mid...)
+	b = strconv.AppendFloat(b, x, 'f', 3, 64)
+	b = append(b, rel...)
+	if bounded {
+		b = strconv.AppendFloat(b, bound, 'f', 3, 64)
+	}
+	return string(b)
+}
+
 // ServiceInterface is the service-registry interface name under which
 // customized resolving services are published for DRCR to discover.
 const ServiceInterface = "drcom.ResolvingService"
@@ -218,6 +255,10 @@ func (u Utilization) Name() string { return "utilization" }
 // CPULocal implements CPULocal.
 func (Utilization) CPULocal() bool { return true }
 
+// LoadOnly implements LoadOnly: a constant budget over a constant view is
+// decided on Load alone.
+func (Utilization) LoadOnly() bool { return true }
+
 // Admit implements Resolver.
 func (u Utilization) Admit(view View, cand Contract) Decision {
 	bound := u.Bound
@@ -232,9 +273,9 @@ func (u Utilization) Admit(view View, cand Contract) Decision {
 	sum := cand.CPUUsage + view.Load(cand.CPU)
 	const eps = 1e-9
 	if sum > bound+eps {
-		return deny("cpu%d budget %.3f exceeds bound %.3f", cand.CPU, sum, bound)
+		return Decision{Reason: cpuReason(cand.CPU, " budget ", sum, " exceeds bound ", bound, true)}
 	}
-	return admit("cpu%d budget %.3f within bound %.3f", cand.CPU, sum, bound)
+	return Decision{Admit: true, Reason: cpuReason(cand.CPU, " budget ", sum, " within bound ", bound, true)}
 }
 
 // RMA performs exact rate-monotonic response-time analysis over the
@@ -316,14 +357,17 @@ func (EDF) Name() string { return "edf" }
 // CPULocal implements CPULocal.
 func (EDF) CPULocal() bool { return true }
 
+// LoadOnly implements LoadOnly: the density bound reads Load alone.
+func (EDF) LoadOnly() bool { return true }
+
 // Admit implements Resolver.
 func (EDF) Admit(view View, cand Contract) Decision {
 	sum := cand.CPUUsage + view.Load(cand.CPU)
 	const eps = 1e-9
 	if sum > 1+eps {
-		return deny("cpu%d density %.3f exceeds 1", cand.CPU, sum)
+		return Decision{Reason: cpuReason(cand.CPU, " density ", sum, " exceeds 1", 0, false)}
 	}
-	return admit("cpu%d density %.3f ≤ 1", cand.CPU, sum)
+	return Decision{Admit: true, Reason: cpuReason(cand.CPU, " density ", sum, " ≤ 1", 0, false)}
 }
 
 // Chain consults resolvers in order; everyone must admit, mirroring the
@@ -350,6 +394,16 @@ func (ch Chain) CPULocal() bool {
 	return true
 }
 
+// LoadOnly implements LoadOnly: a chain is load-only iff every member is.
+func (ch Chain) LoadOnly() bool {
+	for _, r := range ch {
+		if !IsLoadOnly(r) {
+			return false
+		}
+	}
+	return true
+}
+
 // Admit implements Resolver.
 func (ch Chain) Admit(view View, cand Contract) Decision {
 	verdict := ""
@@ -362,9 +416,11 @@ func (ch Chain) Admit(view View, cand Contract) Decision {
 			verdict = d.Verdict
 		}
 	}
-	out := admit("all %d resolvers admitted %s", len(ch), cand.Name)
-	out.Verdict = verdict
-	return out
+	return Decision{
+		Admit:   true,
+		Reason:  "all " + strconv.Itoa(len(ch)) + " resolvers admitted " + cand.Name,
+		Verdict: verdict,
+	}
 }
 
 // Static always answers the same verdict; the paper's simulated
@@ -388,12 +444,15 @@ func (s Static) Name() string {
 // CPULocal implements CPULocal: the verdict reads nothing at all.
 func (Static) CPULocal() bool { return true }
 
+// LoadOnly implements LoadOnly: the verdict reads nothing at all.
+func (Static) LoadOnly() bool { return true }
+
 // Admit implements Resolver.
 func (s Static) Admit(View, Contract) Decision {
 	if s.AdmitAll {
-		return admit("static admit")
+		return Decision{Admit: true, Reason: "static admit"}
 	}
-	return deny("static deny")
+	return Decision{Reason: "static deny"}
 }
 
 // Func adapts a plain function to Resolver, for application-specific
@@ -423,4 +482,9 @@ var (
 	_ CPULocal = EDF{}
 	_ CPULocal = Chain(nil)
 	_ CPULocal = Static{}
+
+	_ LoadOnly = Utilization{}
+	_ LoadOnly = EDF{}
+	_ LoadOnly = Chain(nil)
+	_ LoadOnly = Static{}
 )

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,6 +99,70 @@ func TestCPULocalCapability(t *testing.T) {
 		if IsCPULocal(r) {
 			t.Errorf("%s: want not CPU-local", r.Name())
 		}
+	}
+}
+
+// TestLoadOnlyCapability: Utilization, EDF and Static decide a constant
+// candidate on Load alone; RMA reads the contract list, a Func may read
+// anything, and a chain is load-only only when every member is.
+func TestLoadOnlyCapability(t *testing.T) {
+	for _, r := range []Resolver{Utilization{}, EDF{}, Static{}, Chain{Utilization{}, EDF{}, Static{AdmitAll: true}}} {
+		if !IsLoadOnly(r) {
+			t.Errorf("%s: want load-only", r.Name())
+		}
+	}
+	f := Func{Label: "f", F: func(View, Contract) Decision { return Decision{Admit: true} }}
+	for _, r := range []Resolver{RMA{}, f, Chain{Utilization{}, RMA{}}, Chain{Utilization{}, f}} {
+		if IsLoadOnly(r) {
+			t.Errorf("%s: want not load-only", r.Name())
+		}
+	}
+}
+
+// TestReasonRenderMatchesFmt: the Utilization, EDF and Chain reasons,
+// rendered without fmt, equal the %d / %.3f formats byte for byte —
+// on NaN, ±Inf, −0, exact halves, large values and negative CPUs.
+func TestReasonRenderMatchesFmt(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	values := []float64{0, negZero, 0.5, 1, 1.0005, 0.0625, 0.1875, 2.5e-4, 0.9995,
+		1.0000000001, 123456.789, 1e22, 1e300, -1e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	// A CPULoad of −0 keeps a −0 candidate's sum −0.
+	load := make([]float64, 20)
+	for i := range load {
+		load[i] = negZero
+	}
+	view := View{NumCPUs: 20, CPULoad: load}
+	for _, cpu := range []int{0, 3, 17, -2} {
+		for _, x := range values {
+			cand := Contract{Name: "cand", CPU: cpu, CPUUsage: x}
+			sum := x + view.Load(cpu)
+			for _, bound := range []float64{0, 0.5, 1.0005, 1e300, math.NaN(), math.Inf(1)} {
+				b := bound
+				if b <= 0 {
+					b = 1.0
+				}
+				verb := "within"
+				if sum > b+1e-9 {
+					verb = "exceeds"
+				}
+				want := fmt.Sprintf("cpu%d budget %.3f "+verb+" bound %.3f", cpu, sum, b)
+				if got := (Utilization{Bound: bound}).Admit(view, cand).Reason; got != want {
+					t.Errorf("utilization(%v, bound %v): %q, want %q", x, bound, got, want)
+				}
+			}
+			want := fmt.Sprintf("cpu%d density %.3f ≤ 1", cpu, sum)
+			if sum > 1+1e-9 {
+				want = fmt.Sprintf("cpu%d density %.3f exceeds 1", cpu, sum)
+			}
+			if got := (EDF{}).Admit(view, cand).Reason; got != want {
+				t.Errorf("edf(%v): %q, want %q", x, got, want)
+			}
+		}
+	}
+	ch := Chain{Static{AdmitAll: true}, Static{AdmitAll: true, Label: "b"}}
+	if got, want := ch.Admit(View{}, Contract{Name: "x"}).Reason, fmt.Sprintf("all %d resolvers admitted %s", 2, "x"); got != want {
+		t.Errorf("chain: %q, want %q", got, want)
 	}
 }
 
