@@ -27,7 +27,6 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/osgi"
-	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/rtos"
 	"repro/internal/sim"
@@ -65,15 +64,15 @@ type (
 
 	// Plan is a batch that passed the typed-port check (version ranges,
 	// structural datatypes), with its wiring table.
-	Plan = plan.Plan
+	Plan = core.Plan
 	// PlanRejectError aggregates the typed port conflicts that made a
 	// bundle impossible to compose; DeployBundle returns it before
 	// anything is installed.
-	PlanRejectError = plan.RejectError
+	PlanRejectError = core.PlanRejectError
 	// PortIncompatibility names one conflicting port pair and why the
 	// provider cannot satisfy the consumer (version range vs. structural
 	// datatype mismatch).
-	PortIncompatibility = plan.PortIncompatibility
+	PortIncompatibility = core.PortIncompatibility
 
 	// Built-in resolving services, re-exported for convenience.
 	Utilization = policy.Utilization

@@ -207,10 +207,12 @@ type portKey struct {
 
 func keyOf(p descriptor.Port) portKey { return portKey{p.Name, p.Interface, p.Type} }
 
-// portProv is one admitted provider of a port topic. It carries the
-// full declared outport so the index answers compatibility queries
-// (size plus the typed version/datatype rules) exactly like a scan over
-// the admitted descriptors.
+// portProv is one provider of a port topic: an admitted component, a
+// remote provision (name is its "component@node" origin) or a batch
+// member under the typed-port check. It carries the full declared
+// outport so the index answers compatibility queries (size plus the
+// typed version/datatype rules) exactly like a scan over the admitted
+// descriptors.
 type portProv struct {
 	name string
 	port descriptor.Port
@@ -344,7 +346,7 @@ type DRCR struct {
 	// topics provided by admitted components on other cluster nodes
 	// (consulted after the local admitted set) and topics components
 	// here export to other nodes.
-	remoteProv map[portKey][]remoteEntry
+	remoteProv map[portKey][]portProv
 	remoteCons map[portKey][]string
 
 	// viewEpoch counts admitted-set changes on any processor; viewSnap is

@@ -13,7 +13,6 @@ import (
 	"repro/internal/manifest"
 	"repro/internal/obs"
 	"repro/internal/osgi"
-	"repro/internal/plan"
 	"repro/internal/policy"
 	"repro/internal/rtos"
 )
@@ -279,9 +278,9 @@ func TestCompilePlanTypedReject(t *testing.T) {
 	r := newPlanRig(t)
 	descs := []*descriptor.Component{mustParse(t, prov), mustParse(t, cons)}
 	_, err := r.d.CompilePlan(descs)
-	var rej *plan.RejectError
+	var rej *PlanRejectError
 	if !errors.As(err, &rej) {
-		t.Fatalf("CompilePlan = %v, want *plan.RejectError", err)
+		t.Fatalf("CompilePlan = %v, want *PlanRejectError", err)
 	}
 	if len(rej.Conflicts) != 1 {
 		t.Fatalf("conflicts = %d, want 1", len(rej.Conflicts))
@@ -304,10 +303,25 @@ func TestCompilePlanTypedReject(t *testing.T) {
 		`datatype="struct{seq:int32}"`, `datatype="struct{seq:int32,ts:int32}"`, 1)
 	_, err = r.d.CompilePlan([]*descriptor.Component{mustParse(t, prov2), mustParse(t, cons2)})
 	if !errors.As(err, &rej) {
-		t.Fatalf("structural CompilePlan = %v, want *plan.RejectError", err)
+		t.Fatalf("structural CompilePlan = %v, want *PlanRejectError", err)
 	}
 	if rej.Conflicts[0].Kind != "structure" {
 		t.Fatalf("kind = %q, want structure", rej.Conflicts[0].Kind)
+	}
+
+	// A structural mismatch on a field named version is still a
+	// structural conflict: the kind comes from the failing check, not
+	// from the words of its reason.
+	prov3 := strings.Replace(prov, `datatype="struct{seq:int32}"`, `datatype="struct{version:int32}"`, 1)
+	cons3 := strings.Replace(
+		strings.Replace(cons, `version="[2.0.0,3.0.0)" `, ``, 1),
+		`datatype="struct{seq:int32}"`, `datatype="struct{version:int32[2]}"`, 1)
+	_, err = r.d.CompilePlan([]*descriptor.Component{mustParse(t, prov3), mustParse(t, cons3)})
+	if !errors.As(err, &rej) {
+		t.Fatalf("version-field CompilePlan = %v, want *PlanRejectError", err)
+	}
+	if c := rej.Conflicts[0]; c.Kind != "structure" || !strings.Contains(c.Reason, "structurally satisfy") {
+		t.Fatalf("version-field conflict = %q (%s), want a structure mismatch", c.Reason, c.Kind)
 	}
 
 	// An absent provider is NOT a typed conflict — the consumer waits,
@@ -378,5 +392,151 @@ func TestDryAdmitConsultsLiveChain(t *testing.T) {
 	}
 	if info, _ := r.d.Component("big"); info.State != Satisfied || info.LastReason != "admission denied: "+want[1].Reason {
 		t.Errorf("big = %v %q, want SATISFIED denied with %q", info.State, info.LastReason, want[1].Reason)
+	}
+}
+
+// provIndexOf builds a topic-keyed, name-sorted provider index.
+func provIndexOf(ps ...portProv) map[portKey][]portProv {
+	m := map[portKey][]portProv{}
+	for _, p := range ps {
+		k := keyOf(p.port)
+		m[k] = insertProv(m[k], p)
+	}
+	return m
+}
+
+// edgeRows renders the wiring table as consumer.inport<-provider rows,
+// indexed providers marked with a trailing "*".
+func edgeRows(p *Plan) string {
+	var rows []string
+	for _, e := range p.Edges {
+		row := fmt.Sprintf("%s.%s<-%s", e.Consumer, e.Inport, e.Provider)
+		if e.External {
+			row += "*"
+		}
+		rows = append(rows, row)
+	}
+	return strings.Join(rows, " ")
+}
+
+// TestCheckBatchDiamondWiring pins the wiring table of a diamond DAG:
+// src feeds mid1/mid2, sink joins them. Rows come in consumer/inport
+// order with every member provider resolved.
+func TestCheckBatchDiamondWiring(t *testing.T) {
+	descs := []*descriptor.Component{
+		mustParse(t, churnXML("src", 0, 0.01, nil, []string{"ta"})),
+		mustParse(t, churnXML("mid1", 0, 0.01, []string{"ta"}, []string{"tb"})),
+		mustParse(t, churnXML("mid2", 1, 0.01, []string{"ta"}, []string{"tc"})),
+		mustParse(t, churnXML("sink", 1, 0.01, []string{"tb", "tc"}, nil)),
+	}
+	p, err := checkBatch(descs, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fallback != "" {
+		t.Fatalf("fallback = %q", p.Fallback)
+	}
+	want := "mid1.ta<-src mid2.ta<-src sink.tb<-mid1 sink.tc<-mid2"
+	if got := edgeRows(p); got != want {
+		t.Fatalf("edges = %s", got)
+	}
+}
+
+// TestCompileLeftoverAndExternal: an orphan consumer's inport stays
+// unbound in the wiring table, and an indexed provider satisfying
+// another member appears as an external edge.
+func TestCompileLeftoverAndExternal(t *testing.T) {
+	descs := []*descriptor.Component{
+		mustParse(t, churnXML("cons", 0, 0.01, []string{"base"}, nil)),
+		mustParse(t, churnXML("orph", 1, 0.01, []string{"nowhr"}, nil)),
+	}
+	ext := mustParse(t, churnXML("ext", 0, 0.01, nil, []string{"base"}))
+	p, err := checkBatch(descs, 2, provIndexOf(portProv{"ext", ext.OutPorts[0]}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := edgeRows(p), "cons.base<-ext* orph.nowhr<-"; got != want {
+		t.Fatalf("edges = %s, want %s", got, want)
+	}
+}
+
+// TestCheckBatchIgnoresBudgets: a batch overflowing one CPU's budget
+// passes the check with no Fallback. Admission is the resolving
+// services' verdict at deploy, not the check's.
+func TestCheckBatchIgnoresBudgets(t *testing.T) {
+	descs := []*descriptor.Component{
+		mustParse(t, churnXML("h1", 0, 0.6, nil, nil)),
+		mustParse(t, churnXML("h2", 0, 0.6, nil, nil)),
+	}
+	p, err := checkBatch(descs, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fallback != "" {
+		t.Fatalf("fallback = %q", p.Fallback)
+	}
+}
+
+// TestCheckBatchEdgeModes: a member whose mode 0 lacks a provider but
+// whose degraded mode drops that inport passes the check with no
+// Fallback; its edge stays unbound and names only the mode that
+// requires it.
+func TestCheckBatchEdgeModes(t *testing.T) {
+	eco := `  <mode name="eco" frequence="50" cpuusage="0.01" drops="gap"/>` + "\n"
+	descs := []*descriptor.Component{
+		mustParse(t, localXML("degr", 0, 0.02, []string{"gap"}, nil, eco)),
+	}
+	p, err := checkBatch(descs, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Fallback != "" {
+		t.Fatalf("fallback = %q", p.Fallback)
+	}
+	if len(p.Edges) != 1 || p.Edges[0].Provider != "" || strings.Join(p.Edges[0].Modes, ",") != descriptor.FullModeName {
+		t.Fatalf("edges = %+v, want gap unbound and required in %s only", p.Edges, descriptor.FullModeName)
+	}
+}
+
+// TestCheckBatchTracksIndex: the wiring table follows the provider
+// index — an indexed provider that satisfies a batch inport binds it,
+// an irrelevant one leaves it unbound, and a remote provision binds it
+// when no local one does.
+func TestCheckBatchTracksIndex(t *testing.T) {
+	descs := []*descriptor.Component{mustParse(t, churnXML("c", 0, 0.01, []string{"base"}, nil))}
+	ext := portProv{"ext", mustParse(t, churnXML("ext", 0, 0.01, nil, []string{"base"})).OutPorts[0]}
+	other := portProv{"oth", mustParse(t, churnXML("oth", 0, 0.01, nil, []string{"unrel"})).OutPorts[0]}
+	far := portProv{"ext@n1", ext.port}
+	for _, c := range []struct {
+		local, remote map[portKey][]portProv
+		want          string
+	}{
+		{nil, nil, "c.base<-"},
+		{provIndexOf(ext), nil, "c.base<-ext*"},
+		{provIndexOf(other), nil, "c.base<-"},
+		{nil, provIndexOf(far), "c.base<-ext@n1*"},
+		{provIndexOf(ext), provIndexOf(far), "c.base<-ext*"},
+	} {
+		p, err := checkBatch(descs, 2, c.local, c.remote)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := edgeRows(p); got != c.want {
+			t.Fatalf("local %v remote %v: edges = %s, want %s", c.local, c.remote, got, c.want)
+		}
+	}
+}
+
+// TestCompileDuplicateNameFallback: duplicate names inside one batch
+// cannot be checked as a whole (the engine keeps first-wins semantics).
+func TestCompileDuplicateNameFallback(t *testing.T) {
+	src := churnXML("dup", 0, 0.01, nil, nil)
+	descs := []*descriptor.Component{mustParse(t, src), mustParse(t, src)}
+	p, err := checkBatch(descs, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(p.Fallback, "duplicate") {
+		t.Fatalf("fallback = %q", p.Fallback)
 	}
 }

@@ -27,12 +27,6 @@ import (
 	"repro/internal/descriptor"
 )
 
-// remoteEntry is one remote provision of a topic.
-type remoteEntry struct {
-	origin string // "component@node" — globally unique, sorted key
-	port   descriptor.Port
-}
-
 // AddRemoteProvider registers origin (conventionally "component@nodeN")
 // as a remote provider of the topic declared by out, an outport as
 // declared at the providing component. Waiting consumers of the topic
@@ -48,9 +42,9 @@ func (d *DRCR) AddRemoteProvider(out descriptor.Port, origin string) error {
 	}
 	key := keyOf(out)
 	if d.remoteProv == nil {
-		d.remoteProv = map[portKey][]remoteEntry{}
+		d.remoteProv = map[portKey][]portProv{}
 	}
-	d.remoteProv[key] = insertRemote(d.remoteProv[key], remoteEntry{origin: origin, port: out})
+	d.remoteProv[key] = insertProv(d.remoteProv[key], portProv{name: origin, port: out})
 	// A new provider can satisfy waiting consumers; it can also change the
 	// provider choice of nothing that is already admitted (local providers
 	// win and rebinding is not done in place), so staging the topic's
@@ -73,7 +67,7 @@ func (d *DRCR) RemoveRemoteProvider(out descriptor.Port, origin string) error {
 		return ErrClosed
 	}
 	key := keyOf(out)
-	es := removeRemote(d.remoteProv[key], origin)
+	es := removeProv(d.remoteProv[key], origin)
 	if len(es) == 0 {
 		delete(d.remoteProv, key)
 	} else {
@@ -147,11 +141,11 @@ func (d *DRCR) RemoteConsumers() []RemoteProvision {
 	return out
 }
 
-func snapshotRemoteLocked(m map[portKey][]remoteEntry) []RemoteProvision {
+func snapshotRemoteLocked(m map[portKey][]portProv) []RemoteProvision {
 	out := make([]RemoteProvision, 0, len(m))
 	for key, es := range m {
 		for _, e := range es {
-			out = append(out, RemoteProvision{Topic: key.name, Origin: e.origin})
+			out = append(out, RemoteProvision{Topic: key.name, Origin: e.name})
 		}
 	}
 	sortProvisions(out)
@@ -165,38 +159,4 @@ func sortProvisions(ps []RemoteProvision) {
 		}
 		return ps[i].Origin < ps[j].Origin
 	})
-}
-
-// remoteProviderLocked answers a provider query from the remote index —
-// the fallback after the local admitted set came up empty.
-func (d *DRCR) remoteProviderLocked(in descriptor.Port) string {
-	if in.Direction != descriptor.In {
-		return ""
-	}
-	for _, e := range d.remoteProv[keyOf(in)] {
-		if e.port.CanSatisfy(in) {
-			return e.origin
-		}
-	}
-	return ""
-}
-
-func insertRemote(es []remoteEntry, e remoteEntry) []remoteEntry {
-	i := sort.Search(len(es), func(i int) bool { return es[i].origin >= e.origin })
-	if i < len(es) && es[i].origin == e.origin {
-		es[i] = e
-		return es
-	}
-	es = append(es, remoteEntry{})
-	copy(es[i+1:], es[i:])
-	es[i] = e
-	return es
-}
-
-func removeRemote(es []remoteEntry, origin string) []remoteEntry {
-	i := sort.Search(len(es), func(i int) bool { return es[i].origin >= origin })
-	if i >= len(es) || es[i].origin != origin {
-		return es
-	}
-	return append(es[:i], es[i+1:]...)
 }

@@ -662,21 +662,32 @@ func (d *DRCR) promotionViewLocked(c *Component) policy.View {
 	return v
 }
 
-// findProviderLocked locates an admitted component whose outport can
-// satisfy the given inport. It answers from the admitted provider index:
-// a map lookup plus a walk of the (tiny, name-sorted) provider list for
-// that topic, so the choice matches a scan over the name-sorted admitted
-// set.
+// findProviderLocked binds an inport from the provider index: the
+// admitted providers of its topic (a tiny name-sorted list, so the
+// choice matches a scan over the name-sorted admitted set), then the
+// remote provisions replicated over the cluster network.
 func (d *DRCR) findProviderLocked(self string, in descriptor.Port) string {
-	if in.Direction != descriptor.In {
-		return ""
-	}
-	for _, p := range d.provIndex[keyOf(in)] {
+	k := keyOf(in)
+	name, _ := chooseProvider(self, in, d.provIndex[k], d.remoteProv[k])
+	return name
+}
+
+// chooseProvider is the one provider-choice rule (§2.3): the first local
+// candidate other than the consumer self whose outport satisfies the
+// inport, else the first remote provision that does. local and remote
+// are name-sorted candidates on the inport's topic. It returns the
+// chosen name and its index in local, or -1 when the choice is remote
+// or there is none.
+func chooseProvider(self string, in descriptor.Port, local, remote []portProv) (string, int) {
+	for i, p := range local {
 		if p.name != self && p.port.CanSatisfy(in) {
-			return p.name
+			return p.name, i
 		}
 	}
-	// No local provider: a remote provision (replicated over the cluster
-	// network) satisfies the functional constraint too.
-	return d.remoteProviderLocked(in)
+	for _, p := range remote {
+		if p.port.CanSatisfy(in) {
+			return p.name, -1
+		}
+	}
+	return "", -1
 }

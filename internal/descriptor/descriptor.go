@@ -79,12 +79,16 @@ type Port struct {
 // compatibility), plus the typed version/datatype rules of typing.go
 // when the ports carry annotations.
 func (p Port) CanSatisfy(in Port) bool {
-	return p.Direction == Out && in.Direction == In &&
-		p.Name == in.Name &&
-		p.Interface == in.Interface &&
-		p.Type == in.Type &&
-		p.Size >= in.Size &&
-		p.typedOK(in)
+	if p.Direction != Out || in.Direction != In || p.Name != in.Name ||
+		p.Interface != in.Interface || p.Type != in.Type || p.Size < in.Size {
+		return false
+	}
+	// An inport without annotations accepts any provider; skip the call.
+	if in.Version == "" && in.DataType == "" {
+		return true
+	}
+	kind, _ := p.ExplainTypedMismatch(in)
+	return kind == ""
 }
 
 // Property is one configuration property.

@@ -302,55 +302,43 @@ func (p *dtParser) parseType(depth int) (*dataType, error) {
 }
 
 // ExplainTypedMismatch checks the version/datatype annotations of a
-// provider outport p against consumer inport in and returns "" when
-// they are compatible, else a human-readable reason naming the exact
-// incompatibility (version range vs. structural mismatch). It only
-// judges the typed layer — callers check the base name/interface/
-// type/size match separately.
-func (p Port) ExplainTypedMismatch(in Port) string {
-	if in.Version == "" && in.DataType == "" {
-		return "" // consumer requires nothing beyond the base contract
-	}
+// provider outport p against consumer inport in. It returns ("", "")
+// when they are compatible, else the layer that failed — "version" or
+// "structure" — and a human-readable reason naming the exact
+// incompatibility. It only judges the typed layer — callers check the
+// base name/interface/type/size match separately.
+func (p Port) ExplainTypedMismatch(in Port) (kind, reason string) {
 	if in.Version != "" {
 		if p.Version == "" {
-			return fmt.Sprintf("consumer requires version %s but provider declares no version", in.Version)
+			return "version", fmt.Sprintf("consumer requires version %s but provider declares no version", in.Version)
 		}
 		rng, err := manifest.ParseRange(in.Version)
 		if err != nil {
-			return fmt.Sprintf("consumer version range %q invalid: %v", in.Version, err)
+			return "version", fmt.Sprintf("consumer version range %q invalid: %v", in.Version, err)
 		}
 		ver, err := manifest.ParseVersion(p.Version)
 		if err != nil {
-			return fmt.Sprintf("provider version %q invalid: %v", p.Version, err)
+			return "version", fmt.Sprintf("provider version %q invalid: %v", p.Version, err)
 		}
 		if !rng.Contains(ver) {
-			return fmt.Sprintf("provider version %s outside required range %s", p.Version, in.Version)
+			return "version", fmt.Sprintf("provider version %s outside required range %s", p.Version, in.Version)
 		}
 	}
 	if in.DataType != "" {
 		if p.DataType == "" {
-			return fmt.Sprintf("consumer requires datatype %s but provider declares none", in.DataType)
+			return "structure", fmt.Sprintf("consumer requires datatype %s but provider declares none", in.DataType)
 		}
 		req, err := parseDataType(in.DataType)
 		if err != nil {
-			return fmt.Sprintf("consumer datatype %q invalid: %v", in.DataType, err)
+			return "structure", fmt.Sprintf("consumer datatype %q invalid: %v", in.DataType, err)
 		}
 		prov, err := parseDataType(p.DataType)
 		if err != nil {
-			return fmt.Sprintf("provider datatype %q invalid: %v", p.DataType, err)
+			return "structure", fmt.Sprintf("provider datatype %q invalid: %v", p.DataType, err)
 		}
 		if !prov.satisfies(req) {
-			return fmt.Sprintf("provider datatype %s does not structurally satisfy %s", p.DataType, in.DataType)
+			return "structure", fmt.Sprintf("provider datatype %s does not structurally satisfy %s", p.DataType, in.DataType)
 		}
 	}
-	return ""
-}
-
-// typedOK is the boolean form used on the CanSatisfy hot path. Ports
-// without annotations short-circuit to true at zero cost.
-func (p Port) typedOK(in Port) bool {
-	if in.Version == "" && in.DataType == "" {
-		return true
-	}
-	return p.ExplainTypedMismatch(in) == ""
+	return "", ""
 }

@@ -95,33 +95,39 @@ func TestTypedCompatibility(t *testing.T) {
 	cases := []struct {
 		prov, cons Port
 		ok         bool
+		kind       string // layer the mismatch is reported on
 		reason     string // substring the mismatch text must contain
 	}{
 		// Untyped consumers accept anything (back-compat).
-		{out("", ""), in("", ""), true, ""},
-		{out("2.0.0", "int32[8]"), in("", ""), true, ""},
+		{out("", ""), in("", ""), true, "", ""},
+		{out("2.0.0", "int32[8]"), in("", ""), true, "", ""},
 		// Version range checks.
-		{out("1.2.0", ""), in("[1.0.0,2.0.0)", ""), true, ""},
-		{out("2.0.0", ""), in("[1.0.0,2.0.0)", ""), false, "outside required range"},
-		{out("1.2.0", ""), in("1.3.0", ""), false, "outside required range"},
-		{out("1.3.0", ""), in("1.3.0", ""), true, ""},
-		{out("", ""), in("1.0.0", ""), false, "declares no version"},
+		{out("1.2.0", ""), in("[1.0.0,2.0.0)", ""), true, "", ""},
+		{out("2.0.0", ""), in("[1.0.0,2.0.0)", ""), false, "version", "outside required range"},
+		{out("1.2.0", ""), in("1.3.0", ""), false, "version", "outside required range"},
+		{out("1.3.0", ""), in("1.3.0", ""), true, "", ""},
+		{out("", ""), in("1.0.0", ""), false, "version", "declares no version"},
 		// Structural checks: width subtyping, array covariance.
-		{out("", "struct{a:int32,b:int32[4]}"), in("", "struct{a:int32}"), true, ""},
-		{out("", "struct{a:int32}"), in("", "struct{a:int32,b:int32}"), false, "structurally satisfy"},
-		{out("", "int32[8]"), in("", "int32[4]"), true, ""},
-		{out("", "int32[4]"), in("", "int32[8]"), false, "structurally satisfy"},
-		{out("", ""), in("", "int32"), false, "declares none"},
+		{out("", "struct{a:int32,b:int32[4]}"), in("", "struct{a:int32}"), true, "", ""},
+		{out("", "struct{a:int32}"), in("", "struct{a:int32,b:int32}"), false, "structure", "structurally satisfy"},
+		{out("", "int32[8]"), in("", "int32[4]"), true, "", ""},
+		{out("", "int32[4]"), in("", "int32[8]"), false, "structure", "structurally satisfy"},
+		{out("", ""), in("", "int32"), false, "structure", "declares none"},
+		// A field named version is still a structural mismatch.
+		{out("", "struct{version:byte}"), in("", "struct{version:int32}"), false, "structure", "structurally satisfy"},
 		// Both layers must pass.
-		{out("1.2.0", "int32[8]"), in("1.0", "int32[4]"), true, ""},
-		{out("0.9.0", "int32[8]"), in("1.0", "int32[4]"), false, "outside required range"},
+		{out("1.2.0", "int32[8]"), in("1.0", "int32[4]"), true, "", ""},
+		{out("0.9.0", "int32[8]"), in("1.0", "int32[4]"), false, "version", "outside required range"},
 	}
 	for i, c := range cases {
 		got := c.prov.CanSatisfy(c.cons)
 		if got != c.ok {
 			t.Errorf("case %d: CanSatisfy = %v, want %v", i, got, c.ok)
 		}
-		why := c.prov.ExplainTypedMismatch(c.cons)
+		kind, why := c.prov.ExplainTypedMismatch(c.cons)
+		if kind != c.kind {
+			t.Errorf("case %d: mismatch kind %q, want %q", i, kind, c.kind)
+		}
 		if c.ok && why != "" {
 			t.Errorf("case %d: unexpected mismatch reason %q", i, why)
 		}
