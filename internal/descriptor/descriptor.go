@@ -12,6 +12,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -301,8 +302,9 @@ func (c *Component) Priority() int {
 
 // xml wire format ---------------------------------------------------------
 
-// The wire structs keep their encoding/xml tags: the decoder below reads
-// them by hand, and the tests hold it to xml.Unmarshal over this schema.
+// The wire structs keep their encoding/xml tags: the scanner (scan.go)
+// fills them by hand, and the tests hold it to xml.Unmarshal over this
+// schema.
 
 type xmlPort struct {
 	Name      string `xml:"name,attr"`
@@ -370,33 +372,6 @@ type xmlComponent struct {
 	Properties     []xmlProperty     `xml:"property"`
 }
 
-// firstStart skips the prolog (declaration, comments, directives,
-// whitespace) to the document's root start element.
-func firstStart(d *xml.Decoder) (xml.StartElement, error) {
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return xml.StartElement{}, err
-		}
-		if start, ok := tok.(xml.StartElement); ok {
-			return start, nil
-		}
-	}
-}
-
-// setAttrs copies each attribute whose local name is names[i] into
-// *fields[i]; a later duplicate overwrites an earlier one, as in
-// xml.Unmarshal.
-func setAttrs(attrs []xml.Attr, names []string, fields ...*string) {
-	for _, a := range attrs {
-		for i, n := range names {
-			if a.Name.Local == n {
-				*fields[i] = a.Value
-			}
-		}
-	}
-}
-
 // Attribute names per element, in the order decode passes the fields.
 var (
 	componentAttrs = []string{"name", "desc", "type", "enabled", "cpuusage", "importance"}
@@ -408,84 +383,6 @@ var (
 	modeAttrs      = []string{"name", "frequence", "frequency", "cpuusage", "drops"}
 	propertyAttrs  = []string{"name", "type", "value"}
 )
-
-// decode reads one descriptor document into its wire form. It reads the
-// same token stream xml.Unmarshal would over the xmlComponent schema and
-// stops where Unmarshal stops, at the root's end tag, so it yields the
-// same struct and the same errors: attributes match by local name and a
-// later duplicate wins, a repeated single element merges into the first,
-// and unknown or deeper elements are skipped.
-func decode(src string) (xmlComponent, error) {
-	var xc xmlComponent
-	d := xml.NewDecoder(strings.NewReader(src))
-	root, err := firstStart(d)
-	if err != nil {
-		return xc, err
-	}
-	if root.Name.Local != "component" {
-		return xc, xml.UnmarshalError("expected element type <component> but have <" + root.Name.Local + ">")
-	}
-	xc.XMLName = root.Name
-	setAttrs(root.Attr, componentAttrs, &xc.Name, &xc.Desc, &xc.Type, &xc.Enabled, &xc.CPUUsage, &xc.Importance)
-	for {
-		tok, err := d.Token()
-		if err != nil {
-			return xc, err
-		}
-		switch t := tok.(type) {
-		case xml.EndElement:
-			return xc, nil
-		case xml.StartElement:
-			xc.child(t)
-			// Children carry no content the schema reads.
-			if err := d.Skip(); err != nil {
-				return xc, err
-			}
-		}
-	}
-}
-
-// child records the attributes of one top-level element.
-func (xc *xmlComponent) child(el xml.StartElement) {
-	switch el.Name.Local {
-	case "implementation":
-		im := &xc.Implementation
-		setAttrs(el.Attr, implAttrs, &im.Bincode, &im.Class)
-	case "periodictask":
-		if xc.PeriodicTask == nil {
-			xc.PeriodicTask = &xmlPeriodic{}
-		}
-		pt := xc.PeriodicTask
-		setAttrs(el.Attr, periodicAttrs, &pt.Frequence, &pt.Frequency, &pt.RunOnCup, &pt.RunOnCPU, &pt.Priority)
-	case "aperiodictask":
-		if xc.AperiodicTask == nil {
-			xc.AperiodicTask = &xmlAperiodic{}
-		}
-		at := xc.AperiodicTask
-		setAttrs(el.Attr, aperiodicAttrs, &at.RunOnCup, &at.RunOnCPU, &at.Priority)
-	case "budget":
-		if xc.Budget == nil {
-			xc.Budget = &xmlBudget{}
-		}
-		setAttrs(el.Attr, budgetAttrs, &xc.Budget.Dist, &xc.Budget.P)
-	case "outport", "inport":
-		var p xmlPort
-		setAttrs(el.Attr, portAttrs, &p.Name, &p.Interface, &p.Type, &p.Size, &p.Version, &p.DataType)
-		if el.Name.Local == "outport" {
-			xc.OutPorts = append(xc.OutPorts, p)
-		} else {
-			xc.InPorts = append(xc.InPorts, p)
-		}
-	case "mode":
-		var m xmlMode
-		setAttrs(el.Attr, modeAttrs, &m.Name, &m.Frequence, &m.Frequency, &m.CPUUsage, &m.Drops)
-		xc.Modes = append(xc.Modes, m)
-	case "property":
-		var p xmlProperty
-		setAttrs(el.Attr, propertyAttrs, &p.Name, &p.Type, &p.Value)
-		xc.Properties = append(xc.Properties, p)
-	}
-}
 
 // ValidationError aggregates everything wrong with a descriptor.
 type ValidationError struct {
@@ -523,7 +420,7 @@ func Parse(src string) (*Component, error) {
 
 	if xc.CPUUsage != "" {
 		u, err := strconv.ParseFloat(strings.TrimSpace(xc.CPUUsage), 64)
-		if err != nil || u < 0 || u > 1 {
+		if err != nil || !(u >= 0 && u <= 1) {
 			addf("cpuusage %q must be a fraction in [0,1]", xc.CPUUsage)
 		} else {
 			c.CPUUsage = u
@@ -551,9 +448,8 @@ func Parse(src string) (*Component, error) {
 		} else {
 			spec := &PeriodicSpec{}
 			freq := firstNonEmpty(xc.PeriodicTask.Frequence, xc.PeriodicTask.Frequency)
-			f, err := strconv.ParseFloat(strings.TrimSpace(freq), 64)
-			if err != nil || f <= 0 {
-				addf("periodictask frequence %q must be a positive number", freq)
+			if f, ok := parseFrequency(freq); !ok {
+				addf("periodictask frequence %q %s", freq, frequencyRule)
 			} else {
 				spec.FrequencyHz = f
 			}
@@ -621,15 +517,15 @@ func Parse(src string) (*Component, error) {
 		if freq := firstNonEmpty(xm.Frequence, xm.Frequency); freq != "" {
 			if c.Kind != Periodic {
 				addf("mode %q sets frequence on a non-periodic component", m.Name)
-			} else if f, err := strconv.ParseFloat(freq, 64); err != nil || f <= 0 {
-				addf("mode %q frequence %q must be a positive number", m.Name, freq)
+			} else if f, ok := parseFrequency(freq); !ok {
+				addf("mode %q frequence %q %s", m.Name, freq, frequencyRule)
 			} else {
 				m.FrequencyHz = f
 			}
 		}
 		u, err := strconv.ParseFloat(strings.TrimSpace(xm.CPUUsage), 64)
 		switch {
-		case err != nil || u <= 0 || u > 1:
+		case err != nil || !(u > 0 && u <= 1):
 			addf("mode %q cpuusage %q must be a fraction in (0,1]", m.Name, xm.CPUUsage)
 		case u >= prevCost:
 			addf("mode %q cpuusage %g must be below the preceding mode's %g (monotonically decreasing cost)",
@@ -702,6 +598,22 @@ func ParseAll(srcs []string) ([]*Component, error) {
 		out = append(out, c)
 	}
 	return out, nil
+}
+
+// frequencyRule is what parseFrequency requires of a rate.
+const frequencyRule = "must be a positive finite rate in Hz whose period is from 1ns to the longest time.Duration"
+
+// parseFrequency parses a release rate in Hz. strconv accepts NaN, ±Inf
+// and rates such as 1e-300 or 2e9 whose period overflows a time.Duration
+// or truncates to 0; the rate must instead give a period of at least 1 ns
+// that a time.Duration holds, so Period is always positive.
+func parseFrequency(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	if err != nil {
+		return 0, false
+	}
+	period := float64(time.Second) / f
+	return f, period >= 1 && period < math.MaxInt64
 }
 
 func parseCPUPrio(cpuStr, prioStr string, addf func(string, ...any)) (cpuID, prio int) {
@@ -819,15 +731,11 @@ var ErrNotDRCom = errors.New("descriptor: not a DRCom component document")
 // the root element, so a malformed document is an XML error whatever its
 // root.
 func Sniff(src string) error {
-	d := xml.NewDecoder(strings.NewReader(src))
-	root, err := firstStart(d)
-	if err == nil {
-		err = d.Skip()
-	}
+	root, err := sniff(src)
 	if err != nil {
 		return fmt.Errorf("descriptor: XML: %w", err)
 	}
-	if root.Name.Local != "component" {
+	if root != "component" {
 		return ErrNotDRCom
 	}
 	return nil

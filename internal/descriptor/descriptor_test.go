@@ -321,3 +321,55 @@ func TestDirectionString(t *testing.T) {
 		t.Fatal("direction strings")
 	}
 }
+
+// TestParseRejectsNonFiniteNumbers: strconv.ParseFloat accepts NaN, ±Inf
+// and rates whose period does not fit a time.Duration. A NaN usage slips
+// past a range check and poisons a CPU's admission sum; an infinite or
+// above-1-GHz rate gives a zero period, which divides by zero when the
+// task is created mid-run; a vanishing rate never releases. Each must be
+// rejected, and the boundary rates accepted with a positive period.
+func TestParseRejectsNonFiniteNumbers(t *testing.T) {
+	doc := func(usage, freq, modeFreq, modeUsage string) string {
+		return `<component name="nf" type="periodic" cpuusage="` + usage + `">
+  <implementation bincode="n.F"/>
+  <periodictask frequence="` + freq + `" runoncup="0" priority="1"/>
+  <mode name="eco" frequence="` + modeFreq + `" cpuusage="` + modeUsage + `"/>
+</component>`
+	}
+	for _, tc := range []struct {
+		usage, freq, modeFreq, modeUsage string
+		want                             string // "" when accepted
+	}{
+		{"NaN", "100", "50", "0.1", `cpuusage "NaN" must be a fraction`},
+		{"0.5", "100", "50", "NaN", `mode "eco" cpuusage "NaN" must be a fraction`},
+		{"0.5", "NaN", "50", "0.1", `periodictask frequence "NaN" must be a positive finite rate`},
+		{"0.5", "+Inf", "50", "0.1", `periodictask frequence "+Inf" must be a positive finite rate`},
+		{"0.5", "Inf", "50", "0.1", `periodictask frequence "Inf" must be a positive finite rate`},
+		{"0.5", "1e-300", "50", "0.1", `periodictask frequence "1e-300" must be a positive finite rate`},
+		{"0.5", "2e9", "50", "0.1", `periodictask frequence "2e9" must be a positive finite rate`},
+		{"0.5", "1.5e9", "50", "0.1", `periodictask frequence "1.5e9" must be a positive finite rate`},
+		{"0.5", "1e-10", "50", "0.1", `periodictask frequence "1e-10" must be a positive finite rate`},
+		{"0.5", "100", "NaN", "0.1", `mode "eco" frequence "NaN" must be a positive finite rate`},
+		{"0.5", "100", "+Inf", "0.1", `mode "eco" frequence "+Inf" must be a positive finite rate`},
+		{"0.5", "100", "1e-300", "0.1", `mode "eco" frequence "1e-300" must be a positive finite rate`},
+		{"0.5", "100", "2e9", "0.1", `mode "eco" frequence "2e9" must be a positive finite rate`},
+		{"0.5", "1e9", "1e9", "0.1", ""},
+		{"0.5", "1.1e-10", "1.1e-10", "0.1", ""},
+	} {
+		src := doc(tc.usage, tc.freq, tc.modeFreq, tc.modeUsage)
+		c, err := Parse(src)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("frequence %s: %v, want accepted", tc.freq, err)
+				continue
+			}
+			if c.Periodic.Period() <= 0 || c.ModeSpec(1).Period() <= 0 {
+				t.Errorf("frequence %s: periods %v and %v, want positive", tc.freq, c.Periodic.Period(), c.ModeSpec(1).Period())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Parse error %v, want it to contain %q", tc, err, tc.want)
+		}
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +18,106 @@ func unmarshalOracle(src string) (xmlComponent, error) {
 	var xc xmlComponent
 	err := xml.Unmarshal([]byte(src), &xc)
 	return xc, err
+}
+
+// tokenOracle decodes src with an encoding/xml Decoder's Token loop: the
+// root's attributes, then each child's attributes with Decoder.Skip over
+// its content, stopping at the root's end tag. It is the hand decoder the
+// scanner replaced, kept as a second reference.
+func tokenOracle(src string) (xmlComponent, error) {
+	var xc xmlComponent
+	d := xml.NewDecoder(strings.NewReader(src))
+	root, err := firstStartToken(d)
+	if err != nil {
+		return xc, err
+	}
+	if root.Name.Local != "component" {
+		return xc, xml.UnmarshalError("expected element type <component> but have <" + root.Name.Local + ">")
+	}
+	xc.XMLName = root.Name
+	setTokenAttrs(root.Attr, componentAttrs, &xc.Name, &xc.Desc, &xc.Type, &xc.Enabled, &xc.CPUUsage, &xc.Importance)
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return xc, err
+		}
+		switch t := tok.(type) {
+		case xml.EndElement:
+			return xc, nil
+		case xml.StartElement:
+			xc.tokenChild(t)
+			if err := d.Skip(); err != nil {
+				return xc, err
+			}
+		}
+	}
+}
+
+// firstStartToken skips the prolog to the document's root start element.
+func firstStartToken(d *xml.Decoder) (xml.StartElement, error) {
+	for {
+		tok, err := d.Token()
+		if err != nil {
+			return xml.StartElement{}, err
+		}
+		if start, ok := tok.(xml.StartElement); ok {
+			return start, nil
+		}
+	}
+}
+
+// setTokenAttrs copies each attribute whose local name is names[i] into
+// *fields[i]; a later duplicate overwrites an earlier one.
+func setTokenAttrs(attrs []xml.Attr, names []string, fields ...*string) {
+	for _, a := range attrs {
+		for i, n := range names {
+			if a.Name.Local == n {
+				*fields[i] = a.Value
+			}
+		}
+	}
+}
+
+// tokenChild records the attributes of one top-level element.
+func (xc *xmlComponent) tokenChild(el xml.StartElement) {
+	switch el.Name.Local {
+	case "implementation":
+		im := &xc.Implementation
+		setTokenAttrs(el.Attr, implAttrs, &im.Bincode, &im.Class)
+	case "periodictask":
+		if xc.PeriodicTask == nil {
+			xc.PeriodicTask = &xmlPeriodic{}
+		}
+		pt := xc.PeriodicTask
+		setTokenAttrs(el.Attr, periodicAttrs, &pt.Frequence, &pt.Frequency, &pt.RunOnCup, &pt.RunOnCPU, &pt.Priority)
+	case "aperiodictask":
+		if xc.AperiodicTask == nil {
+			xc.AperiodicTask = &xmlAperiodic{}
+		}
+		at := xc.AperiodicTask
+		setTokenAttrs(el.Attr, aperiodicAttrs, &at.RunOnCup, &at.RunOnCPU, &at.Priority)
+	case "budget":
+		if xc.Budget == nil {
+			xc.Budget = &xmlBudget{}
+		}
+		setTokenAttrs(el.Attr, budgetAttrs, &xc.Budget.Dist, &xc.Budget.P)
+	case "outport", "inport":
+		var p xmlPort
+		setTokenAttrs(el.Attr, portAttrs, &p.Name, &p.Interface, &p.Type, &p.Size, &p.Version, &p.DataType)
+		if el.Name.Local == "outport" {
+			xc.OutPorts = append(xc.OutPorts, p)
+		} else {
+			xc.InPorts = append(xc.InPorts, p)
+		}
+	case "mode":
+		var m xmlMode
+		setTokenAttrs(el.Attr, modeAttrs, &m.Name, &m.Frequence, &m.Frequency, &m.CPUUsage, &m.Drops)
+		xc.Modes = append(xc.Modes, m)
+	case "property":
+		var p xmlProperty
+		setTokenAttrs(el.Attr, propertyAttrs, &p.Name, &p.Type, &p.Value)
+		xc.Properties = append(xc.Properties, p)
+	}
 }
 
 // sniffOracle is Sniff written over xml.Unmarshal.
@@ -45,9 +147,10 @@ func sameError(a, b error) bool {
 		reflect.TypeOf(errors.Unwrap(a)) == reflect.TypeOf(errors.Unwrap(b))
 }
 
-// checkDecodeOracle holds decode and Sniff to their xml.Unmarshal
-// oracles on one document: the same wire struct when both accept it,
-// the same error text and type otherwise, and the same Sniff verdict.
+// checkDecodeOracle holds decode and Sniff to their oracles on one
+// document: decode against both xml.Unmarshal and the Decoder Token loop
+// (the same wire struct when both accept it, the same error text and type
+// otherwise), and Sniff against its Unmarshal form.
 func checkDecodeOracle(t *testing.T, src string) {
 	t.Helper()
 	got, gerr := decode(src)
@@ -58,18 +161,43 @@ func checkDecodeOracle(t *testing.T, src string) {
 	if gerr == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode and Unmarshal disagree:\ndecode:    %+v\nUnmarshal: %+v\nsrc:\n%s", got, want, src)
 	}
+	tok, terr := tokenOracle(src)
+	if !sameError(gerr, terr) {
+		t.Fatalf("decode error %T %v, Token loop error %T %v\nsrc:\n%s", gerr, gerr, terr, terr, src)
+	}
+	if gerr == nil && !reflect.DeepEqual(got, tok) {
+		t.Fatalf("decode and the Token loop disagree:\ndecode:     %+v\nToken loop: %+v\nsrc:\n%s", got, tok, src)
+	}
 	if gs, ws := Sniff(src), sniffOracle(src); !sameError(gs, ws) {
 		t.Fatalf("Sniff = %T %v, oracle %T %v\nsrc:\n%s", gs, gs, ws, ws, src)
 	}
 }
 
+// checkFinite requires an accepted descriptor's usages and rates to be
+// finite, and a periodic component's period positive in every mode.
+func checkFinite(t *testing.T, c *Component) {
+	t.Helper()
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	for i := 0; i < c.NumModes(); i++ {
+		m := c.ModeSpec(i)
+		if !finite(m.CPUUsage) || !finite(m.FrequencyHz) {
+			t.Fatalf("mode %d of %s: cpuusage %v, frequence %v, want finite", i, c.Name, m.CPUUsage, m.FrequencyHz)
+		}
+		if c.Periodic != nil && m.Period() <= 0 {
+			t.Fatalf("mode %d of %s: frequence %v gives period %v, want positive", i, c.Name, m.FrequencyHz, m.Period())
+		}
+	}
+}
+
 // FuzzParse drives Parse with mutated descriptor XML, seeded from the
-// shipped example descriptors and the decoder's edge cases. Four
-// properties are checked: the token decoder and Sniff agree with their
-// xml.Unmarshal oracles (struct, error text and error type), Parse never
-// panics, every descriptor it accepts renders byte-equal to the fmt
-// reference, and that render survives a round trip (re-parses cleanly
-// and renders to the same normal form).
+// shipped example descriptors and the scanner's edge cases. Five
+// properties are checked: the scanner agrees with both its oracles,
+// xml.Unmarshal and the Decoder Token loop, and Sniff with its Unmarshal
+// form (struct, error text and error type); Parse never panics; every
+// descriptor it accepts has finite usages and rates and a positive
+// period; it renders byte-equal to the fmt reference; and that render
+// survives a round trip (re-parses cleanly and renders to the same
+// normal form).
 func FuzzParse(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "examples", "descriptors", "*.xml"))
 	if err != nil || len(seeds) == 0 {
@@ -170,6 +298,24 @@ func FuzzParse(f *testing.F) {
 		// Entity and character references in values.
 		`<component name="&#101;nt" desc="a &amp; b &lt;c&gt; &quot;d&quot; &apos;e&apos;" type="aperiodic"><implementation bincode="e.&#x4E;"/><property name="s" value="&#x3C;&#60;"/></component>`,
 		`<component name="bad" desc="&bogus;" type="aperiodic"/>`,
+		// Scanner edges: a CDATA section, unsupported xml declarations,
+		// non-ASCII names (valid and not), invalid UTF-8 in a value,
+		// character references to a surrogate and to NUL, "]]>" in text,
+		// a syntax error on line 4, a prefix mismatch, a carriage return
+		// in a value, and a directive with quotes and a comment.
+		`<component name="cd" type="aperiodic"><![CDATA[ <raw> & ]] ]]><implementation bincode="c.D"/></component>`,
+		`<?xml version="1.0" encoding="ISO-8859-1"?><component name="enc" type="aperiodic"><implementation bincode="e.N"/></component>`,
+		`<?xml version="1.1"?><component name="v11" type="aperiodic"><implementation bincode="v.X"/></component>`,
+		`<component name="uni" type="aperiodic" ñame="x"><implementation bincode="u.N"/><größe wert="1"/></component>`,
+		`<component name="uni" type="aperiodic"><implementation bincode="u.N"/><a·b ·c="1"/></component>`,
+		"<component name=\"u\xff8\" type=\"aperiodic\"><implementation bincode=\"u.B\"/></component>",
+		`<component name="sur" desc="&#xD800;" type="aperiodic"><implementation bincode="s.R"/></component>`,
+		`<component name="nul" desc="&#0;" type="aperiodic"><implementation bincode="n.L"/></component>`,
+		`<component name="br" type="aperiodic">a ]]> b<implementation bincode="b.R"/></component>`,
+		"<component name=\"l4\"\n  type=\"aperiodic\">\n  <implementation bincode=\"l.F\"/>\n  <outport name=\"o\" size=4/>\n</component>",
+		`<a:component xmlns:a="urn:drcom" name="px" type="aperiodic"><a:x></b:x></a:component>`,
+		"<component name=\"cr\" desc=\"a\r\nb\rc\" type=\"aperiodic\"><implementation bincode=\"c.R\"/></component>",
+		`<!DOCTYPE component [ <!ENTITY e "<x>"> <!-- a > b --> ]><component name="dt" type="aperiodic"><implementation bincode="d.T"/></component>`,
 		// Untrimmed attributes.
 		`<component name=" sp " type=" aperiodic " enabled=" false " cpuusage=" 0.2" importance=" 3 "><implementation bincode=" s.P "/></component>`,
 		// A perfbench-shaped producer and consumer: versioned ranges,
@@ -199,6 +345,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkFinite(t, c)
 		rendered := c.Render()
 		if want := renderFmt(c); rendered != want {
 			t.Fatalf("Render differs from the fmt reference:\ngot:\n%s\nwant:\n%s", rendered, want)

@@ -93,20 +93,19 @@ func renderFmt(c *Component) string {
 // exponent forms, negative and zero values, empty optional fields,
 // drops lists, and attribute values needing XML escapes.
 func TestRenderMatchesFmt(t *testing.T) {
-	parsed, err := Parse(`<component name="inf" type="periodic" cpuusage="0.5">
-  <implementation bincode="i.Nf"/>
-  <periodictask frequence="Inf" runoncup="1" priority="3"/>
-  <mode name="eco" frequence="Inf" cpuusage="0.25"/>
-</component>`)
-	if err != nil {
-		t.Fatal(err)
+	// Parse rejects infinite rates; the Component is what it built from
+	// frequence="Inf" before it did.
+	infRates := &Component{
+		Name: "inf", Kind: Periodic, Enabled: true, CPUUsage: 0.5, Implementation: "i.Nf",
+		Periodic: &PeriodicSpec{FrequencyHz: math.Inf(1), CPU: 1, Priority: 3},
+		Modes:    []Mode{{Name: "eco", FrequencyHz: math.Inf(1), CPUUsage: 0.25}},
 	}
 	norm, err := policy.ParseDist("normal(0.3,0.05)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[string]*Component{
-		"frequence Inf": parsed,
+		"frequence Inf": infRates,
 		"exponents": {
 			Name: "exp", Kind: Periodic, Enabled: true, CPUUsage: 1e-05, Importance: 7,
 			Implementation: "e.Xp",

@@ -229,12 +229,39 @@ func cpuReason(cpu int, mid string, x float64, rel string, bound float64, bounde
 	b := append(buf[:0], "cpu"...)
 	b = strconv.AppendInt(b, int64(cpu), 10)
 	b = append(b, mid...)
-	b = strconv.AppendFloat(b, x, 'f', 3, 64)
+	b = appendFixed3(b, x)
 	b = append(b, rel...)
 	if bounded {
-		b = strconv.AppendFloat(b, bound, 'f', 3, 64)
+		b = appendFixed3(b, bound)
 	}
 	return string(b)
+}
+
+// appendFixed3 appends x with three decimals, byte for byte what
+// strconv.AppendFloat(b, x, 'f', 3, 64) appends. strconv takes its slow
+// big-decimal path for every fixed precision; for |x| < 2^42 the rounding
+// is done exactly here instead. y = |x|·1000 rounded and its error
+// e = |x|·1000 − y (exact, by a fused multiply-add) give the exact
+// product y + e, which is rounded half to even: y − ⌊y⌋ − 0.5 is exact
+// wherever it can be near −e.
+func appendFixed3(b []byte, x float64) []byte {
+	ax := math.Abs(x)
+	if !(ax < 1<<42) {
+		return strconv.AppendFloat(b, x, 'f', 3, 64)
+	}
+	y := ax * 1000
+	e := math.FMA(ax, 1000, -y)
+	n := math.Floor(y)
+	if d := y - n - 0.5; d > -e || d == -e && math.Mod(n, 2) == 1 {
+		n++
+	}
+	if math.Signbit(x) {
+		b = append(b, '-')
+	}
+	m := uint64(n)
+	b = strconv.AppendUint(b, m/1000, 10)
+	frac := m % 1000
+	return append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // ServiceInterface is the service-registry interface name under which

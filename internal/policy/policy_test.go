@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -116,6 +117,41 @@ func TestLoadOnlyCapability(t *testing.T) {
 		if IsLoadOnly(r) {
 			t.Errorf("%s: want not load-only", r.Name())
 		}
+	}
+}
+
+// TestAppendFixed3MatchesFmt holds appendFixed3 to fmt's %.3f on 1.2M
+// seeded values: random bit patterns (NaN, ±Inf and huge values take the
+// strconv path), magnitudes spread over the fast range and across its
+// 2^42 edge, exact binary ties (odd multiples of 1/16, whose product by
+// 1000 ends in .5), sums of multiples of 0.0005 (decimal near-ties) and
+// signed zeros.
+func TestAppendFixed3MatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var buf []byte
+	check := func(x float64) {
+		buf = appendFixed3(buf[:0], x)
+		if want := fmt.Sprintf("%.3f", x); string(buf) != want {
+			t.Fatalf("appendFixed3(%v [%#x]) = %q, want %q", x, math.Float64bits(x), buf, want)
+		}
+	}
+	sign := func(x float64) float64 {
+		if rng.Intn(2) == 0 {
+			return -x
+		}
+		return x
+	}
+	check(0)
+	check(math.Copysign(0, -1))
+	sum := 0.0
+	for i := 0; i < 200_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+		check(sign(math.Exp2(rng.Float64()*60 - 30)))
+		check(sign(math.Exp2(42 + rng.NormFloat64())))
+		check(sign(float64(2*rng.Int63n(1<<44)+1) / 16))
+		check(sign(float64(rng.Int63n(1<<30)) * 0.0005))
+		sum += 0.0005 * float64(1+rng.Intn(9))
+		check(sum)
 	}
 }
 
