@@ -54,10 +54,6 @@ func NewCluster(cl *cluster.Cluster, out io.Writer) *Console {
 	return &Console{cl: cl, out: out, ReadFile: os.ReadFile}
 }
 
-// AttachCluster adds a cluster to an existing single-system console,
-// enabling the nodes/links/migrate commands alongside it.
-func (c *Console) AttachCluster(cl *cluster.Cluster) { c.cl = cl }
-
 // AttachGuard exposes a contract guard to the forecast command. The node
 // key is "" for a single-system console; cluster consoles attach one
 // guard per node under its plane name ("n0", "n1", …).

@@ -151,7 +151,10 @@ type Component struct {
 	state   State
 	inst    *hrc.Component
 	mgmtReg *osgi.ServiceRegistration
-	// bindings maps inport name -> providing component name while active.
+	// bindings maps inport name -> providing component name while active
+	// (nil when nothing is bound). A rebind replaces the map wholesale and
+	// nothing writes a map once it is built, so snapshots share it
+	// (Info.Bindings).
 	bindings map[string]string
 	// lastReason explains the most recent state decision.
 	lastReason string
@@ -228,6 +231,10 @@ type Info struct {
 	CPUUsage   float64
 	Importance int
 	Bundle     string // symbolic name, "" if directly deployed
+	// Bindings maps each bound inport to its provider (nil or empty when
+	// nothing is bound). The map is shared with the DRCR and with every
+	// other snapshot taken before the next rebind: read it, never write
+	// it. A rebind installs a new map and leaves this one as it was.
 	Bindings   map[string]string
 	LastReason string
 	// Revoked reports an outstanding budget revocation (contract
@@ -342,12 +349,10 @@ type DRCR struct {
 	provIndex map[portKey][]portProv
 	consIndex map[portKey][]string
 
-	// remoteProv / remoteCons are the federation indexes (remote.go):
-	// topics provided by admitted components on other cluster nodes
-	// (consulted after the local admitted set) and topics components
-	// here export to other nodes.
+	// remoteProv is the federation index (remote.go): topics provided by
+	// admitted components on other cluster nodes, consulted after the
+	// local admitted set.
 	remoteProv map[portKey][]portProv
-	remoteCons map[portKey][]string
 
 	// viewEpoch counts admitted-set changes on any processor; viewSnap is
 	// the immutable snapshot shared by every consult at that epoch.
@@ -570,16 +575,18 @@ func (d *DRCR) Component(name string) (Info, bool) {
 	if !ok {
 		return Info{}, false
 	}
-	return d.infoLocked(c), true
+	var info Info
+	d.fillInfoLocked(&info, c)
+	return info, true
 }
 
 // Components lists snapshots of all managed components, sorted by name.
 func (d *DRCR) Components() []Info {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Info, 0, len(d.allNames))
-	for _, name := range d.allNames {
-		out = append(out, d.infoLocked(d.comps[name]))
+	out := make([]Info, len(d.allNames))
+	for i, name := range d.allNames {
+		d.fillInfoLocked(&out[i], d.comps[name])
 	}
 	return out
 }
@@ -615,45 +622,46 @@ func (d *DRCR) AdmittedEpoch() uint64 {
 	return d.admittedEpoch
 }
 
-func (d *DRCR) infoLocked(c *Component) Info {
-	info := Info{
-		Name:       c.desc.Name,
-		State:      c.state,
-		Kind:       c.desc.Kind,
-		CPU:        c.desc.CPU(),
-		Priority:   c.desc.Priority(),
-		CPUUsage:   c.desc.CPUUsage,
-		Importance: c.desc.Importance,
-		LastReason: c.lastReason,
-		Revoked:    c.revoked,
-		Mode:       c.mode,
-		ModeName:   c.desc.ModeName(c.mode),
-		Bindings:   map[string]string{},
-	}
+// fillInfoLocked writes c's snapshot into the zero Info at info, field by
+// field, so Components fills its result in place without staging each
+// snapshot on the stack.
+func (d *DRCR) fillInfoLocked(info *Info, c *Component) {
+	desc := c.desc
+	info.Name = desc.Name
+	info.State = c.state
+	info.Kind = desc.Kind
+	info.CPU = desc.CPU()
+	info.Priority = desc.Priority()
+	info.CPUUsage = desc.CPUUsage
+	info.Importance = desc.Importance
+	info.LastReason = c.lastReason
+	info.Revoked = c.revoked
+	info.Mode = c.mode
+	info.ModeName = desc.ModeName(c.mode)
+	info.Bindings = c.bindings
 	if c.mode > 0 {
-		info.CPUUsage = c.desc.ModeSpec(c.mode).CPUUsage
+		info.CPUUsage = desc.ModeSpec(c.mode).CPUUsage
 	}
-	if n := c.desc.NumModes(); n > 1 {
+	if n := desc.NumModes(); n > 1 {
 		info.Modes = make([]ModeInfo, n)
 		for i := 0; i < n; i++ {
-			m := c.desc.ModeSpec(i)
+			m := desc.ModeSpec(i)
 			info.Modes[i] = ModeInfo{Name: m.Name, FrequencyHz: m.FrequencyHz, CPUUsage: m.CPUUsage, Drops: m.Drops}
 		}
 	}
 	if c.bundle != nil {
 		info.Bundle = c.bundle.SymbolicName()
 	}
-	if c.desc.Budget != nil {
-		info.BudgetDist = c.desc.Budget.String()
-		info.BudgetP = c.desc.BudgetP
+	if desc.Budget != nil {
+		info.BudgetDist = desc.Budget.String()
+		info.BudgetP = desc.BudgetP
 	}
-	for _, out := range c.desc.OutPorts {
-		info.OutPorts = append(info.OutPorts, PortInfo{Name: out.Name, Interface: string(out.Interface)})
+	if n := len(desc.OutPorts); n > 0 {
+		info.OutPorts = make([]PortInfo, n)
+		for i, out := range desc.OutPorts {
+			info.OutPorts[i] = PortInfo{Name: out.Name, Interface: string(out.Interface)}
+		}
 	}
-	for k, v := range c.bindings {
-		info.Bindings[k] = v
-	}
-	return info
 }
 
 // Management returns the live management service of an active component.

@@ -340,13 +340,7 @@ func (d *DRCR) activateLocked(c *Component) error {
 	}
 	// Record inport bindings for the global view; inports the admitted
 	// mode drops stay unbound.
-	c.bindings = make(map[string]string, len(c.desc.InPorts))
-	for _, in := range c.desc.InPorts {
-		if !c.desc.RequiresInport(c.mode, in.Name) {
-			continue
-		}
-		c.bindings[in.Name] = d.findProviderLocked(c.desc.Name, in)
-	}
+	c.bindings = d.bindInportsLocked(c)
 	c.inst = inst
 	c.ownedSHM = createdSHM
 	c.ownedBoxes = createdBoxes
@@ -415,11 +409,27 @@ func (d *DRCR) deactivateLocked(c *Component, reason string) {
 		_ = d.kernel.IPC().DeleteMailbox(n)
 	}
 	c.ownedSHM, c.ownedBoxes = nil, nil
-	c.bindings = map[string]string{}
+	c.bindings = nil
 	c.mode = 0
 	c.promoHold = false
 	c.admitVerdict = ""
 	c.lastReason = reason
+}
+
+// bindInportsLocked builds a fresh binding map for the inports c's
+// admitted mode requires (nil when it has no inports). Callers install it
+// whole; the map is never written afterwards, so Info snapshots share it.
+func (d *DRCR) bindInportsLocked(c *Component) map[string]string {
+	if len(c.desc.InPorts) == 0 {
+		return nil
+	}
+	b := make(map[string]string, len(c.desc.InPorts))
+	for _, in := range c.desc.InPorts {
+		if c.desc.RequiresInport(c.mode, in.Name) {
+			b[in.Name] = d.findProviderLocked(c.desc.Name, in)
+		}
+	}
+	return b
 }
 
 // taskSpecLocked maps a descriptor's real-time contract in service mode

@@ -80,13 +80,7 @@ func (d *DRCR) setModeLocked(c *Component, mode int, reason string) error {
 	c.mode = mode
 	c.lastReason = reason
 	// Rebind the inports the new mode requires; dropped ones stay unbound.
-	c.bindings = map[string]string{}
-	for _, in := range c.desc.InPorts {
-		if !c.desc.RequiresInport(mode, in.Name) {
-			continue
-		}
-		c.bindings[in.Name] = d.findProviderLocked(c.desc.Name, in)
-	}
+	c.bindings = d.bindInportsLocked(c)
 	// Swap the promised contract in the admission view. Membership did not
 	// change, so the provider index stands; the component's CPU (its
 	// budget total and epoch) and the view epoch move.

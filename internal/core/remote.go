@@ -1,7 +1,7 @@
 package core
 
-// Remote port federation: the DRCR's view of port topics provided or
-// consumed by components on *other* nodes of a cluster (package cluster).
+// Remote port federation: the DRCR's view of port topics provided by
+// components on *other* nodes of a cluster (package cluster).
 //
 // A remote provider entry says "an admitted component on another node
 // exports a compatible outport on this topic; its data is replicated into
@@ -9,10 +9,7 @@ package core
 // engines consult the same index, after the local admitted set: a local
 // provider always wins (no network hop), remote origins are walked in
 // sorted order, so provider choice stays deterministic and
-// engine-independent. A remote consumer entry is the reverse edge — a
-// component here is known to feed components elsewhere — kept so the
-// federation layer and the console can introspect export demand; it does
-// not affect resolution (outports need no consumers to activate).
+// engine-independent.
 //
 // Entries are installed and withdrawn by provision control messages
 // delivered over the simulated network, so they propagate with real
@@ -22,7 +19,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/descriptor"
 )
@@ -79,84 +75,4 @@ func (d *DRCR) RemoveRemoteProvider(out descriptor.Port, origin string) error {
 	d.mu.Unlock()
 	d.resolveDelta()
 	return nil
-}
-
-// AddRemoteConsumer records that origin (a component on another node)
-// consumes the given topic from this node — the export-demand edge the
-// federation layer forwards data for.
-func (d *DRCR) AddRemoteConsumer(in descriptor.Port, origin string) error {
-	if origin == "" {
-		return fmt.Errorf("core: remote consumer needs an origin")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.remoteCons == nil {
-		d.remoteCons = map[portKey][]string{}
-	}
-	key := keyOf(in)
-	d.remoteCons[key] = insertName(d.remoteCons[key], origin)
-	return nil
-}
-
-// RemoveRemoteConsumer withdraws an export-demand edge.
-func (d *DRCR) RemoveRemoteConsumer(in descriptor.Port, origin string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	key := keyOf(in)
-	ns := removeName(d.remoteCons[key], origin)
-	if len(ns) == 0 {
-		delete(d.remoteCons, key)
-	} else {
-		d.remoteCons[key] = ns
-	}
-	return nil
-}
-
-// RemoteProvision is one row of the read-only remote index snapshot.
-type RemoteProvision struct {
-	Topic  string
-	Origin string
-}
-
-// RemoteProviders lists the remote provider index sorted by topic then
-// origin — a deterministic walk safe to feed into digests and tables.
-func (d *DRCR) RemoteProviders() []RemoteProvision {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return snapshotRemoteLocked(d.remoteProv)
-}
-
-// RemoteConsumers lists the remote consumer index sorted by topic then
-// origin.
-func (d *DRCR) RemoteConsumers() []RemoteProvision {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]RemoteProvision, 0, len(d.remoteCons))
-	for key, origins := range d.remoteCons {
-		for _, o := range origins {
-			out = append(out, RemoteProvision{Topic: key.name, Origin: o})
-		}
-	}
-	sortProvisions(out)
-	return out
-}
-
-func snapshotRemoteLocked(m map[portKey][]portProv) []RemoteProvision {
-	out := make([]RemoteProvision, 0, len(m))
-	for key, es := range m {
-		for _, e := range es {
-			out = append(out, RemoteProvision{Topic: key.name, Origin: e.name})
-		}
-	}
-	sortProvisions(out)
-	return out
-}
-
-func sortProvisions(ps []RemoteProvision) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Topic != ps[j].Topic {
-			return ps[i].Topic < ps[j].Topic
-		}
-		return ps[i].Origin < ps[j].Origin
-	})
 }

@@ -222,7 +222,8 @@ type Options struct {
 	// Capacity is the span ring size (default 8192). Old spans are
 	// evicted by ID; the running digests are unaffected by eviction.
 	Capacity int
-	// Node names the plane for federated span identity (see SetNode).
+	// Node names the plane for federated span identity (Ref,
+	// StitchedSpan); read it back with Plane.Node.
 	Node string
 	// FlightPre / FlightPost size the flight-recorder window around a
 	// trigger (defaults 48 / 16); FlightMax caps retained dumps

@@ -25,7 +25,7 @@ import (
 // Ref names a span on a specific plane: the (node, id) federated span
 // identity. The zero Ref means "no remote cause".
 type Ref struct {
-	// Node is the plane name (SetNode): "cluster", "n0", "n1", ...
+	// Node is the plane name (Options.Node): "cluster", "n0", "n1", ...
 	Node string
 	// ID is the span's dense ID on that plane.
 	ID SpanID
@@ -33,15 +33,6 @@ type Ref struct {
 
 // IsZero reports whether the reference is empty.
 func (r Ref) IsZero() bool { return r.ID == 0 }
-
-// SetNode names the plane for federated span identity; node-qualified
-// references (Ref, StitchedSpan) use this name.
-func (p *Plane) SetNode(name string) {
-	if p == nil {
-		return
-	}
-	p.node = name
-}
 
 // Node reports the plane's federated identity name ("" when unset).
 func (p *Plane) Node() string {

@@ -197,14 +197,6 @@ func (c *Context) AddBundleListener(l BundleListener) (remove func()) {
 // Bundles lists all installed bundles.
 func (c *Context) Bundles() []*Bundle { return c.fw.Bundles() }
 
-// InstallBundle installs a new bundle into the owning framework.
-func (c *Context) InstallBundle(def Definition) (*Bundle, error) {
-	if !c.isValid() {
-		return nil, fmt.Errorf("osgi: context of %s is no longer valid", c.bundle.SymbolicName())
-	}
-	return c.fw.Install(def)
-}
-
 func (c *Context) isValid() bool {
 	c.fw.mu.Lock()
 	defer c.fw.mu.Unlock()

@@ -65,14 +65,6 @@ func (r *ServiceReference) Properties() ldap.Properties {
 	return out
 }
 
-// Ranking returns service.ranking, defaulting to zero.
-func (r *ServiceReference) Ranking() int {
-	if v, ok := r.Property(PropServiceRanking).(int); ok {
-		return v
-	}
-	return 0
-}
-
 func lookupProp(props ldap.Properties, key string) any {
 	if v, ok := props[key]; ok {
 		return v

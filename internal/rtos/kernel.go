@@ -12,7 +12,9 @@ package rtos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/rtos/ipc"
@@ -167,9 +169,6 @@ func (k *Kernel) SetLoadMode(m LoadMode) {
 	k.timing = TimingForMode(m)
 }
 
-// SetTimingModel installs an explicit timing model.
-func (k *Kernel) SetTimingModel(tm TimingModel) { k.timing = tm }
-
 // IPC returns the kernel's IPC registry (SHM segments and mailboxes).
 func (k *Kernel) IPC() *ipc.Registry { return &k.reg }
 
@@ -209,7 +208,7 @@ func (k *Kernel) Tasks() []*Task {
 	for _, t := range k.tasks {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].spec.Name < out[j].spec.Name })
+	slices.SortFunc(out, func(a, b *Task) int { return strings.Compare(a.spec.Name, b.spec.Name) })
 	return out
 }
 

@@ -1,70 +1,92 @@
 package rtos
 
-import (
-	"container/heap"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // readyQueue is a priority heap of runnable jobs. Under fixed priority it
 // orders by (priority, seq): lower priority value first, FIFO within a
 // level, and re-enqueueing a job assigns a fresh seq, which yields
 // round-robin rotation among equal priorities when the quantum expires.
-// Under EDF it orders by (absolute deadline, seq).
+// Under EDF it orders by (absolute deadline, seq). Both are strict total
+// orders (seq is unique per CPU), so the pop sequence does not depend on
+// the heap's shape.
+//
+// Each slot carries its job's primary key (priority or absolute deadline,
+// fixed while the job is queued) and seq inline, so a sift compares slots
+// without following the job and its task. Jobs keep their slot index in
+// heapIdx because Suspend removes from the middle.
 type readyQueue struct {
-	items []*job
+	items []readySlot
 	edf   bool
 }
 
-func (q *readyQueue) Len() int { return len(q.items) }
+type readySlot struct {
+	key int64 // priority (fixed priority) or absolute deadline (EDF)
+	seq uint64
+	j   *job
+}
 
-func (q *readyQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if q.edf {
-		if a.absDeadline != b.absDeadline {
-			return a.absDeadline < b.absDeadline
+func (a *readySlot) before(b *readySlot) bool {
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
+}
+
+// set stores s at slot i and records the index in its job.
+func (q *readyQueue) set(i int, s readySlot) {
+	q.items[i] = s
+	s.j.heapIdx = i
+}
+
+// up moves s toward the root from the hole at i.
+func (q *readyQueue) up(i int, s readySlot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(&q.items[p]) {
+			break
 		}
-		return a.seq < b.seq
+		q.set(i, q.items[p])
+		i = p
 	}
-	if a.task.spec.Priority != b.task.spec.Priority {
-		return a.task.spec.Priority < b.task.spec.Priority
+	q.set(i, s)
+}
+
+// down moves s toward the leaves from the hole at i and reports whether
+// it moved.
+func (q *readyQueue) down(i int, s readySlot) bool {
+	i0 := i
+	n := len(q.items)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.items[r].before(&q.items[c]) {
+			c = r
+		}
+		if !q.items[c].before(&s) {
+			break
+		}
+		q.set(i, q.items[c])
+		i = c
 	}
-	return a.seq < b.seq
-}
-
-func (q *readyQueue) Swap(i, j int) {
-	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].heapIdx = i
-	q.items[j].heapIdx = j
-}
-
-func (q *readyQueue) Push(x any) {
-	it := x.(*job)
-	it.heapIdx = len(q.items)
-	q.items = append(q.items, it)
-}
-
-func (q *readyQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.heapIdx = -1
-	q.items = old[:n-1]
-	return it
+	q.set(i, s)
+	return i > i0
 }
 
 func (q *readyQueue) push(j *job) {
 	j.queued = true
-	heap.Push(q, j)
+	key := int64(j.task.spec.Priority)
+	if q.edf {
+		key = int64(j.absDeadline)
+	}
+	q.items = append(q.items, readySlot{})
+	q.up(len(q.items)-1, readySlot{key: key, seq: j.seq, j: j})
 }
 
 func (q *readyQueue) pop() *job {
 	if len(q.items) == 0 {
 		return nil
 	}
-	j := heap.Pop(q).(*job)
-	j.queued = false
+	j := q.items[0].j
+	q.cut(0)
 	return j
 }
 
@@ -72,16 +94,30 @@ func (q *readyQueue) peek() *job {
 	if len(q.items) == 0 {
 		return nil
 	}
-	return q.items[0]
+	return q.items[0].j
 }
 
 // remove withdraws a specific job (used by Suspend) through its stored
 // heap index — O(log n) instead of a linear scan of the ready queue.
 func (q *readyQueue) remove(j *job) {
-	if !j.queued || j.heapIdx < 0 || j.heapIdx >= len(q.items) || q.items[j.heapIdx] != j {
+	if !j.queued || j.heapIdx < 0 || j.heapIdx >= len(q.items) || q.items[j.heapIdx].j != j {
 		return
 	}
-	heap.Remove(q, j.heapIdx)
+	q.cut(j.heapIdx)
+}
+
+// cut takes the job at slot i out of the queue, refilling the hole with
+// the last slot.
+func (q *readyQueue) cut(i int) {
+	j := q.items[i].j
+	n := len(q.items) - 1
+	last := q.items[n]
+	q.items[n] = readySlot{}
+	q.items = q.items[:n]
+	if i < n && !q.down(i, last) {
+		q.up(i, last)
+	}
+	j.heapIdx = -1
 	j.queued = false
 }
 
@@ -101,6 +137,13 @@ type cpu struct {
 	quantumFn  sim.Handler
 
 	busy sim.Duration // accumulated execution time, for utilization reports
+
+	// jobCtx is the JobContext handed to the bodies of jobs dispatched
+	// here, reused job after job. bodyDepth counts bodies running on this
+	// CPU: a body whose trigger preempts it runs the urgent body nested,
+	// and that one gets a context of its own.
+	jobCtx    JobContext
+	bodyDepth int
 }
 
 // enqueue admits a job and preempts the running job if the newcomer is
@@ -150,13 +193,20 @@ func (c *cpu) dispatch(k *Kernel, now sim.Time) {
 		t := j.task
 		t.latency.Add(int64(now.Sub(j.nominal)))
 		if t.spec.Body != nil {
-			t.spec.Body(&JobContext{
+			jc := &c.jobCtx
+			if c.bodyDepth > 0 {
+				jc = new(JobContext)
+			}
+			*jc = JobContext{
 				Kernel:  k,
 				Task:    t,
 				Now:     now,
 				Nominal: j.nominal,
 				Index:   t.jobsDone + t.skips, // monotone job index
-			})
+			}
+			c.bodyDepth++
+			t.spec.Body(jc)
+			c.bodyDepth--
 		}
 	}
 	c.scheduleSlice(k, now)

@@ -58,7 +58,9 @@ func (s TaskState) String() string {
 
 // Body is a task's functional routine, invoked once per job at first
 // dispatch. The simulated execution cost is governed by TaskSpec, not by
-// the wall-clock cost of the callback.
+// the wall-clock cost of the callback. The JobContext is valid only for
+// the duration of the call: the kernel reuses it for later jobs, so a
+// body copies whatever it keeps.
 type Body func(job *JobContext)
 
 // JobContext is what a task body sees for one job.

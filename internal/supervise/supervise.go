@@ -28,7 +28,7 @@ import (
 )
 
 // Options parameterise the supervisor; the zero value uses the defaults
-// below. SetPolicy overrides them per component.
+// below. One policy applies to every supervised component.
 type Options struct {
 	// MaxRestarts is the restart budget inside a Window: the crash that
 	// would exceed it escalates instead of restarting (default 3).
@@ -66,7 +66,7 @@ type Record struct {
 
 // record is the per-component supervision state.
 type record struct {
-	strikes []sim.Time // crash/violation strike times inside the window
+	strikes []sim.Time // crash strike times inside the window
 	count   int64      // lifetime restarts issued
 	gaveUp  bool
 }
@@ -77,13 +77,12 @@ type Supervisor struct {
 	fw   *osgi.Framework
 	opts Options
 
-	mu        sync.Mutex
-	overrides map[string]Options
-	recs      map[string]*record
-	trace     []Record
-	pending   map[string]*sim.Event
-	running   bool
-	remove    func()
+	mu      sync.Mutex
+	recs    map[string]*record
+	trace   []Record
+	pending map[string]*sim.Event
+	running bool
+	remove  func()
 }
 
 // New builds a supervisor over a DRCR and its owning framework.
@@ -93,21 +92,12 @@ func New(d *core.DRCR, opts Options) (*Supervisor, error) {
 	}
 	opts.applyDefaults()
 	return &Supervisor{
-		d:         d,
-		fw:        d.Framework(),
-		opts:      opts,
-		overrides: map[string]Options{},
-		recs:      map[string]*record{},
-		pending:   map[string]*sim.Event{},
+		d:       d,
+		fw:      d.Framework(),
+		opts:    opts,
+		recs:    map[string]*record{},
+		pending: map[string]*sim.Event{},
 	}, nil
-}
-
-// SetPolicy overrides the restart policy for one component.
-func (s *Supervisor) SetPolicy(component string, opts Options) {
-	opts.applyDefaults()
-	s.mu.Lock()
-	s.overrides[component] = opts
-	s.mu.Unlock()
 }
 
 // Start subscribes to DRCR lifecycle events.
@@ -161,29 +151,6 @@ func (s *Supervisor) Restarts(component string) int64 {
 	return 0
 }
 
-// NoteViolation feeds an external strike (e.g. a guard violation the
-// caller wants supervised) into the component's budget window: enough of
-// them escalate exactly like crashes, without a restart being issued.
-func (s *Supervisor) NoteViolation(component string) {
-	now := s.d.Kernel().Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.running {
-		return
-	}
-	r := s.rec(component)
-	if r.gaveUp {
-		return
-	}
-	opts := s.policy(component)
-	s.pruneLocked(r, now, opts.Window)
-	r.strikes = append(r.strikes, now)
-	if len(r.strikes) > opts.MaxRestarts {
-		s.escalateLocked(component, now, opts,
-			fmt.Sprintf("%d strikes within %v", len(r.strikes), opts.Window))
-	}
-}
-
 func (s *Supervisor) rec(component string) *record {
 	r := s.recs[component]
 	if r == nil {
@@ -191,13 +158,6 @@ func (s *Supervisor) rec(component string) *record {
 		s.recs[component] = r
 	}
 	return r
-}
-
-func (s *Supervisor) policy(component string) Options {
-	if o, ok := s.overrides[component]; ok {
-		return o
-	}
-	return s.opts
 }
 
 func (s *Supervisor) pruneLocked(r *record, now sim.Time, window time.Duration) {
@@ -225,7 +185,7 @@ func (s *Supervisor) onEvent(e core.Event) {
 	if r.gaveUp {
 		return
 	}
-	opts := s.policy(name)
+	opts := s.opts
 	s.pruneLocked(r, now, opts.Window)
 	r.strikes = append(r.strikes, now)
 	if len(r.strikes) > opts.MaxRestarts {
