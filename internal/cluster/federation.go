@@ -288,6 +288,9 @@ func (c *Cluster) deliverProvision(b sim.Time, n *Node, m net.Message) {
 	}
 	if len(parts) == 4 {
 		port.Version, port.DataType = parts[2], parts[3]
+		// Compiled once here, so a match against the provision parses
+		// nothing.
+		port = port.Compile()
 	}
 	switch verb {
 	case "on":

@@ -193,7 +193,8 @@ func checkBatch(descs []*descriptor.Component, numCPUs int, local, remote map[po
 // each in name order — or nil when there is none.
 func typedConflict(name string, in descriptor.Port, groups ...[]portProv) *PortIncompatibility {
 	for _, g := range groups {
-		for _, c := range g {
+		for i := range g {
+			c := &g[i]
 			if c.name == name || c.port.Size < in.Size {
 				continue // untyped size mismatches keep wait semantics
 			}

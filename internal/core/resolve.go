@@ -677,15 +677,15 @@ func (d *DRCR) findProviderLocked(self string, in descriptor.Port) string {
 // inport, else the first remote provision that does. local and remote
 // are name-sorted candidates on the inport's topic. It returns the
 // chosen name and its index in local, or -1 when the choice is remote
-// or there is none.
+// or there is none. Candidates are read in place: a Port is ~100 bytes.
 func chooseProvider(self string, in descriptor.Port, local, remote []portProv) (string, int) {
-	for i, p := range local {
-		if p.name != self && p.port.CanSatisfy(in) {
+	for i := range local {
+		if p := &local[i]; p.name != self && p.port.CanSatisfy(in) {
 			return p.name, i
 		}
 	}
-	for _, p := range remote {
-		if p.port.CanSatisfy(in) {
+	for i := range remote {
+		if p := &remote[i]; p.port.CanSatisfy(in) {
 			return p.name, -1
 		}
 	}

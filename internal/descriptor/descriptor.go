@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/manifest"
 	"repro/internal/policy"
 	"repro/internal/rtos/ipc"
 )
@@ -72,6 +71,11 @@ type Port struct {
 	// DataType is the structural payload type in canonical form (see
 	// typing.go for the grammar). Empty means unchecked.
 	DataType string
+	// c is Version and DataType compiled for Direction (typing.go), nil
+	// for a port without annotations or one built by hand. Parse and
+	// Compile set it; a Version, DataType or Direction reassigned after
+	// either is not re-read.
+	c *contract
 }
 
 // CanSatisfy reports whether this outport satisfies the given inport:
@@ -88,8 +92,8 @@ func (p Port) CanSatisfy(in Port) bool {
 	if in.Version == "" && in.DataType == "" {
 		return true
 	}
-	kind, _ := p.ExplainTypedMismatch(in)
-	return kind == ""
+	m, _ := typedMatch(&p, &in)
+	return m == typedOK
 }
 
 // Property is one configuration property.
@@ -670,32 +674,27 @@ func parsePort(xp xmlPort, dir Direction, seen map[string]bool, addf func(string
 	} else {
 		p.Size = n
 	}
-	if v := strings.TrimSpace(xp.Version); v != "" {
-		if dir == Out {
-			ver, err := manifest.ParseVersion(v)
-			if err != nil {
-				addf("outport %q version %q must be a version (major[.minor[.micro]]): %v", xp.Name, xp.Version, err)
-				ok = false
-			} else {
-				p.Version = ver.String()
-			}
-		} else {
-			rng, err := manifest.ParseRange(v)
-			if err != nil {
-				addf("inport %q version %q must be a version range: %v", xp.Name, xp.Version, err)
-				ok = false
-			} else {
-				p.Version = rng.String()
-			}
+	v, dtSrc := strings.TrimSpace(xp.Version), strings.TrimSpace(xp.DataType)
+	c, verErr, dtErr := compileContract(dir, v, dtSrc)
+	if v != "" {
+		switch {
+		case verErr != nil && dir == Out:
+			addf("outport %q version %q must be a version (major[.minor[.micro]]): %v", xp.Name, xp.Version, verErr)
+			ok = false
+		case verErr != nil:
+			addf("inport %q version %q must be a version range: %v", xp.Name, xp.Version, verErr)
+			ok = false
+		default:
+			var buf [64]byte
+			p.Version = canonical(v, c.appendVersion(dir, buf[:0]))
 		}
 	}
-	if dtSrc := strings.TrimSpace(xp.DataType); dtSrc != "" {
-		dt, err := parseDataType(dtSrc)
-		if err != nil {
-			addf("port %q datatype %q invalid: %v", xp.Name, xp.DataType, err)
+	if dtSrc != "" {
+		if dtErr != nil {
+			addf("port %q datatype %q invalid: %v", xp.Name, xp.DataType, dtErr)
 			ok = false
 		} else {
-			et, n, err := dt.flatten()
+			et, n, err := c.dt.flatten()
 			switch {
 			case err != nil:
 				addf("port %q datatype %q invalid: %v", xp.Name, xp.DataType, err)
@@ -707,9 +706,13 @@ func parsePort(xp xmlPort, dir Direction, seen map[string]bool, addf func(string
 				addf("port %q datatype %q needs %d elements but the port size is %d", xp.Name, xp.DataType, n, p.Size)
 				ok = false
 			default:
-				p.DataType = dt.String()
+				var buf [128]byte
+				p.DataType = canonical(dtSrc, c.dt.appendTo(buf[:0]))
 			}
 		}
+	}
+	if ok {
+		p.c = c
 	}
 	return p, ok
 }

@@ -35,7 +35,7 @@ package descriptor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -70,36 +70,46 @@ type dtField struct {
 // cannot stack-overflow the recursive checks.
 const maxDTDepth = 32
 
+// Shared primitive nodes: a parsed tree allocates only its array and
+// struct nodes. No code modifies a node after parsing.
+var (
+	int32Type = &dataType{kind: dtInt32}
+	byteType  = &dataType{kind: dtByte}
+)
+
 // String renders the canonical form: no whitespace, struct fields
 // name-sorted. Parse(String(t)) == t, which the fuzz target pins via
 // the descriptor Render round trip.
 func (t *dataType) String() string {
-	var b strings.Builder
-	t.render(&b)
-	return b.String()
+	var buf [128]byte
+	return string(t.appendTo(buf[:0]))
 }
 
-func (t *dataType) render(b *strings.Builder) {
+// appendTo appends the canonical form of t to b.
+func (t *dataType) appendTo(b []byte) []byte {
 	switch t.kind {
 	case dtInt32:
-		b.WriteString("int32")
+		b = append(b, "int32"...)
 	case dtByte:
-		b.WriteString("byte")
+		b = append(b, "byte"...)
 	case dtArray:
-		t.elem.render(b)
-		fmt.Fprintf(b, "[%d]", t.length)
+		b = t.elem.appendTo(b)
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(t.length), 10)
+		b = append(b, ']')
 	case dtStruct:
-		b.WriteString("struct{")
+		b = append(b, "struct{"...)
 		for i, f := range t.fields {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			b.WriteString(f.name)
-			b.WriteByte(':')
-			f.typ.render(b)
+			b = append(b, f.name...)
+			b = append(b, ':')
+			b = f.typ.appendTo(b)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
+	return b
 }
 
 // flatten returns the primitive element kind and count of the type
@@ -226,9 +236,9 @@ func (p *dtParser) parseType(depth int) (*dataType, error) {
 	var base *dataType
 	switch id := p.ident(); id {
 	case "int32":
-		base = &dataType{kind: dtInt32}
+		base = int32Type
 	case "byte":
-		base = &dataType{kind: dtByte}
+		base = byteType
 	case "struct":
 		if err := p.expect('{'); err != nil {
 			return nil, err
@@ -263,8 +273,8 @@ func (p *dtParser) parseType(depth int) (*dataType, error) {
 		if err := p.expect('}'); err != nil {
 			return nil, err
 		}
-		sort.Slice(st.fields, func(i, j int) bool {
-			return st.fields[i].name < st.fields[j].name
+		slices.SortFunc(st.fields, func(a, b dtField) int {
+			return strings.Compare(a.name, b.name)
 		})
 		base = st
 	case "":
@@ -301,44 +311,183 @@ func (p *dtParser) parseType(depth int) (*dataType, error) {
 	}
 }
 
+// contract is a port's typed annotations in parsed form, compiled by
+// compileContract for the port's Direction and never modified after, so
+// copies of a Port share it. A port carries one only when every
+// annotation it declares compiled, and checks read it in place of the
+// strings.
+type contract struct {
+	// rng is an inport's accepted range; an outport's version is rng.Low.
+	rng manifest.Range
+	dt  *dataType // nil when the port declares no datatype
+}
+
+// compileContract parses a port's version and datatype annotations for
+// a port of direction dir: a concrete version on an outport, an
+// accepted range on an inport. Either source may be empty. It returns
+// nil when both are, with each annotation's parse error. Parse and
+// Port.Compile both compile through it.
+func compileContract(dir Direction, ver, dt string) (c *contract, verErr, dtErr error) {
+	if ver == "" && dt == "" {
+		return nil, nil, nil
+	}
+	c = new(contract)
+	if ver != "" {
+		switch dir {
+		case Out:
+			c.rng.Low, verErr = manifest.ParseVersion(ver)
+		case In:
+			c.rng, verErr = manifest.ParseRange(ver)
+		}
+	}
+	if dt != "" {
+		c.dt, dtErr = parseDataType(dt)
+	}
+	return c, verErr, dtErr
+}
+
+// appendVersion appends the canonical form of the version annotation
+// compiled for direction dir to b.
+func (c *contract) appendVersion(dir Direction, b []byte) []byte {
+	if dir == Out {
+		return c.rng.Low.AppendTo(b)
+	}
+	return c.rng.AppendTo(b)
+}
+
+// canonical returns src when it already reads as the rendering b, so a
+// canonical source is kept without a copy, else b as a new string.
+func canonical(src string, b []byte) string {
+	if string(b) == src {
+		return src
+	}
+	return string(b)
+}
+
+// Compile returns p with its Version and DataType annotations parsed
+// into the contract CanSatisfy reads, so matches against it parse
+// nothing. Ports from Parse are compiled already; Compile is for ports
+// built from other sources, such as a remote provision. A port with an
+// annotation that does not parse gets no contract, and each check parses
+// its strings again and reports the error, so a compiled port judges
+// every pair as its strings do.
+func (p Port) Compile() Port {
+	c, verErr, dtErr := compileContract(p.Direction, p.Version, p.DataType)
+	if verErr != nil || dtErr != nil {
+		c = nil
+	}
+	p.c = c
+	return p
+}
+
+// mismatch names the typed check a provider/consumer pair fails.
+type mismatch uint8
+
+const (
+	typedOK       mismatch = iota
+	verUndeclared          // consumer range, provider declares no version
+	verBadRange            // consumer range does not parse
+	verBadVersion          // provider version does not parse
+	verOutside             // provider version outside the range
+	dtUndeclared           // consumer datatype, provider declares none
+	dtBadReq               // consumer datatype does not parse
+	dtBadProv              // provider datatype does not parse
+	dtUnsatisfied          // provider datatype does not satisfy
+)
+
+// typedMatch is the one typed-layer rule CanSatisfy and
+// ExplainTypedMismatch share: the provider's version must lie in the
+// consumer's range, then the provider's datatype must structurally
+// satisfy the consumer's. Each annotation is read from the port's
+// contract when compiled there, else parsed from its string (a port
+// built by hand); err is the parse error behind a verBad*/dtBad*
+// result. On compiled ports it allocates nothing.
+func typedMatch(p, in *Port) (mismatch, error) {
+	if in.Version != "" {
+		if p.Version == "" {
+			return verUndeclared, nil
+		}
+		rng, err := in.versionRange()
+		if err != nil {
+			return verBadRange, err
+		}
+		ver, err := p.version()
+		if err != nil {
+			return verBadVersion, err
+		}
+		if !rng.Contains(ver) {
+			return verOutside, nil
+		}
+	}
+	if in.DataType != "" {
+		if p.DataType == "" {
+			return dtUndeclared, nil
+		}
+		req, err := in.structure()
+		if err != nil {
+			return dtBadReq, err
+		}
+		prov, err := p.structure()
+		if err != nil {
+			return dtBadProv, err
+		}
+		if !prov.satisfies(req) {
+			return dtUnsatisfied, nil
+		}
+	}
+	return typedOK, nil
+}
+
+// versionRange is the port's Version read as an accepted range.
+func (p *Port) versionRange() (manifest.Range, error) {
+	if p.c != nil && p.Direction == In {
+		return p.c.rng, nil
+	}
+	return manifest.ParseRange(p.Version)
+}
+
+// version is the port's Version read as a concrete version.
+func (p *Port) version() (manifest.Version, error) {
+	if p.c != nil && p.Direction == Out {
+		return p.c.rng.Low, nil
+	}
+	return manifest.ParseVersion(p.Version)
+}
+
+// structure is the port's DataType parsed.
+func (p *Port) structure() (*dataType, error) {
+	if p.c != nil && p.c.dt != nil {
+		return p.c.dt, nil
+	}
+	return parseDataType(p.DataType)
+}
+
 // ExplainTypedMismatch checks the version/datatype annotations of a
 // provider outport p against consumer inport in. It returns ("", "")
 // when they are compatible, else the layer that failed — "version" or
 // "structure" — and a human-readable reason naming the exact
 // incompatibility. It only judges the typed layer — callers check the
-// base name/interface/type/size match separately.
+// base name/interface/type/size match separately. The reason is
+// rendered only for a failed match.
 func (p Port) ExplainTypedMismatch(in Port) (kind, reason string) {
-	if in.Version != "" {
-		if p.Version == "" {
-			return "version", fmt.Sprintf("consumer requires version %s but provider declares no version", in.Version)
-		}
-		rng, err := manifest.ParseRange(in.Version)
-		if err != nil {
-			return "version", fmt.Sprintf("consumer version range %q invalid: %v", in.Version, err)
-		}
-		ver, err := manifest.ParseVersion(p.Version)
-		if err != nil {
-			return "version", fmt.Sprintf("provider version %q invalid: %v", p.Version, err)
-		}
-		if !rng.Contains(ver) {
-			return "version", fmt.Sprintf("provider version %s outside required range %s", p.Version, in.Version)
-		}
-	}
-	if in.DataType != "" {
-		if p.DataType == "" {
-			return "structure", fmt.Sprintf("consumer requires datatype %s but provider declares none", in.DataType)
-		}
-		req, err := parseDataType(in.DataType)
-		if err != nil {
-			return "structure", fmt.Sprintf("consumer datatype %q invalid: %v", in.DataType, err)
-		}
-		prov, err := parseDataType(p.DataType)
-		if err != nil {
-			return "structure", fmt.Sprintf("provider datatype %q invalid: %v", p.DataType, err)
-		}
-		if !prov.satisfies(req) {
-			return "structure", fmt.Sprintf("provider datatype %s does not structurally satisfy %s", p.DataType, in.DataType)
-		}
+	m, err := typedMatch(&p, &in)
+	switch m {
+	case verUndeclared:
+		return "version", fmt.Sprintf("consumer requires version %s but provider declares no version", in.Version)
+	case verBadRange:
+		return "version", fmt.Sprintf("consumer version range %q invalid: %v", in.Version, err)
+	case verBadVersion:
+		return "version", fmt.Sprintf("provider version %q invalid: %v", p.Version, err)
+	case verOutside:
+		return "version", fmt.Sprintf("provider version %s outside required range %s", p.Version, in.Version)
+	case dtUndeclared:
+		return "structure", fmt.Sprintf("consumer requires datatype %s but provider declares none", in.DataType)
+	case dtBadReq:
+		return "structure", fmt.Sprintf("consumer datatype %q invalid: %v", in.DataType, err)
+	case dtBadProv:
+		return "structure", fmt.Sprintf("provider datatype %q invalid: %v", p.DataType, err)
+	case dtUnsatisfied:
+		return "structure", fmt.Sprintf("provider datatype %s does not structurally satisfy %s", p.DataType, in.DataType)
 	}
 	return "", ""
 }

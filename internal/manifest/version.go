@@ -22,29 +22,43 @@ func ParseVersion(s string) (Version, error) {
 	if s == "" {
 		return Version{}, fmt.Errorf("manifest: empty version")
 	}
-	parts := strings.SplitN(s, ".", 4)
 	var v Version
-	var err error
-	if v.Major, err = parseVersionPart(parts[0]); err != nil {
-		return Version{}, fmt.Errorf("manifest: bad major in %q: %w", s, err)
-	}
-	if len(parts) > 1 {
-		if v.Minor, err = parseVersionPart(parts[1]); err != nil {
-			return Version{}, fmt.Errorf("manifest: bad minor in %q: %w", s, err)
+	rest, more := s, true
+	for i, seg := range [...]*int{&v.Major, &v.Minor, &v.Micro} {
+		var part string
+		part, rest, more = strings.Cut(rest, ".")
+		n, err := parseVersionPart(part)
+		if err != nil {
+			return Version{}, fmt.Errorf("manifest: bad %s in %q: %w", segmentNames[i], s, err)
+		}
+		*seg = n
+		if !more {
+			return v, nil
 		}
 	}
-	if len(parts) > 2 {
-		if v.Micro, err = parseVersionPart(parts[2]); err != nil {
-			return Version{}, fmt.Errorf("manifest: bad micro in %q: %w", s, err)
-		}
+	v.Qualifier = rest
+	if v.Qualifier == "" {
+		return Version{}, fmt.Errorf("manifest: empty qualifier in %q", s)
 	}
-	if len(parts) > 3 {
-		v.Qualifier = parts[3]
-		if v.Qualifier == "" {
-			return Version{}, fmt.Errorf("manifest: empty qualifier in %q", s)
-		}
+	if !validQualifier(v.Qualifier) {
+		return Version{}, fmt.Errorf("manifest: qualifier %q in %q must be letters, digits, '_' or '-'", v.Qualifier, s)
 	}
 	return v, nil
+}
+
+var segmentNames = [...]string{"major", "minor", "micro"}
+
+// validQualifier reports whether q is in the OSGi qualifier grammar
+// [A-Za-z0-9_-]+. Anything wider could carry a separator of an enclosing
+// syntax: a range's ',' or the ':' of a cluster provision note.
+func validQualifier(q string) bool {
+	for i := 0; i < len(q); i++ {
+		c := q[i]
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
 }
 
 func parseVersionPart(s string) (int, error) {
@@ -95,11 +109,22 @@ func sign(n int) int {
 
 // String renders the version in canonical form.
 func (v Version) String() string {
-	base := fmt.Sprintf("%d.%d.%d", v.Major, v.Minor, v.Micro)
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the canonical form of v to b.
+func (v Version) AppendTo(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(v.Major), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(v.Minor), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(v.Micro), 10)
 	if v.Qualifier != "" {
-		return base + "." + v.Qualifier
+		b = append(b, '.')
+		b = append(b, v.Qualifier...)
 	}
-	return base
+	return b
 }
 
 // Range is an OSGi version range: either a single floor version
@@ -134,16 +159,15 @@ func ParseRange(s string) (Range, error) {
 	if last != ']' && last != ')' {
 		return Range{}, fmt.Errorf("manifest: range %q missing terminator", s)
 	}
-	inner := s[1 : len(s)-1]
-	parts := strings.Split(inner, ",")
-	if len(parts) != 2 {
+	lowSrc, highSrc, ok := strings.Cut(s[1:len(s)-1], ",")
+	if !ok || strings.Contains(highSrc, ",") {
 		return Range{}, fmt.Errorf("manifest: range %q must have two endpoints", s)
 	}
-	low, err := ParseVersion(parts[0])
+	low, err := ParseVersion(lowSrc)
 	if err != nil {
 		return Range{}, fmt.Errorf("manifest: range %q low: %w", s, err)
 	}
-	high, err := ParseVersion(parts[1])
+	high, err := ParseVersion(highSrc)
 	if err != nil {
 		return Range{}, fmt.Errorf("manifest: range %q high: %w", s, err)
 	}
@@ -177,18 +201,29 @@ func (r Range) Contains(v Version) bool {
 
 // String renders the range.
 func (r Range) String() string {
+	var buf [64]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the rendering of r to b: its floor version when it
+// has no upper bound, else the interval.
+func (r Range) AppendTo(b []byte) []byte {
 	if r.Unbounded {
 		if r.parsedFromDefault {
-			return "0.0.0"
+			return append(b, "0.0.0"...)
 		}
-		return r.Low.String()
+		return r.Low.AppendTo(b)
 	}
-	lo, hi := "(", ")"
+	lo, hi := byte('('), byte(')')
 	if r.IncLow {
-		lo = "["
+		lo = '['
 	}
 	if r.IncHigh {
-		hi = "]"
+		hi = ']'
 	}
-	return fmt.Sprintf("%s%s,%s%s", lo, r.Low, r.High, hi)
+	b = append(b, lo)
+	b = r.Low.AppendTo(b)
+	b = append(b, ',')
+	b = r.High.AppendTo(b)
+	return append(b, hi)
 }

@@ -13,7 +13,6 @@ package rtos
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -107,6 +106,13 @@ type Kernel struct {
 
 	// triggers is the TriggerAsync conservation ledger.
 	triggers struct{ sent, delivered, dropped uint64 }
+
+	// byName is the live tasks in name order, rebuilt from tasks on the
+	// first read after a create or delete marks it stale: a sorted
+	// insert per create or delete costs more, at a few thousand tasks,
+	// than the management operation around it.
+	byName      []*Task
+	byNameDirty bool
 }
 
 // NewKernel boots a kernel with the given configuration.
@@ -193,7 +199,38 @@ func (k *Kernel) CreateTask(spec TaskSpec) (*Task, error) {
 	}
 	t.releaseFn = t.fireRelease
 	k.tasks[spec.Name] = t
+	k.staleTaskIndex()
 	return t, nil
+}
+
+// removeTask drops a deleted task from the kernel's task map.
+func (k *Kernel) removeTask(name string) {
+	delete(k.tasks, name)
+	k.staleTaskIndex()
+}
+
+// staleTaskIndex marks the name-ordered index stale and empties it, so
+// it holds no deleted task until the next read rebuilds it.
+func (k *Kernel) staleTaskIndex() {
+	if !k.byNameDirty {
+		clear(k.byName)
+		k.byName = k.byName[:0]
+		k.byNameDirty = true
+	}
+}
+
+// tasksByName returns the name-ordered task index, re-sorting it first
+// if a task was created or deleted since the last read. Callers must not
+// modify it.
+func (k *Kernel) tasksByName() []*Task {
+	if k.byNameDirty {
+		for _, t := range k.tasks {
+			k.byName = append(k.byName, t)
+		}
+		slices.SortFunc(k.byName, func(a, b *Task) int { return strings.Compare(a.spec.Name, b.spec.Name) })
+		k.byNameDirty = false
+	}
+	return k.byName
 }
 
 // Task looks up a live task by name.
@@ -204,12 +241,8 @@ func (k *Kernel) Task(name string) (*Task, bool) {
 
 // Tasks returns all live tasks sorted by name.
 func (k *Kernel) Tasks() []*Task {
-	out := make([]*Task, 0, len(k.tasks))
-	for _, t := range k.tasks {
-		out = append(out, t)
-	}
-	slices.SortFunc(out, func(a, b *Task) int { return strings.Compare(a.spec.Name, b.spec.Name) })
-	return out
+	byName := k.tasksByName()
+	return append(make([]*Task, 0, len(byName)), byName...)
 }
 
 // Utilization reports the summed CPU demand of active periodic tasks on
@@ -217,16 +250,11 @@ func (k *Kernel) Tasks() []*Task {
 // addition is order-sensitive, and map range order would otherwise leak
 // nondeterminism into any digest or admission decision fed by it.
 func (k *Kernel) Utilization(cpuID int) float64 {
-	names := make([]string, 0, len(k.tasks))
-	for name, t := range k.tasks {
-		if t.spec.CPU == cpuID && t.state == TaskActive {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
 	var u float64
-	for _, name := range names {
-		u += k.tasks[name].Utilization()
+	for _, t := range k.tasksByName() {
+		if t.spec.CPU == cpuID && t.state == TaskActive {
+			u += t.Utilization()
+		}
 	}
 	return u
 }

@@ -402,7 +402,7 @@ func (t *Task) Delete() error {
 		t.pending = nil
 	}
 	t.state = TaskDeleted
-	delete(t.k.tasks, t.spec.Name)
+	t.k.removeTask(t.spec.Name)
 	return nil
 }
 
