@@ -13,7 +13,7 @@ import (
 // forecasting estimator on top (project the trend, step down before the
 // miss). The reactive row comes first. The claim — strictly fewer hard
 // deadline misses at equal or better availability — and both arms'
-// stream digests are pinned in internal/workload's TestPredictAblation
+// span digests are pinned in internal/workload's TestPredictAblation
 // and TestPredictShardInvariance.
 func AblationPredict(seed uint64) ([]workload.PredictResult, error) {
 	var rows []workload.PredictResult
@@ -45,9 +45,6 @@ func FormatPredict(rows []workload.PredictResult) string {
 		fmt.Fprintf(&b, "%11s %7d %14s %12s %6.3f %5d %6d %4d\n",
 			variant[r.Predictive], r.HardMisses, ms(r.FirstMissAt), ms(r.ForecastAt), r.Availability,
 			r.Downgrades, r.PredictDowngrades, r.Revokes)
-	}
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%s stream digest: %s\n", variant[r.Predictive], r.StreamDigest)
 	}
 	return b.String()
 }

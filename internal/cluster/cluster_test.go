@@ -427,7 +427,7 @@ func TestDigestDeterminism(t *testing.T) {
 // regenerate with:
 //
 //	go test -run TwoNodePartitionHealPinnedDigest ./internal/cluster/ -v -pin
-const twoNodeSmokeDigest = "cf6a07282b5c6ee3d788e90e29ebc06e2677dfcacb402c2ec2e10517653f77a5"
+const twoNodeSmokeDigest = "a8e830b668f04d6a85687344495c43bb3ac0b72e3b73a03c7338cb6f68de0652"
 
 var pinFlag = flag.Bool("pin", false, "print the smoke digest instead of asserting it")
 

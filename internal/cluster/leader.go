@@ -544,8 +544,8 @@ func (c *Cluster) Converged() bool {
 	return true
 }
 
-// Digest folds every node's lifecycle event log and observability
-// stream, the cluster control plane's stream, and the network ledger
+// Digest folds every node's lifecycle event log and span digest, the
+// cluster control plane's span digest, and the network ledger
 // into one hex SHA-256. Two runs with the same Config must agree byte
 // for byte, with Parallel on or off.
 func (c *Cluster) Digest() string {
@@ -555,9 +555,9 @@ func (c *Cluster) Digest() string {
 		for _, ev := range n.drcr.Events() {
 			fmt.Fprintf(h, "%d|%s|%v|%v|%s\n", ev.At, ev.Component, ev.From, ev.To, ev.Reason)
 		}
-		fmt.Fprintf(h, "obs %s\n", n.plane.StreamDigest())
+		fmt.Fprintf(h, "obs %s\n", n.plane.Digest())
 	}
-	fmt.Fprintf(h, "plane %s\n", c.plane.StreamDigest())
+	fmt.Fprintf(h, "plane %s\n", c.plane.Digest())
 	for _, name := range c.sortedPlacementNames() {
 		fmt.Fprintf(h, "place %s=%d\n", name, c.placements[name].node)
 	}

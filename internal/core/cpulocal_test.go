@@ -190,7 +190,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 				}
 				all := run(false, true)
 				requireSameRun(t, label+" re-arm-all vs per-CPU", all, inc)
-				if a, b := all.Obs().StreamDigest(), inc.Obs().StreamDigest(); a != b {
+				if a, b := all.Obs().Digest(), inc.Obs().Digest(); a != b {
 					rs, is := all.Obs().Spans(), inc.Obs().Spans()
 					for i := 0; i < len(rs) && i < len(is); i++ {
 						if rs[i].String() != is[i].String() {
@@ -201,10 +201,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 							break
 						}
 					}
-					t.Fatalf("%s: span stream digests diverge", label)
-				}
-				if a, b := all.Obs().Digest(), inc.Obs().Digest(); a != b {
-					t.Fatalf("%s: full span digests (ids and causes) diverge", label)
+					t.Fatalf("%s: span digests (ids and causes) diverge", label)
 				}
 			}
 		}

@@ -183,7 +183,6 @@ const (
 	planCampaignTrace     = "43aa0b9e193505f8186517972e256a476a1b4078ed6df835b8ce45b78868fc53"
 	planCampaignObs       = "d9aacb70aedf619c0b3c3ca3c387ede5b4f05c41b4694c4bf0bbaf613a375c2d"
 	planCampaignObsFull   = "40d240da081f72436f7176888d88a3c8a2070f35f7853c24a2f889d975416dcf"
-	planCampaignStream    = "a18c2896cfe12e233ed15141e6b9f5ec66feeba7a0701df3b4f75630539d64d7"
 	planCampaignStateHash = "95752708bb41f704ff10504ab82d9a4daececb54f361bd25fd009251f70f555a"
 )
 
@@ -205,7 +204,6 @@ func checkPlanCampaign(t *testing.T, opts Options, level obs.Level) {
 	for _, c := range []struct{ what, got, want string }{
 		{"event trace", traceDigest(r.d.Events()), planCampaignTrace},
 		{"obs digest", r.d.Obs().Digest(), wantObs},
-		{"obs stream digest", r.d.Obs().StreamDigest(), planCampaignStream},
 		{"final states", hex.EncodeToString(sum[:]), planCampaignStateHash},
 	} {
 		if c.got != c.want {

@@ -72,7 +72,7 @@ func TestStochasticAdmitSpanBothEngines(t *testing.T) {
 		if info.BudgetDist != "normal(0.3,0.02)" || info.BudgetP != 0.97 {
 			t.Fatalf("info budget = %q/%v", info.BudgetDist, info.BudgetP)
 		}
-		digests[i] = d.Obs().StreamDigest()
+		digests[i] = d.Obs().Digest()
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("engines diverged on stochastic admission:\nworklist:  %s\nfullsweep: %s",

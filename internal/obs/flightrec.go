@@ -3,10 +3,10 @@
 // loss, or an explicit trip (the cluster's split-brain guard) — the
 // recorder freezes a window of spans around the trigger into a named
 // dump that survives ring eviction, retrievable via console `flightrec`.
-// A dump captures the FlightPre most recent spans up to and including
+// A dump captures the flightPre most recent spans up to and including
 // the trigger immediately (copied out of the ring before eviction can
-// touch them), then collects the next FlightPost spans as they are
-// emitted. At most FlightMax dumps are retained per plane; once the cap
+// touch them), then collects the next flightPost spans as they are
+// emitted. At most flightMax dumps are retained per plane; once the cap
 // is reached the trigger check is a pair of integer compares, keeping
 // the emit path allocation-free in steady state.
 
@@ -18,11 +18,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Flight-recorder defaults.
+// Flight-recorder window and cap.
 const (
-	defaultFlightPre  = 48
-	defaultFlightPost = 16
-	defaultFlightMax  = 8
+	flightPre  = 48
+	flightPost = 16
+	flightMax  = 8
 )
 
 // FlightDump is one frozen pre/post-trigger span window.
@@ -35,8 +35,8 @@ type FlightDump struct {
 	// Trigger is the local ID of the span that tripped the recorder
 	// (0 for explicit trips).
 	Trigger SpanID
-	// Spans is the window, oldest first: up to FlightPre spans ending at
-	// the trigger, then up to FlightPost spans after it.
+	// Spans is the window, oldest first: up to flightPre spans ending at
+	// the trigger, then up to flightPost spans after it.
 	Spans []Span
 	// complete is set once the post-trigger window filled (or the run
 	// ended and the dump was finalised short).

@@ -6,7 +6,8 @@ import (
 )
 
 func TestFlightRecorderCapturesWindow(t *testing.T) {
-	p := NewPlane(Options{FlightPre: 4, FlightPost: 3})
+	p := NewPlane(Options{})
+	p.frPre, p.frPost = 4, 3
 	for i := 0; i < 10; i++ {
 		p.Deploy(at(time.Duration(i)*time.Millisecond), "warm", "U", "")
 	}
@@ -18,7 +19,7 @@ func TestFlightRecorderCapturesWindow(t *testing.T) {
 	if d.Trigger != trig || d.Complete() {
 		t.Fatalf("fresh dump: %+v", d)
 	}
-	// Pre-window: the FlightPre most recent spans, trigger included.
+	// Pre-window: the frPre most recent spans, trigger included.
 	if len(d.Spans) != 4 || d.Spans[len(d.Spans)-1].ID != trig {
 		t.Fatalf("pre-window wrong: %d spans, last %d", len(d.Spans), d.Spans[len(d.Spans)-1].ID)
 	}
@@ -37,7 +38,8 @@ func TestFlightRecorderCapturesWindow(t *testing.T) {
 }
 
 func TestFlightRecorderTriggerKindsAndCap(t *testing.T) {
-	p := NewPlane(Options{FlightPre: 2, FlightPost: 1, FlightMax: 3})
+	p := NewPlane(Options{})
+	p.frPre, p.frPost, p.frMax = 2, 1, 3
 	p.Violation(at(0), "a", "BudgetOverrun", "", 0)
 	p.Escalate(at(0), "b", "restart", "too many restarts", 0)
 	p.NodeLoss(at(0), "n5", 1, "unreachable", 0)
@@ -59,7 +61,8 @@ func TestFlightRecorderTriggerKindsAndCap(t *testing.T) {
 }
 
 func TestTriggerFlightExplicitAndDedupe(t *testing.T) {
-	p := NewPlane(Options{FlightPre: 2, FlightPost: 2})
+	p := NewPlane(Options{})
+	p.frPre, p.frPost = 2, 2
 	p.Deploy(at(0), "calc", "U", "")
 	p.TriggerFlight("split-brain-calc", at(time.Millisecond))
 	p.TriggerFlight("split-brain-calc", at(2*time.Millisecond)) // dedupe
@@ -77,11 +80,12 @@ func TestTriggerFlightExplicitAndDedupe(t *testing.T) {
 }
 
 func TestFlightRecorderDisabled(t *testing.T) {
-	p := NewPlane(Options{FlightOff: true})
+	p := NewPlane(Options{})
+	p.frMax = 0 // recorder off
 	p.Violation(at(0), "a", "BudgetOverrun", "", 0)
 	p.TriggerFlight("manual", at(0))
 	if len(p.FlightDumps()) != 0 {
-		t.Fatal("FlightOff plane captured dumps")
+		t.Fatal("a plane with the recorder off captured dumps")
 	}
 	var nilPlane *Plane
 	nilPlane.TriggerFlight("x", at(0)) // must not panic
@@ -93,7 +97,8 @@ func TestFlightRecorderDisabled(t *testing.T) {
 // Returned dumps are snapshots: mutating them must not corrupt the
 // recorder's retained state.
 func TestFlightDumpsAreCopies(t *testing.T) {
-	p := NewPlane(Options{FlightPre: 2, FlightPost: 1})
+	p := NewPlane(Options{})
+	p.frPre, p.frPost = 2, 1
 	p.Violation(at(0), "a", "BudgetOverrun", "", 0)
 	d := p.FlightDumps()[0]
 	if len(d.Spans) == 0 {

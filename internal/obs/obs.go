@@ -9,10 +9,10 @@
 // timestamp, the component, and the *cause* span ID — which violation
 // triggered the revoke, which provider transition cascaded a dependant
 // down — so a whole reaction chain reconstructs as a tree. Spans live in
-// a fixed ring buffer indexed by span ID; two incremental SHA-256
-// digests pin the stream (Digest includes IDs and cause edges,
-// StreamDigest excludes them so the two resolve engines can be compared
-// modulo round internals).
+// a fixed ring buffer indexed by span ID; one incremental SHA-256
+// digest (Digest) pins the lifecycle stream, span IDs and cause edges
+// included, so two runs of one seeded workload at one sampling level
+// must agree byte for byte.
 //
 // The plane is not safe for concurrent use, exactly like the simulated
 // kernel: the whole simulation is single-threaded by design.
@@ -220,18 +220,11 @@ type Options struct {
 	// Level is the initial sampling level (zero value: Sampled).
 	Level Level
 	// Capacity is the span ring size (default 8192). Old spans are
-	// evicted by ID; the running digests are unaffected by eviction.
+	// evicted by ID; the running digest is unaffected by eviction.
 	Capacity int
 	// Node names the plane for federated span identity (Ref,
 	// StitchedSpan); read it back with Plane.Node.
 	Node string
-	// FlightPre / FlightPost size the flight-recorder window around a
-	// trigger (defaults 48 / 16); FlightMax caps retained dumps
-	// (default 8). FlightOff disables the recorder.
-	FlightPre  int
-	FlightPost int
-	FlightMax  int
-	FlightOff  bool
 }
 
 // ringStart is the span ring's initial allocation; it grows by doubling
@@ -259,9 +252,7 @@ type Plane struct {
 	last       map[string]SpanID // latest span per component
 
 	full    hash.Hash // digest over id|cause|at|kind|... (cause edges pinned)
-	stream  hash.Hash // digest over at|kind|... (engine-comparable)
 	scratch []byte
-	iscr    []byte
 
 	kernel *rtos.Kernel
 	loadFn func() []float64
@@ -340,20 +331,6 @@ func NewPlane(o Options) *Plane {
 	if o.Capacity <= 0 {
 		o.Capacity = 8192
 	}
-	if o.FlightPre <= 0 {
-		o.FlightPre = defaultFlightPre
-	}
-	if o.FlightPost < 0 {
-		o.FlightPost = 0
-	} else if o.FlightPost == 0 {
-		o.FlightPost = defaultFlightPost
-	}
-	if o.FlightMax <= 0 {
-		o.FlightMax = defaultFlightMax
-	}
-	if o.FlightOff {
-		o.FlightMax = 0
-	}
 	return &Plane{
 		level:    o.Level,
 		ring:     make([]Span, 0, min(ringStart, o.Capacity)),
@@ -361,14 +338,12 @@ func NewPlane(o Options) *Plane {
 		open:     map[string]SpanID{},
 		last:     map[string]SpanID{},
 		full:     sha256.New(),
-		stream:   sha256.New(),
 		scratch:  make([]byte, 0, 256),
-		iscr:     make([]byte, 0, 64),
 		perComp:  map[string]*compCounters{},
 		node:     o.Node,
-		frPre:    o.FlightPre,
-		frPost:   o.FlightPost,
-		frMax:    o.FlightMax,
+		frPre:    flightPre,
+		frPost:   flightPost,
+		frMax:    flightMax,
 	}
 }
 
@@ -433,9 +408,9 @@ func (p *Plane) schedSpan(at sim.Time, kind rtos.TraceEventKind, task string, cp
 func (p *Plane) enabled() bool { return p != nil && p.level != Off }
 
 // emit assigns the next ID, applies the ambient cause if none is set,
-// stores the span in the ring, and folds it into the digests. Sched and
-// resolve-round spans are excluded from both digests so the digests are
-// comparable across sampling levels and resolve engines.
+// stores the span in the ring, and folds it into the digest. Sched and
+// resolve-round spans are excluded from the digest, so turning on Full
+// adds no digest line of its own (its spans still consume IDs).
 func (p *Plane) emit(s Span) SpanID {
 	if s.Cause == 0 && p.causeDepth > 0 {
 		s.Cause = p.causeStack[p.causeDepth-1]
@@ -466,10 +441,23 @@ func (p *Plane) emit(s Span) SpanID {
 	return s.ID
 }
 
-// digest folds one span into both running hashes without allocating:
-// the line is rendered with strconv appends into reused scratch buffers.
+// digest folds one span into the running hash without allocating: the
+// id|cause| prefix and the span line are rendered with strconv appends
+// into one reused scratch buffer and written once.
 func (p *Plane) digest(s Span) {
-	b := p.scratch[:0]
+	b := strconv.AppendUint(p.scratch[:0], uint64(s.ID), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, uint64(s.Cause), 10)
+	b = append(b, '|')
+	b = appendSpanLine(b, s)
+	p.full.Write(b)
+	p.scratch = b[:0]
+}
+
+// appendSpanLine renders the ID-free at|kind|component|from|to|n|detail
+// line of a span, newline included: the digest prefixes it with the
+// span's ID and cause, the stitched digest with its node.
+func appendSpanLine(b []byte, s Span) []byte {
 	b = strconv.AppendInt(b, int64(s.At), 10)
 	b = append(b, '|')
 	b = append(b, s.Kind.String()...)
@@ -483,17 +471,7 @@ func (p *Plane) digest(s Span) {
 	b = strconv.AppendInt(b, s.N, 10)
 	b = append(b, '|')
 	b = append(b, s.Detail...)
-	b = append(b, '\n')
-	p.stream.Write(b)
-	ib := p.iscr[:0]
-	ib = strconv.AppendUint(ib, uint64(s.ID), 10)
-	ib = append(ib, '|')
-	ib = strconv.AppendUint(ib, uint64(s.Cause), 10)
-	ib = append(ib, '|')
-	p.full.Write(ib)
-	p.full.Write(b)
-	p.scratch = b[:0]
-	p.iscr = ib[:0]
+	return append(b, '\n')
 }
 
 // PushCause makes id the ambient cause: spans emitted without an
@@ -941,28 +919,17 @@ func (p *Plane) Why(component string) []Span {
 	return chain
 }
 
-// Digest is the hex SHA-256 of the full span stream including IDs and
-// cause edges: two runs of the same seeded workload at the same
-// sampling level must agree byte for byte. Sched and resolve-round
-// spans are excluded from the fold, but they still consume IDs, so
-// compare Digest values only across runs at one level (the golden
-// fault-campaign digest is pinned at the default, Sampled); use
-// StreamDigest for level- and engine-independent comparison.
+// Digest is the hex SHA-256 of the span stream including IDs and cause
+// edges: two runs of the same seeded workload at the same sampling
+// level must agree byte for byte. Sched and resolve-round spans are
+// excluded from the fold, but they still consume IDs, so compare Digest
+// values only across runs at one level (the golden fault-campaign
+// digest is pinned at the default, Sampled).
 func (p *Plane) Digest() string {
 	if p == nil {
 		return ""
 	}
 	return hex.EncodeToString(p.full.Sum(nil))
-}
-
-// StreamDigest is the hex SHA-256 of the span stream without IDs and
-// cause edges — the engine-comparable digest the worklist/full-sweep
-// differential tests pin.
-func (p *Plane) StreamDigest() string {
-	if p == nil {
-		return ""
-	}
-	return hex.EncodeToString(p.stream.Sum(nil))
 }
 
 // Observer returns the read-only management view of the plane.
@@ -1001,11 +968,8 @@ func (o Observer) Why(component string) []Span { return o.p.Why(component) }
 // Snapshot assembles the stable-ordered metrics snapshot.
 func (o Observer) Snapshot() Snapshot { return o.p.Snapshot() }
 
-// Digest is the full span-stream digest (IDs and cause edges included).
+// Digest is the span-stream digest (IDs and cause edges included).
 func (o Observer) Digest() string { return o.p.Digest() }
-
-// StreamDigest is the engine-comparable span-stream digest.
-func (o Observer) StreamDigest() string { return o.p.StreamDigest() }
 
 // Node reports the plane's federated identity name ("" single-node).
 func (o Observer) Node() string { return o.p.Node() }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -256,11 +257,11 @@ func TestDigestDeterministicAndLevelIndependent(t *testing.T) {
 	run := func(level Level) *Plane {
 		p := NewPlane(Options{Level: level})
 		p.Deploy(at(0), "calc", "UNSATISFIED", "deployed")
-		p.ResolveRound(at(0), 1, 0) // excluded from both digests
+		p.ResolveRound(at(0), 1, 0) // excluded from the digest
 		tr := p.Transition(at(time.Millisecond), "calc", "UNSATISFIED", "SATISFIED", "resolved", 0)
 		p.Transition(at(time.Millisecond), "calc", "SATISFIED", "ACTIVE", "admitted", tr)
 		p.Deny(at(2*time.Millisecond), "disp", "admission denied: cpu full", 0)
-		// The degradation and supervision kinds fold into the digests too.
+		// The degradation and supervision kinds fold into the digest too.
 		dg := p.Downgrade(at(3*time.Millisecond), "calc", "full", "eco", "budget-overrun", 0)
 		p.Upgrade(at(4*time.Millisecond), "calc", "eco", "full", "capacity freed", dg)
 		rs := p.Restart(at(5*time.Millisecond), "zaux", 1, "crashed", 0)
@@ -268,14 +269,11 @@ func TestDigestDeterministicAndLevelIndependent(t *testing.T) {
 		return p
 	}
 	a, b, full := run(Sampled), run(Sampled), run(Full)
-	if a.Digest() != b.Digest() || a.StreamDigest() != b.StreamDigest() {
+	if a.Digest() != b.Digest() {
 		t.Fatal("same emissions produced different digests")
 	}
-	if a.Digest() == a.StreamDigest() {
-		t.Fatal("full and stream digests should differ (IDs and causes included vs not)")
-	}
-	if a.StreamDigest() != full.StreamDigest() {
-		t.Fatal("StreamDigest must be independent of the sampling level")
+	if !slices.Equal(lifecycleLines(a), lifecycleLines(full)) {
+		t.Fatal("the Full level changed a lifecycle span")
 	}
 	if a.Digest() == full.Digest() {
 		// Full's resolve-round span consumes an ID, shifting every later
@@ -286,16 +284,16 @@ func TestDigestDeterministicAndLevelIndependent(t *testing.T) {
 		t.Fatal("Full level should have emitted the extra resolve-round span")
 	}
 
-	// Digests are pure functions of the emission sequence — an extra span
-	// changes both.
+	// The digest is a pure function of the emission sequence — an extra
+	// span changes it.
 	c := run(Sampled)
 	c.Deploy(at(3*time.Millisecond), "extra", "UNSATISFIED", "")
-	if c.Digest() == a.Digest() || c.StreamDigest() == a.StreamDigest() {
+	if c.Digest() == a.Digest() {
 		t.Fatal("digest did not change with the stream")
 	}
 
-	// Digest() folds in IDs and causes; StreamDigest doesn't. Re-running
-	// with a different cause edge must change only the full digest.
+	// Digest() folds in IDs and causes. Re-running with a different cause
+	// edge and the same span lines must change it.
 	d := NewPlane(Options{})
 	d.Deploy(at(0), "calc", "UNSATISFIED", "deployed")
 	d.ResolveRound(at(0), 1, 0)
@@ -306,12 +304,24 @@ func TestDigestDeterministicAndLevelIndependent(t *testing.T) {
 	d.Upgrade(at(4*time.Millisecond), "calc", "eco", "full", "capacity freed", 0) // cause dropped
 	d.Restart(at(5*time.Millisecond), "zaux", 1, "crashed", 0)
 	d.Escalate(at(6*time.Millisecond), "zaux", "zaux", "restart budget exhausted", 0) // cause dropped
-	if d.StreamDigest() != a.StreamDigest() {
-		t.Fatal("StreamDigest must ignore cause edges")
+	if !slices.Equal(lifecycleLines(d), lifecycleLines(a)) {
+		t.Fatal("dropping cause edges changed a span line")
 	}
 	if d.Digest() == a.Digest() {
 		t.Fatal("Digest must pin cause edges")
 	}
+}
+
+// lifecycleLines renders the ID- and cause-free line of every retained
+// span the digest folds (sched and resolve-round spans excluded).
+func lifecycleLines(p *Plane) []string {
+	var out []string
+	for _, s := range p.Spans() {
+		if s.Kind != KindSched && s.Kind != KindResolveRound {
+			out = append(out, string(appendSpanLine(nil, s)))
+		}
+	}
+	return out
 }
 
 func TestSpanString(t *testing.T) {
@@ -462,8 +472,8 @@ func TestObserverDelegates(t *testing.T) {
 	if _, ok := o.Last("calc"); !ok {
 		t.Fatal("observer Last failed")
 	}
-	if o.Digest() != p.Digest() || o.StreamDigest() != p.StreamDigest() {
-		t.Fatal("observer digests disagree with the plane")
+	if o.Digest() != p.Digest() {
+		t.Fatal("observer digest disagrees with the plane")
 	}
 	if o.Snapshot().SpansEmitted != 1 {
 		t.Fatal("observer snapshot disagrees with the plane")

@@ -121,3 +121,27 @@ func TestRingStartsSmall(t *testing.T) {
 		t.Fatalf("ring cap after %d spans = %d, want %d", ringStart+1, cap(p.ring), 2*ringStart)
 	}
 }
+
+// TestSnapshotSpansRetained holds Snapshot's retained count, computed
+// without copying the ring, to the length of Spans() before the ring
+// fills, exactly at capacity and after it wraps.
+func TestSnapshotSpansRetained(t *testing.T) {
+	const capacity = 16
+	p := NewPlane(Options{Capacity: capacity})
+	for i := 1; i <= 3*capacity; i++ {
+		p.Deploy(sim.Time(i), fmt.Sprintf("c%d", i%5), "U", "")
+		switch i {
+		case 1, capacity - 1, capacity, capacity + 1, 3 * capacity:
+			s := p.Snapshot()
+			if s.SpansRetained != len(p.Spans()) {
+				t.Fatalf("after %d spans: retained %d, Spans() holds %d", i, s.SpansRetained, len(p.Spans()))
+			}
+			if want := min(i, capacity); s.SpansRetained != want {
+				t.Fatalf("after %d spans: retained %d, want %d", i, s.SpansRetained, want)
+			}
+		}
+	}
+	if got := NewPlane(Options{}).Snapshot().SpansRetained; got != 0 {
+		t.Fatalf("empty plane retains %d spans", got)
+	}
+}

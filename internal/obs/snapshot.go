@@ -28,9 +28,8 @@ type Snapshot struct {
 	// are still in the ring.
 	SpansEmitted  uint64 `json:"spans_emitted"`
 	SpansRetained int    `json:"spans_retained"`
-	// Digest / StreamDigest are the running trace digests.
-	Digest       string `json:"digest"`
-	StreamDigest string `json:"stream_digest"`
+	// Digest is the running span-stream digest.
+	Digest string `json:"digest"`
 
 	Resolve   ResolveStats   `json:"resolve"`
 	Plan      PlanStats      `json:"plan"`
@@ -186,9 +185,8 @@ func (p *Plane) Snapshot() Snapshot {
 	s := Snapshot{
 		Level:         p.level.String(),
 		SpansEmitted:  uint64(p.next),
-		SpansRetained: len(p.SpansSince(1)),
+		SpansRetained: int(min(p.next, p.capacity)),
 		Digest:        p.Digest(),
-		StreamDigest:  p.StreamDigest(),
 		Resolve: ResolveStats{
 			Drains:           p.c.resolveDrains,
 			Rounds:           p.c.resolveRounds,

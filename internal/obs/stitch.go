@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
-	"strconv"
 )
 
 // Ref names a span on a specific plane: the (node, id) federated span
@@ -157,9 +156,8 @@ func stitchChain(planes map[string]*Plane, node string, s Span) []StitchedSpan {
 // StitchDigest folds the stitched Why-chains of the given (node,
 // component) roots — in the order given, which the caller must keep
 // canonical — into one hex SHA-256. Each chain element is rendered
-// without span IDs or cause values (the chain structure itself carries
-// causality), so the digest is comparable across engines, like
-// StreamDigest.
+// without span IDs or cause values: the chain structure itself carries
+// causality, and IDs are local to each node's plane.
 func StitchDigest(planes map[string]*Plane, roots []StitchRoot) string {
 	h := sha256.New()
 	var scratch []byte
@@ -183,27 +181,13 @@ type StitchRoot struct {
 	Component string
 }
 
-// writeStitched renders one chain element in the ID-free stream form,
+// writeStitched renders one chain element as its ID-free span line,
 // prefixed by its node.
 func writeStitched(h hash.Hash, scratch *[]byte, e StitchedSpan) {
-	b := (*scratch)[:0]
-	b = append(b, ' ')
+	b := append((*scratch)[:0], ' ')
 	b = append(b, e.Node...)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(e.Span.At), 10)
-	b = append(b, '|')
-	b = append(b, e.Span.Kind.String()...)
-	b = append(b, '|')
-	b = append(b, e.Span.Component...)
-	b = append(b, '|')
-	b = append(b, e.Span.From...)
-	b = append(b, '|')
-	b = append(b, e.Span.To...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, e.Span.N, 10)
-	b = append(b, '|')
-	b = append(b, e.Span.Detail...)
-	b = append(b, '\n')
+	b = appendSpanLine(b, e.Span)
 	h.Write(b)
 	*scratch = b
 }

@@ -153,11 +153,9 @@ type DegradeResult struct {
 	Escalations uint64
 
 	SpanDigest string
-	// StreamDigest is the ID-free variant (IDs and cause edges excluded).
-	StreamDigest string
-	SpanCount    uint64
-	Spans        []obs.Span
-	Obs          obs.Snapshot
+	SpanCount  uint64
+	Spans      []obs.Span
+	Obs        obs.Snapshot
 
 	Events         []core.Event
 	Final          []core.Info
@@ -227,7 +225,6 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 		GuardTrace:     r.guard.Trace(),
 		SuperviseTrace: r.sup.Trace(),
 		SpanDigest:     d.Obs().Digest(),
-		StreamDigest:   d.Obs().StreamDigest(),
 		SpanCount:      d.Obs().Emitted(),
 		Spans:          d.Obs().Spans(),
 		Obs:            d.Obs().Snapshot(),

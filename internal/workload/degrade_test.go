@@ -139,7 +139,7 @@ func TestDegradeDeterministic(t *testing.T) {
 // mode subsystem must be byte-invisible when no component declares a
 // <mode>. Captured on the commit before the mode ladder landed.
 const (
-	churnObsGolden   = "70836d4fb1541eedd7a48216f637e829ae3b1deb7ed1040972c8cf26f3a24475"
+	churnObsGolden   = "2847c4ff41b6336dad43e9e42a9091c99f6a0c59ffde69c0ef2361ad6f4a64e5"
 	churnTraceGolden = "e9aa70d178a94554ecaf53115d4ea44e5262ca4e9b5a15075669139860c6307d"
 	churnStateGolden = "a9941a9b426ff70b4723c3f4936a8f61811e197d9d9dbabc6ff2be099b1bedac"
 	churnSpanCount   = 419
@@ -155,8 +155,8 @@ func TestChurnUnchangedBySingleModeComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ObsDigest != churnObsGolden {
-		t.Errorf("obs digest %s, want pre-change %s", got.ObsDigest, churnObsGolden)
+	if got.ObsFullDigest != churnObsGolden {
+		t.Errorf("obs digest %s, want pre-change %s", got.ObsFullDigest, churnObsGolden)
 	}
 	if got.TraceDigest != churnTraceGolden {
 		t.Errorf("trace digest %s, want pre-change %s", got.TraceDigest, churnTraceGolden)

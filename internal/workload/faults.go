@@ -103,10 +103,8 @@ type FaultCampaignResult struct {
 	// teardown; same seed + same campaign ⇒ byte-identical. SpanCount is
 	// the number of spans behind it, and Obs the metric snapshot.
 	SpanDigest string
-	// StreamDigest is the ID-free variant (IDs and cause edges excluded).
-	StreamDigest string
-	SpanCount    uint64
-	Obs          obs.Snapshot
+	SpanCount  uint64
+	Obs        obs.Snapshot
 
 	// Containment: disp's dispatch latencies across the whole run,
 	// collected in the functional routine so they survive task
@@ -166,15 +164,14 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 	}
 
 	res := FaultCampaignResult{
-		Campaign:     campaign.Name,
-		InjectTrace:  inj.Trace(),
-		Events:       d.Events(),
-		Final:        d.Components(),
-		DispSamples:  dispLat,
-		SpanDigest:   d.Obs().Digest(),
-		StreamDigest: d.Obs().StreamDigest(),
-		SpanCount:    d.Obs().Emitted(),
-		Obs:          d.Obs().Snapshot(),
+		Campaign:    campaign.Name,
+		InjectTrace: inj.Trace(),
+		Events:      d.Events(),
+		Final:       d.Components(),
+		DispSamples: dispLat,
+		SpanDigest:  d.Obs().Digest(),
+		SpanCount:   d.Obs().Emitted(),
+		Obs:         d.Obs().Snapshot(),
 	}
 	for _, v := range dispLat {
 		if v < 0 {

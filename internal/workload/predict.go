@@ -126,11 +126,10 @@ type PredictResult struct {
 	Revokes           int
 
 	TraceDigest string
-	// SpanDigest is the full span-trace digest; StreamDigest the ID-free
-	// variant. Same seed + same config ⇒ byte-identical.
-	SpanDigest   string
-	StreamDigest string
-	SpanCount    uint64
+	// SpanDigest is the span-trace digest. Same seed + same config ⇒
+	// byte-identical.
+	SpanDigest string
+	SpanCount  uint64
 
 	Forecasts  []contract.Forecast
 	GuardTrace []contract.Record
@@ -213,16 +212,15 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 	}
 
 	res := PredictResult{
-		Predictive:   cfg.Predictive,
-		HardMisses:   missTotal,
-		FirstMissAt:  firstMiss,
-		TraceDigest:  guard.TraceDigest(),
-		SpanDigest:   d.Obs().Digest(),
-		StreamDigest: d.Obs().StreamDigest(),
-		SpanCount:    d.Obs().Emitted(),
-		Forecasts:    guard.Forecasts(),
-		GuardTrace:   guard.Trace(),
-		Final:        d.Components(),
+		Predictive:  cfg.Predictive,
+		HardMisses:  missTotal,
+		FirstMissAt: firstMiss,
+		TraceDigest: guard.TraceDigest(),
+		SpanDigest:  d.Obs().Digest(),
+		SpanCount:   d.Obs().Emitted(),
+		Forecasts:   guard.Forecasts(),
+		GuardTrace:  guard.Trace(),
+		Final:       d.Components(),
 	}
 	for _, r := range res.GuardTrace {
 		switch r.Action {

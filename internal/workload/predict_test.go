@@ -74,18 +74,18 @@ func TestPredictDeterminism(t *testing.T) {
 }
 
 // TestPredictShardInvariance pins both ablation arms' guard trace
-// digest, ID-free span stream digest and hard-miss count — the values
-// every DRCR stripe count reproduced before the DRCR had one lock.
+// digest, span digest and hard-miss count — the values every DRCR
+// stripe count reproduced before the DRCR had one lock.
 func TestPredictShardInvariance(t *testing.T) {
 	for _, c := range []struct {
-		predictive    bool
-		trace, stream string
-		misses        uint64
+		predictive  bool
+		trace, span string
+		misses      uint64
 	}{
 		{false, "0dad9d96c491fb64f44b2300069b06317ccaca2d9cf9122365f3fc482145106f",
-			"faf43ba6de2c3d4bb9c99ad2482297b8914eb215bdd6391c3d10fbadfa9b51a0", 2},
+			"d9f8cb4573af7bb76ab2105908ebd75c9d55ef0ea70ea7f8d862b44bda6b7884", 2},
 		{true, "adde067d81cd1ec6b67628c40e648c38e4088a0b4961a54afa9677d8a452dac3",
-			"b74daafc671319ad8369f183cff522806fa8ae1d8ddc96d61827ed0491e4ff54", 0},
+			"1606384ba5727dc5a27582ccf4548d3104b2cd2d93b5a89a600a1afe934adadb", 0},
 	} {
 		got, err := RunPredictCampaign(PredictConfig{Predictive: c.predictive})
 		if err != nil {
@@ -94,8 +94,8 @@ func TestPredictShardInvariance(t *testing.T) {
 		if got.TraceDigest != c.trace {
 			t.Errorf("pred=%v: guard trace digest %s, pinned %s", c.predictive, got.TraceDigest, c.trace)
 		}
-		if got.StreamDigest != c.stream {
-			t.Errorf("pred=%v: stream digest %s, pinned %s", c.predictive, got.StreamDigest, c.stream)
+		if got.SpanDigest != c.span {
+			t.Errorf("pred=%v: span digest %s, pinned %s", c.predictive, got.SpanDigest, c.span)
 		}
 		if got.HardMisses != c.misses {
 			t.Errorf("pred=%v: misses %d, pinned %d", c.predictive, got.HardMisses, c.misses)

@@ -25,7 +25,7 @@ func TestChurnShardInvariance(t *testing.T) {
 	for _, c := range []struct{ what, got, want string }{
 		{"trace digest", got.TraceDigest, "4b0434738a76e6e51e6a603d5dbff0806adf04bb0749cf7e3aae79d2cf2ccdcd"},
 		{"state digest", got.StateDigest, "7c92bf4bfdc4645e88ef9de2c1138a526aa46f51339dc201069cd9f11d95fc1f"},
-		{"obs digest", got.ObsDigest, "9ad07e1126b1a449473c4eff3832f99b5ce6222af2ee15300d5273bdf5423b4b"},
+		{"obs digest", got.ObsFullDigest, "c7cb27a888fc17e932f9c7f687b6d88bd27c03b72ed2e560ca287eda79ca2258"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s %s, pinned %s", c.what, c.got, c.want)
