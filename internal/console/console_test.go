@@ -123,6 +123,48 @@ events
 	}
 }
 
+// TestSessionWhyShowsSkippedWaiterReason: after a change on its
+// processor, an admission waiter whose denial the DRCR's deny memo proves
+// from a cheaper waiter's is not consulted again, so it keeps the reason
+// of its last consult; that reason must still be the deny span why
+// prints first.
+func TestSessionWhyShowsSkippedWaiterReason(t *testing.T) {
+	c, out := newConsole(t)
+	xml := func(name string, usage float64) string {
+		return fmt.Sprintf(`<component name=%q type="periodic" cpuusage="%g">
+  <implementation bincode="demo.Load"/>
+  <periodictask frequence="100" runoncup="0" priority="5"/>
+</component>`, name, usage)
+	}
+	for _, comp := range []struct {
+		name  string
+		usage float64
+	}{{"hog", 0.8}, {"small", 0.1}, {"w1", 0.25}, {"w2", 0.3}} {
+		if err := c.sys.DeployXML(xml(comp.name, comp.usage)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Exec("disable small")
+	w1, _ := c.sys.Component("w1")
+	w2, _ := c.sys.Component("w2")
+	if !strings.Contains(w1.LastReason, "budget 1.050 exceeds") {
+		t.Fatalf("w1 was not re-consulted after the disable: %q", w1.LastReason)
+	}
+	if !strings.Contains(w2.LastReason, "budget 1.200 exceeds") {
+		t.Fatalf("w2 was re-consulted, the memo should have covered it: %q", w2.LastReason)
+	}
+	chain := c.sys.Observer().Why("w2")
+	if len(chain) == 0 || chain[0].Kind.String() != "deny" || chain[0].Detail != w2.LastReason {
+		t.Fatalf("Why(w2) = %v, want a deny span with detail %q", chain, w2.LastReason)
+	}
+	out.Reset()
+	c.Exec("why w2")
+	first, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.Contains(first, "deny w2 ("+w2.LastReason+")") {
+		t.Fatalf("why w2 printed %q, want its deny span with %q", first, w2.LastReason)
+	}
+}
+
 func TestSessionErrorsDoNotAbort(t *testing.T) {
 	out := session(t, `
 bogus command

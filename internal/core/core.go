@@ -408,6 +408,7 @@ type DRCR struct {
 	chain         policy.Chain
 	chainLocal    bool // policy.IsCPULocal(chain), under chainMu
 	chainLoadOnly bool // policy.IsLoadOnly(chain), under chainMu
+	chainMonotone bool // policy.IsMonotone(chain), under chainMu
 
 	events    []Event
 	listeners []func(Event)

@@ -18,6 +18,13 @@ package core
 // of processors whose epoch moved (syncWaitersLocked, and the cursor
 // hook in tryActivateLocked), so one admission change costs work in the
 // waiters of the processor it touched, not in the whole waiting set.
+//
+// A moved processor's waiters are still examined, but not all consulted.
+// With a policy.Monotone load-only chain, a denial at one processor epoch
+// proves the denial of every waiter there asking for no less: each
+// processor keeps a deny memo (the smallest usage denied at its current
+// epoch and chain epoch), and tryActivateLocked skips a waiter the memo
+// covers exactly as a repeated denial would leave it, minus the consult.
 
 import (
 	"slices"
@@ -42,6 +49,33 @@ type cpuAdmission struct {
 	// waiters is the name-sorted set of admission waiters pinned here:
 	// the components of d.waiting whose wait is waitAdmission.
 	waiters []string
+	// deny is the processor's deny memo.
+	deny denyMemo
+}
+
+// denyMemo records that a monotone load-only chain, at resolver-chain
+// epoch chainEpoch, denied a constant candidate of usage on its processor
+// at processor epoch cpuEpoch. Any later epoch on either side makes it
+// stale, never wrong.
+type denyMemo struct {
+	valid      bool
+	cpuEpoch   uint64
+	chainEpoch uint64
+	usage      float64
+}
+
+// holds reports whether the memo records a denial at the given epochs;
+// it then proves the denial of every candidate asking for at least usage.
+func (m *denyMemo) holds(cpuEpoch, chainEpoch uint64) bool {
+	return m.valid && m.cpuEpoch == cpuEpoch && m.chainEpoch == chainEpoch
+}
+
+// note records a denial of usage at the given epochs, keeping the
+// smallest usage denied while the epochs stand.
+func (m *denyMemo) note(cpuEpoch, chainEpoch uint64, usage float64) {
+	if !m.holds(cpuEpoch, chainEpoch) || usage < m.usage {
+		*m = denyMemo{valid: true, cpuEpoch: cpuEpoch, chainEpoch: chainEpoch, usage: usage}
+	}
 }
 
 // touch records a change to the processor's admitted list.

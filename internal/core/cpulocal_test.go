@@ -98,7 +98,9 @@ var stochXML = localXML("sdist", 1, 0.05, nil, nil, `<budget dist="normal(0.05,0
 // land earlier than the worklist's; span digests are therefore compared
 // between the per-CPU re-arm and the same verdicts through a non-local
 // chain (which re-arms every waiter), with ladders, where they must
-// match byte for byte, span ids and causes included.
+// match byte for byte, span ids and causes included. The non-local
+// chain stays load-only and monotone, so both runs skip the waiters
+// their deny memos cover.
 func TestDifferentialCPULocalRearm(t *testing.T) {
 	const numCPUs = 4
 	stoch, err := descriptor.Parse(stochXML)
@@ -123,9 +125,11 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 					}
 					ops[i] = churnOp{kind: k, target: names[rng.Intn(len(names))]}
 				}
-				// wrapped routes the customized service through a policy.Func
+				// wrapped routes the customized service through nonLocalStatic,
 				// with the same label and verdicts: the chain is then not
-				// CPU-local, so the worklist engine re-arms every waiter.
+				// CPU-local, so the worklist engine re-arms every waiter, but
+				// still load-only and monotone, so both runs keep the same
+				// per-processor deny memo.
 				run := func(fullSweep, wrapped bool) *DRCR {
 					fw := osgi.NewFramework()
 					k := rtos.NewKernel(rtos.Config{NumCPUs: numCPUs, Timing: &noNoise, Seed: 99})
@@ -146,7 +150,7 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 							return policy.Decision{Admit: true, Reason: "flap ok"}
 						}}
 					case wrapped:
-						res = policy.Func{Label: static.Label, F: static.Admit}
+						res = nonLocalStatic{static}
 					}
 					if _, err := fw.RegisterService([]string{policy.ServiceInterface}, res, nil); err != nil {
 						t.Fatal(err)
@@ -208,6 +212,35 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 	}
 }
 
+// requireSameEvents fails unless two DRCRs logged identical lifecycle
+// events.
+func requireSameEvents(t *testing.T, label string, a, b *DRCR) {
+	t.Helper()
+	if traceDigest(a.Events()) == traceDigest(b.Events()) {
+		return
+	}
+	ae, be := a.Events(), b.Events()
+	for i := 0; i < len(ae) || i < len(be); i++ {
+		var x, y string
+		if i < len(ae) {
+			x = ae[i].String()
+		}
+		if i < len(be) {
+			y = be[i].String()
+		}
+		if x != y {
+			t.Fatalf("%s: first event divergence at %d:\n  %s\n  %s", label, i, x, y)
+		}
+	}
+}
+
+// nonLocalStatic is a policy.Static that withholds the CPULocal
+// capability and keeps LoadOnly and Monotone: through it only the re-arm
+// rule changes.
+type nonLocalStatic struct{ policy.Static }
+
+func (nonLocalStatic) CPULocal() bool { return false }
+
 // checkWaiterIndex asserts that the admission-waiter index holds exactly
 // the waiters d.waiting implies: each processor's set its pinned
 // admission waiters, the side set the activation waiters and any
@@ -245,35 +278,25 @@ func checkWaiterIndex(t *testing.T, d *DRCR) {
 // and ended in identical states.
 func requireSameRun(t *testing.T, label string, a, b *DRCR) {
 	t.Helper()
-	if traceDigest(a.Events()) != traceDigest(b.Events()) {
-		ae, be := a.Events(), b.Events()
-		for i := 0; i < len(ae) || i < len(be); i++ {
-			var x, y string
-			if i < len(ae) {
-				x = ae[i].String()
-			}
-			if i < len(be) {
-				y = be[i].String()
-			}
-			if x != y {
-				t.Fatalf("%s: first event divergence at %d:\n  %s\n  %s", label, i, x, y)
-			}
-		}
-	}
+	requireSameEvents(t, label, a, b)
 	if x, y := stateSummary(a), stateSummary(b); x != y {
 		t.Fatalf("%s: final states diverge:\n%s\nvs\n%s", label, x, y)
 	}
 }
 
 // countingResolver wraps the utilization resolver, counting consults per
-// candidate; local sets its CPULocal answer.
+// candidate; local sets its CPULocal answer, memo its LoadOnly and
+// Monotone answers (the deny memo needs both).
 type countingResolver struct {
 	local bool
+	memo  bool
 	n     map[string]int
 }
 
 func (r *countingResolver) Name() string   { return "counting" }
 func (r *countingResolver) CPULocal() bool { return r.local }
+func (r *countingResolver) LoadOnly() bool { return r.memo }
+func (r *countingResolver) Monotone() bool { return r.memo }
 func (r *countingResolver) Admit(view policy.View, cand policy.Contract) policy.Decision {
 	r.n[cand.Name]++
 	return policy.Utilization{}.Admit(view, cand)

@@ -39,14 +39,22 @@ package core
 //     waiter. A policy.LoadOnly chain consulted about a constant-budget
 //     candidate, while no distribution budget is admitted, reads a view
 //     with the per-CPU loads but no contract lists (loadViewLocked), so a
-//     moved epoch costs no list copy;
+//     moved epoch costs no list copy. When that chain is also
+//     policy.Monotone, a waiter already denied is not consulted when its
+//     processor's deny memo (cpuadmit.go) holds a denial of no more usage
+//     at the same processor and chain epochs: the consult could only
+//     deny again. The waiter is left as a repeated denial leaves it, so
+//     the deny span the consult would have added (the load is in the
+//     reason) is not emitted;
 //  3. admission decisions are cached only while the drain, the view
 //     epoch and the resolver-chain epoch all stand still — customized
 //     resolving services may be stateful across Resolve calls (the fault
 //     injector's flap resolver is), so a full Resolve always re-consults.
 
 import (
+	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/descriptor"
@@ -299,10 +307,36 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		viewEpoch, drainID := d.viewEpoch, d.drainID
 		desc := c.desc
 		// A load-only chain decides a constant candidate over a constant
-		// view on Load alone: hand it the list-free view.
+		// view on Load alone: hand it the list-free view. A monotone one
+		// also keeps a deny memo per processor: a waiter that entered
+		// denied and asks for no less than a denial at this processor
+		// epoch is skipped as a repeated denial (cause consumed, reason
+		// and span kept), and a consult that denies feeds the memo.
+		loadOnly := false
+		var memo *denyMemo
+		var memoCPU, memoChain uint64
+		if cpu := desc.CPU(); desc.Budget == nil && d.stochAdmitted == 0 {
+			inRange := cpu >= 0 && cpu < len(d.cpus)
+			if inRange && !changed && c.wait == waitAdmission &&
+				strings.HasPrefix(c.lastReason, deniedPrefix) && !d.chainDirty.Load() {
+				// The chain epoch is read after the dirty flag: a memo
+				// at the current epoch was recorded under this very
+				// chain, so the chain is monotone and load-only.
+				ca := &d.cpus[cpu]
+				if ca.deny.holds(ca.epoch, d.chainEpoch.Load()) && minUsage(desc, modes) >= ca.deny.usage {
+					d.takeCause(c)
+					return false
+				}
+			}
+			var monotone bool
+			memoChain, loadOnly, monotone = d.chainCapsLocked()
+			if inRange && loadOnly && monotone {
+				memo, memoCPU = &d.cpus[cpu].deny, d.cpus[cpu].epoch
+			}
+		}
 		var view policy.View
 		consult := d.consultResolvers
-		if desc.Budget == nil && d.stochAdmitted == 0 && d.chainLoadOnlyLocked() {
+		if loadOnly {
 			view, consult = d.loadViewLocked(), d.consultLoadOnly
 		} else {
 			view = d.viewLocked()
@@ -316,6 +350,11 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		decision, mode, note = d.admitWalk(view, desc, ms, consult)
 		ce := d.chainEpoch.Load()
 		d.mu.Lock()
+		if memo != nil && !decision.Admit && ce == memoChain {
+			// Recorded at the epochs read before d.mu was dropped: a change
+			// made meanwhile leaves the memo stale, not wrong.
+			memo.note(memoCPU, memoChain, minUsage(desc, ms))
+		}
 		c2, ok := d.comps[name]
 		if !ok || c2.state != Satisfied {
 			return changed
@@ -490,15 +529,18 @@ func (d *DRCR) refreshChain() {
 	d.chain = chain
 	d.chainLocal = policy.IsCPULocal(chain)
 	d.chainLoadOnly = policy.IsLoadOnly(chain)
+	d.chainMonotone = policy.IsMonotone(chain)
 	d.chainEpoch.Add(1)
 	d.chainMu.Unlock()
 }
 
-// chainLoadOnlyLocked reports whether the cached chain is policy.LoadOnly.
-func (d *DRCR) chainLoadOnlyLocked() bool {
+// chainCapsLocked reads the cached chain's epoch with its policy.LoadOnly
+// and policy.Monotone capabilities, under one hold of chainMu so the
+// three describe the same chain.
+func (d *DRCR) chainCapsLocked() (epoch uint64, loadOnly, monotone bool) {
 	d.chainMu.Lock()
 	defer d.chainMu.Unlock()
-	return d.chainLoadOnly
+	return d.chainEpoch.Load(), d.chainLoadOnly, d.chainMonotone
 }
 
 // consultResolvers chains the internal resolving service with every
@@ -562,6 +604,16 @@ func (d *DRCR) feasibleModesLocked(c *Component) (modes []int, missing string) {
 		return nil, missing
 	}
 	return d.feasModes, ""
+}
+
+// minUsage is the smallest declared budget among the given service modes
+// of desc: the usage every mode's contract asks for at least.
+func minUsage(desc *descriptor.Component, modes []int) float64 {
+	u := math.Inf(1)
+	for _, m := range modes {
+		u = min(u, desc.ModeSpec(m).CPUUsage)
+	}
+	return u
 }
 
 // admitWalk consults the resolver chain for each port-feasible mode in

@@ -86,12 +86,18 @@ func BenchmarkDisableEnableScaling(b *testing.B) {
 }
 
 // TestAdmissionConsultsPerOp pins the exact number of admission consults
-// one Disable+Enable pair makes on the scaling population: every waiter
-// on the target's processor is re-consulted after each of the two
-// changes, and the target once on its way back.
+// one Disable+Enable pair makes on the scaling population. Without the
+// deny memo, every waiter on the target's processor is re-consulted after
+// each of the two changes, and the target once on its way back. With it
+// (a load-only monotone chain), only the first waiter re-armed after each
+// change is consulted: the waiters all ask for the same usage, so its
+// denial covers the rest.
 func TestAdmissionConsultsPerOp(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{{300, 101}, {2400, 4301}} {
-		r := &countingResolver{local: true, n: map[string]int{}}
+	for _, tc := range []struct {
+		n, want int
+		memo    bool
+	}{{300, 101, false}, {2400, 4301, false}, {300, 3, true}, {2400, 3, true}} {
+		r := &countingResolver{local: true, memo: tc.memo, n: map[string]int{}}
 		d := scalingRig(t, tc.n, r)
 		total := func() int {
 			s := 0
@@ -104,7 +110,7 @@ func TestAdmissionConsultsPerOp(t *testing.T) {
 			before := total()
 			disableEnable(t, d)
 			if got := total() - before; got != tc.want {
-				t.Fatalf("n=%d pair %d: %d admission consults, want %d", tc.n, pair, got, tc.want)
+				t.Fatalf("n=%d memo=%v pair %d: %d admission consults, want %d", tc.n, tc.memo, pair, got, tc.want)
 			}
 		}
 	}

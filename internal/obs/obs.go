@@ -23,6 +23,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -260,7 +261,11 @@ type Plane struct {
 	c       counters
 	perKind [kindCount]uint64
 	perComp map[string]*compCounters
-	depth   metrics.Series
+	// compNames holds perComp's keys in name order, inserted once when a
+	// component is first seen (perComp never deletes), so Snapshot walks
+	// it instead of collecting and sorting the keys on every call.
+	compNames []string
+	depth     metrics.Series
 
 	// Federated identity and cross-node stitching (stitch.go).
 	node   string
@@ -809,11 +814,19 @@ func (p *Plane) ResolveRound(at sim.Time, deact, act int) {
 
 // comp returns the per-component counter cell, creating it on first use.
 func (p *Plane) comp(name string) *compCounters {
-	cc := p.perComp[name]
-	if cc == nil {
-		cc = &compCounters{}
-		p.perComp[name] = cc
+	if cc := p.perComp[name]; cc != nil {
+		return cc
 	}
+	return p.addComp(name)
+}
+
+// addComp creates the counter cell of a component seen for the first
+// time and files its name in compNames.
+func (p *Plane) addComp(name string) *compCounters {
+	cc := &compCounters{}
+	p.perComp[name] = cc
+	i, _ := slices.BinarySearch(p.compNames, name)
+	p.compNames = slices.Insert(p.compNames, i, name)
 	return cc
 }
 

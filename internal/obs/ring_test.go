@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/sim"
@@ -143,5 +145,46 @@ func TestSnapshotSpansRetained(t *testing.T) {
 	}
 	if got := NewPlane(Options{}).Snapshot().SpansRetained; got != 0 {
 		t.Fatalf("empty plane retains %d spans", got)
+	}
+}
+
+// TestSnapshotComponentsSorted holds Snapshot's per-component rows, read
+// from the name index the plane keeps as components are first seen, to
+// the sorted perComp keys, with each row's counters, while seeded spans
+// name new and repeated components in random order.
+func TestSnapshotComponentsSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	p := NewPlane(Options{Capacity: 64})
+	for i := 1; i <= 2000; i++ {
+		name := fmt.Sprintf("c%03d", rng.Intn(300))
+		switch rng.Intn(4) {
+		case 0:
+			p.Deploy(sim.Time(i), name, "U", "")
+		case 1:
+			p.Deny(sim.Time(i), name, "no cpu", 0)
+		case 2:
+			p.Revoke(sim.Time(i), name, "")
+		default:
+			p.Violation(sim.Time(i), name, "BudgetOverrun", "", 0)
+		}
+		if i%97 != 0 && i != 2000 {
+			continue
+		}
+		keys := make([]string, 0, len(p.perComp))
+		for k := range p.perComp {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		rows := p.Snapshot().Components
+		if len(rows) != len(keys) {
+			t.Fatalf("after %d spans: %d component rows, %d perComp keys", i, len(rows), len(keys))
+		}
+		for j, row := range rows {
+			cc := p.perComp[keys[j]]
+			if row.Name != keys[j] || row.Transitions != cc.transitions || row.Denials != cc.denials ||
+				row.Revocations != cc.revocations || row.Violations != cc.violations {
+				t.Fatalf("after %d spans: row %d = %+v, want %s %+v", i, j, row, keys[j], *cc)
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -264,12 +263,10 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 	}
 
-	names := make([]string, 0, len(p.perComp))
-	for name := range p.perComp {
-		names = append(names, name)
+	if len(p.compNames) > 0 {
+		s.Components = make([]ComponentStat, 0, len(p.compNames))
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range p.compNames {
 		cc := p.perComp[name]
 		st := ComponentStat{
 			Name:        name,
@@ -289,9 +286,7 @@ func (p *Plane) Snapshot() Snapshot {
 	}
 
 	if p.kernel != nil {
-		_, boxes := p.kernel.IPC().Names()
-		sort.Strings(boxes)
-		for _, name := range boxes {
+		for _, name := range p.kernel.IPC().MailboxNames() {
 			mb, err := p.kernel.IPC().Mailbox(name)
 			if err != nil {
 				continue

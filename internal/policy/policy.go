@@ -221,6 +221,28 @@ func IsLoadOnly(r Resolver) bool {
 	return ok && l.LoadOnly()
 }
 
+// Monotone is the optional capability of a Resolver whose verdict on a
+// candidate without a distribution budget (Budget nil), over a view whose
+// Stochastic is false, reads the candidate only through CPU and CPUUsage
+// and is monotone in CPUUsage: if it denies usage u at a view, it denies
+// every u' ≥ u at that same view. The DRCR then takes a denial at one
+// processor state as proof for every admission waiter on that processor
+// asking for at least as much, and skips their consults. The built-ins
+// compare fl(u+L) against a fixed bound; rounding is monotone, so the
+// promise holds in floating point. A chain with any member lacking the
+// capability consults every waiter.
+type Monotone interface {
+	Resolver
+	// Monotone reports whether the guarantee holds for this value.
+	Monotone() bool
+}
+
+// IsMonotone reports whether r declares the Monotone guarantee.
+func IsMonotone(r Resolver) bool {
+	m, ok := r.(Monotone)
+	return ok && m.Monotone()
+}
+
 // cpuReason renders "cpu<cpu><mid><x><rel>", followed by bound when
 // bounded, with x and bound at three decimals: byte for byte what
 // fmt's %d and %.3f verbs give, without fmt.
@@ -285,6 +307,10 @@ func (Utilization) CPULocal() bool { return true }
 // LoadOnly implements LoadOnly: a constant budget over a constant view is
 // decided on Load alone.
 func (Utilization) LoadOnly() bool { return true }
+
+// Monotone implements Monotone: sum = u+L grows with u against a fixed
+// bound.
+func (Utilization) Monotone() bool { return true }
 
 // Admit implements Resolver.
 func (u Utilization) Admit(view View, cand Contract) Decision {
@@ -387,6 +413,9 @@ func (EDF) CPULocal() bool { return true }
 // LoadOnly implements LoadOnly: the density bound reads Load alone.
 func (EDF) LoadOnly() bool { return true }
 
+// Monotone implements Monotone: the density grows with u against 1.
+func (EDF) Monotone() bool { return true }
+
 // Admit implements Resolver.
 func (EDF) Admit(view View, cand Contract) Decision {
 	sum := cand.CPUUsage + view.Load(cand.CPU)
@@ -425,6 +454,17 @@ func (ch Chain) CPULocal() bool {
 func (ch Chain) LoadOnly() bool {
 	for _, r := range ch {
 		if !IsLoadOnly(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// Monotone implements Monotone: a chain is monotone when every member is,
+// since it denies when any member does.
+func (ch Chain) Monotone() bool {
+	for _, r := range ch {
+		if !IsMonotone(r) {
 			return false
 		}
 	}
@@ -474,6 +514,9 @@ func (Static) CPULocal() bool { return true }
 // LoadOnly implements LoadOnly: the verdict reads nothing at all.
 func (Static) LoadOnly() bool { return true }
 
+// Monotone implements Monotone: the verdict is the same for every usage.
+func (Static) Monotone() bool { return true }
+
 // Admit implements Resolver.
 func (s Static) Admit(View, Contract) Decision {
 	if s.AdmitAll {
@@ -514,4 +557,9 @@ var (
 	_ LoadOnly = EDF{}
 	_ LoadOnly = Chain(nil)
 	_ LoadOnly = Static{}
+
+	_ Monotone = Utilization{}
+	_ Monotone = EDF{}
+	_ Monotone = Chain(nil)
+	_ Monotone = Static{}
 )

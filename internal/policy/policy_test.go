@@ -120,6 +120,72 @@ func TestLoadOnlyCapability(t *testing.T) {
 	}
 }
 
+// TestMonotoneCapability: Utilization, EDF and Static deny upward-closed
+// usage sets; RMA reads periods and priorities, a Func may read anything,
+// and a chain is monotone only when every member is.
+func TestMonotoneCapability(t *testing.T) {
+	f := Func{Label: "f", F: func(View, Contract) Decision { return Decision{Admit: true} }}
+	for _, tc := range []struct {
+		r    Resolver
+		want bool
+	}{
+		{Utilization{}, true},
+		{Utilization{Bound: 0.7}, true},
+		{EDF{}, true},
+		{Static{}, true},
+		{Static{AdmitAll: true}, true},
+		{Chain{}, true},
+		{Chain{Utilization{}, EDF{}, Static{AdmitAll: true}}, true},
+		{Chain{Chain{Utilization{}}, EDF{}}, true},
+		{RMA{}, false},
+		{f, false},
+		{Chain{Utilization{}, RMA{}}, false},
+		{Chain{Utilization{}, f}, false},
+		{Chain{Chain{Utilization{}, f}, EDF{}}, false},
+	} {
+		if got := IsMonotone(tc.r); got != tc.want {
+			t.Errorf("IsMonotone(%s) = %v, want %v", tc.r.Name(), got, tc.want)
+		}
+	}
+}
+
+// TestMonotoneDenyProperty: on seeded list-free views, whenever
+// Utilization (default and custom bounds) or EDF denies usage u at load
+// L, it denies every u' ≥ u at the same L. Usages are drawn around the
+// bound (u = bound − L ± a few ulps and ± eps) as well as uniformly, so
+// the comparison's rounding edge is exercised.
+func TestMonotoneDenyProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	resolvers := []Resolver{Utilization{}, Utilization{Bound: 0.75}, EDF{}}
+	bounds := []float64{1, 0.75, 1}
+	const eps = 1e-9
+	for i := 0; i < 100_000; i++ {
+		k := rng.Intn(len(resolvers))
+		r, bound := resolvers[k], bounds[k]
+		load := rng.Float64() * 1.2
+		view := View{NumCPUs: 1, CPULoad: []float64{load}}
+		u := rng.Float64()
+		if rng.Intn(2) == 0 {
+			u = bound - load + float64(rng.Intn(3)-1)*eps
+			for n := rng.Intn(5) - 2; n != 0; {
+				if n > 0 {
+					u, n = math.Nextafter(u, 2), n-1
+				} else {
+					u, n = math.Nextafter(u, -2), n+1
+				}
+			}
+		}
+		if r.Admit(view, Contract{CPUUsage: u}).Admit {
+			continue
+		}
+		for _, up := range []float64{u, math.Nextafter(u, 2), u + rng.Float64()*1e-9, u + rng.Float64()} {
+			if r.Admit(view, Contract{CPUUsage: up}).Admit {
+				t.Fatalf("%s at load %v denies usage %v but admits %v", r.Name(), load, u, up)
+			}
+		}
+	}
+}
+
 // TestAppendFixed3MatchesFmt holds appendFixed3 to fmt's %.3f on 1.2M
 // seeded values: random bit patterns (NaN, ±Inf and huge values take the
 // strconv path), magnitudes spread over the fast range and across its
