@@ -158,6 +158,12 @@ type Component struct {
 	bindings map[string]string
 	// lastReason explains the most recent state decision.
 	lastReason string
+	// denyChain is the resolver-chain epoch whose consult rendered
+	// lastReason when that is an admission denial, and 0 when it is not
+	// or the chain moved during the consult (chain epochs start at 1).
+	// The deny memo skips a waiter only under the chain that gave its
+	// reason; setReason clears it.
+	denyChain uint64
 	// revoked bars the component from re-admission after a runtime
 	// contract violation, until RestoreBudget clears it.
 	revoked bool
@@ -408,7 +414,6 @@ type DRCR struct {
 	chain         policy.Chain
 	chainLocal    bool // policy.IsCPULocal(chain), under chainMu
 	chainLoadOnly bool // policy.IsLoadOnly(chain), under chainMu
-	chainMonotone bool // policy.IsMonotone(chain), under chainMu
 
 	events    []Event
 	listeners []func(Event)
@@ -492,14 +497,22 @@ func (d *DRCR) takeCause(c *Component) obs.SpanID {
 // deniedPrefix heads every admission-denial reason.
 const deniedPrefix = "admission denied: "
 
+// setReason records a state decision other than an admission denial.
+func (c *Component) setReason(reason string) {
+	c.lastReason = reason
+	c.denyChain = 0
+}
+
 // noteDenyLocked records an admission denial for the resolver chain's
-// reason. A deny span is emitted only when the reason changed — the
-// full-sweep test oracle re-consults every waiting component each pass
-// while the worklist engine re-consults only when something dirtied it,
-// and deduplication makes the two span streams identical. The prefixed
+// reason, rendered under resolver-chain epoch chain (0 when unknown). A
+// deny span is emitted only when the reason changed — the full-sweep
+// test oracle re-consults every waiting component each pass while the
+// worklist engine re-consults only when something dirtied it, and
+// deduplication makes the two span streams identical. The prefixed
 // reason is compared in place and built only when it changed.
-func (d *DRCR) noteDenyLocked(c *Component, reason string) {
+func (d *DRCR) noteDenyLocked(c *Component, reason string, chain uint64) {
 	cause := d.takeCause(c)
+	c.denyChain = chain
 	last := c.lastReason
 	if len(last) == len(deniedPrefix)+len(reason) && last[:len(deniedPrefix)] == deniedPrefix &&
 		last[len(deniedPrefix):] == reason {

@@ -20,7 +20,7 @@ package core
 // waiters of the processor it touched, not in the whole waiting set.
 //
 // A moved processor's waiters are still examined, but not all consulted.
-// With a policy.Monotone load-only chain, a denial at one processor epoch
+// With a policy.LoadOnly chain, a denial at one processor epoch
 // proves the denial of every waiter there asking for no less: each
 // processor keeps a deny memo (the smallest usage denied at its current
 // epoch and chain epoch), and tryActivateLocked skips a waiter the memo
@@ -53,7 +53,7 @@ type cpuAdmission struct {
 	deny denyMemo
 }
 
-// denyMemo records that a monotone load-only chain, at resolver-chain
+// denyMemo records that a load-only chain, at resolver-chain
 // epoch chainEpoch, denied a constant candidate of usage on its processor
 // at processor epoch cpuEpoch. Any later epoch on either side makes it
 // stale, never wrong.

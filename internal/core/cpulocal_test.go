@@ -99,8 +99,8 @@ var stochXML = localXML("sdist", 1, 0.05, nil, nil, `<budget dist="normal(0.05,0
 // between the per-CPU re-arm and the same verdicts through a non-local
 // chain (which re-arms every waiter), with ladders, where they must
 // match byte for byte, span ids and causes included. The non-local
-// chain stays load-only and monotone, so both runs skip the waiters
-// their deny memos cover.
+// chain stays load-only, so both runs skip the waiters their deny memos
+// cover.
 func TestDifferentialCPULocalRearm(t *testing.T) {
 	const numCPUs = 4
 	stoch, err := descriptor.Parse(stochXML)
@@ -128,8 +128,8 @@ func TestDifferentialCPULocalRearm(t *testing.T) {
 				// wrapped routes the customized service through nonLocalStatic,
 				// with the same label and verdicts: the chain is then not
 				// CPU-local, so the worklist engine re-arms every waiter, but
-				// still load-only and monotone, so both runs keep the same
-				// per-processor deny memo.
+				// still load-only, so both runs keep the same per-processor
+				// deny memo.
 				run := func(fullSweep, wrapped bool) *DRCR {
 					fw := osgi.NewFramework()
 					k := rtos.NewKernel(rtos.Config{NumCPUs: numCPUs, Timing: &noNoise, Seed: 99})
@@ -235,7 +235,7 @@ func requireSameEvents(t *testing.T, label string, a, b *DRCR) {
 }
 
 // nonLocalStatic is a policy.Static that withholds the CPULocal
-// capability and keeps LoadOnly and Monotone: through it only the re-arm
+// capability and keeps LoadOnly: through it only the re-arm
 // rule changes.
 type nonLocalStatic struct{ policy.Static }
 
@@ -285,8 +285,8 @@ func requireSameRun(t *testing.T, label string, a, b *DRCR) {
 }
 
 // countingResolver wraps the utilization resolver, counting consults per
-// candidate; local sets its CPULocal answer, memo its LoadOnly and
-// Monotone answers (the deny memo needs both).
+// candidate; local sets its CPULocal answer, memo its LoadOnly answer
+// (which turns the deny memo on).
 type countingResolver struct {
 	local bool
 	memo  bool
@@ -296,7 +296,6 @@ type countingResolver struct {
 func (r *countingResolver) Name() string   { return "counting" }
 func (r *countingResolver) CPULocal() bool { return r.local }
 func (r *countingResolver) LoadOnly() bool { return r.memo }
-func (r *countingResolver) Monotone() bool { return r.memo }
 func (r *countingResolver) Admit(view policy.View, cand policy.Contract) policy.Decision {
 	r.n[cand.Name]++
 	return policy.Utilization{}.Admit(view, cand)

@@ -102,7 +102,7 @@ func (d *DRCR) resolveOnce() (changed bool) {
 				d.setStateLocked(c, Unsatisfied, "inport "+missing+" unsatisfied")
 				changed = true
 			} else {
-				c.lastReason = "inport " + missing + " unsatisfied"
+				c.setReason("inport " + missing + " unsatisfied")
 			}
 			d.mu.Unlock()
 			continue
@@ -129,7 +129,7 @@ func (d *DRCR) resolveOnce() (changed bool) {
 			continue
 		}
 		if !decision.Admit {
-			d.noteDenyLocked(c, decision.Reason)
+			d.noteDenyLocked(c, decision.Reason, 0)
 			d.mu.Unlock()
 			continue
 		}
@@ -141,7 +141,7 @@ func (d *DRCR) resolveOnce() (changed bool) {
 		if err := d.activateLocked(c); err != nil {
 			c.mode = 0
 			c.admitVerdict = ""
-			c.lastReason = "activation failed: " + err.Error()
+			c.setReason("activation failed: " + err.Error())
 			d.mu.Unlock()
 			continue
 		}

@@ -256,10 +256,10 @@ func (d *DRCR) addComponent(desc *descriptor.Component, b *osgi.Bundle) error {
 	c := &Component{desc: desc, bundle: b} // bindings stay nil until activation fills them
 	if desc.Enabled {
 		c.state = Unsatisfied
-		c.lastReason = "deployed"
+		c.setReason("deployed")
 	} else {
 		c.state = Disabled
-		c.lastReason = "deployed disabled"
+		c.setReason("deployed disabled")
 	}
 	d.comps[desc.Name] = c
 	d.allNames = insertName(d.allNames, desc.Name)
@@ -413,7 +413,7 @@ func (d *DRCR) deactivateLocked(c *Component, reason string) {
 	c.mode = 0
 	c.promoHold = false
 	c.admitVerdict = ""
-	c.lastReason = reason
+	c.setReason(reason)
 }
 
 // bindInportsLocked builds a fresh binding map for the inports c's
@@ -490,7 +490,7 @@ func (d *DRCR) setStateLocked(c *Component, to State, reason string) {
 		reason = fmt.Sprintf("ILLEGAL TRANSITION %v->%v: %s", from, to, reason)
 	}
 	c.state = to
-	c.lastReason = reason
+	c.setReason(reason)
 	// Keep the incremental admission view in sync before the event goes
 	// out: listeners may call back into the DRCR and must see it current.
 	d.noteTransitionLocked(c, from, to)

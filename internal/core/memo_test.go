@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,12 +17,13 @@ import (
 )
 
 // plainUtilization is policy.Utilization under the same name and
-// reasons, declaring CPULocal and LoadOnly but not Monotone: a chain
-// with it re-arms and views exactly as with Utilization, without the
-// deny memo. It is the differential oracle for the memo.
+// reasons, declaring CPULocal but not LoadOnly: a chain with it re-arms
+// exactly as with Utilization and reaches the same verdicts through the
+// full view, without the deny memo. It is the differential oracle for
+// the memo.
 type plainUtilization struct{ policy.Utilization }
 
-func (plainUtilization) Monotone() bool { return false }
+func (plainUtilization) LoadOnly() bool { return false }
 
 // memoStateSummary renders every component's state, mode, revocation and
 // bindings, canonically. Reasons are left out: a waiter the memo skips
@@ -120,6 +123,47 @@ func checkReasonCoherence(t *testing.T, label string, d *DRCR) {
 	}
 }
 
+// reasonBound matches the bound a utilization denial names, in the
+// constant form ("exceeds bound 0.800") and the Monte-Carlo one
+// ("P(load≤0.800)").
+var reasonBound = regexp.MustCompile(`(?:exceeds bound |P\(load≤)(\d+\.\d{3})`)
+
+// checkReasonBounds asserts that every denied component's LastReason
+// names one of the bounds of the current chain: a waiter the deny memo
+// skips keeps the reason of a consult under this chain, never one under
+// a chain since changed (whose resolver may be gone).
+func checkReasonBounds(t *testing.T, label string, d *DRCR, bounds []string) {
+	t.Helper()
+	for _, info := range d.Components() {
+		if info.State != Satisfied || !strings.HasPrefix(info.LastReason, deniedPrefix) {
+			continue
+		}
+		m := reasonBound.FindStringSubmatch(info.LastReason)
+		if m == nil || !slices.Contains(bounds, m[1]) {
+			t.Fatalf("%s: %s LastReason %q names no bound of the current chain %v", label, info.Name, info.LastReason, bounds)
+		}
+	}
+}
+
+// reasonLoad matches the load figures of a utilization denial: the
+// summed budget of the constant form and the probability of the
+// Monte-Carlo one.
+var reasonLoad = regexp.MustCompile(`(budget |\)=)\d+\.\d{3}`)
+
+// reasonShapes renders every denied component's LastReason with its
+// load figures masked: the resolver label, processor and bound a waiter
+// the memo skipped still shows, while the load may be that of its last
+// consult.
+func reasonShapes(d *DRCR) string {
+	var b strings.Builder
+	for _, info := range d.Components() {
+		if info.State == Satisfied && strings.HasPrefix(info.LastReason, deniedPrefix) {
+			fmt.Fprintf(&b, "%s %s\n", info.Name, reasonLoad.ReplaceAllString(info.LastReason, "${1}#"))
+		}
+	}
+	return b.String()
+}
+
 // runMemoChurn replays seeded multi-CPU churn with the given internal
 // resolver: applyChurnOp's kinds (the flap kind is a bare Resolve, as no
 // flap resolver is registered) plus downgrades, promotion releases and
@@ -153,6 +197,7 @@ func runMemoChurn(t *testing.T, internal policy.Resolver, ladders bool, seed int
 	}
 	var steps []string
 	var strict *osgi.ServiceRegistration
+	bounds := []string{"1.000"}
 	for i, op := range ops {
 		switch i {
 		case len(ops) / 4, 3 * len(ops) / 4:
@@ -166,10 +211,12 @@ func runMemoChurn(t *testing.T, internal policy.Resolver, ladders bool, seed int
 			if err != nil {
 				t.Fatal(err)
 			}
+			bounds = []string{"1.000", "0.800"}
 		case 2 * len(ops) / 3:
 			if err := strict.Unregister(); err != nil {
 				t.Fatal(err)
 			}
+			bounds = []string{"1.000"}
 		}
 		switch op.kind {
 		case opLocalDowngrade:
@@ -186,7 +233,9 @@ func runMemoChurn(t *testing.T, internal policy.Resolver, ladders bool, seed int
 			applyChurnOp(rig, op, descs)
 		}
 		checkWaiterIndex(t, d)
-		checkReasonCoherence(t, fmt.Sprintf("seed %d op %d", seed, i), d)
+		label := fmt.Sprintf("seed %d op %d", seed, i)
+		checkReasonCoherence(t, label, d)
+		checkReasonBounds(t, label, d, bounds)
 		steps = append(steps, memoStateSummary(d))
 	}
 	return d, steps
@@ -194,8 +243,10 @@ func runMemoChurn(t *testing.T, internal policy.Resolver, ladders bool, seed int
 
 // requireMemoEquivalent fails unless the memo run admitted, transitioned
 // and bound exactly as the oracle run, emitted the same non-deny spans
-// (ID-free), and emitted for each component a subsequence of the deny
-// spans the oracle emitted for it. The subsequence is per component: a
+// (ID-free), emitted for each component a subsequence of the deny spans
+// the oracle emitted for it, and ended with every denied component's
+// reason naming the resolver, processor and bound the oracle's final
+// reason names. The subsequence is per component: a
 // waiter skipped at one processor epoch and consulted at a later one
 // with the same load renders the reason the oracle emitted at the
 // skipped epoch (and then only repeated), so across components the memo
@@ -208,6 +259,9 @@ func requireMemoEquivalent(t *testing.T, label string, memo, ref *DRCR, memoStep
 		}
 	}
 	requireSameEvents(t, label, memo, ref)
+	if x, y := reasonShapes(memo), reasonShapes(ref); x != y {
+		t.Fatalf("%s: final denial reasons diverge beyond their loads:\nmemo:\n%s\noracle:\n%s", label, x, y)
+	}
 	md, mo := idFreeLines(memo.Obs())
 	rd, ro := idFreeLines(ref.Obs())
 	for i := 0; i < len(mo) || i < len(ro); i++ {
@@ -231,14 +285,16 @@ func requireMemoEquivalent(t *testing.T, label string, memo, ref *DRCR, memoStep
 }
 
 // TestDifferentialDenyMemo replays seeded churn twice, through the
-// monotone utilization resolver (deny memo on) and through
+// load-only utilization resolver (deny memo on) and through
 // plainUtilization (same verdicts and reasons, memo off), with and
 // without mode ladders. The runs must agree on every state, mode and
 // binding after every operation, on the Figure 1 event log and on every
 // non-deny span; each component's deny spans in the memo run must be a
-// subsequence of its deny spans in the oracle run, and fewer in all. A second scenario changes the
-// chain from a lifecycle listener in the middle of a drain, after the
-// memo proved a denial under the old chain.
+// subsequence of its deny spans in the oracle run, and fewer in all. A
+// second scenario changes the chain from a lifecycle listener in the
+// middle of a drain, after the memo proved a denial under the old chain;
+// a third removes the resolver whose bound a covered waiter's reason
+// names.
 func TestDifferentialDenyMemo(t *testing.T) {
 	for _, ladders := range []bool{false, true} {
 		for _, seed := range []int64{5, 34, 2026} {
@@ -265,6 +321,60 @@ func TestDifferentialDenyMemo(t *testing.T) {
 			t.Fatalf("a1 = %v, want SATISFIED (denied)", st)
 		}
 	})
+	t.Run("resolver removed", func(t *testing.T) {
+		memo, memoSteps := runResolverRemoved(t, policy.Utilization{})
+		ref, refSteps := runResolverRemoved(t, plainUtilization{})
+		requireMemoEquivalent(t, "resolver removed", memo, ref, memoSteps, refSteps)
+		info, _ := memo.Component("w2")
+		if want := "budget 1.050 exceeds bound 1.000"; !strings.HasSuffix(info.LastReason, want) {
+			t.Fatalf("w2 LastReason %q, want the internal bound's %q", info.LastReason, want)
+		}
+	})
+}
+
+// runResolverRemoved: with a0, w1 and w2 denied by a strict 0.6 bound
+// next to f0 on CPU 0 (w2 asks for more than w1), unregistering the
+// bound re-arms all three. a0 is admitted and raises the load, then w1
+// is denied by the internal bound and proves w2's denial at the new
+// processor epoch. w2's reason names the strict bound, which is gone, so
+// w2 must be consulted once under the new chain, not skipped.
+func runResolverRemoved(t *testing.T, internal policy.Resolver) (*DRCR, []string) {
+	t.Helper()
+	fw := osgi.NewFramework()
+	k := rtos.NewKernel(rtos.Config{NumCPUs: 1, Timing: &noNoise, Seed: 7})
+	d, err := New(fw, k, Options{Internal: internal, Obs: obs.NewPlane(obs.Options{Level: obs.Full, Capacity: 1 << 16})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	var steps []string
+	deploy := func(name string, usage float64) {
+		t.Helper()
+		if err := d.Deploy(mustParse(t, churnXML(name, 0, usage, nil, nil))); err != nil {
+			t.Fatal(err)
+		}
+		steps = append(steps, memoStateSummary(d))
+	}
+	deploy("f0", 0.58)
+	strict, err := fw.RegisterService([]string{policy.ServiceInterface}, policy.Utilization{Bound: 0.6}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deploy("a0", 0.05)
+	deploy("w1", 0.4)
+	deploy("w2", 0.42)
+	checkReasonBounds(t, "resolver removed, strict", d, []string{"0.600"})
+	if err := strict.Unregister(); err != nil {
+		t.Fatal(err)
+	}
+	d.Resolve()
+	steps = append(steps, memoStateSummary(d))
+	if st := stateOf(t, d, "a0"); st != Active {
+		t.Fatalf("a0 = %v, want ACTIVE", st)
+	}
+	checkReasonCoherence(t, "resolver removed", d)
+	checkReasonBounds(t, "resolver removed", d, []string{"1.000"})
+	return d, steps
 }
 
 // runMidDrainChainChange: a strict 0.9 bound denies a1 and a3 on CPU 0

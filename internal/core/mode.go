@@ -78,7 +78,7 @@ func (d *DRCR) setModeLocked(c *Component, mode int, reason string) error {
 	wasDegraded, isDegraded := c.mode > 0, mode > 0
 	c.inst = inst
 	c.mode = mode
-	c.lastReason = reason
+	c.setReason(reason)
 	// Rebind the inports the new mode requires; dropped ones stay unbound.
 	c.bindings = d.bindInportsLocked(c)
 	// Swap the promised contract in the admission view. Membership did not
@@ -102,7 +102,7 @@ func (d *DRCR) setModeLocked(c *Component, mode int, reason string) error {
 // injector re-applies open faults when a component comes up) must see
 // the new instance, which the swap replaced.
 func (d *DRCR) emitModeEventLocked(c *Component, reason string) {
-	c.lastReason = reason
+	c.setReason(reason)
 	d.emitLocked(Event{
 		At: d.kernel.Now(), Component: c.desc.Name,
 		From: Active, To: Active, Reason: reason,

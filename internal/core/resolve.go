@@ -39,13 +39,13 @@ package core
 //     waiter. A policy.LoadOnly chain consulted about a constant-budget
 //     candidate, while no distribution budget is admitted, reads a view
 //     with the per-CPU loads but no contract lists (loadViewLocked), so a
-//     moved epoch costs no list copy. When that chain is also
-//     policy.Monotone, a waiter already denied is not consulted when its
-//     processor's deny memo (cpuadmit.go) holds a denial of no more usage
-//     at the same processor and chain epochs: the consult could only
-//     deny again. The waiter is left as a repeated denial leaves it, so
-//     the deny span the consult would have added (the load is in the
-//     reason) is not emitted;
+//     moved epoch costs no list copy. Its denials are upward-closed in
+//     usage, so a waiter already denied under the current chain is not
+//     consulted when its processor's deny memo (cpuadmit.go) holds a
+//     denial of no more usage at the same processor and chain epochs:
+//     the consult could only deny again. The waiter is left as a
+//     repeated denial leaves it, so the deny span the consult would have
+//     added (the load is in the reason) is not emitted;
 //  3. admission decisions are cached only while the drain, the view
 //     epoch and the resolver-chain epoch all stand still — customized
 //     resolving services may be stateful across Resolve calls (the fault
@@ -54,7 +54,6 @@ package core
 import (
 	"math"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/descriptor"
@@ -285,7 +284,7 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 			d.setStateLocked(c, Unsatisfied, "inport "+missing+" unsatisfied")
 			return true
 		}
-		c.lastReason = "inport " + missing + " unsatisfied"
+		c.setReason("inport " + missing + " unsatisfied")
 		return false
 	}
 	if c.state == Unsatisfied {
@@ -298,6 +297,10 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	chainEpoch := d.chainEpoch.Load()
 	var decision policy.Decision
 	var mode int
+	// denyChain is the chain epoch a denial below was rendered under: a
+	// cached verdict keeps what its consult recorded, a fresh one the
+	// epoch read above if the chain did not move during the consult.
+	denyChain := c.denyChain
 	if c.cacheValid && c.cacheDrain == d.drainID &&
 		c.cacheViewEpoch == d.viewEpoch && c.cacheChainEpoch == chainEpoch &&
 		!d.chainDirty.Load() {
@@ -307,30 +310,28 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		viewEpoch, drainID := d.viewEpoch, d.drainID
 		desc := c.desc
 		// A load-only chain decides a constant candidate over a constant
-		// view on Load alone: hand it the list-free view. A monotone one
-		// also keeps a deny memo per processor: a waiter that entered
-		// denied and asks for no less than a denial at this processor
-		// epoch is skipped as a repeated denial (cause consumed, reason
-		// and span kept), and a consult that denies feeds the memo.
+		// view on Load alone: hand it the list-free view. It also keeps a
+		// deny memo per processor: a waiter that entered denied under the
+		// current chain and asks for no less than a denial at this
+		// processor epoch is skipped as a repeated denial (cause consumed,
+		// reason and span kept), and a consult that denies feeds the memo.
 		loadOnly := false
 		var memo *denyMemo
 		var memoCPU, memoChain uint64
 		if cpu := desc.CPU(); desc.Budget == nil && d.stochAdmitted == 0 {
 			inRange := cpu >= 0 && cpu < len(d.cpus)
-			if inRange && !changed && c.wait == waitAdmission &&
-				strings.HasPrefix(c.lastReason, deniedPrefix) && !d.chainDirty.Load() {
+			if inRange && !changed && c.wait == waitAdmission && !d.chainDirty.Load() {
 				// The chain epoch is read after the dirty flag: a memo
 				// at the current epoch was recorded under this very
-				// chain, so the chain is monotone and load-only.
-				ca := &d.cpus[cpu]
-				if ca.deny.holds(ca.epoch, d.chainEpoch.Load()) && minUsage(desc, modes) >= ca.deny.usage {
+				// chain, so the chain is load-only.
+				ca, ce := &d.cpus[cpu], d.chainEpoch.Load()
+				if c.denyChain == ce && ca.deny.holds(ca.epoch, ce) && minUsage(desc, modes) >= ca.deny.usage {
 					d.takeCause(c)
 					return false
 				}
 			}
-			var monotone bool
-			memoChain, loadOnly, monotone = d.chainCapsLocked()
-			if inRange && loadOnly && monotone {
+			memoChain, loadOnly = d.chainCapsLocked()
+			if inRange && loadOnly {
 				memo, memoCPU = &d.cpus[cpu].deny, d.cpus[cpu].epoch
 			}
 		}
@@ -360,6 +361,10 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 			return changed
 		}
 		c = c2
+		denyChain = 0
+		if ce == chainEpoch {
+			denyChain = ce
+		}
 		c.cacheValid = true
 		c.cacheDrain = drainID
 		c.cacheViewEpoch = viewEpoch
@@ -369,7 +374,7 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 		c.admitNote = note
 	}
 	if !decision.Admit {
-		d.noteDenyLocked(c, decision.Reason)
+		d.noteDenyLocked(c, decision.Reason, denyChain)
 		d.setWaitLocked(c, waitAdmission)
 		return changed
 	}
@@ -391,7 +396,7 @@ func (d *DRCR) tryActivateLocked(i int) bool {
 	if err := d.activateLocked(c); err != nil {
 		c.mode = 0
 		c.admitVerdict = ""
-		c.lastReason = "activation failed: " + err.Error()
+		c.setReason("activation failed: " + err.Error())
 		d.setWaitLocked(c, waitActivation)
 		return changed
 	}
@@ -529,18 +534,17 @@ func (d *DRCR) refreshChain() {
 	d.chain = chain
 	d.chainLocal = policy.IsCPULocal(chain)
 	d.chainLoadOnly = policy.IsLoadOnly(chain)
-	d.chainMonotone = policy.IsMonotone(chain)
 	d.chainEpoch.Add(1)
 	d.chainMu.Unlock()
 }
 
 // chainCapsLocked reads the cached chain's epoch with its policy.LoadOnly
-// and policy.Monotone capabilities, under one hold of chainMu so the
-// three describe the same chain.
-func (d *DRCR) chainCapsLocked() (epoch uint64, loadOnly, monotone bool) {
+// capability, under one hold of chainMu so the two describe the same
+// chain.
+func (d *DRCR) chainCapsLocked() (epoch uint64, loadOnly bool) {
 	d.chainMu.Lock()
 	defer d.chainMu.Unlock()
-	return d.chainEpoch.Load(), d.chainLoadOnly, d.chainMonotone
+	return d.chainEpoch.Load(), d.chainLoadOnly
 }
 
 // consultResolvers chains the internal resolving service with every

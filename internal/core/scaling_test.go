@@ -89,7 +89,7 @@ func BenchmarkDisableEnableScaling(b *testing.B) {
 // one Disable+Enable pair makes on the scaling population. Without the
 // deny memo, every waiter on the target's processor is re-consulted after
 // each of the two changes, and the target once on its way back. With it
-// (a load-only monotone chain), only the first waiter re-armed after each
+// (a load-only chain), only the first waiter re-armed after each
 // change is consulted: the waiters all ask for the same usage, so its
 // denial covers the rest.
 func TestAdmissionConsultsPerOp(t *testing.T) {

@@ -37,7 +37,7 @@ func (d *DRCR) RevokeBudget(name, reason string) error {
 		d.markProviderDownLocked(c)
 	}
 	c.revoked = true
-	c.lastReason = why
+	c.setReason(why)
 	d.mu.Unlock()
 	d.resolveDelta()
 	return nil
@@ -58,7 +58,7 @@ func (d *DRCR) RestoreBudget(name string) error {
 		return nil
 	}
 	c.revoked = false
-	c.lastReason = "budget restored"
+	c.setReason("budget restored")
 	// Ambient cause: the quarantine span the guard pushed. Re-admission
 	// spans chain to the restore.
 	c.obsCause = d.obs.Restore(d.kernel.Now(), name, "budget restored")

@@ -286,7 +286,8 @@ func (p *Plane) Snapshot() Snapshot {
 	}
 
 	if p.kernel != nil {
-		for _, name := range p.kernel.IPC().MailboxNames() {
+		_, boxes := p.kernel.IPC().Names()
+		for _, name := range boxes {
 			mb, err := p.kernel.IPC().Mailbox(name)
 			if err != nil {
 				continue

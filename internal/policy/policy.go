@@ -204,11 +204,18 @@ func IsCPULocal(r Resolver) bool {
 // LoadOnly is the optional capability of a Resolver whose verdict on a
 // candidate without a distribution budget (Budget nil), over a view whose
 // Stochastic is false, reads only the view's NumCPUs, Stochastic and
-// Load(cand.CPU): no contract list, no state of its own. For such
-// consults the DRCR hands the chain a view that carries Epoch, NumCPUs
-// and CPULoad but no lists, instead of copying every changed processor's
-// admitted set. A chain with any member lacking the capability, a
-// stochastic candidate and a stochastic view always see the full lists.
+// Load(cand.CPU), reads the candidate only through CPU and CPUUsage, and
+// keeps no state of its own; and a denial is upward-closed in CPUUsage:
+// if it denies usage u at a view, it denies every u' ≥ u at that same
+// view. For such consults the DRCR hands the chain a view that carries
+// Epoch, NumCPUs and CPULoad but no lists, instead of copying every
+// changed processor's admitted set, and takes a denial at one processor
+// state as proof for every admission waiter on that processor asking for
+// at least as much, skipping their consults. The built-ins compare
+// fl(u+L) against a fixed bound; rounding is monotone, so the promise
+// holds in floating point. A chain with any member lacking the
+// capability, a stochastic candidate and a stochastic view always see
+// the full lists and are always consulted.
 type LoadOnly interface {
 	Resolver
 	// LoadOnly reports whether the guarantee holds for this value.
@@ -219,28 +226,6 @@ type LoadOnly interface {
 func IsLoadOnly(r Resolver) bool {
 	l, ok := r.(LoadOnly)
 	return ok && l.LoadOnly()
-}
-
-// Monotone is the optional capability of a Resolver whose verdict on a
-// candidate without a distribution budget (Budget nil), over a view whose
-// Stochastic is false, reads the candidate only through CPU and CPUUsage
-// and is monotone in CPUUsage: if it denies usage u at a view, it denies
-// every u' ≥ u at that same view. The DRCR then takes a denial at one
-// processor state as proof for every admission waiter on that processor
-// asking for at least as much, and skips their consults. The built-ins
-// compare fl(u+L) against a fixed bound; rounding is monotone, so the
-// promise holds in floating point. A chain with any member lacking the
-// capability consults every waiter.
-type Monotone interface {
-	Resolver
-	// Monotone reports whether the guarantee holds for this value.
-	Monotone() bool
-}
-
-// IsMonotone reports whether r declares the Monotone guarantee.
-func IsMonotone(r Resolver) bool {
-	m, ok := r.(Monotone)
-	return ok && m.Monotone()
 }
 
 // cpuReason renders "cpu<cpu><mid><x><rel>", followed by bound when
@@ -305,12 +290,8 @@ func (u Utilization) Name() string { return "utilization" }
 func (Utilization) CPULocal() bool { return true }
 
 // LoadOnly implements LoadOnly: a constant budget over a constant view is
-// decided on Load alone.
+// decided on Load alone, and u+L grows with u against a fixed bound.
 func (Utilization) LoadOnly() bool { return true }
-
-// Monotone implements Monotone: sum = u+L grows with u against a fixed
-// bound.
-func (Utilization) Monotone() bool { return true }
 
 // Admit implements Resolver.
 func (u Utilization) Admit(view View, cand Contract) Decision {
@@ -410,11 +391,9 @@ func (EDF) Name() string { return "edf" }
 // CPULocal implements CPULocal.
 func (EDF) CPULocal() bool { return true }
 
-// LoadOnly implements LoadOnly: the density bound reads Load alone.
+// LoadOnly implements LoadOnly: the density bound reads Load alone, and
+// the density grows with u against 1.
 func (EDF) LoadOnly() bool { return true }
-
-// Monotone implements Monotone: the density grows with u against 1.
-func (EDF) Monotone() bool { return true }
 
 // Admit implements Resolver.
 func (EDF) Admit(view View, cand Contract) Decision {
@@ -450,21 +429,11 @@ func (ch Chain) CPULocal() bool {
 	return true
 }
 
-// LoadOnly implements LoadOnly: a chain is load-only iff every member is.
+// LoadOnly implements LoadOnly: a chain is load-only iff every member is;
+// it denies when any member does, so its denials stay upward-closed.
 func (ch Chain) LoadOnly() bool {
 	for _, r := range ch {
 		if !IsLoadOnly(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// Monotone implements Monotone: a chain is monotone when every member is,
-// since it denies when any member does.
-func (ch Chain) Monotone() bool {
-	for _, r := range ch {
-		if !IsMonotone(r) {
 			return false
 		}
 	}
@@ -511,11 +480,9 @@ func (s Static) Name() string {
 // CPULocal implements CPULocal: the verdict reads nothing at all.
 func (Static) CPULocal() bool { return true }
 
-// LoadOnly implements LoadOnly: the verdict reads nothing at all.
+// LoadOnly implements LoadOnly: the verdict reads nothing at all, the
+// same for every usage.
 func (Static) LoadOnly() bool { return true }
-
-// Monotone implements Monotone: the verdict is the same for every usage.
-func (Static) Monotone() bool { return true }
 
 // Admit implements Resolver.
 func (s Static) Admit(View, Contract) Decision {
@@ -557,9 +524,4 @@ var (
 	_ LoadOnly = EDF{}
 	_ LoadOnly = Chain(nil)
 	_ LoadOnly = Static{}
-
-	_ Monotone = Utilization{}
-	_ Monotone = EDF{}
-	_ Monotone = Chain(nil)
-	_ Monotone = Static{}
 )

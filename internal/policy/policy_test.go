@@ -104,26 +104,10 @@ func TestCPULocalCapability(t *testing.T) {
 }
 
 // TestLoadOnlyCapability: Utilization, EDF and Static decide a constant
-// candidate on Load alone; RMA reads the contract list, a Func may read
-// anything, and a chain is load-only only when every member is.
+// candidate on Load alone, with upward-closed denials; RMA reads the
+// contract list, a Func may read anything, and a chain is load-only only
+// when every member is, nested chains included.
 func TestLoadOnlyCapability(t *testing.T) {
-	for _, r := range []Resolver{Utilization{}, EDF{}, Static{}, Chain{Utilization{}, EDF{}, Static{AdmitAll: true}}} {
-		if !IsLoadOnly(r) {
-			t.Errorf("%s: want load-only", r.Name())
-		}
-	}
-	f := Func{Label: "f", F: func(View, Contract) Decision { return Decision{Admit: true} }}
-	for _, r := range []Resolver{RMA{}, f, Chain{Utilization{}, RMA{}}, Chain{Utilization{}, f}} {
-		if IsLoadOnly(r) {
-			t.Errorf("%s: want not load-only", r.Name())
-		}
-	}
-}
-
-// TestMonotoneCapability: Utilization, EDF and Static deny upward-closed
-// usage sets; RMA reads periods and priorities, a Func may read anything,
-// and a chain is monotone only when every member is.
-func TestMonotoneCapability(t *testing.T) {
 	f := Func{Label: "f", F: func(View, Contract) Decision { return Decision{Admit: true} }}
 	for _, tc := range []struct {
 		r    Resolver
@@ -143,18 +127,18 @@ func TestMonotoneCapability(t *testing.T) {
 		{Chain{Utilization{}, f}, false},
 		{Chain{Chain{Utilization{}, f}, EDF{}}, false},
 	} {
-		if got := IsMonotone(tc.r); got != tc.want {
-			t.Errorf("IsMonotone(%s) = %v, want %v", tc.r.Name(), got, tc.want)
+		if got := IsLoadOnly(tc.r); got != tc.want {
+			t.Errorf("IsLoadOnly(%s) = %v, want %v", tc.r.Name(), got, tc.want)
 		}
 	}
 }
 
-// TestMonotoneDenyProperty: on seeded list-free views, whenever
+// TestLoadOnlyDenyUpwardClosed: on seeded list-free views, whenever
 // Utilization (default and custom bounds) or EDF denies usage u at load
 // L, it denies every u' ≥ u at the same L. Usages are drawn around the
 // bound (u = bound − L ± a few ulps and ± eps) as well as uniformly, so
 // the comparison's rounding edge is exercised.
-func TestMonotoneDenyProperty(t *testing.T) {
+func TestLoadOnlyDenyUpwardClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	resolvers := []Resolver{Utilization{}, Utilization{Bound: 0.75}, EDF{}}
 	bounds := []float64{1, 0.75, 1}

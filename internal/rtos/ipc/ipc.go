@@ -356,19 +356,6 @@ func (r *Registry) DeleteMailbox(name string) error {
 	return nil
 }
 
-// MailboxNames lists the mailbox names, sorted, without collecting the
-// SHM names Names also returns.
-func (r *Registry) MailboxNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	boxes := make([]string, 0, len(r.boxes))
-	for n := range r.boxes {
-		boxes = append(boxes, n)
-	}
-	sort.Strings(boxes)
-	return boxes
-}
-
 // Names lists all object names, SHM first then mailboxes, each sorted.
 func (r *Registry) Names() (shms, boxes []string) {
 	r.mu.Lock()
