@@ -140,7 +140,7 @@ func runDump(path string, samples int, seed uint64) {
 
 func runTable1(samples int, seed uint64, workers int) {
 	fmt.Printf("Running Table 1 with %d samples per configuration (seed %d)...\n\n", samples, seed)
-	out, rows, err := bench.Table1Parallel(samples, seed, workers)
+	out, rows, err := bench.Table1(samples, seed, workers)
 	if err != nil {
 		log.Fatal(err)
 	}

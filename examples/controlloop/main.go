@@ -29,7 +29,7 @@ func main() {
 	fmt.Println(bench.Timeline(res.Events))
 
 	fmt.Println("\n== light-mode latency, 10k samples per implementation")
-	out, rows, err := bench.Table1(10000, 42)
+	out, rows, err := bench.Table1(10000, 42, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/rtos"
-	"repro/internal/rtos/ipc"
 )
 
 // Integration tests exercising the full stack end to end: framework →
@@ -312,67 +311,6 @@ func TestIntegrationEventLogLegality(t *testing.T) {
 		if ev.From != 0 && !core.CanTransition(ev.From, ev.To) {
 			t.Fatalf("illegal transition: %v", ev)
 		}
-	}
-}
-
-// TestIntegrationSemaphoreGuardedSHM shows two tasks coordinating over a
-// semaphore-guarded segment without blocking.
-func TestIntegrationSemaphoreGuardedSHM(t *testing.T) {
-	sys, err := NewSystem(Config{Seed: 43})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	k := sys.Kernel()
-	if _, err := k.IPC().CreateSemaphore("guard", 1); err != nil {
-		t.Fatal(err)
-	}
-	shm, err := k.IPC().CreateSHM("cell", ipc.Integer, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(j *rtos.JobContext, val int64) {
-		sem, err := k.IPC().Semaphore("guard")
-		if err != nil || !sem.TryAcquire() {
-			return // contended: skip this job, RTAI try-style
-		}
-		defer sem.Release()
-		_ = shm.Set(0, val)
-		_ = shm.Set(1, val) // both cells must always match
-	}
-	a, err := k.CreateTask(rtos.TaskSpec{
-		Name: "wa", Type: rtos.Periodic, Period: time.Millisecond, Priority: 1,
-		ExecTime: 20 * time.Microsecond,
-		Body:     func(j *rtos.JobContext) { write(j, 1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := k.CreateTask(rtos.TaskSpec{
-		Name: "wb", Type: rtos.Periodic, Period: time.Millisecond, Priority: 2,
-		ExecTime: 20 * time.Microsecond,
-		Body:     func(j *rtos.JobContext) { write(j, 2) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	v0, _ := shm.Get(0)
-	v1, _ := shm.Get(1)
-	if v0 != v1 {
-		t.Fatalf("torn write: %d vs %d", v0, v1)
-	}
-	sem, _ := k.IPC().Semaphore("guard")
-	if acq, _ := sem.Stats(); acq == 0 {
-		t.Fatal("semaphore never acquired")
 	}
 }
 

@@ -7,7 +7,9 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -19,15 +21,64 @@ import (
 	"repro/internal/workload"
 )
 
-// Table1 runs the four latency configurations and renders them in the
-// paper's Table 1 layout.
-func Table1(samples int, seed uint64) (string, []metrics.Row, error) {
-	rows, err := workload.Table1(samples, seed)
-	if err != nil {
-		return "", nil, err
+// Table1 runs the four latency configurations of the paper's Table 1,
+// each against its own seeded System, across up to `workers` goroutines
+// (workers <= 0: one per logical CPU), and renders them in the paper's
+// layout and order. Output is identical for any worker count.
+func Table1(samples int, seed uint64, workers int) (string, []metrics.Row, error) {
+	configs := workload.Table1Configs(samples, seed)
+	rows := make([]metrics.Row, len(configs))
+	errs := forEachIndexed(len(configs), workers, func(i int) error {
+		res, err := workload.RunLatency(configs[i])
+		if err != nil {
+			return fmt.Errorf("%s: %w", configs[i].Label(), err)
+		}
+		rows[i] = res.Row
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return "", nil, fmt.Errorf("bench: table1: %w", err)
+		}
 	}
 	out := metrics.FormatTable("Table 1  Latency Test (light & stress) mode — ns", rows)
 	return out, rows, nil
+}
+
+// forEachIndexed runs fn(0..n-1) across a pool of worker goroutines and
+// blocks until all complete. Each index runs exactly once; errors are
+// collected per index so the caller can report them deterministically.
+func forEachIndexed(n, workers int, fn func(i int) error) []error {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	if workers > n {
+		workers = n
+	}
+	errs := make([]error, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			errs[i] = fn(i)
+		}
+		return errs
+	}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return errs
 }
 
 // PaperTable1 is the published Table 1, for side-by-side comparison.

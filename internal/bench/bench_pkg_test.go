@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestTable1Render(t *testing.T) {
-	out, rows, err := Table1(3000, 5)
+	out, rows, err := Table1(3000, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,6 +26,26 @@ func TestTable1Render(t *testing.T) {
 	cmp := CompareWithPaper(rows)
 	if !strings.Contains(cmp, "paper AVG") || !strings.Contains(cmp, "HRC (stress)") {
 		t.Errorf("comparison malformed:\n%s", cmp)
+	}
+}
+
+// TestTable1ParallelMatchesSequential checks that Table 1 renders the
+// same bytes and rows on one worker as on four.
+func TestTable1ParallelMatchesSequential(t *testing.T) {
+	const samples = 400
+	seqOut, seqRows, err := Table1(samples, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parOut, parRows, err := Table1(samples, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqOut != parOut {
+		t.Errorf("rendered tables differ:\n--- workers=1\n%s\n--- workers=4\n%s", seqOut, parOut)
+	}
+	if !reflect.DeepEqual(seqRows, parRows) {
+		t.Errorf("rows differ between workers=1 and workers=4")
 	}
 }
 

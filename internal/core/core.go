@@ -376,10 +376,11 @@ type DRCR struct {
 	admittedEpoch uint64
 
 	// waiting tracks every Unsatisfied/Satisfied component. actPending /
-	// deactPending are the sorted dirty-component staging worklists,
-	// actRound / deactRound the reused buffers the phases sweep; the
-	// drain* fields remember the epochs the last waiter synchronisation
-	// ran against (drainCPUEpoch: each processor's cpuAdmission.epoch).
+	// deactPending are the sorted, duplicate-free dirty-component staging
+	// worklists, each its own membership set; actRound / deactRound the
+	// reused buffers the phases sweep; the drain* fields remember the
+	// epochs the last waiter synchronisation ran against (drainCPUEpoch:
+	// each processor's cpuAdmission.epoch).
 	waiting map[string]*Component
 	// sideWaiters is the waiter index's side set: the name-sorted waiters
 	// of d.waiting whose wait is waitActivation, or waitAdmission with an
@@ -392,10 +393,8 @@ type DRCR struct {
 	degraded        []string
 	feasModes       []int
 	actPending      []string
-	actMember       map[string]bool
 	actRound        []string
 	deactPending    []string
-	deactMember     map[string]bool
 	deactRound      []string
 	drainID         uint64
 	drainViewEpoch  uint64
@@ -437,17 +436,15 @@ func New(fw *osgi.Framework, kernel *rtos.Kernel, opts Options) (*DRCR, error) {
 	}
 	opts.applyDefaults()
 	d := &DRCR{
-		fw:          fw,
-		kernel:      kernel,
-		opts:        opts,
-		obs:         opts.Obs,
-		comps:       map[string]*Component{},
-		factories:   map[string]BodyFactory{},
-		provIndex:   map[portKey][]portProv{},
-		consIndex:   map[portKey][]string{},
-		waiting:     map[string]*Component{},
-		actMember:   map[string]bool{},
-		deactMember: map[string]bool{},
+		fw:        fw,
+		kernel:    kernel,
+		opts:      opts,
+		obs:       opts.Obs,
+		comps:     map[string]*Component{},
+		factories: map[string]BodyFactory{},
+		provIndex: map[portKey][]portProv{},
+		consIndex: map[portKey][]string{},
+		waiting:   map[string]*Component{},
 	}
 	d.cpus = make([]cpuAdmission, kernel.NumCPUs())
 	d.cpuLoad = make([]float64, kernel.NumCPUs())

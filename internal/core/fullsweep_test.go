@@ -46,8 +46,6 @@ func newEngine(fw *osgi.Framework, k *rtos.Kernel, fullSweep bool) (*DRCR, error
 func (d *DRCR) discardStagedLocked() {
 	d.actPending = d.actPending[:0]
 	d.deactPending = d.deactPending[:0]
-	clear(d.actMember)
-	clear(d.deactMember)
 }
 
 // resolveOnce performs one deactivation sweep and one activation sweep.

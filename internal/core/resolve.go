@@ -171,9 +171,6 @@ func (d *DRCR) deactRoundLocked() bool {
 	changed := false
 	d.deactRound = append(d.deactRound[:0], d.deactPending...)
 	d.deactPending = d.deactPending[:0]
-	for _, name := range d.deactRound { // exactly the member keys
-		delete(d.deactMember, name)
-	}
 	for i := 0; i < len(d.deactRound); i++ {
 		name := d.deactRound[i]
 		c, ok := d.comps[name]
@@ -250,9 +247,6 @@ func (d *DRCR) actRoundLocked() bool {
 	changed := false
 	d.actRound = append(d.actRound[:0], d.actPending...)
 	d.actPending = d.actPending[:0]
-	for _, name := range d.actRound { // exactly the member keys
-		delete(d.actMember, name)
-	}
 	for i := 0; i < len(d.actRound); i++ {
 		if d.tryActivateLocked(i) {
 			changed = true
@@ -496,25 +490,11 @@ func (d *DRCR) markProviderDownLocked(c *Component) {
 // enqueueActLocked stages a component for the activation phase's next
 // round; the staging list stays sorted so rounds run in name order.
 func (d *DRCR) enqueueActLocked(name string) {
-	if d.actMember[name] {
-		return
-	}
-	d.actMember[name] = true
-	i := sort.SearchStrings(d.actPending, name)
-	d.actPending = append(d.actPending, "")
-	copy(d.actPending[i+1:], d.actPending[i:])
-	d.actPending[i] = name
+	d.actPending = insertName(d.actPending, name)
 }
 
 func (d *DRCR) enqueueDeactLocked(name string) {
-	if d.deactMember[name] {
-		return
-	}
-	d.deactMember[name] = true
-	i := sort.SearchStrings(d.deactPending, name)
-	d.deactPending = append(d.deactPending, "")
-	copy(d.deactPending[i+1:], d.deactPending[i:])
-	d.deactPending[i] = name
+	d.deactPending = insertName(d.deactPending, name)
 }
 
 // refreshChain rebuilds the cached resolver chain if a resolving-service

@@ -37,6 +37,9 @@ func (d *DRCR) RevokeBudget(name, reason string) error {
 		d.markProviderDownLocked(c)
 	}
 	c.revoked = true
+	// No admitted-set change can help a revoked component until
+	// RestoreBudget re-stages it, so it leaves the waiter index.
+	d.setWaitLocked(c, waitNone)
 	c.setReason(why)
 	d.mu.Unlock()
 	d.resolveDelta()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -141,4 +142,40 @@ func TestRevokeRestoreEdgeCases(t *testing.T) {
 	if st := stateOf(t, d, "calc"); st != Active {
 		t.Errorf("calc = %v after restore, want ACTIVE", st)
 	}
+}
+
+// TestRevokedWaiterLeavesWaiterIndex revokes a SATISFIED admission
+// waiter: it must leave its processor's waiter index (no admitted-set
+// change can help it while revoked), and once its budget is restored and
+// capacity frees up it must be admitted.
+func TestRevokedWaiterLeavesWaiterIndex(t *testing.T) {
+	_, _, d := newRig(t)
+	for _, src := range []string{coneXML("hog", 1, 0.6, "", ""), coneXML("wait", 1, 0.5, "", "")} {
+		if err := d.Deploy(mustParse(t, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := stateOf(t, d, "wait"); st != Satisfied {
+		t.Fatalf("wait = %v, want SATISFIED (denied admission)", st)
+	}
+	if err := d.RevokeBudget("wait", "test violation"); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	waiters := slices.Clone(d.cpus[1].waiters)
+	d.mu.Unlock()
+	if slices.Contains(waiters, "wait") {
+		t.Fatalf("revoked wait still in cpu1's waiter index %v", waiters)
+	}
+	checkWaiterIndex(t, d)
+	if err := d.RestoreBudget("wait"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Disable("hog"); err != nil {
+		t.Fatal(err)
+	}
+	if st := stateOf(t, d, "wait"); st != Active {
+		t.Fatalf("wait = %v after restore and freed capacity, want ACTIVE", st)
+	}
+	checkWaiterIndex(t, d)
 }

@@ -1,7 +1,6 @@
 // Package metrics implements the measurement machinery the evaluation
 // harness reports with: streaming latency statistics matching the paper's
-// Table 1 columns (AVERAGE, AVEDEV, MIN, MAX), percentiles, and fixed-bin
-// histograms.
+// Table 1 columns (AVERAGE, AVEDEV, MIN, MAX) and fixed-bin histograms.
 //
 // AVEDEV is the Excel function the paper's table was evidently produced
 // with: the mean of the absolute deviations from the arithmetic mean.
@@ -10,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -77,21 +75,6 @@ func (s *Series) AveDev() float64 {
 	return acc / float64(n)
 }
 
-// StdDev returns the population standard deviation. Zero if empty.
-func (s *Series) StdDev() float64 {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var acc float64
-	for _, v := range s.samples {
-		d := float64(v) - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
-}
-
 // Min returns the smallest observation (Table 1 "MIN"). Zero if empty.
 func (s *Series) Min() Sample {
 	if len(s.samples) == 0 {
@@ -106,29 +89,6 @@ func (s *Series) Max() Sample {
 		return 0
 	}
 	return s.max
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy. Zero if empty.
-func (s *Series) Percentile(p float64) Sample {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]Sample, n)
-	copy(sorted, s.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
 }
 
 // Samples returns a copy of the raw observations.

@@ -21,7 +21,6 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"slices"
 	"strconv"
@@ -61,19 +60,6 @@ func (l Level) String() string {
 	default:
 		return "Level(" + strconv.Itoa(int(l)) + ")"
 	}
-}
-
-// ParseLevel reads a sampling level name.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "off":
-		return Off, nil
-	case "sampled":
-		return Sampled, nil
-	case "full":
-		return Full, nil
-	}
-	return Off, fmt.Errorf("obs: unknown level %q (off|sampled|full)", s)
 }
 
 // SpanID identifies one span; IDs are dense, starting at 1. Zero means
@@ -289,38 +275,15 @@ type Plane struct {
 // kindCount sizes the per-kind counter array (kinds are 1-based).
 const kindCount = int(KindForecast) + 1
 
-// counters are the subsystem-level metric accumulators.
+// counters are the subsystem-level accumulators that are not span
+// counts; every span kind is counted in perKind.
 type counters struct {
-	deploys       uint64
-	transitions   uint64
 	activations   uint64
 	deactivations uint64
-	denials       uint64
-	revocations   uint64
-	restores      uint64
-	violations    uint64
-	quarantines   uint64
-	faultInjects  uint64
-	faultClears   uint64
-	faultReapply  uint64
 	resolveDrains uint64
 	resolveRounds uint64
-	schedEvents   uint64
 	maxDepth      int64
-	downgrades    uint64
-	upgrades      uint64
-	restarts      uint64
-	escalations   uint64
-	sends         uint64
-	recvs         uint64
-	migrations    uint64
-	partitions    uint64
-	heals         uint64
-	placements    uint64
-	nodeLosses    uint64
 	planCompiles  uint64
-	admits        uint64
-	forecasts     uint64
 }
 
 // compCounters are the per-component metric accumulators.
@@ -405,7 +368,6 @@ func (p *Plane) syncKernelSink() {
 // schedSpan is the scheduler trace bridge (Full level only). It must be
 // allocation-free after warm-up: the sim hot path runs through it.
 func (p *Plane) schedSpan(at sim.Time, kind rtos.TraceEventKind, task string, cpu int) {
-	p.c.schedEvents++
 	p.emit(Span{At: at, Kind: KindSched, Component: task, To: kind.String(), N: int64(cpu)})
 }
 
@@ -534,7 +496,6 @@ func (p *Plane) Deploy(at sim.Time, component, to, reason string) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.deploys++
 	p.comp(component).transitions++
 	return p.emit(Span{At: at, Kind: KindDeploy, Component: component, To: to, Detail: reason})
 }
@@ -545,7 +506,6 @@ func (p *Plane) Transition(at sim.Time, component, from, to, reason string, caus
 	if !p.enabled() {
 		return 0
 	}
-	p.c.transitions++
 	p.comp(component).transitions++
 	if to == "ACTIVE" && from == "SATISFIED" {
 		p.c.activations++
@@ -562,7 +522,6 @@ func (p *Plane) Deny(at sim.Time, component, reason string, cause SpanID) SpanID
 	if !p.enabled() {
 		return 0
 	}
-	p.c.denials++
 	p.comp(component).denials++
 	return p.emit(Span{At: at, Kind: KindDeny, Cause: cause, Component: component, Detail: reason})
 }
@@ -572,7 +531,6 @@ func (p *Plane) Revoke(at sim.Time, component, reason string) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.revocations++
 	p.comp(component).revocations++
 	return p.emit(Span{At: at, Kind: KindRevoke, Component: component, Detail: reason})
 }
@@ -582,7 +540,6 @@ func (p *Plane) Restore(at sim.Time, component, reason string) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.restores++
 	return p.emit(Span{At: at, Kind: KindRestore, Component: component, Detail: reason})
 }
 
@@ -591,7 +548,6 @@ func (p *Plane) Violation(at sim.Time, component, kind, detail string, cause Spa
 	if !p.enabled() {
 		return 0
 	}
-	p.c.violations++
 	p.comp(component).violations++
 	return p.emit(Span{At: at, Kind: KindViolation, Cause: cause, Component: component, To: kind, Detail: detail})
 }
@@ -601,7 +557,6 @@ func (p *Plane) Quarantine(at sim.Time, component string, n int64, cause SpanID)
 	if !p.enabled() {
 		return 0
 	}
-	p.c.quarantines++
 	return p.emit(Span{At: at, Kind: KindQuarantine, Cause: cause, Component: component, N: n})
 }
 
@@ -610,7 +565,6 @@ func (p *Plane) FaultInject(at sim.Time, kind, target, detail string) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.faultInjects++
 	return p.emit(Span{At: at, Kind: KindFaultInject, Component: target, To: kind, Detail: detail})
 }
 
@@ -619,7 +573,6 @@ func (p *Plane) FaultClear(at sim.Time, kind, target, detail string, cause SpanI
 	if !p.enabled() {
 		return 0
 	}
-	p.c.faultClears++
 	return p.emit(Span{At: at, Kind: KindFaultClear, Cause: cause, Component: target, To: kind, Detail: detail})
 }
 
@@ -629,7 +582,6 @@ func (p *Plane) FaultReapply(at sim.Time, kind, target, detail string, cause Spa
 	if !p.enabled() {
 		return 0
 	}
-	p.c.faultReapply++
 	return p.emit(Span{At: at, Kind: KindFaultReapply, Cause: cause, Component: target, To: kind, Detail: detail})
 }
 
@@ -640,7 +592,6 @@ func (p *Plane) Downgrade(at sim.Time, component, from, to, reason string, cause
 	if !p.enabled() {
 		return 0
 	}
-	p.c.downgrades++
 	p.comp(component).transitions++
 	return p.emit(Span{At: at, Kind: KindDowngrade, Cause: cause, Component: component, From: from, To: to, Detail: reason})
 }
@@ -651,7 +602,6 @@ func (p *Plane) Upgrade(at sim.Time, component, from, to, reason string, cause S
 	if !p.enabled() {
 		return 0
 	}
-	p.c.upgrades++
 	p.comp(component).transitions++
 	return p.emit(Span{At: at, Kind: KindUpgrade, Cause: cause, Component: component, From: from, To: to, Detail: reason})
 }
@@ -662,7 +612,6 @@ func (p *Plane) Restart(at sim.Time, component string, n int64, reason string, c
 	if !p.enabled() {
 		return 0
 	}
-	p.c.restarts++
 	return p.emit(Span{At: at, Kind: KindRestart, Cause: cause, Component: component, N: n, Detail: reason})
 }
 
@@ -673,7 +622,6 @@ func (p *Plane) Escalate(at sim.Time, component, target, reason string, cause Sp
 	if !p.enabled() {
 		return 0
 	}
-	p.c.escalations++
 	return p.emit(Span{At: at, Kind: KindEscalate, Cause: cause, Component: component, To: target, Detail: reason})
 }
 
@@ -683,7 +631,6 @@ func (p *Plane) Send(at sim.Time, component, fromNode, toNode, detail string, ca
 	if !p.enabled() {
 		return 0
 	}
-	p.c.sends++
 	return p.emit(Span{At: at, Kind: KindSend, Cause: cause, Component: component, From: fromNode, To: toNode, Detail: detail})
 }
 
@@ -693,7 +640,6 @@ func (p *Plane) Recv(at sim.Time, component, fromNode, toNode, detail string, ca
 	if !p.enabled() {
 		return 0
 	}
-	p.c.recvs++
 	return p.emit(Span{At: at, Kind: KindRecv, Cause: cause, Component: component, From: fromNode, To: toNode, Detail: detail})
 }
 
@@ -702,7 +648,6 @@ func (p *Plane) Migrate(at sim.Time, component, fromNode, toNode, reason string,
 	if !p.enabled() {
 		return 0
 	}
-	p.c.migrations++
 	p.comp(component).transitions++
 	return p.emit(Span{At: at, Kind: KindMigrate, Cause: cause, Component: component, From: fromNode, To: toNode, Detail: reason})
 }
@@ -712,7 +657,6 @@ func (p *Plane) Partition(at sim.Time, cut, detail string) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.partitions++
 	return p.emit(Span{At: at, Kind: KindPartition, Component: cut, Detail: detail})
 }
 
@@ -721,7 +665,6 @@ func (p *Plane) Heal(at sim.Time, cut, detail string, cause SpanID) SpanID {
 	if !p.enabled() {
 		return 0
 	}
-	p.c.heals++
 	return p.emit(Span{At: at, Kind: KindHeal, Cause: cause, Component: cut, Detail: detail})
 }
 
@@ -730,7 +673,6 @@ func (p *Plane) Place(at sim.Time, component, node, reason string, cause SpanID)
 	if !p.enabled() {
 		return 0
 	}
-	p.c.placements++
 	return p.emit(Span{At: at, Kind: KindPlace, Cause: cause, Component: component, To: node, Detail: reason})
 }
 
@@ -740,7 +682,6 @@ func (p *Plane) NodeLoss(at sim.Time, node string, n int64, detail string, cause
 	if !p.enabled() {
 		return 0
 	}
-	p.c.nodeLosses++
 	return p.emit(Span{At: at, Kind: KindNodeLoss, Cause: cause, Component: node, N: n, Detail: detail})
 }
 
@@ -753,7 +694,6 @@ func (p *Plane) AdmitVerdict(at sim.Time, component, mode, detail string, cause 
 	if !p.enabled() {
 		return 0
 	}
-	p.c.admits++
 	return p.emit(Span{At: at, Kind: KindAdmit, Cause: cause, Component: component, To: mode, Detail: detail})
 }
 
@@ -765,7 +705,6 @@ func (p *Plane) Forecast(at sim.Time, component, detail string, cause SpanID) Sp
 	if !p.enabled() {
 		return 0
 	}
-	p.c.forecasts++
 	return p.emit(Span{At: at, Kind: KindForecast, Cause: cause, Component: component, Detail: detail})
 }
 

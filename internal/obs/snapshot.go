@@ -196,41 +196,41 @@ func (p *Plane) Snapshot() Snapshot {
 		},
 		Plan: PlanStats{Compiles: p.c.planCompiles},
 		Lifecycle: LifecycleStats{
-			Deploys:       p.c.deploys,
-			Transitions:   p.c.transitions,
+			Deploys:       p.perKind[KindDeploy],
+			Transitions:   p.perKind[KindTransition],
 			Activations:   p.c.activations,
 			Deactivations: p.c.deactivations,
-			Denials:       p.c.denials,
+			Denials:       p.perKind[KindDeny],
 		},
 		Contract: ContractStats{
-			Violations:  p.c.violations,
-			Revocations: p.c.revocations,
-			Restores:    p.c.restores,
-			Quarantines: p.c.quarantines,
+			Violations:  p.perKind[KindViolation],
+			Revocations: p.perKind[KindRevoke],
+			Restores:    p.perKind[KindRestore],
+			Quarantines: p.perKind[KindQuarantine],
 		},
 		Degrade: DegradeStats{
-			Downgrades: p.c.downgrades,
-			Upgrades:   p.c.upgrades,
+			Downgrades: p.perKind[KindDowngrade],
+			Upgrades:   p.perKind[KindUpgrade],
 		},
 		Supervise: SuperviseStats{
-			Restarts:    p.c.restarts,
-			Escalations: p.c.escalations,
+			Restarts:    p.perKind[KindRestart],
+			Escalations: p.perKind[KindEscalate],
 		},
 		Cluster: ClusterStats{
-			Sends:      p.c.sends,
-			Recvs:      p.c.recvs,
-			Migrations: p.c.migrations,
-			Partitions: p.c.partitions,
-			Heals:      p.c.heals,
-			Placements: p.c.placements,
-			NodeLosses: p.c.nodeLosses,
+			Sends:      p.perKind[KindSend],
+			Recvs:      p.perKind[KindRecv],
+			Migrations: p.perKind[KindMigrate],
+			Partitions: p.perKind[KindPartition],
+			Heals:      p.perKind[KindHeal],
+			Placements: p.perKind[KindPlace],
+			NodeLosses: p.perKind[KindNodeLoss],
 		},
 		Fault: FaultStats{
-			Injections: p.c.faultInjects,
-			Clears:     p.c.faultClears,
-			Reapplies:  p.c.faultReapply,
+			Injections: p.perKind[KindFaultInject],
+			Clears:     p.perKind[KindFaultClear],
+			Reapplies:  p.perKind[KindFaultReapply],
 		},
-		Sched: SchedStats{Events: p.c.schedEvents},
+		Sched: SchedStats{Events: p.perKind[KindSched]},
 	}
 	s.Node = p.node
 	for k := 1; k < kindCount; k++ {

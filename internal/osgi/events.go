@@ -77,7 +77,6 @@ type ServiceEventType int
 // Service event kinds.
 const (
 	ServiceRegistered ServiceEventType = iota + 1
-	ServiceModified
 	ServiceUnregistering
 )
 
@@ -85,8 +84,6 @@ func (t ServiceEventType) String() string {
 	switch t {
 	case ServiceRegistered:
 		return "REGISTERED"
-	case ServiceModified:
-		return "MODIFIED"
 	case ServiceUnregistering:
 		return "UNREGISTERING"
 	default:
@@ -110,22 +107,3 @@ type ServiceListenerFunc func(ev ServiceEvent)
 
 // ServiceChanged implements ServiceListener.
 func (f ServiceListenerFunc) ServiceChanged(ev ServiceEvent) { f(ev) }
-
-// FrameworkEvent reports a framework-level condition (errors raised by
-// activators, resolution warnings).
-type FrameworkEvent struct {
-	Bundle *Bundle
-	Err    error
-	Info   string
-}
-
-// FrameworkListener receives framework events synchronously.
-type FrameworkListener interface {
-	FrameworkEvent(ev FrameworkEvent)
-}
-
-// FrameworkListenerFunc adapts a function to FrameworkListener.
-type FrameworkListenerFunc func(ev FrameworkEvent)
-
-// FrameworkEvent implements FrameworkListener.
-func (f FrameworkListenerFunc) FrameworkEvent(ev FrameworkEvent) { f(ev) }

@@ -23,10 +23,9 @@ type Framework struct {
 	services      map[int64]*ServiceReference
 	nextServiceID int64
 
-	bundleListeners    []bundleListenerEntry
-	serviceListeners   []serviceListenerEntry
-	frameworkListeners []frameworkListenerEntry
-	nextListenerID     int64
+	bundleListeners  []bundleListenerEntry
+	serviceListeners []serviceListenerEntry
+	nextListenerID   int64
 
 	stopped bool
 }
@@ -40,11 +39,6 @@ type serviceListenerEntry struct {
 type bundleListenerEntry struct {
 	id int64
 	l  BundleListener
-}
-
-type frameworkListenerEntry struct {
-	id int64
-	l  FrameworkListener
 }
 
 // ErrFrameworkStopped is returned for operations on a shut-down framework.
@@ -193,29 +187,6 @@ func (fw *Framework) AddServiceListener(l ServiceListener, filter *ldap.Filter) 
 	}
 }
 
-// AddFrameworkListener subscribes to framework events. The returned
-// function unsubscribes.
-func (fw *Framework) AddFrameworkListener(l FrameworkListener) (remove func()) {
-	if l == nil {
-		return func() {}
-	}
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	id := fw.nextListenerID
-	fw.nextListenerID++
-	fw.frameworkListeners = append(fw.frameworkListeners, frameworkListenerEntry{id: id, l: l})
-	return func() {
-		fw.mu.Lock()
-		defer fw.mu.Unlock()
-		for i, e := range fw.frameworkListeners {
-			if e.id == id {
-				fw.frameworkListeners = append(fw.frameworkListeners[:i], fw.frameworkListeners[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
 // Shutdown stops all active bundles in reverse-id order and stops the
 // framework. Further installs are rejected.
 func (fw *Framework) Shutdown() error {
@@ -278,7 +249,6 @@ func (fw *Framework) startBundle(b *Bundle) error {
 			ctx.valid = false
 			b.ctx = nil
 			fw.mu.Unlock()
-			fw.dispatchFrameworkEvent(FrameworkEvent{Bundle: b, Err: err, Info: "activator start failed"})
 			return fmt.Errorf("osgi: activator of %s failed: %w", b.SymbolicName(), err)
 		}
 	}
@@ -315,9 +285,9 @@ func (fw *Framework) stopBundle(b *Bundle) error {
 	b.regs = nil
 	fw.mu.Unlock()
 	for i := len(regs) - 1; i >= 0; i-- {
-		if err := regs[i].Unregister(); err != nil && !errors.Is(err, ErrServiceUnregistered) {
-			fw.dispatchFrameworkEvent(FrameworkEvent{Bundle: b, Err: err, Info: "service cleanup failed"})
-		}
+		// The only error is ErrServiceUnregistered: the bundle already
+		// withdrew this service itself.
+		_ = regs[i].Unregister()
 	}
 	fw.mu.Lock()
 	b.state = Resolved
@@ -328,7 +298,6 @@ func (fw *Framework) stopBundle(b *Bundle) error {
 	fw.mu.Unlock()
 	fw.dispatchBundleEvent(BundleEvent{Type: BundleStopped, Bundle: b})
 	if actErr != nil {
-		fw.dispatchFrameworkEvent(FrameworkEvent{Bundle: b, Err: actErr, Info: "activator stop failed"})
 		return fmt.Errorf("osgi: activator stop of %s failed: %w", b.SymbolicName(), actErr)
 	}
 	return nil
@@ -420,15 +389,5 @@ func (fw *Framework) dispatchServiceEvent(ev ServiceEvent) {
 		if e.filter.Matches(props) {
 			e.l.ServiceChanged(ev)
 		}
-	}
-}
-
-func (fw *Framework) dispatchFrameworkEvent(ev FrameworkEvent) {
-	fw.mu.Lock()
-	ls := make([]frameworkListenerEntry, len(fw.frameworkListeners))
-	copy(ls, fw.frameworkListeners)
-	fw.mu.Unlock()
-	for _, e := range ls {
-		e.l.FrameworkEvent(ev)
 	}
 }

@@ -99,27 +99,6 @@ func equalFold(a, b string) bool {
 // Reference returns the consumer-side view of the registration.
 func (sr *ServiceRegistration) Reference() *ServiceReference { return sr.ref }
 
-// SetProperties replaces the service's custom properties (objectClass and
-// service.id are preserved) and fires a ServiceModified event.
-func (sr *ServiceRegistration) SetProperties(props ldap.Properties) error {
-	fw := sr.ref.fw
-	fw.mu.Lock()
-	if sr.ref.unregistered {
-		fw.mu.Unlock()
-		return ErrServiceUnregistered
-	}
-	next := make(ldap.Properties, len(props)+2)
-	for k, v := range props {
-		next[k] = v
-	}
-	next[PropObjectClass] = sr.ref.interfaces
-	next[PropServiceID] = sr.ref.id
-	sr.ref.props = next
-	fw.mu.Unlock()
-	fw.dispatchServiceEvent(ServiceEvent{Type: ServiceModified, Reference: sr.ref})
-	return nil
-}
-
 // Unregister withdraws the service. Listeners observe ServiceUnregistering
 // before the reference becomes invalid.
 func (sr *ServiceRegistration) Unregister() error {

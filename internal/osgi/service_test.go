@@ -150,13 +150,10 @@ func TestServiceEvents(t *testing.T) {
 		events = append(events, ev.Type)
 	}), nil)
 	reg, _ := ctx.RegisterService([]string{"i"}, &dummyService{}, nil)
-	if err := reg.SetProperties(ldap.Properties{"x": 1}); err != nil {
-		t.Fatal(err)
-	}
 	if err := reg.Unregister(); err != nil {
 		t.Fatal(err)
 	}
-	want := []ServiceEventType{ServiceRegistered, ServiceModified, ServiceUnregistering}
+	want := []ServiceEventType{ServiceRegistered, ServiceUnregistering}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v", events)
 	}
@@ -214,30 +211,6 @@ func TestBundleStopUnregistersItsServices(t *testing.T) {
 	}
 	if refs := fw.ServiceReferences("i", nil); len(refs) != 0 {
 		t.Fatalf("services survive bundle stop: %d", len(refs))
-	}
-}
-
-func TestSetPropertiesPreservesSystemKeys(t *testing.T) {
-	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	reg, _ := ctx.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"a": 1})
-	id := reg.Reference().ID()
-	if err := reg.SetProperties(ldap.Properties{"b": 2}); err != nil {
-		t.Fatal(err)
-	}
-	ref := reg.Reference()
-	if ref.Property("a") != nil {
-		t.Fatal("old custom property survived SetProperties")
-	}
-	if got := ref.Property("b"); got != 2 {
-		t.Fatalf("b = %v", got)
-	}
-	if got := ref.Property(PropServiceID); got != id {
-		t.Fatalf("service.id changed: %v", got)
-	}
-	ifaces := ref.Interfaces()
-	if len(ifaces) != 1 || ifaces[0] != "i" {
-		t.Fatalf("interfaces = %v", ifaces)
 	}
 }
 

@@ -264,7 +264,6 @@ type Registry struct {
 	mu    sync.Mutex
 	shms  map[string]*SHM
 	boxes map[string]*Mailbox
-	sems  map[string]*Semaphore
 }
 
 // CreateSHM allocates a named segment of n elements of type t.

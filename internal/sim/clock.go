@@ -361,24 +361,6 @@ func (c *Clock) RunFor(d Duration) error {
 	return c.RunUntil(c.now.Add(d))
 }
 
-// Drain fires every pending event. It guards against runaway simulations
-// with maxEvents; zero means no limit.
-func (c *Clock) Drain(maxEvents uint64) error {
-	if c.running {
-		return ErrReentrantRun
-	}
-	c.running = true
-	defer func() { c.running = false }()
-	var n uint64
-	for c.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			return fmt.Errorf("sim: drain exceeded %d events", maxEvents)
-		}
-	}
-	return nil
-}
-
 func (c *Clock) peek() *Event {
 	for len(c.queue) > 0 {
 		e := c.queue[0].ev

@@ -85,17 +85,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
 // Bool returns true with probability p (clamped to [0,1]).
 func (r *Rand) Bool(p float64) bool {
 	if p <= 0 {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -93,6 +94,40 @@ func TestFaultCampaignSpanCausality(t *testing.T) {
 	}
 	if res.Obs.Fault.Injections == 0 || res.Obs.Fault.Clears == 0 || res.Obs.Fault.Reapplies == 0 {
 		t.Errorf("fault stats incomplete: %+v (standard campaign re-applies on re-admission)", res.Obs.Fault)
+	}
+	// Each named span counter is its kind's SpanKinds entry.
+	spans := map[string]uint64{}
+	for _, kc := range res.Obs.SpanKinds {
+		spans[kc.Kind] = kc.Count
+	}
+	s := res.Obs
+	for kind, got := range map[obs.Kind]uint64{
+		obs.KindDeploy:       s.Lifecycle.Deploys,
+		obs.KindTransition:   s.Lifecycle.Transitions,
+		obs.KindDeny:         s.Lifecycle.Denials,
+		obs.KindViolation:    s.Contract.Violations,
+		obs.KindRevoke:       s.Contract.Revocations,
+		obs.KindRestore:      s.Contract.Restores,
+		obs.KindQuarantine:   s.Contract.Quarantines,
+		obs.KindDowngrade:    s.Degrade.Downgrades,
+		obs.KindUpgrade:      s.Degrade.Upgrades,
+		obs.KindRestart:      s.Supervise.Restarts,
+		obs.KindEscalate:     s.Supervise.Escalations,
+		obs.KindSend:         s.Cluster.Sends,
+		obs.KindRecv:         s.Cluster.Recvs,
+		obs.KindMigrate:      s.Cluster.Migrations,
+		obs.KindPartition:    s.Cluster.Partitions,
+		obs.KindHeal:         s.Cluster.Heals,
+		obs.KindPlace:        s.Cluster.Placements,
+		obs.KindNodeLoss:     s.Cluster.NodeLosses,
+		obs.KindFaultInject:  s.Fault.Injections,
+		obs.KindFaultClear:   s.Fault.Clears,
+		obs.KindFaultReapply: s.Fault.Reapplies,
+		obs.KindSched:        s.Sched.Events,
+	} {
+		if want := spans[kind.String()]; got != want {
+			t.Errorf("%s counter = %d, SpanKinds entry = %d", kind, got, want)
+		}
 	}
 }
 

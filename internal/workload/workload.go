@@ -104,8 +104,7 @@ type LatencyConfig struct {
 	// Seed drives all randomness. Default 1.
 	Seed uint64
 	// NumCPUs sizes the simulated machine (default 1, matching the
-	// paper's single-CPU testbed). MonteCarlo fans these configs out
-	// run-level.
+	// paper's single-CPU testbed).
 	NumCPUs int
 }
 
@@ -290,19 +289,4 @@ func Table1Configs(samples int, seed uint64) []LatencyConfig {
 		{Hybrid: true, Mode: rtos.StressLoad, Samples: samples, Seed: seed},
 		{Hybrid: false, Mode: rtos.StressLoad, Samples: samples, Seed: seed},
 	}
-}
-
-// Table1 runs all four configurations sequentially and returns the rows
-// in the paper's order (bench.Table1Parallel is the concurrent variant).
-func Table1(samples int, seed uint64) ([]metrics.Row, error) {
-	configs := Table1Configs(samples, seed)
-	rows := make([]metrics.Row, 0, len(configs))
-	for _, cfg := range configs {
-		res, err := RunLatency(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("workload: %s: %w", cfg.Label(), err)
-		}
-		rows = append(rows, res.Row)
-	}
-	return rows, nil
 }

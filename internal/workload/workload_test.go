@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/rtos"
 )
 
@@ -60,12 +61,13 @@ func TestRunLatencyHybridStress(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := Table1(8000, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d", len(rows))
+	var rows []metrics.Row
+	for _, cfg := range Table1Configs(8000, 11) {
+		res, err := RunLatency(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, res.Row)
 	}
 	hrcLight, pureLight, hrcStress, pureStress := rows[0], rows[1], rows[2], rows[3]
 
