@@ -322,9 +322,6 @@ func TestIntegrationEDFSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if sys.Kernel().Policy() != EarliestDeadlineFirst {
-		t.Fatal("policy not plumbed through")
-	}
 	// A rate-inverted pair at 90% density: infeasible under the declared
 	// fixed priorities (the short task waits out the long job) but
 	// comfortably schedulable under EDF, with slack for release jitter.

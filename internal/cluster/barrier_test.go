@@ -112,8 +112,11 @@ func barrierCampaign(t *testing.T, cfg Config, ungated bool) (digest, stitched s
 	step(24 * time.Millisecond)
 	// By now the majority leader has re-placed beacon off the cut node,
 	// which still runs and exports its own copy. Dropping beacon from the
-	// catalog changes that node's export set without touching its
-	// admitted set: only the catalog generation can tell it to withdraw.
+	// catalog changes the export sets but nothing withdraws that copy:
+	// heal reconciliation acts only on names the catalog still holds, so
+	// node 3 keeps beacon admitted after the heal. This is the
+	// remove-during-partition bug (ROADMAP item 4); requireOnePlacement
+	// walks catalog names only, so it does not see the stale copy.
 	if c.placements["beacon"].node == 3 {
 		t.Fatal("beacon was not evacuated from the cut node")
 	}

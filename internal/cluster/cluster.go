@@ -150,9 +150,6 @@ type Node struct {
 	selfEpoch uint64
 }
 
-// ID returns the node index.
-func (n *Node) ID() int { return n.id }
-
 // Name returns the node's display name ("n3").
 func (n *Node) Name() string { return n.name }
 
@@ -161,13 +158,6 @@ func (n *Node) DRCR() *core.DRCR { return n.drcr }
 
 // Kernel exposes the node's simulated kernel.
 func (n *Node) Kernel() *rtos.Kernel { return n.kernel }
-
-// Framework exposes the node's OSGi framework.
-func (n *Node) Framework() *osgi.Framework { return n.fw }
-
-// Leader returns the node this node currently believes leads the
-// cluster (lowest reachable id; itself while isolated).
-func (n *Node) Leader() int { return n.leader }
 
 // Plane exposes the node's observability plane.
 func (n *Node) Plane() *obs.Plane { return n.plane }

@@ -117,10 +117,10 @@ func TestLeaderElectionAndConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-partition: each side follows its own lowest id.
-	if l := c.Node(2).Leader(); l != 2 {
+	if l := c.Node(2).leader; l != 2 {
 		t.Fatalf("minority side follows %d, want 2", l)
 	}
-	if l := c.Node(1).Leader(); l != 0 {
+	if l := c.Node(1).leader; l != 0 {
 		t.Fatalf("majority side follows %d, want 0", l)
 	}
 	if c.Converged() {
@@ -130,7 +130,7 @@ func TestLeaderElectionAndConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if l := c.Node(i).Leader(); l != 0 {
+		if l := c.Node(i).leader; l != 0 {
 			t.Fatalf("node %d follows %d after heal", i, l)
 		}
 	}

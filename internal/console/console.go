@@ -19,7 +19,6 @@ import (
 	drcom "repro"
 	"repro/internal/bench"
 	"repro/internal/cluster"
-	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/metrics"
@@ -34,9 +33,6 @@ type Console struct {
 	cl     *cluster.Cluster
 	out    io.Writer
 	tracer *rtos.Tracer
-	// guards holds the contract guards the forecast command reads,
-	// keyed by plane ("" for the single system, "n2" per cluster node).
-	guards map[string]*contract.Guard
 	// ReadFile is stubbed in tests; defaults to os.ReadFile.
 	ReadFile func(string) ([]byte, error)
 }
@@ -52,16 +48,6 @@ func New(sys *drcom.System, out io.Writer) *Console {
 // diagnostics (spans, gantt, …) are unavailable.
 func NewCluster(cl *cluster.Cluster, out io.Writer) *Console {
 	return &Console{cl: cl, out: out, ReadFile: os.ReadFile}
-}
-
-// AttachGuard exposes a contract guard to the forecast command. The node
-// key is "" for a single-system console; cluster consoles attach one
-// guard per node under its plane name ("n0", "n1", …).
-func (c *Console) AttachGuard(node string, g *contract.Guard) {
-	if c.guards == nil {
-		c.guards = map[string]*contract.Guard{}
-	}
-	c.guards[node] = g
 }
 
 // Run interprets commands from in until EOF or the quit command. Blank
@@ -99,7 +85,7 @@ func (c *Console) Exec(line string) (quit bool) {
 	if c.sys == nil {
 		switch cmd {
 		case "help", "quit", "exit", "run", "deploy", "remove", "nodes", "links", "migrate",
-			"spans", "why", "watch", "metrics", "flightrec", "forecast", "admit":
+			"spans", "why", "watch", "metrics", "flightrec", "admit":
 		default:
 			fmt.Fprintf(c.out, "error: %q needs a single-node system; this console drives a cluster (try nodes, links, migrate)\n", cmd)
 			return false
@@ -130,8 +116,6 @@ func (c *Console) Exec(line string) (quit bool) {
 		err = c.downgrade(args)
 	case "promote":
 		err = c.promote(args)
-	case "forecast":
-		err = c.forecast(args)
 	case "admit":
 		err = c.admit(args)
 	case "list", "lb", "ss":
@@ -187,7 +171,6 @@ func (c *Console) printHelp() {
   modes                   declared service-mode ladders and admitted modes
   downgrade <name> [why]  step a component down one service mode
   promote <name>          allow a downgraded component to re-promote
-  forecast [name]         guard's predicted miss probabilities per component
   admit <file.xml> [...] -dry
                           dry-run admission, no deploy: the live resolver
                           chain asked about each component alone against
@@ -213,8 +196,8 @@ func (c *Console) printHelp() {
   quit                    end the session
 cluster mode: spans/why/watch/metrics/flightrec read the federated
 planes; names may be node-qualified (why n2/decoder, spans n1 10,
-watch 40ms n0). Plain names stitch across nodes. forecast takes a
-node or n2/name filter; admit needs a leading node (admit n1 f.xml -dry).
+watch 40ms n0). Plain names stitch across nodes. admit needs a leading
+node (admit n1 f.xml -dry).
 `)
 }
 
@@ -442,71 +425,6 @@ func (c *Console) promote(args []string) error {
 	}
 	info, _ := c.sys.Component(args[0])
 	fmt.Fprintf(c.out, "%s: %v mode %d (%s)\n", args[0], info.State, info.Mode, info.ModeName)
-	return nil
-}
-
-// forecast prints each attached guard's latest per-component forecast:
-// the blended miss probability against the declared allowance, the
-// trend projection, and the hysteresis state. An argument filters by
-// component; in cluster mode it may be node-qualified ("n2/calc") or a
-// bare node ("n2").
-func (c *Console) forecast(args []string) error {
-	if len(args) > 1 {
-		return fmt.Errorf("usage: forecast [node/]name")
-	}
-	if len(c.guards) == 0 {
-		return fmt.Errorf("no contract guard attached (AttachGuard)")
-	}
-	nodeFilter, compFilter := "", ""
-	if len(args) == 1 {
-		if c.cl != nil {
-			node, comp := splitNodeQualified(args[0])
-			if node != "" {
-				canon, err := c.normalizeNode(node)
-				if err != nil {
-					return err
-				}
-				nodeFilter, compFilter = canon, comp
-			} else if canon, err := c.normalizeNode(args[0]); err == nil {
-				nodeFilter = canon
-			} else {
-				compFilter = args[0]
-			}
-		} else {
-			compFilter = args[0]
-		}
-	}
-	nodes := make([]string, 0, len(c.guards))
-	for node := range c.guards {
-		nodes = append(nodes, node)
-	}
-	sort.Strings(nodes)
-	shown := 0
-	for _, node := range nodes {
-		if nodeFilter != "" && node != nodeFilter {
-			continue
-		}
-		tag := ""
-		if node != "" {
-			tag = "[" + node + "] "
-		}
-		for _, f := range c.guards[node].Forecasts() {
-			if compFilter != "" && f.Component != compFilter {
-				continue
-			}
-			state := "armed"
-			if !f.Armed {
-				state = "held"
-			}
-			fmt.Fprintf(c.out, "%s%-8s P(miss)=%.3f allowed=%.3f projected=%.4f limit=%.4f sigma=%.4f %s samples=%d at=%v\n",
-				tag, f.Component, f.PMiss, f.Allowed, f.Projected, f.Limit, f.Sigma, state,
-				f.Samples, time.Duration(f.At))
-			shown++
-		}
-	}
-	if shown == 0 {
-		fmt.Fprintln(c.out, "no forecasts yet (estimator runs for active budget-declaring components)")
-	}
 	return nil
 }
 

@@ -527,53 +527,6 @@ list
 	}
 }
 
-// TestSessionForecast pins the forecast command: with a predictive guard
-// attached, a budget-declaring component gets a forecast row; without a
-// guard the command explains itself.
-func TestSessionForecast(t *testing.T) {
-	c, out := newConsole(t)
-	prev := c.ReadFile
-	c.ReadFile = func(path string) ([]byte, error) {
-		if path == "stoch.xml" {
-			return []byte(stochConsoleXML), nil
-		}
-		return prev(path)
-	}
-	if c.Exec("forecast"); !strings.Contains(out.String(), "no contract guard attached") {
-		t.Fatalf("guardless forecast did not explain itself:\n%s", out.String())
-	}
-	g, err := contract.New(c.sys.DRCR(), contract.Options{Predict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
-	c.AttachGuard("", g)
-	if err := c.Run(strings.NewReader(`
-deploy stoch.xml
-run 300ms
-forecast
-forecast stoch
-forecast nosuch
-`)); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if n := strings.Count(got, "stoch    P(miss)="); n != 2 {
-		t.Errorf("want 2 forecast rows for stoch (bare + filtered), got %d:\n%s", n, got)
-	}
-	for _, want := range []string{
-		"allowed=0.030", // 1 - declared p
-		"armed",
-		"no forecasts yet", // the nosuch filter matches nothing
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("output missing %q:\n%s", want, got)
-		}
-	}
-}
-
 // TestZeroArgCommandsRejectArguments: a command that takes no arguments
 // answers extra ones with an error instead of silently ignoring them,
 // and still runs when given none.

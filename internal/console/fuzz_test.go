@@ -18,7 +18,7 @@ var fuzzSeeds = []string{
 	"deploy camera.xml", "plan camera.xml modes.xml",
 	"remove camera", "enable camera", "disable camera", "suspend camera", "resume camera",
 	"run 5ms", "mode stress", "modes", "downgrade camera too hot", "promote camera",
-	"forecast camera", "admit camera.xml -dry",
+	"admit camera.xml -dry",
 	"list", "lb", "ss", "events", "spans 5", "why camera", "metrics", "watch 5ms",
 	"flightrec", "timeline", "latency", "view", "status camera", "set camera rate 5",
 	"trace on", "gantt 5ms", "nodes", "links", "migrate camera n1",
@@ -31,7 +31,7 @@ var fuzzSeeds = []string{
 var fuzzArity = map[string][2]int{
 	"deploy": {1, 1}, "plan": {1, -1}, "remove": {1, 1}, "enable": {1, 1},
 	"disable": {1, 1}, "suspend": {1, 1}, "resume": {1, 1}, "run": {1, 1},
-	"mode": {1, 1}, "downgrade": {1, -1}, "promote": {1, 1}, "forecast": {0, 1},
+	"mode": {1, 1}, "downgrade": {1, -1}, "promote": {1, 1},
 	"admit": {1, -1}, "spans": {0, 1}, "why": {1, 1}, "watch": {1, 1},
 	"flightrec": {0, 1}, "status": {1, 1}, "set": {3, 3}, "trace": {1, 1},
 	"gantt": {1, 1}, "migrate": {2, 2},
@@ -74,7 +74,7 @@ func FuzzExec(f *testing.F) {
 	}
 	for _, s := range []string{"bogus", "run notaduration", "run -3ms", "spans -1", "set camera",
 		"deploy nope.xml", "why ghost", "trace sideways", "admit camera.xml", "run 1h",
-		"list extra", "nodes x", "events 5", "view cpu0"} {
+		"list extra", "nodes x", "events 5", "view cpu0", "forecast camera"} {
 		f.Add(s)
 	}
 

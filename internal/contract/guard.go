@@ -148,7 +148,6 @@ type Guard struct {
 	forecasts  map[string]Forecast
 	violations []Violation
 	trace      []Record
-	listeners  []func(Violation)
 
 	tick    *sim.Event
 	running bool
@@ -178,13 +177,6 @@ func (g *Guard) Stop() {
 	if g.tick != nil {
 		g.tick.Cancel()
 		g.tick = nil
-	}
-}
-
-// AddListener subscribes to violations as they are detected.
-func (g *Guard) AddListener(f func(Violation)) {
-	if f != nil {
-		g.listeners = append(g.listeners, f)
 	}
 }
 
@@ -316,9 +308,6 @@ func (g *Guard) CheckNow() []Violation {
 			}
 			g.violations = append(g.violations, v)
 			g.record(now, "violation", v.Component, fmt.Sprintf("%v measured=%.4f limit=%.4f %s", v.Kind, v.Measured, v.Limit, v.Detail))
-			for _, l := range g.listeners {
-				l(v)
-			}
 		}
 		fired = append(fired, vs...)
 		if len(vs) > 0 {

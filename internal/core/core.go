@@ -571,13 +571,6 @@ func (d *DRCR) Events() []Event {
 	return out
 }
 
-// ClearEvents empties the event log.
-func (d *DRCR) ClearEvents() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.events = d.events[:0]
-}
-
 // Component returns a snapshot of the named component.
 func (d *DRCR) Component(name string) (Info, bool) {
 	d.mu.Lock()

@@ -361,8 +361,8 @@ func TestGlobalViewSharesUnchangedCPUs(t *testing.T) {
 		t.Fatal(err)
 	}
 	later := d.GlobalView()
-	if later.Epoch == first.Epoch || later.Len() != 3 || len(grown) != 3 {
-		t.Fatalf("later view epoch %d (first %d), %d contracts", later.Epoch, first.Epoch, later.Len())
+	if later.Epoch == first.Epoch || len(admitted(later)) != 3 || len(grown) != 3 {
+		t.Fatalf("later view epoch %d (first %d), %d contracts", later.Epoch, first.Epoch, len(admitted(later)))
 	}
 	on0 := later.OnCPU(0)
 	if len(on0) != 2 || on0[0].Name != "a0" || on0[1].Name != "calc" {
@@ -429,15 +429,15 @@ func TestLoadOnlyView(t *testing.T) {
 	}
 	full := func(label string, seen policy.View) {
 		t.Helper()
-		want := d.GlobalView().Len() - 1 // the candidate itself is admitted now
-		if got := seen.Len(); got != want || got == 0 {
+		want := len(admitted(d.GlobalView())) - 1 // the candidate itself is admitted now
+		if got := len(admitted(seen)); got != want || got == 0 {
 			t.Fatalf("%s: saw %d contracts, want the full %d", label, got, want)
 		}
 	}
 	deploy(churnXML("a0", 0, 0.1, nil, nil))
 	deploy(churnXML("b1", 1, 0.1, nil, nil))
-	if seen := deploy(churnXML("c0", 0, 0.1, nil, nil)); seen.Len() != 0 || seen.OnCPU(0) != nil {
-		t.Fatalf("load-only consult saw %d contracts, want none", seen.Len())
+	if seen := deploy(churnXML("c0", 0, 0.1, nil, nil)); len(admitted(seen)) != 0 || seen.OnCPU(0) != nil {
+		t.Fatalf("load-only consult saw %d contracts, want none", len(admitted(seen)))
 	}
 
 	full("stochastic candidate", deploy(stochXML))
@@ -445,8 +445,8 @@ func TestLoadOnlyView(t *testing.T) {
 	if err := d.Remove("sdist"); err != nil {
 		t.Fatal(err)
 	}
-	if seen := deploy(churnXML("e0", 0, 0.1, nil, nil)); seen.Len() != 0 {
-		t.Fatalf("load-only consult after the stochastic admission left saw %d contracts", seen.Len())
+	if seen := deploy(churnXML("e0", 0, 0.1, nil, nil)); len(admitted(seen)) != 0 {
+		t.Fatalf("load-only consult after the stochastic admission left saw %d contracts", len(admitted(seen)))
 	}
 
 	f := policy.Func{Label: "func", F: func(policy.View, policy.Contract) policy.Decision {
@@ -463,11 +463,11 @@ func TestLoadOnlyView(t *testing.T) {
 	d.mu.Lock()
 	lean := d.loadViewLocked()
 	d.mu.Unlock()
-	if lean.Len() != 0 {
-		t.Fatalf("list-free view holds %d contracts", lean.Len())
+	if len(admitted(lean)) != 0 {
+		t.Fatalf("list-free view holds %d contracts", len(admitted(lean)))
 	}
 	d.consultLoadOnly(lean, policy.Contract{Name: "late", CPU: 0, CPUUsage: 0.1})
-	if seen, want := probe.seen["late"].Len(), d.GlobalView().Len(); seen != want {
+	if seen, want := len(admitted(probe.seen["late"])), len(admitted(d.GlobalView())); seen != want {
 		t.Fatalf("consult after the chain lost LoadOnly saw %d contracts, want %d", seen, want)
 	}
 }

@@ -112,7 +112,7 @@ func TestAperiodicHasNoBudgetContract(t *testing.T) {
 	if err := d.Deploy(mustParse(t, src)); err != nil {
 		t.Fatal(err)
 	}
-	view := d.GlobalView().All()
+	view := admitted(d.GlobalView())
 	if len(view) != 1 || view[0].Period != 0 {
 		t.Fatalf("view = %+v", view)
 	}

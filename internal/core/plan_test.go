@@ -192,8 +192,8 @@ const (
 // final states must equal the recorded goldens.
 func checkPlanCampaign(t *testing.T, opts Options, level obs.Level) {
 	t.Helper()
+	opts.Obs = obs.NewPlane(obs.Options{Level: level})
 	r := newPlanRigWith(t, opts)
-	r.d.Obs().SetLevel(level)
 	planCampaign(t, r)
 
 	wantObs := planCampaignObs

@@ -9,9 +9,10 @@ import (
 )
 
 // TestBundleUpdateSwapsComponentContract exercises the continuous-
-// deployment path the paper's introduction highlights: updating a bundle
-// in place (no system restart) replaces its component's real-time
-// contract, and the DRCR re-admits the new version automatically.
+// deployment path the paper's introduction highlights: replacing a
+// bundle with a new version (no system restart) replaces its component's
+// real-time contract, and the DRCR re-admits the new version
+// automatically.
 func TestBundleUpdateSwapsComponentContract(t *testing.T) {
 	fw, k, d := newRig(t)
 
@@ -47,9 +48,9 @@ func TestBundleUpdateSwapsComponentContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hot update to v2 at 200 Hz: stop → swap definition → start, all
-	// driven by framework events.
-	if err := b.Update(mkDef("2.0", "200")); err != nil {
+	// Hot update to v2 at 200 Hz: uninstall v1, install and start v2,
+	// all driven by framework events.
+	if _, err := reinstall(fw, b, mkDef("2.0", "200")); err != nil {
 		t.Fatal(err)
 	}
 	if got := stateOf(t, d, "cam"); got != Active {
@@ -87,9 +88,9 @@ func TestBundleUpdateSwapsComponentContract(t *testing.T) {
 	}
 }
 
-// TestBundleUpdateCascadesThroughDependants: updating the provider bundle
-// briefly takes dependants down and brings them back — downtime-free for
-// the system, contract-preserving for the components.
+// TestBundleUpdateCascadesThroughDependants: replacing the provider
+// bundle briefly takes dependants down and brings them back — downtime-
+// free for the system, contract-preserving for the components.
 func TestBundleUpdateCascadesThroughDependants(t *testing.T) {
 	fw, _, d := newRig(t)
 	provDef := func(version string) osgi.Definition {
@@ -113,7 +114,7 @@ func TestBundleUpdateCascadesThroughDependants(t *testing.T) {
 	if got := stateOf(t, d, "disp"); got != Active {
 		t.Fatalf("disp = %v", got)
 	}
-	if err := pb.Update(provDef("1.1")); err != nil {
+	if _, err := reinstall(fw, pb, provDef("1.1")); err != nil {
 		t.Fatal(err)
 	}
 	// After the update settles, both are active again.
@@ -127,4 +128,17 @@ func TestBundleUpdateCascadesThroughDependants(t *testing.T) {
 	if info.Bundle != "demo.calc" {
 		t.Fatalf("calc bundle = %q", info.Bundle)
 	}
+}
+
+// reinstall replaces an installed bundle with a new version of it:
+// uninstall (stopping it if active), then install and start def.
+func reinstall(fw *osgi.Framework, old *osgi.Bundle, def osgi.Definition) (*osgi.Bundle, error) {
+	if err := old.Uninstall(); err != nil {
+		return nil, err
+	}
+	b, err := fw.Install(def)
+	if err != nil {
+		return nil, err
+	}
+	return b, b.Start()
 }

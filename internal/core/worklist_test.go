@@ -340,32 +340,32 @@ func TestDeepChainCascadeOrder(t *testing.T) {
 // steady-state resolve tick: with every component admitted and no dirty
 // work, Resolve and GlobalView must not allocate.
 func TestResolveSteadyStateAllocs(t *testing.T) {
-	_, _, d := newRig(t)
-	for _, src := range []string{calcXML, displayXML} {
-		if err := d.Deploy(mustParse(t, src)); err != nil {
+	// The observability plane rides the resolve path; the default
+	// sampling level must not break the allocation discipline, and at
+	// Full level an empty resolve tick emits nothing, so even the most
+	// verbose level leaves the steady state alone.
+	for _, level := range []obs.Level{obs.Sampled, obs.Full} {
+		fw := osgi.NewFramework()
+		k := rtos.NewKernel(rtos.Config{NumCPUs: 2, Timing: &noNoise, Seed: 17})
+		d, err := New(fw, k, Options{Obs: obs.NewPlane(obs.Options{Level: level})})
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(d.Close)
+		for _, src := range []string{calcXML, displayXML} {
+			if err := d.Deploy(mustParse(t, src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := stateOf(t, d, "disp"); st != Active {
+			t.Fatalf("disp = %v, want ACTIVE", st)
+		}
+		d.Resolve() // warm up: first resolve builds the resolver chain cache
+		if allocs := testing.AllocsPerRun(100, func() { d.Resolve() }); allocs != 0 {
+			t.Errorf("%v steady-state Resolve allocates %.1f objects per run, want 0", level, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = d.GlobalView() }); allocs != 0 {
+			t.Errorf("%v steady-state GlobalView allocates %.1f objects per run, want 0", level, allocs)
+		}
 	}
-	if st := stateOf(t, d, "disp"); st != Active {
-		t.Fatalf("disp = %v, want ACTIVE", st)
-	}
-	// The observability plane rides the resolve path; the default
-	// sampling level must not break the allocation discipline.
-	if lvl := d.Obs().Level(); lvl != obs.Sampled {
-		t.Fatalf("default obs level = %v, want sampled", lvl)
-	}
-	d.Resolve() // warm up: first resolve builds the resolver chain cache
-	if allocs := testing.AllocsPerRun(100, func() { d.Resolve() }); allocs != 0 {
-		t.Errorf("steady-state Resolve allocates %.1f objects per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = d.GlobalView() }); allocs != 0 {
-		t.Errorf("steady-state GlobalView allocates %.1f objects per run, want 0", allocs)
-	}
-	// Same discipline at Full level: an empty resolve tick emits nothing,
-	// so even the most verbose level leaves the steady state alone.
-	d.Obs().SetLevel(obs.Full)
-	if allocs := testing.AllocsPerRun(100, func() { d.Resolve() }); allocs != 0 {
-		t.Errorf("Full-level steady-state Resolve allocates %.1f objects per run, want 0", allocs)
-	}
-	d.Obs().SetLevel(obs.Sampled)
 }

@@ -94,7 +94,7 @@ func TestBudgetRenderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rendered := c.Render()
+		rendered := renderFmt(c)
 		if !strings.Contains(rendered, "<budget dist=") {
 			t.Fatalf("render lost the budget element:\n%s", rendered)
 		}
@@ -102,8 +102,8 @@ func TestBudgetRenderRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("re-parse: %v\n%s", err, rendered)
 		}
-		if c2.Render() != rendered {
-			t.Fatalf("render not a fixed point:\n%s\nvs\n%s", rendered, c2.Render())
+		if renderFmt(c2) != rendered {
+			t.Fatalf("render not a fixed point:\n%s\nvs\n%s", rendered, renderFmt(c2))
 		}
 		if c2.Budget.String() != c.Budget.String() || c2.BudgetP != c.BudgetP {
 			t.Fatalf("budget changed across round trip: %v/%v vs %v/%v",

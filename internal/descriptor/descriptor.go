@@ -112,24 +112,6 @@ func (p Property) Int() (int, error) {
 	return v, nil
 }
 
-// Float returns the property as a float.
-func (p Property) Float() (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(p.Value), 64)
-	if err != nil {
-		return 0, fmt.Errorf("descriptor: property %s: %w", p.Name, err)
-	}
-	return v, nil
-}
-
-// Bool returns the property as a boolean.
-func (p Property) Bool() (bool, error) {
-	v, err := strconv.ParseBool(strings.TrimSpace(p.Value))
-	if err != nil {
-		return false, fmt.Errorf("descriptor: property %s: %w", p.Name, err)
-	}
-	return v, nil
-}
-
 // PeriodicSpec carries the periodictask element.
 type PeriodicSpec struct {
 	// FrequencyHz is the release rate (the descriptor's "frequence").

@@ -233,23 +233,12 @@ func TestPropertyAccessors(t *testing.T) {
 	if v, err := pi.Int(); err != nil || v != 42 {
 		t.Errorf("Int = %d, %v", v, err)
 	}
-	pf := Property{Name: "f", Type: "Float", Value: "2.5"}
-	if v, err := pf.Float(); err != nil || v != 2.5 {
-		t.Errorf("Float = %v, %v", v, err)
-	}
-	pb := Property{Name: "b", Type: "Boolean", Value: "true"}
-	if v, err := pb.Bool(); err != nil || !v {
-		t.Errorf("Bool = %v, %v", v, err)
+	if v, err := (Property{Name: "s", Type: "Integer", Value: " -7 "}).Int(); err != nil || v != -7 {
+		t.Errorf("Int of a padded value = %d, %v", v, err)
 	}
 	bad := Property{Name: "x", Type: "Integer", Value: "zz"}
 	if _, err := bad.Int(); err == nil {
 		t.Error("bad Int parsed")
-	}
-	if _, err := bad.Float(); err == nil {
-		t.Error("bad Float parsed")
-	}
-	if _, err := bad.Bool(); err == nil {
-		t.Error("bad Bool parsed")
 	}
 }
 

@@ -107,12 +107,12 @@ func TestModesRenderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Parse(c.Render())
+	c2, err := Parse(renderFmt(c))
 	if err != nil {
-		t.Fatalf("re-parse rendered descriptor: %v\n%s", err, c.Render())
+		t.Fatalf("re-parse rendered descriptor: %v\n%s", err, renderFmt(c))
 	}
-	if c2.Render() != c.Render() {
-		t.Errorf("render round trip diverged:\n%s\nvs\n%s", c.Render(), c2.Render())
+	if renderFmt(c2) != renderFmt(c) {
+		t.Errorf("render round trip diverged:\n%s\nvs\n%s", renderFmt(c), renderFmt(c2))
 	}
 	if len(c2.Modes) != 2 || c2.Modes[1].Drops[0] != "tune" {
 		t.Errorf("round-tripped modes = %+v", c2.Modes)

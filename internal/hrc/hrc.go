@@ -174,9 +174,6 @@ func handlerName(base string) string {
 // Task exposes the RT part.
 func (c *Component) Task() *rtos.Task { return c.task }
 
-// Name returns the component (task) name.
-func (c *Component) Name() string { return c.task.Name() }
-
 // Start activates the RT part.
 func (c *Component) Start() error {
 	if c.closed {
@@ -302,17 +299,6 @@ func (c *Component) Property(key string) (string, bool) {
 	defer c.mu.Unlock()
 	v, ok := c.props[key]
 	return v, ok
-}
-
-// Properties returns a copy of all properties.
-func (c *Component) Properties() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.props))
-	for k, v := range c.props {
-		out[k] = v
-	}
-	return out
 }
 
 // Status returns the last snapshot the RT part published (up to one

@@ -90,10 +90,10 @@ func TestManyComponentsShareOneKernel(t *testing.T) {
 	}
 	for _, c := range comps {
 		if c.Status().Jobs < 9 {
-			t.Fatalf("%s jobs = %d", c.Name(), c.Status().Jobs)
+			t.Fatalf("%s jobs = %d", c.Task().Name(), c.Status().Jobs)
 		}
 		if err := c.SetProperty("x", "1"); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%s: %v", c.Task().Name(), err)
 		}
 	}
 	if err := k.Run(20 * time.Millisecond); err != nil {
@@ -101,10 +101,10 @@ func TestManyComponentsShareOneKernel(t *testing.T) {
 	}
 	for _, c := range comps {
 		if v, _ := c.Property("x"); v != "1" {
-			t.Fatalf("%s property not applied", c.Name())
+			t.Fatalf("%s property not applied", c.Task().Name())
 		}
 		if err := c.Close(); err != nil {
-			t.Fatalf("%s close: %v", c.Name(), err)
+			t.Fatalf("%s close: %v", c.Task().Name(), err)
 		}
 	}
 	if len(k.Tasks()) != 0 {

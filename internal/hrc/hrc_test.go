@@ -152,11 +152,6 @@ func TestSetPropertyAsync(t *testing.T) {
 	if err := c.SetProperty("a\x00b", "x"); err == nil {
 		t.Fatal("NUL key accepted")
 	}
-	props := c.Properties()
-	props["gain"] = "tampered"
-	if v, _ := c.Property("gain"); v != "8" {
-		t.Fatal("Properties() aliases internal map")
-	}
 }
 
 func TestMailboxOverflowCountsLost(t *testing.T) {

@@ -69,9 +69,6 @@ type Filter struct {
 // String returns the canonical source text of the filter.
 func (f *Filter) String() string { return f.src }
 
-// Op reports the node kind at the root of the filter.
-func (f *Filter) Op() Op { return f.op }
-
 // ErrEmptyFilter is returned when the input is empty or blank.
 var ErrEmptyFilter = errors.New("ldap: empty filter")
 

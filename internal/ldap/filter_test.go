@@ -228,8 +228,8 @@ func TestFilterStringRoundTrip(t *testing.T) {
 	if f.String() != src {
 		t.Fatalf("String = %q, want %q", f.String(), src)
 	}
-	if f.Op() != OpAnd {
-		t.Fatalf("Op = %v", f.Op())
+	if f.op != OpAnd {
+		t.Fatalf("op = %v", f.op)
 	}
 }
 

@@ -1,23 +1,5 @@
 package manifest
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// Well-known header names.
-const (
-	HeaderSymbolicName    = "Bundle-SymbolicName"
-	HeaderVersion         = "Bundle-Version"
-	HeaderName            = "Bundle-Name"
-	HeaderActivator       = "Bundle-Activator"
-	HeaderImportPackage   = "Import-Package"
-	HeaderExportPackage   = "Export-Package"
-	HeaderDRComComponents = "DRCom-Components"
-	HeaderServiceComp     = "Service-Component"
-)
-
 // PackageExport is one clause of Export-Package.
 type PackageExport struct {
 	Name    string
@@ -31,12 +13,10 @@ type PackageImport struct {
 	Optional bool
 }
 
-// Manifest is a parsed bundle manifest.
+// Manifest is a bundle manifest.
 type Manifest struct {
 	SymbolicName string
 	Version      Version
-	Name         string
-	Activator    string
 	Imports      []PackageImport
 	Exports      []PackageExport
 	// DRComComponents lists the component descriptor resources declared in
@@ -44,208 +24,9 @@ type Manifest struct {
 	DRComComponents []string
 	// ServiceComponents lists declarative-service descriptor resources.
 	ServiceComponents []string
-	// Raw holds every header verbatim.
-	Raw map[string]string
 }
 
 // New builds a minimal valid manifest.
 func New(symbolicName string, version Version) *Manifest {
-	return &Manifest{
-		SymbolicName: symbolicName,
-		Version:      version,
-		Raw: map[string]string{
-			HeaderSymbolicName: symbolicName,
-			HeaderVersion:      version.String(),
-		},
-	}
-}
-
-// Parse reads a manifest in the MANIFEST.MF "Header: value" format.
-// Continuation lines start with a single space, as in JAR manifests.
-func Parse(text string) (*Manifest, error) {
-	headers, err := parseHeaders(text)
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{Raw: headers}
-	sn, ok := headers[HeaderSymbolicName]
-	if !ok || strings.TrimSpace(sn) == "" {
-		return nil, fmt.Errorf("manifest: missing %s", HeaderSymbolicName)
-	}
-	// The symbolic name may carry directives (name;singleton:=true); we
-	// keep only the name.
-	m.SymbolicName = strings.TrimSpace(strings.SplitN(sn, ";", 2)[0])
-	if vs, ok := headers[HeaderVersion]; ok {
-		v, err := ParseVersion(vs)
-		if err != nil {
-			return nil, fmt.Errorf("manifest: %s: %w", HeaderVersion, err)
-		}
-		m.Version = v
-	}
-	m.Name = strings.TrimSpace(headers[HeaderName])
-	m.Activator = strings.TrimSpace(headers[HeaderActivator])
-	if imp, ok := headers[HeaderImportPackage]; ok {
-		m.Imports, err = parseImports(imp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if exp, ok := headers[HeaderExportPackage]; ok {
-		m.Exports, err = parseExports(exp)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if dc, ok := headers[HeaderDRComComponents]; ok {
-		m.DRComComponents = splitList(dc)
-	}
-	if sc, ok := headers[HeaderServiceComp]; ok {
-		m.ServiceComponents = splitList(sc)
-	}
-	return m, nil
-}
-
-func parseHeaders(text string) (map[string]string, error) {
-	headers := map[string]string{}
-	var lastKey string
-	for lineNo, line := range strings.Split(text, "\n") {
-		line = strings.TrimRight(line, "\r")
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if line[0] == ' ' || line[0] == '\t' {
-			if lastKey == "" {
-				return nil, fmt.Errorf("manifest: line %d: continuation without header", lineNo+1)
-			}
-			headers[lastKey] += strings.TrimSpace(line)
-			continue
-		}
-		idx := strings.Index(line, ":")
-		if idx <= 0 {
-			return nil, fmt.Errorf("manifest: line %d: malformed header %q", lineNo+1, line)
-		}
-		key := strings.TrimSpace(line[:idx])
-		val := strings.TrimSpace(line[idx+1:])
-		if _, dup := headers[key]; dup {
-			return nil, fmt.Errorf("manifest: duplicate header %q", key)
-		}
-		headers[key] = val
-		lastKey = key
-	}
-	if len(headers) == 0 {
-		return nil, fmt.Errorf("manifest: empty manifest")
-	}
-	return headers, nil
-}
-
-// splitClauses splits a header value on commas that are not inside quotes
-// (version ranges contain commas: pkg;version="[1,2)").
-func splitClauses(s string) []string {
-	var out []string
-	var b strings.Builder
-	inQuote := false
-	for _, r := range s {
-		switch {
-		case r == '"':
-			inQuote = !inQuote
-			b.WriteRune(r)
-		case r == ',' && !inQuote:
-			out = append(out, b.String())
-			b.Reset()
-		default:
-			b.WriteRune(r)
-		}
-	}
-	if strings.TrimSpace(b.String()) != "" {
-		out = append(out, b.String())
-	}
-	return out
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseImports(header string) ([]PackageImport, error) {
-	var out []PackageImport
-	for _, clause := range splitClauses(header) {
-		parts := strings.Split(clause, ";")
-		name := strings.TrimSpace(parts[0])
-		if name == "" {
-			return nil, fmt.Errorf("manifest: empty import package in %q", header)
-		}
-		imp := PackageImport{Name: name, Range: AnyVersion}
-		for _, attr := range parts[1:] {
-			key, val, found := strings.Cut(attr, "=")
-			if !found {
-				return nil, fmt.Errorf("manifest: bad import attribute %q", attr)
-			}
-			key = strings.TrimSpace(key)
-			val = strings.Trim(strings.TrimSpace(val), `"`)
-			switch key {
-			case "version":
-				r, err := ParseRange(val)
-				if err != nil {
-					return nil, fmt.Errorf("manifest: import %s: %w", name, err)
-				}
-				imp.Range = r
-			case "resolution:":
-				imp.Optional = val == "optional"
-			default:
-				// Unknown attributes are ignored, as by real frameworks.
-			}
-		}
-		out = append(out, imp)
-	}
-	return out, nil
-}
-
-func parseExports(header string) ([]PackageExport, error) {
-	var out []PackageExport
-	for _, clause := range splitClauses(header) {
-		parts := strings.Split(clause, ";")
-		name := strings.TrimSpace(parts[0])
-		if name == "" {
-			return nil, fmt.Errorf("manifest: empty export package in %q", header)
-		}
-		exp := PackageExport{Name: name}
-		for _, attr := range parts[1:] {
-			key, val, found := strings.Cut(attr, "=")
-			if !found {
-				return nil, fmt.Errorf("manifest: bad export attribute %q", attr)
-			}
-			key = strings.TrimSpace(key)
-			val = strings.Trim(strings.TrimSpace(val), `"`)
-			if key == "version" {
-				v, err := ParseVersion(val)
-				if err != nil {
-					return nil, fmt.Errorf("manifest: export %s: %w", name, err)
-				}
-				exp.Version = v
-			}
-		}
-		out = append(out, exp)
-	}
-	return out, nil
-}
-
-// Render writes the manifest back out in MANIFEST.MF format with
-// deterministic header ordering.
-func (m *Manifest) Render() string {
-	keys := make([]string, 0, len(m.Raw))
-	for k := range m.Raw {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s: %s\n", k, m.Raw[k])
-	}
-	return b.String()
+	return &Manifest{SymbolicName: symbolicName, Version: version}
 }

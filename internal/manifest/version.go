@@ -1,6 +1,8 @@
 // Package manifest implements OSGi bundle metadata: versions, version
-// ranges, and the manifest headers the framework resolver consumes
-// (Bundle-SymbolicName, Import-Package, Export-Package, …).
+// ranges, and the manifest fields the framework resolver consumes (the
+// symbolic name, package imports and exports, and the component
+// descriptor resources). Bundles are built in Go; no MANIFEST.MF text is
+// parsed.
 package manifest
 
 import (

@@ -100,3 +100,23 @@ func TestHistogramRender(t *testing.T) {
 		t.Fatal("Render(0) empty")
 	}
 }
+
+// Total reports the number of observations including under/overflow.
+func (h *Histogram) Total() uint64 { return h.total }
+
+// Underflow reports samples below the range.
+func (h *Histogram) Underflow() uint64 { return h.under }
+
+// Overflow reports samples at or above the range top.
+func (h *Histogram) Overflow() uint64 { return h.over }
+
+// Bin reports the count in bin i.
+func (h *Histogram) Bin(i int) uint64 {
+	if i < 0 || i >= len(h.bins) {
+		return 0
+	}
+	return h.bins[i]
+}
+
+// NumBins reports the configured bin count.
+func (h *Histogram) NumBins() int { return len(h.bins) }

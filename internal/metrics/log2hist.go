@@ -1,10 +1,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // Log2Hist is a fixed-bucket base-2 histogram over non-negative samples
@@ -125,31 +123,4 @@ func (h *Log2Hist) Merge(o *Log2Hist) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-}
-
-// Render draws the occupied buckets as an ASCII histogram, width columns
-// wide at the largest bucket.
-func (h *Log2Hist) Render(width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	var peak uint64
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		lo, _ := h.BucketRange(i)
-		bar := 0
-		if peak > 0 {
-			bar = int(float64(c) / float64(peak) * float64(width))
-		}
-		fmt.Fprintf(&b, "%14d %8d %s\n", lo, c, strings.Repeat("#", bar))
-	}
-	return b.String()
 }

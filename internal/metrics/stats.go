@@ -42,13 +42,6 @@ func (s *Series) Add(v Sample) {
 	s.sum += float64(v)
 }
 
-// AddAll appends many observations.
-func (s *Series) AddAll(vs []Sample) {
-	for _, v := range vs {
-		s.Add(v)
-	}
-}
-
 // Len reports the number of observations.
 func (s *Series) Len() int { return len(s.samples) }
 
@@ -103,17 +96,6 @@ func (s *Series) Reset() {
 	s.samples = s.samples[:0]
 	s.sum = 0
 	s.min, s.max = 0, 0
-}
-
-// Reserve grows the sample buffer so at least n further Adds proceed
-// without reallocating, letting allocation-free hot paths record
-// observations.
-func (s *Series) Reserve(n int) {
-	if free := cap(s.samples) - len(s.samples); free < n {
-		grown := make([]Sample, len(s.samples), len(s.samples)+n)
-		copy(grown, s.samples)
-		s.samples = grown
-	}
 }
 
 // Row is one Table 1 row: a label with the four reported statistics.

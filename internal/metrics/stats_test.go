@@ -16,7 +16,9 @@ func TestEmptySeries(t *testing.T) {
 
 func TestSeriesBasicStats(t *testing.T) {
 	var s Series
-	s.AddAll([]Sample{1, 2, 3, 4, 5})
+	for _, v := range []Sample{1, 2, 3, 4, 5} {
+		s.Add(v)
+	}
 	if got := s.Mean(); got != 3 {
 		t.Fatalf("Mean = %v, want 3", got)
 	}
@@ -34,7 +36,9 @@ func TestSeriesBasicStats(t *testing.T) {
 
 func TestSeriesNegativeValues(t *testing.T) {
 	var s Series
-	s.AddAll([]Sample{-25436, -633, 23798})
+	for _, v := range []Sample{-25436, -633, 23798} {
+		s.Add(v)
+	}
 	if s.Min() != -25436 {
 		t.Fatalf("Min = %d", s.Min())
 	}
@@ -49,7 +53,9 @@ func TestSeriesNegativeValues(t *testing.T) {
 
 func TestSamplesCopy(t *testing.T) {
 	var s Series
-	s.AddAll([]Sample{1, 2, 3})
+	for _, v := range []Sample{1, 2, 3} {
+		s.Add(v)
+	}
 	got := s.Samples()
 	got[0] = 99
 	if s.Samples()[0] != 1 {
@@ -59,7 +65,9 @@ func TestSamplesCopy(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	var s Series
-	s.AddAll([]Sample{5, 6})
+	for _, v := range []Sample{5, 6} {
+		s.Add(v)
+	}
 	s.Reset()
 	if s.Len() != 0 || s.Mean() != 0 || s.Min() != 0 {
 		t.Fatal("Reset did not clear series")
@@ -72,7 +80,9 @@ func TestReset(t *testing.T) {
 
 func TestRowAndFormatTable(t *testing.T) {
 	var s Series
-	s.AddAll([]Sample{-10, 0, 10})
+	for _, v := range []Sample{-10, 0, 10} {
+		s.Add(v)
+	}
 	row := s.Row("HRC (light)")
 	if row.Label != "HRC (light)" || row.N != 3 || row.Min != -10 || row.Max != 10 {
 		t.Fatalf("Row = %+v", row)

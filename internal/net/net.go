@@ -202,9 +202,6 @@ func New(cfg Config) *Network {
 	return n
 }
 
-// Nodes returns the node count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
 // Lookahead is the conservative window bound: the minimum one-way
 // latency. A cluster advancing its nodes in windows of at most this
 // width never needs to roll a node back for a late message.

@@ -131,19 +131,6 @@ func (p *Plane) FlightDumps() []FlightDump {
 	return out
 }
 
-// FlightDump looks a dump up by name, returning a deep copy.
-func (p *Plane) FlightDump(name string) (FlightDump, bool) {
-	if p == nil {
-		return FlightDump{}, false
-	}
-	for _, d := range p.frDumps {
-		if d.Name == name {
-			return copyDump(d), true
-		}
-	}
-	return FlightDump{}, false
-}
-
 func copyDump(d *FlightDump) FlightDump {
 	out := *d
 	out.Spans = append([]Span(nil), d.Spans...)

@@ -27,9 +27,9 @@ func TestFlightRecorderCapturesWindow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		p.Deploy(at(30*time.Millisecond), "post", "U", "")
 	}
-	d2, ok := p.FlightDump(d.Name)
-	if !ok || !d2.Complete() || len(d2.Spans) != 7 {
-		t.Fatalf("post-window wrong: ok=%v complete=%v spans=%d", ok, d2.Complete(), len(d2.Spans))
+	d2 := p.FlightDumps()[0]
+	if d2.Name != d.Name || !d2.Complete() || len(d2.Spans) != 7 {
+		t.Fatalf("post-window wrong: name=%q complete=%v spans=%d", d2.Name, d2.Complete(), len(d2.Spans))
 	}
 	wantAt := at(20 * time.Millisecond)
 	if d2.At != wantAt {
@@ -74,9 +74,6 @@ func TestTriggerFlightExplicitAndDedupe(t *testing.T) {
 	if d.Name != "split-brain-calc" || d.Trigger != 0 || d.At != at(time.Millisecond) {
 		t.Fatalf("explicit dump: %+v", d)
 	}
-	if _, ok := p.FlightDump("ghost"); ok {
-		t.Fatal("FlightDump returned a dump for an unknown name")
-	}
 }
 
 func TestFlightRecorderDisabled(t *testing.T) {
@@ -105,7 +102,7 @@ func TestFlightDumpsAreCopies(t *testing.T) {
 		t.Fatal("empty dump")
 	}
 	d.Spans[0].Component = "clobbered"
-	fresh, _ := p.FlightDump(d.Name)
+	fresh := p.FlightDumps()[0]
 	if fresh.Spans[0].Component == "clobbered" {
 		t.Fatal("FlightDumps exposed internal storage")
 	}

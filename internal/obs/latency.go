@@ -10,7 +10,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -20,7 +19,7 @@ import (
 type LatencyKind int
 
 // Latency kinds. The enum order is the committed canonical export order
-// (Snapshot and SummaryJSON list histograms in this order).
+// (Snapshot and LatencyStats list histograms in this order).
 const (
 	// LatResolve is the wall time of one resolve drain (runResolve).
 	LatResolve LatencyKind = iota
@@ -63,16 +62,6 @@ func (p *Plane) RecordLatency(k LatencyKind, ns int64) {
 	p.latMu.Lock()
 	p.lat[k].Observe(ns)
 	p.latMu.Unlock()
-}
-
-// Latency returns a copy of one kind's histogram.
-func (p *Plane) Latency(k LatencyKind) metrics.Log2Hist {
-	if p == nil || k < 0 || k >= latKinds {
-		return metrics.Log2Hist{}
-	}
-	p.latMu.Lock()
-	defer p.latMu.Unlock()
-	return p.lat[k]
 }
 
 // LatencyStat is the exported summary of one latency distribution.
@@ -141,30 +130,4 @@ func MergeLatencyStats(planes ...*Plane) []LatencyStat {
 		})
 	}
 	return out
-}
-
-// latencySummary is the SummaryJSON document shape.
-type latencySummary struct {
-	Node    string        `json:"node,omitempty"`
-	Latency []LatencyStat `json:"latency"`
-}
-
-// SummaryJSON renders the latency summary as stable JSON: fixed field
-// order, histograms in the committed canonical kind order, 2-space
-// indent, trailing newline. Intended for machine consumers (exporters,
-// the bench reports); unlike Snapshot it carries only the latency
-// distributions and the plane's node identity.
-func (p *Plane) SummaryJSON() ([]byte, error) {
-	doc := latencySummary{Latency: p.LatencyStats()}
-	if p != nil {
-		doc.Node = p.node
-	}
-	if doc.Latency == nil {
-		doc.Latency = []LatencyStat{}
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"testing"
 )
 
@@ -73,38 +72,6 @@ func TestMergeLatencyStats(t *testing.T) {
 	}
 	if merged[0].MaxNS != 400 {
 		t.Fatalf("deploy merged max %d, want 400", merged[0].MaxNS)
-	}
-}
-
-// SummaryJSON is a committed export format: stable key order, 2-space
-// indent, trailing newline, empty latency as [] not null.
-func TestSummaryJSONStable(t *testing.T) {
-	p := NewPlane(Options{Node: "n3"})
-	emptyBytes, err := p.SummaryJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(emptyBytes) != "{\n  \"node\": \"n3\",\n  \"latency\": []\n}\n" {
-		t.Fatalf("empty summary drifted:\n%q", emptyBytes)
-	}
-	p.RecordLatency(LatDeploy, 2048)
-	out, err := p.SummaryJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Node    string        `json:"node"`
-		Latency []LatencyStat `json:"latency"`
-	}
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("summary not valid JSON: %v\n%s", err, out)
-	}
-	if decoded.Node != "n3" || len(decoded.Latency) != 1 || decoded.Latency[0].Name != "deploy" {
-		t.Fatalf("summary content: %+v", decoded)
-	}
-	again, err := p.SummaryJSON()
-	if err != nil || string(again) != string(out) {
-		t.Fatal("SummaryJSON not reproducible")
 	}
 }
 

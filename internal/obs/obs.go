@@ -204,7 +204,7 @@ func (s Span) String() string {
 
 // Options parameterise a Plane.
 type Options struct {
-	// Level is the initial sampling level (zero value: Sampled).
+	// Level is the sampling level (zero value: Sampled).
 	Level Level
 	// Capacity is the span ring size (default 8192). Old spans are
 	// evicted by ID; the running digest is unaffected by eviction.
@@ -313,25 +313,6 @@ func NewPlane(o Options) *Plane {
 		frPost:   flightPost,
 		frMax:    flightMax,
 	}
-}
-
-// Level returns the current sampling level.
-func (p *Plane) Level() Level {
-	if p == nil {
-		return Off
-	}
-	return p.level
-}
-
-// SetLevel switches the sampling level at run time; Full attaches the
-// scheduler trace bridge on the bound kernel, any other level detaches
-// it.
-func (p *Plane) SetLevel(l Level) {
-	if p == nil {
-		return
-	}
-	p.level = l
-	p.syncKernelSink()
 }
 
 // BindKernel attaches the plane to the kernel whose clock, tasks, CPUs
@@ -888,16 +869,8 @@ func (p *Plane) Digest() string {
 func (p *Plane) Observer() Observer { return Observer{p: p} }
 
 // Observer is the read-only face of the plane — what System.Observer()
-// hands to management clients (console commands, exporters). Level
-// control is part of the management interface; everything else only
-// reads.
+// hands to management clients (console commands, exporters).
 type Observer struct{ p *Plane }
-
-// Level returns the sampling level.
-func (o Observer) Level() Level { return o.p.Level() }
-
-// SetLevel switches the sampling level.
-func (o Observer) SetLevel(l Level) { o.p.SetLevel(l) }
 
 // Spans copies every retained span, oldest first.
 func (o Observer) Spans() []Span { return o.p.Spans() }
@@ -911,30 +884,11 @@ func (o Observer) NextID() SpanID { return o.p.NextID() }
 // Span looks a span up by ID.
 func (o Observer) Span(id SpanID) (Span, bool) { return o.p.Span(id) }
 
-// Last returns a component's most recent span.
-func (o Observer) Last(component string) (Span, bool) { return o.p.Last(component) }
-
 // Why reconstructs a component's causal chain, newest first.
 func (o Observer) Why(component string) []Span { return o.p.Why(component) }
 
 // Snapshot assembles the stable-ordered metrics snapshot.
 func (o Observer) Snapshot() Snapshot { return o.p.Snapshot() }
 
-// Digest is the span-stream digest (IDs and cause edges included).
-func (o Observer) Digest() string { return o.p.Digest() }
-
-// Node reports the plane's federated identity name ("" single-node).
-func (o Observer) Node() string { return o.p.Node() }
-
-// LatencyStats summarises the non-empty latency histograms in the
-// committed canonical kind order.
-func (o Observer) LatencyStats() []LatencyStat { return o.p.LatencyStats() }
-
-// SummaryJSON renders the stable latency-summary export.
-func (o Observer) SummaryJSON() ([]byte, error) { return o.p.SummaryJSON() }
-
 // FlightDumps returns the retained flight-recorder dumps, oldest first.
 func (o Observer) FlightDumps() []FlightDump { return o.p.FlightDumps() }
-
-// FlightDump looks a flight-recorder dump up by name.
-func (o Observer) FlightDump(name string) (FlightDump, bool) { return o.p.FlightDump(name) }

@@ -65,8 +65,8 @@ func TestOffLevelEmitsNothing(t *testing.T) {
 	}
 	nilPlane.PushCause(1)
 	nilPlane.PopCause()
-	if nilPlane.Level() != Off {
-		t.Fatal("nil plane level must read Off")
+	if got := nilPlane.Snapshot().Level; got != Off.String() {
+		t.Fatalf("nil plane level reads %s, want off", got)
 	}
 }
 
@@ -410,21 +410,18 @@ func TestSnapshotCountersAndEncode(t *testing.T) {
 		t.Fatalf("per-component counters: %+v", s.Components)
 	}
 
-	data, err := s.Encode()
+	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[len(data)-1] != '\n' {
-		t.Fatal("Encode must end with a newline")
-	}
 	var round Snapshot
 	if err := json.Unmarshal(data, &round); err != nil {
-		t.Fatalf("Encode produced invalid JSON: %v", err)
+		t.Fatalf("snapshot encodes to invalid JSON: %v", err)
 	}
 	if round.Lifecycle != s.Lifecycle || round.Digest != s.Digest {
 		t.Fatal("snapshot did not survive a JSON round trip")
 	}
-	data2, _ := p.Snapshot().Encode()
+	data2, _ := json.Marshal(p.Snapshot())
 	if string(data) != string(data2) {
 		t.Fatal("two snapshots of the same state encode differently")
 	}
@@ -451,22 +448,15 @@ func TestDepthSeriesCapped(t *testing.T) {
 func TestObserverDelegates(t *testing.T) {
 	p := NewPlane(Options{})
 	o := p.Observer()
-	p.Deploy(at(0), "calc", "UNSATISFIED", "")
-	if o.Level() != Sampled {
-		t.Fatalf("observer level = %v", o.Level())
-	}
-	o.SetLevel(Full)
-	if p.Level() != Full {
-		t.Fatal("observer SetLevel did not reach the plane")
-	}
-	if len(o.Spans()) != 1 || o.NextID() != 2 {
+	id := p.Deploy(at(0), "calc", "UNSATISFIED", "")
+	if len(o.Spans()) != 1 || o.NextID() != 2 || len(o.SpansSince(id)) != 1 {
 		t.Fatal("observer span reads disagree with the plane")
 	}
-	if _, ok := o.Last("calc"); !ok {
-		t.Fatal("observer Last failed")
+	if s, ok := o.Span(id); !ok || s.Component != "calc" {
+		t.Fatal("observer Span lookup failed")
 	}
-	if o.Digest() != p.Digest() {
-		t.Fatal("observer digest disagrees with the plane")
+	if len(o.Why("calc")) != 1 {
+		t.Fatal("observer Why disagrees with the plane")
 	}
 	if o.Snapshot().SpansEmitted != 1 {
 		t.Fatal("observer snapshot disagrees with the plane")

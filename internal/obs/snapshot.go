@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -299,16 +298,6 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Encode renders the snapshot as indented JSON with a trailing newline,
-// the same convention as the committed bench reports.
-func (s Snapshot) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // Format renders the snapshot as the console `metrics` table.

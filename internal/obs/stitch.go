@@ -33,14 +33,6 @@ type Ref struct {
 // IsZero reports whether the reference is empty.
 func (r Ref) IsZero() bool { return r.ID == 0 }
 
-// Node reports the plane's federated identity name ("" when unset).
-func (p *Plane) Node() string {
-	if p == nil {
-		return ""
-	}
-	return p.node
-}
-
 // SetRemoteCause installs the ambient remote cause: until the matching
 // ClearRemoteCause, every span emitted without a local cause is linked
 // to r in the remote-parent table. The cluster delivery path scopes it
@@ -58,15 +50,6 @@ func (p *Plane) ClearRemoteCause() {
 		return
 	}
 	p.rcause = Ref{}
-}
-
-// LinkRemote records r as the remote parent of local span id explicitly
-// (the non-ambient form of SetRemoteCause).
-func (p *Plane) LinkRemote(id SpanID, r Ref) {
-	if !p.enabled() || id == 0 || r.IsZero() {
-		return
-	}
-	p.linkRemote(id, r)
 }
 
 func (p *Plane) linkRemote(id SpanID, r Ref) {

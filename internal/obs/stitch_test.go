@@ -133,8 +133,8 @@ func TestStitchWhyBoundsHops(t *testing.T) {
 	b := NewPlane(Options{Node: "b"})
 	ida := a.Deploy(at(0), "calc", "U", "")
 	idb := b.Deploy(at(0), "calc", "U", "")
-	a.LinkRemote(ida, Ref{Node: "b", ID: idb})
-	b.LinkRemote(idb, Ref{Node: "a", ID: ida})
+	a.linkRemote(ida, Ref{Node: "b", ID: idb})
+	b.linkRemote(idb, Ref{Node: "a", ID: ida})
 	chain := StitchWhy(map[string]*Plane{"a": a, "b": b}, "a", "calc")
 	if len(chain) == 0 || len(chain) > stitchMax {
 		t.Fatalf("cyclic stitch produced %d hops (max %d)", len(chain), stitchMax)

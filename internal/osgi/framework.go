@@ -120,27 +120,6 @@ func (fw *Framework) BundleByName(symbolicName string) *Bundle {
 	return best
 }
 
-// Bundle returns the bundle with the given id, or nil.
-func (fw *Framework) Bundle(id int64) *Bundle {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	return fw.bundles[id]
-}
-
-// RegisterService publishes a framework-level service not owned by any
-// bundle (used by the runtime itself and by tests).
-func (fw *Framework) RegisterService(interfaces []string, object any, props ldap.Properties) (*ServiceRegistration, error) {
-	return fw.registerService(nil, interfaces, object, props)
-}
-
-// ServiceReferences returns matching live references, best first.
-func (fw *Framework) ServiceReferences(iface string, filter *ldap.Filter) []*ServiceReference {
-	return fw.getServiceReferences(iface, filter)
-}
-
-// Service dereferences a service reference, or nil.
-func (fw *Framework) Service(ref *ServiceReference) any { return fw.getService(ref) }
-
 // AddBundleListener subscribes to bundle events. The returned function
 // unsubscribes; calling it more than once is harmless.
 func (fw *Framework) AddBundleListener(l BundleListener) (remove func()) {
@@ -233,8 +212,6 @@ func (fw *Framework) startBundle(b *Bundle) error {
 		resolvedNow = true
 	}
 	b.state = Starting
-	ctx := &Context{bundle: b, fw: fw, valid: true}
-	b.ctx = ctx
 	fw.mu.Unlock()
 
 	if resolvedNow {
@@ -243,11 +220,9 @@ func (fw *Framework) startBundle(b *Bundle) error {
 	fw.dispatchBundleEvent(BundleEvent{Type: BundleStarting, Bundle: b})
 
 	if act := b.def.Activator; act != nil {
-		if err := act.Start(ctx); err != nil {
+		if err := act.Start(); err != nil {
 			fw.mu.Lock()
 			b.state = Resolved
-			ctx.valid = false
-			b.ctx = nil
 			fw.mu.Unlock()
 			return fmt.Errorf("osgi: activator of %s failed: %w", b.SymbolicName(), err)
 		}
@@ -271,30 +246,15 @@ func (fw *Framework) stopBundle(b *Bundle) error {
 		return fmt.Errorf("osgi: cannot stop bundle %s in state %v", b.SymbolicName(), state)
 	}
 	b.state = Stopping
-	ctx := b.ctx
 	fw.mu.Unlock()
 	fw.dispatchBundleEvent(BundleEvent{Type: BundleStopping, Bundle: b})
 
 	var actErr error
 	if act := b.def.Activator; act != nil {
-		actErr = act.Stop(ctx)
-	}
-	// Unregister any services the bundle left behind, newest first.
-	fw.mu.Lock()
-	regs := b.regs
-	b.regs = nil
-	fw.mu.Unlock()
-	for i := len(regs) - 1; i >= 0; i-- {
-		// The only error is ErrServiceUnregistered: the bundle already
-		// withdrew this service itself.
-		_ = regs[i].Unregister()
+		actErr = act.Stop()
 	}
 	fw.mu.Lock()
 	b.state = Resolved
-	if b.ctx != nil {
-		b.ctx.valid = false
-		b.ctx = nil
-	}
 	fw.mu.Unlock()
 	fw.dispatchBundleEvent(BundleEvent{Type: BundleStopped, Bundle: b})
 	if actErr != nil {
@@ -336,36 +296,6 @@ func (fw *Framework) uninstallBundle(b *Bundle) error {
 		fw.dispatchBundleEvent(BundleEvent{Type: BundleUnresolved, Bundle: u})
 	}
 	fw.dispatchBundleEvent(BundleEvent{Type: BundleUninstalled, Bundle: b})
-	return nil
-}
-
-// updateBundle swaps in a new definition, preserving the bundle id. An
-// active bundle is stopped first and restarted afterwards (OSGi update
-// semantics).
-func (fw *Framework) updateBundle(b *Bundle, def Definition) error {
-	if def.Manifest == nil {
-		return errors.New("osgi: update without manifest")
-	}
-	wasActive := b.State() == Active
-	if wasActive {
-		if err := fw.stopBundle(b); err != nil {
-			return fmt.Errorf("osgi: stopping for update: %w", err)
-		}
-	}
-	fw.mu.Lock()
-	if b.state == Uninstalled {
-		fw.mu.Unlock()
-		return errors.New("osgi: cannot update uninstalled bundle")
-	}
-	b.def = def
-	b.persists = true
-	b.wires = map[string]*Bundle{}
-	b.state = Installed
-	fw.mu.Unlock()
-	fw.dispatchBundleEvent(BundleEvent{Type: BundleUpdated, Bundle: b})
-	if wasActive {
-		return fw.startBundle(b)
-	}
 	return nil
 }
 

@@ -14,21 +14,17 @@ type testActivator struct {
 	started, stopped int
 	failStart        bool
 	failStop         bool
-	onStart          func(ctx *Context) error
 }
 
-func (a *testActivator) Start(ctx *Context) error {
+func (a *testActivator) Start() error {
 	a.started++
 	if a.failStart {
 		return errors.New("boom on start")
 	}
-	if a.onStart != nil {
-		return a.onStart(ctx)
-	}
 	return nil
 }
 
-func (a *testActivator) Stop(ctx *Context) error {
+func (a *testActivator) Stop() error {
 	a.stopped++
 	if a.failStop {
 		return errors.New("boom on stop")
@@ -56,7 +52,7 @@ func TestInstallAssignsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.ID() == b2.ID() {
+	if b1.id == b2.id {
 		t.Fatal("duplicate bundle ids")
 	}
 	if b1.State() != Installed {
@@ -217,8 +213,7 @@ func TestResolutionWiring(t *testing.T) {
 	if err := impB.Start(); err != nil {
 		t.Fatal(err)
 	}
-	wired, ok := impB.WiredTo("ua.pats.rt")
-	if !ok || wired != expB {
+	if wired := impB.wires["ua.pats.rt"]; wired != expB {
 		t.Fatalf("wired to %v", wired)
 	}
 }
@@ -249,7 +244,7 @@ func TestOptionalImportLeftUnwired(t *testing.T) {
 	if err := b.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.WiredTo("maybe.pkg"); ok {
+	if _, ok := b.wires["maybe.pkg"]; ok {
 		t.Fatal("optional import wired to nothing?")
 	}
 }
@@ -266,10 +261,10 @@ func TestResolutionPrefersHighestVersion(t *testing.T) {
 	imp := manifest.New("importer", manifest.MustParseVersion("1.0"))
 	imp.Imports = []manifest.PackageImport{{Name: "pkg", Range: manifest.AnyVersion}}
 	b, _ := fw.Install(Definition{Manifest: imp})
-	if err := fw.Resolve(b); err != nil {
+	if err := resolve(fw, b); err != nil {
 		t.Fatal(err)
 	}
-	wired, _ := b.WiredTo("pkg")
+	wired := b.wires["pkg"]
 	if wired.SymbolicName() != "exp-1.5" {
 		t.Fatalf("wired to %s, want exp-1.5", wired.SymbolicName())
 	}
@@ -283,7 +278,7 @@ func TestUninstallExporterUnresolvesImporter(t *testing.T) {
 	imp := manifest.New("importer", manifest.MustParseVersion("1.0"))
 	imp.Imports = []manifest.PackageImport{{Name: "pkg", Range: manifest.AnyVersion}}
 	impB, _ := fw.Install(Definition{Manifest: imp})
-	if err := fw.Resolve(impB); err != nil {
+	if err := resolve(fw, impB); err != nil {
 		t.Fatal(err)
 	}
 	var unresolvedSeen bool
@@ -300,42 +295,6 @@ func TestUninstallExporterUnresolvesImporter(t *testing.T) {
 	}
 	if !unresolvedSeen {
 		t.Fatal("no UNRESOLVED event for importer")
-	}
-}
-
-func TestUpdateRestartsActiveBundle(t *testing.T) {
-	fw := NewFramework()
-	act1 := &testActivator{}
-	b, _ := fw.Install(defWithActivator("a", "1.0", act1))
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	act2 := &testActivator{}
-	if err := b.Update(defWithActivator("a", "1.1", act2)); err != nil {
-		t.Fatal(err)
-	}
-	if act1.stopped != 1 {
-		t.Fatal("old activator not stopped on update")
-	}
-	if act2.started != 1 {
-		t.Fatal("new activator not started on update")
-	}
-	if b.Version() != manifest.MustParseVersion("1.1") {
-		t.Fatalf("version after update = %v", b.Version())
-	}
-	if b.State() != Active {
-		t.Fatalf("state after update = %v", b.State())
-	}
-}
-
-func TestUpdateInstalledBundleStaysInstalled(t *testing.T) {
-	fw := NewFramework()
-	b, _ := fw.Install(def("a", "1.0"))
-	if err := b.Update(def("a", "1.1")); err != nil {
-		t.Fatal(err)
-	}
-	if b.State() != Installed {
-		t.Fatalf("state = %v", b.State())
 	}
 }
 
@@ -376,22 +335,6 @@ func TestBundleByName(t *testing.T) {
 	b2, _ := fw.Install(def("a", "2.0"))
 	if got := fw.BundleByName("a"); got != b2 {
 		t.Fatalf("BundleByName picked %v, want highest version", got)
-	}
-}
-
-func TestContextInvalidAfterStop(t *testing.T) {
-	fw := NewFramework()
-	var ctx *Context
-	act := &testActivator{onStart: func(c *Context) error { ctx = c; return nil }}
-	b, _ := fw.Install(defWithActivator("a", "1.0", act))
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctx.RegisterService([]string{"x"}, struct{}{}, nil); err == nil {
-		t.Fatal("stale context registered a service")
 	}
 }
 

@@ -18,28 +18,6 @@ func (e *ResolutionError) Error() string {
 		e.Bundle.SymbolicName(), strings.Join(e.Missing, ", "))
 }
 
-// Resolve attempts to wire the bundle's package imports against the
-// exports of other installed (non-uninstalled) bundles, moving it from
-// Installed to Resolved. Resolving an already-resolved bundle is a no-op.
-func (fw *Framework) Resolve(b *Bundle) error {
-	fw.mu.Lock()
-	if b.state != Installed {
-		state := b.state
-		fw.mu.Unlock()
-		if state == Resolved || state == Starting || state == Active || state == Stopping {
-			return nil
-		}
-		return fmt.Errorf("osgi: cannot resolve bundle in state %v", state)
-	}
-	err := fw.resolveLocked(b)
-	fw.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	fw.dispatchBundleEvent(BundleEvent{Type: BundleResolved, Bundle: b})
-	return nil
-}
-
 // resolveLocked wires imports while fw.mu is held. On success the bundle
 // transitions to Resolved; on failure its state and wires are unchanged.
 func (fw *Framework) resolveLocked(b *Bundle) error {

@@ -29,15 +29,22 @@ func importer(t *testing.T, fw *Framework, symbolic, pkg, rng string) *Bundle {
 	return b
 }
 
+// resolve wires b's imports as Start does, without starting it.
+func resolve(fw *Framework, b *Bundle) error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.resolveLocked(b)
+}
+
 func TestResolverHonoursVersionRange(t *testing.T) {
 	fw := NewFramework()
 	exporter(t, fw, "old", "pkg", "1.0")
 	exporter(t, fw, "new", "pkg", "3.0")
 	imp := importer(t, fw, "imp", "pkg", "[1.0,2.0)")
-	if err := fw.Resolve(imp); err != nil {
+	if err := resolve(fw, imp); err != nil {
 		t.Fatal(err)
 	}
-	wired, _ := imp.WiredTo("pkg")
+	wired := imp.wires["pkg"]
 	if wired.SymbolicName() != "old" {
 		t.Fatalf("wired to %s; 3.0 is outside [1.0,2.0)", wired.SymbolicName())
 	}
@@ -48,10 +55,10 @@ func TestResolverTieBreaksToOldestBundle(t *testing.T) {
 	first := exporter(t, fw, "first", "pkg", "1.0")
 	exporter(t, fw, "second", "pkg", "1.0")
 	imp := importer(t, fw, "imp", "pkg", "")
-	if err := fw.Resolve(imp); err != nil {
+	if err := resolve(fw, imp); err != nil {
 		t.Fatal(err)
 	}
-	wired, _ := imp.WiredTo("pkg")
+	wired := imp.wires["pkg"]
 	if wired != first {
 		t.Fatalf("wired to %s, want the oldest bundle", wired.SymbolicName())
 	}
@@ -66,7 +73,7 @@ func TestResolverIgnoresSelfExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Resolve(b); err == nil {
+	if err := resolve(fw, b); err == nil {
 		t.Fatal("bundle satisfied its own import")
 	}
 }
@@ -82,7 +89,7 @@ func TestResolveErrorNamesMissingImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = fw.Resolve(b)
+	err = resolve(fw, b)
 	if err == nil {
 		t.Fatal("resolved with missing imports")
 	}
@@ -90,52 +97,6 @@ func TestResolveErrorNamesMissingImports(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
-	}
-}
-
-func TestResolveIdempotentOnResolved(t *testing.T) {
-	fw := NewFramework()
-	b, err := fw.Install(def("plain", "1.0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Resolve(b); err != nil {
-		t.Fatal(err)
-	}
-	if b.State() != Resolved {
-		t.Fatalf("state = %v", b.State())
-	}
-	if err := fw.Resolve(b); err != nil {
-		t.Fatal(err)
-	}
-	// Resolving an uninstalled bundle fails.
-	if err := b.Uninstall(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Resolve(b); err == nil {
-		t.Fatal("resolved an uninstalled bundle")
-	}
-}
-
-func TestUpdateClearsWires(t *testing.T) {
-	fw := NewFramework()
-	exporter(t, fw, "exp", "pkg", "1.0")
-	imp := importer(t, fw, "imp", "pkg", "")
-	if err := fw.Resolve(imp); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := imp.WiredTo("pkg"); !ok {
-		t.Fatal("not wired")
-	}
-	// Update to a definition without imports: old wires must vanish.
-	if err := imp.Update(def("imp", "2.0")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := imp.WiredTo("pkg"); ok {
-		t.Fatal("stale wire survived update")
-	}
-	if imp.State() != Installed {
-		t.Fatalf("state after update = %v", imp.State())
 	}
 }
 

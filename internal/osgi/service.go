@@ -2,7 +2,6 @@ package osgi
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"repro/internal/ldap"
@@ -29,40 +28,15 @@ type ServiceReference struct {
 	interfaces   []string
 	props        ldap.Properties
 	object       any
-	bundle       *Bundle
 	fw           *Framework
 	unregistered bool
 }
-
-// ID returns the framework-assigned service.id.
-func (r *ServiceReference) ID() int64 { return r.id }
-
-// Interfaces returns the service's published interface names.
-func (r *ServiceReference) Interfaces() []string {
-	out := make([]string, len(r.interfaces))
-	copy(out, r.interfaces)
-	return out
-}
-
-// Bundle returns the registering bundle.
-func (r *ServiceReference) Bundle() *Bundle { return r.bundle }
 
 // Property returns a service property (case-insensitive key), or nil.
 func (r *ServiceReference) Property(key string) any {
 	r.fw.mu.Lock()
 	defer r.fw.mu.Unlock()
 	return lookupProp(r.props, key)
-}
-
-// Properties returns a copy of all service properties.
-func (r *ServiceReference) Properties() ldap.Properties {
-	r.fw.mu.Lock()
-	defer r.fw.mu.Unlock()
-	out := make(ldap.Properties, len(r.props))
-	for k, v := range r.props {
-		out[k] = v
-	}
-	return out
 }
 
 func lookupProp(props ldap.Properties, key string) any {
@@ -96,9 +70,6 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// Reference returns the consumer-side view of the registration.
-func (sr *ServiceRegistration) Reference() *ServiceReference { return sr.ref }
-
 // Unregister withdraws the service. Listeners observe ServiceUnregistering
 // before the reference becomes invalid.
 func (sr *ServiceRegistration) Unregister() error {
@@ -118,8 +89,9 @@ func (sr *ServiceRegistration) Unregister() error {
 	return nil
 }
 
-// registerService publishes object under the given interface names.
-func (fw *Framework) registerService(b *Bundle, interfaces []string, object any, props ldap.Properties) (*ServiceRegistration, error) {
+// RegisterService publishes object in the framework's registry under the
+// given interface names.
+func (fw *Framework) RegisterService(interfaces []string, object any, props ldap.Properties) (*ServiceRegistration, error) {
 	if len(interfaces) == 0 {
 		return nil, errors.New("osgi: service must declare at least one interface")
 	}
@@ -127,10 +99,6 @@ func (fw *Framework) registerService(b *Bundle, interfaces []string, object any,
 		return nil, errors.New("osgi: nil service object")
 	}
 	fw.mu.Lock()
-	if b != nil && (b.state != Active && b.state != Starting && b.state != Stopping) {
-		fw.mu.Unlock()
-		return nil, fmt.Errorf("osgi: bundle %s in state %v cannot register services", b.SymbolicName(), b.state)
-	}
 	id := fw.nextServiceID
 	fw.nextServiceID++
 	all := make(ldap.Properties, len(props)+2)
@@ -146,7 +114,6 @@ func (fw *Framework) registerService(b *Bundle, interfaces []string, object any,
 		interfaces: ifaces,
 		props:      all,
 		object:     object,
-		bundle:     b,
 		fw:         fw,
 	}
 	fw.services[id] = ref
@@ -155,10 +122,10 @@ func (fw *Framework) registerService(b *Bundle, interfaces []string, object any,
 	return &ServiceRegistration{ref: ref}, nil
 }
 
-// getServiceReferences returns live references exposing iface (empty
+// ServiceReferences returns live references exposing iface (empty
 // string = any) whose properties satisfy filter, best-first: higher
 // service.ranking wins, ties broken by lower service.id (older service).
-func (fw *Framework) getServiceReferences(iface string, filter *ldap.Filter) []*ServiceReference {
+func (fw *Framework) ServiceReferences(iface string, filter *ldap.Filter) []*ServiceReference {
 	fw.mu.Lock()
 	var refs []*ServiceReference
 	for _, ref := range fw.services {
@@ -200,8 +167,8 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
-// getService dereferences a service object; nil if unregistered.
-func (fw *Framework) getService(ref *ServiceReference) any {
+// Service dereferences a service reference; nil if unregistered.
+func (fw *Framework) Service(ref *ServiceReference) any {
 	if ref == nil {
 		return nil
 	}

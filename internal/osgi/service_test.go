@@ -10,33 +10,19 @@ import (
 
 type dummyService struct{ name string }
 
-func activeBundle(t *testing.T, fw *Framework, name string) (*Bundle, *Context) {
-	t.Helper()
-	var ctx *Context
-	act := &testActivator{onStart: func(c *Context) error { ctx = c; return nil }}
-	b, err := fw.Install(defWithActivator(name, "1.0", act))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return b, ctx
-}
-
 func TestRegisterAndGetService(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "provider")
 	svc := &dummyService{name: "one"}
-	reg, err := ctx.RegisterService([]string{"demo.Service"}, svc, ldap.Properties{"flavour": "vanilla"})
+	reg, err := fw.RegisterService([]string{"demo.Service"}, svc, ldap.Properties{"flavour": "vanilla"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := ctx.ServiceReference("demo.Service")
-	if ref == nil {
-		t.Fatal("no reference found")
+	refs := fw.ServiceReferences("demo.Service", nil)
+	if len(refs) != 1 {
+		t.Fatalf("refs = %d, want 1", len(refs))
 	}
-	if got := ctx.Service(ref); got != svc {
+	ref := refs[0]
+	if got := fw.Service(ref); got != svc {
 		t.Fatalf("Service = %v", got)
 	}
 	if got := ref.Property("flavour"); got != "vanilla" {
@@ -45,53 +31,41 @@ func TestRegisterAndGetService(t *testing.T) {
 	if got := ref.Property("FLAVOUR"); got != "vanilla" {
 		t.Fatalf("case-insensitive Property = %v", got)
 	}
-	if ref.ID() <= 0 {
-		t.Fatalf("service id = %d", ref.ID())
+	if ref.id <= 0 {
+		t.Fatalf("service id = %d", ref.id)
 	}
-	if reg.Reference() != ref {
+	if reg.ref != ref {
 		t.Fatal("registration reference mismatch")
 	}
 }
 
 func TestRegisterValidation(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	if _, err := ctx.RegisterService(nil, &dummyService{}, nil); err == nil {
+	if _, err := fw.RegisterService(nil, &dummyService{}, nil); err == nil {
 		t.Fatal("no interfaces accepted")
 	}
-	if _, err := ctx.RegisterService([]string{"i"}, nil, nil); err == nil {
+	if _, err := fw.RegisterService([]string{"i"}, nil, nil); err == nil {
 		t.Fatal("nil object accepted")
-	}
-}
-
-func TestRegisterFromNonActiveBundleRejected(t *testing.T) {
-	fw := NewFramework()
-	b, _ := fw.Install(def("p", "1.0"))
-	_ = b
-	// Direct framework registration on behalf of an installed bundle.
-	if _, err := fw.registerService(b, []string{"i"}, &dummyService{}, nil); err == nil {
-		t.Fatal("installed (not started) bundle registered a service")
 	}
 }
 
 func TestServiceFilterQuery(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{"a"}, ldap.Properties{"grade": 1}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{"a"}, ldap.Properties{"grade": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{"b"}, ldap.Properties{"grade": 2}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{"b"}, ldap.Properties{"grade": 2}); err != nil {
 		t.Fatal(err)
 	}
-	refs := ctx.ServiceReferences("i", ldap.MustParse("(grade>=2)"))
+	refs := fw.ServiceReferences("i", ldap.MustParse("(grade>=2)"))
 	if len(refs) != 1 {
 		t.Fatalf("filtered refs = %d, want 1", len(refs))
 	}
-	if svc := ctx.Service(refs[0]).(*dummyService); svc.name != "b" {
+	if svc := fw.Service(refs[0]).(*dummyService); svc.name != "b" {
 		t.Fatalf("got %q", svc.name)
 	}
 	// objectClass is queryable, spec-style.
-	refs = ctx.ServiceReferences("", ldap.MustParse("(objectClass=i)"))
+	refs = fw.ServiceReferences("", ldap.MustParse("(objectClass=i)"))
 	if len(refs) != 2 {
 		t.Fatalf("objectClass query = %d, want 2", len(refs))
 	}
@@ -99,26 +73,25 @@ func TestServiceFilterQuery(t *testing.T) {
 
 func TestServiceRankingOrder(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{"low"}, ldap.Properties{PropServiceRanking: 1}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{"low"}, ldap.Properties{PropServiceRanking: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{"high"}, ldap.Properties{PropServiceRanking: 9}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{"high"}, ldap.Properties{PropServiceRanking: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{"default"}, nil); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{"default"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	refs := ctx.ServiceReferences("i", nil)
+	refs := fw.ServiceReferences("i", nil)
 	if len(refs) != 3 {
 		t.Fatalf("refs = %d", len(refs))
 	}
-	first := ctx.Service(refs[0]).(*dummyService)
+	first := fw.Service(refs[0]).(*dummyService)
 	if first.name != "high" {
 		t.Fatalf("best ref = %q, want high", first.name)
 	}
 	// Equal ranking ties break to oldest (lowest id).
-	last := ctx.Service(refs[2]).(*dummyService)
+	last := fw.Service(refs[2]).(*dummyService)
 	if last.name != "default" {
 		t.Fatalf("worst ref = %q, want default (ranking 0)", last.name)
 	}
@@ -126,15 +99,14 @@ func TestServiceRankingOrder(t *testing.T) {
 
 func TestUnregister(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	reg, _ := ctx.RegisterService([]string{"i"}, &dummyService{}, nil)
+	reg, _ := fw.RegisterService([]string{"i"}, &dummyService{}, nil)
 	if err := reg.Unregister(); err != nil {
 		t.Fatal(err)
 	}
-	if ref := ctx.ServiceReference("i"); ref != nil {
+	if refs := fw.ServiceReferences("i", nil); len(refs) != 0 {
 		t.Fatal("unregistered service still discoverable")
 	}
-	if got := ctx.Service(reg.Reference()); got != nil {
+	if got := fw.Service(reg.ref); got != nil {
 		t.Fatal("unregistered service still dereferences")
 	}
 	if err := reg.Unregister(); !errors.Is(err, ErrServiceUnregistered) {
@@ -144,12 +116,11 @@ func TestUnregister(t *testing.T) {
 
 func TestServiceEvents(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
 	var events []ServiceEventType
-	ctx.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) {
+	fw.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) {
 		events = append(events, ev.Type)
 	}), nil)
-	reg, _ := ctx.RegisterService([]string{"i"}, &dummyService{}, nil)
+	reg, _ := fw.RegisterService([]string{"i"}, &dummyService{}, nil)
 	if err := reg.Unregister(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,15 +137,14 @@ func TestServiceEvents(t *testing.T) {
 
 func TestServiceListenerFilter(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
 	var hits int
-	ctx.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) {
+	fw.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) {
 		hits++
 	}), ldap.MustParse("(kind=rt)"))
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"kind": "rt"}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"kind": "rt"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"kind": "other"}); err != nil {
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"kind": "other"}); err != nil {
 		t.Fatal(err)
 	}
 	if hits != 1 {
@@ -184,15 +154,14 @@ func TestServiceListenerFilter(t *testing.T) {
 
 func TestRemoveServiceListener(t *testing.T) {
 	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
 	var hits int
-	remove := ctx.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) { hits++ }), nil)
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{}, nil); err != nil {
+	remove := fw.AddServiceListener(ServiceListenerFunc(func(ev ServiceEvent) { hits++ }), nil)
+	if _, err := fw.RegisterService([]string{"i"}, &dummyService{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	remove()
 	remove() // second removal is harmless
-	if _, err := ctx.RegisterService([]string{"j"}, &dummyService{}, nil); err != nil {
+	if _, err := fw.RegisterService([]string{"j"}, &dummyService{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if hits != 1 {
@@ -200,28 +169,11 @@ func TestRemoveServiceListener(t *testing.T) {
 	}
 }
 
-func TestBundleStopUnregistersItsServices(t *testing.T) {
-	fw := NewFramework()
-	b, ctx := activeBundle(t, fw, "p")
-	if _, err := ctx.RegisterService([]string{"i"}, &dummyService{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if refs := fw.ServiceReferences("i", nil); len(refs) != 0 {
-		t.Fatalf("services survive bundle stop: %d", len(refs))
-	}
-}
-
 func TestFrameworkLevelService(t *testing.T) {
 	fw := NewFramework()
-	reg, err := fw.RegisterService([]string{"sys.Service"}, &dummyService{"sys"}, nil)
+	_, err := fw.RegisterService([]string{"sys.Service"}, &dummyService{"sys"}, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if reg.Reference().Bundle() != nil {
-		t.Fatal("framework service has owning bundle")
 	}
 	refs := fw.ServiceReferences("sys.Service", nil)
 	if len(refs) != 1 {
@@ -229,17 +181,6 @@ func TestFrameworkLevelService(t *testing.T) {
 	}
 	if fw.Service(refs[0]).(*dummyService).name != "sys" {
 		t.Fatal("wrong service")
-	}
-}
-
-func TestServiceReferencePropertiesCopy(t *testing.T) {
-	fw := NewFramework()
-	_, ctx := activeBundle(t, fw, "p")
-	reg, _ := ctx.RegisterService([]string{"i"}, &dummyService{}, ldap.Properties{"a": 1})
-	props := reg.Reference().Properties()
-	props["a"] = 99
-	if got := reg.Reference().Property("a"); got != 1 {
-		t.Fatalf("Properties() not a copy: %v", got)
 	}
 }
 

@@ -133,25 +133,6 @@ func (v View) Load(cpuID int) float64 {
 	return sum
 }
 
-// Len returns the number of admitted contracts.
-func (v View) Len() int {
-	n := 0
-	for _, s := range v.cpus {
-		n += len(s)
-	}
-	return n
-}
-
-// All returns every admitted contract in name order, as a fresh slice.
-func (v View) All() []Contract {
-	out := make([]Contract, 0, v.Len())
-	for _, s := range v.cpus {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // Decision is a resolving service's verdict.
 type Decision struct {
 	Admit  bool

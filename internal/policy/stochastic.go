@@ -153,28 +153,6 @@ func (d *Dist) String() string {
 	}
 }
 
-// Mean returns the distribution's expected CPU fraction.
-func (d *Dist) Mean() float64 {
-	switch d.Kind {
-	case Normal:
-		return d.Mu
-	case LogNormal:
-		return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
-	case Empirical:
-		var sum, wsum float64
-		for i, v := range d.Values {
-			sum += v * d.Weights[i]
-			wsum += d.Weights[i]
-		}
-		if wsum <= 0 {
-			return 0
-		}
-		return sum / wsum
-	default:
-		return 0
-	}
-}
-
 // Sample draws one CPU fraction from the distribution, clamped to be
 // non-negative.
 func (d *Dist) Sample(r *sim.Rand) float64 {

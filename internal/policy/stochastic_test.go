@@ -79,7 +79,7 @@ func TestDistMeanAndSample(t *testing.T) {
 			}
 			sum += v
 		}
-		got, want := sum/n, d.Mean()
+		got, want := sum/n, distMean(d)
 		if math.Abs(got-want) > 0.02*math.Max(want, 0.1) {
 			t.Errorf("%s: sample mean %.4f, analytic mean %.4f", in, got, want)
 		}
@@ -178,5 +178,27 @@ func TestStochasticVerdictDeterministic(t *testing.T) {
 	// No stochastic participants → fall back to the constant test.
 	if _, ok := MCVerdict(1.0, 0.2, []Contract{{Name: "x", CPU: 0, CPUUsage: 0.2}}, Contract{Name: "y", CPU: 0, CPUUsage: 0.1}); ok {
 		t.Fatal("MCVerdict should report not-stochastic without distributions")
+	}
+}
+
+// distMean is the distribution's analytic mean CPU fraction.
+func distMean(d *Dist) float64 {
+	switch d.Kind {
+	case Normal:
+		return d.Mu
+	case LogNormal:
+		return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
+	case Empirical:
+		var sum, wsum float64
+		for i, v := range d.Values {
+			sum += v * d.Weights[i]
+			wsum += d.Weights[i]
+		}
+		if wsum <= 0 {
+			return 0
+		}
+		return sum / wsum
+	default:
+		return 0
 	}
 }

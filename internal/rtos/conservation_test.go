@@ -63,11 +63,11 @@ func schedulerConserves(t *testing.T, seeds [4]uint8, edf bool, quantumOn bool) 
 	for _, task := range tasks {
 		st := task.Stats()
 		// Completed jobs × exec is exact: jitter is disabled.
-		if done := time.Duration(st.Jobs) * task.Spec().ExecTime; task.ConsumedCPU() < done {
-			t.Logf("%s consumed %v < completed work %v", task.Name(), task.ConsumedCPU(), done)
+		if done := time.Duration(st.Jobs) * task.Spec().ExecTime; task.consumed < done {
+			t.Logf("%s consumed %v < completed work %v", task.Name(), task.consumed, done)
 			return false
 		}
-		consumed += task.ConsumedCPU()
+		consumed += task.consumed
 		if st.Jobs > 0 && st.Response.Min < int64(task.Spec().ExecTime) {
 			t.Logf("%s response %d < exec %v", task.Name(), st.Response.Min, task.Spec().ExecTime)
 			return false

@@ -75,7 +75,7 @@ func runShardWorkload(t testing.TB, shards int) (traceDigest, statsDigest string
 	sh := sha256.New()
 	for _, task := range k.Tasks() {
 		jobs, misses, skips := task.Counters()
-		fmt.Fprintf(sh, "%s|%d|%d|%d|%d\n", task.Name(), jobs, misses, skips, task.ConsumedCPU())
+		fmt.Fprintf(sh, "%s|%d|%d|%d|%d\n", task.Name(), jobs, misses, skips, task.consumed)
 		for _, s := range task.LatencySamples() {
 			fmt.Fprintf(sh, "%d,", s)
 		}

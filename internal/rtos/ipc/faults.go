@@ -40,13 +40,6 @@ func (m *Mailbox) SetFault(f MailboxFault) {
 	m.fault = f
 }
 
-// Fault reports the current delivery fault mode.
-func (m *Mailbox) Fault() MailboxFault {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.fault
-}
-
 // SetFrozen freezes or thaws the segment. A frozen segment silently
 // ignores writes (the generation counter stays put), so consumers keep
 // reading stale data — the port-staleness fault a freshness monitor must
@@ -55,11 +48,4 @@ func (s *SHM) SetFrozen(frozen bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.frozen = frozen
-}
-
-// Frozen reports whether the segment currently ignores writes.
-func (s *SHM) Frozen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.frozen
 }

@@ -8,16 +8,16 @@ func TestMailboxFaultModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Fault() != MailboxHealthy {
-		t.Fatalf("new mailbox fault = %v, want healthy", m.Fault())
+	if m.fault != MailboxHealthy {
+		t.Fatalf("new mailbox fault = %v, want healthy", m.fault)
 	}
 
 	m.SetFault(MailboxDropAll)
 	if err := m.Send([]byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 0 {
-		t.Errorf("drop-all mailbox holds %d messages, want 0", m.Len())
+	if len(m.q) != 0 {
+		t.Errorf("drop-all mailbox holds %d messages, want 0", len(m.q))
 	}
 	_, _, dropped := m.Stats()
 	if dropped != 1 {
@@ -28,8 +28,8 @@ func TestMailboxFaultModes(t *testing.T) {
 	if err := m.Send([]byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 2 {
-		t.Errorf("duplicate mailbox holds %d messages, want 2", m.Len())
+	if len(m.q) != 2 {
+		t.Errorf("duplicate mailbox holds %d messages, want 2", len(m.q))
 	}
 	a, _ := m.Receive()
 	b, _ := m.Receive()
@@ -41,8 +41,8 @@ func TestMailboxFaultModes(t *testing.T) {
 	if err := m.Send([]byte{3}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 1 {
-		t.Errorf("healed mailbox holds %d messages, want 1", m.Len())
+	if len(m.q) != 1 {
+		t.Errorf("healed mailbox holds %d messages, want 1", len(m.q))
 	}
 }
 
@@ -57,8 +57,8 @@ func TestMailboxDuplicateRespectsCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The original fits; the duplicate must not overflow the capacity.
-	if m.Len() != 1 {
-		t.Errorf("mailbox holds %d messages, want 1 (cap)", m.Len())
+	if len(m.q) != 1 {
+		t.Errorf("mailbox holds %d messages, want 1 (cap)", len(m.q))
 	}
 }
 
@@ -74,8 +74,8 @@ func TestSHMFreeze(t *testing.T) {
 	gen := s.Generation()
 
 	s.SetFrozen(true)
-	if !s.Frozen() {
-		t.Fatal("Frozen() = false after SetFrozen(true)")
+	if !s.frozen {
+		t.Fatal("not frozen after SetFrozen(true)")
 	}
 	if err := s.Set(0, 9); err != nil {
 		t.Fatal(err)

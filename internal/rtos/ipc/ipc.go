@@ -91,23 +91,11 @@ type SHM struct {
 	frozen bool    // fault injection: writes silently ignored (see faults.go)
 }
 
-// Name returns the segment name.
-func (s *SHM) Name() string { return s.name }
-
-// Type returns the element type.
-func (s *SHM) Type() ElemType { return s.typ }
-
 // Len returns the number of elements.
 func (s *SHM) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.words)
-}
-
-// SizeBytes returns the segment size in bytes, ElemType-scaled; this is
-// the unit the descriptor "size" attribute uses for compatibility checks.
-func (s *SHM) SizeBytes() int {
-	return s.Len() * s.typ.Size()
 }
 
 // Set writes one element.
@@ -196,19 +184,6 @@ type Mailbox struct {
 	dropped  uint64
 
 	fault MailboxFault // fault injection: delivery mode (see faults.go)
-}
-
-// Name returns the mailbox name.
-func (m *Mailbox) Name() string { return m.name }
-
-// Cap returns the capacity in messages.
-func (m *Mailbox) Cap() int { return m.cap }
-
-// Len returns the number of queued messages.
-func (m *Mailbox) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.q)
 }
 
 // Send enqueues a message without blocking; ErrFull if at capacity. The

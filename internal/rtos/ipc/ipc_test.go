@@ -47,11 +47,11 @@ func TestSHMCreateLookupDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "images" || s.Type() != Byte || s.Len() != 400 {
-		t.Fatalf("segment = %s %v %d", s.Name(), s.Type(), s.Len())
+	if s.name != "images" || s.typ != Byte || s.Len() != 400 {
+		t.Fatalf("segment = %s %v %d", s.name, s.typ, s.Len())
 	}
-	if s.SizeBytes() != 400 {
-		t.Fatalf("SizeBytes = %d", s.SizeBytes())
+	if s.Len()*s.typ.Size() != 400 {
+		t.Fatalf("size = %d bytes", s.Len()*s.typ.Size())
 	}
 	got, err := r.SHM("images")
 	if err != nil || got != s {
@@ -90,8 +90,8 @@ func TestSHMIntegerSizeBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.SizeBytes() != 400 {
-		t.Fatalf("SizeBytes = %d, want 400", s.SizeBytes())
+	if s.Len()*s.typ.Size() != 400 {
+		t.Fatalf("size = %d bytes, want 400", s.Len()*s.typ.Size())
 	}
 }
 
@@ -169,8 +169,8 @@ func TestMailboxFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Name() != "cmds" || m.Cap() != 2 {
-		t.Fatalf("box = %s/%d", m.Name(), m.Cap())
+	if m.name != "cmds" || m.cap != 2 {
+		t.Fatalf("box = %s/%d", m.name, m.cap)
 	}
 	if err := m.Send([]byte("one")); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestMailboxProperty(t *testing.T) {
 				}
 				expect = expect[1:]
 			}
-			if m.Len() != len(expect) || m.Len() > 4 {
+			if len(m.q) != len(expect) || len(m.q) > 4 {
 				return false
 			}
 		}

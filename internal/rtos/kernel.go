@@ -161,12 +161,6 @@ func (k *Kernel) Now() sim.Time { return k.clock.Now() }
 // NumCPUs returns the processor count.
 func (k *Kernel) NumCPUs() int { return len(k.cpus) }
 
-// Mode returns the current load mode.
-func (k *Kernel) Mode() LoadMode { return k.mode }
-
-// Policy returns the scheduling discipline.
-func (k *Kernel) Policy() SchedPolicy { return k.policy }
-
 // SetLoadMode switches the load regime (and its calibrated timing model)
 // at run time; in the paper this is the difference between an idle
 // machine and stress commands saturating the Linux side.
@@ -243,20 +237,6 @@ func (k *Kernel) Task(name string) (*Task, bool) {
 func (k *Kernel) Tasks() []*Task {
 	byName := k.tasksByName()
 	return append(make([]*Task, 0, len(byName)), byName...)
-}
-
-// Utilization reports the summed CPU demand of active periodic tasks on
-// the given processor. The sum runs in task-name order: floating-point
-// addition is order-sensitive, and map range order would otherwise leak
-// nondeterminism into any digest or admission decision fed by it.
-func (k *Kernel) Utilization(cpuID int) float64 {
-	var u float64
-	for _, t := range k.tasksByName() {
-		if t.spec.CPU == cpuID && t.state == TaskActive {
-			u += t.Utilization()
-		}
-	}
-	return u
 }
 
 // BusyTime reports the execution time a CPU has consumed so far.

@@ -398,7 +398,14 @@ func TestMultiCPUIsolation(t *testing.T) {
 	if got := other.Stats().Latency.Max; got != 0 {
 		t.Fatalf("cross-CPU interference: latency %d", got)
 	}
-	u0, u1 := k.Utilization(0), k.Utilization(1)
+	busy := func(cpu int) float64 {
+		d, err := k.BusyTime(cpu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(d) / float64(50*time.Millisecond)
+	}
+	u0, u1 := busy(0), busy(1)
 	if u0 < 0.89 || u0 > 0.91 {
 		t.Fatalf("cpu0 utilization = %v", u0)
 	}
@@ -475,7 +482,7 @@ func TestSetLoadModeSwitchesAtRuntime(t *testing.T) {
 	}
 	task.ResetStats()
 	k.SetLoadMode(StressLoad)
-	if k.Mode() != StressLoad {
+	if k.mode != StressLoad {
 		t.Fatal("mode not switched")
 	}
 	if err := k.Run(time.Second); err != nil {
@@ -602,8 +609,8 @@ func TestConfigDefaults(t *testing.T) {
 	if k.NumCPUs() != 1 {
 		t.Fatalf("NumCPUs = %d", k.NumCPUs())
 	}
-	if k.Mode() != LightLoad {
-		t.Fatalf("Mode = %v", k.Mode())
+	if k.mode != LightLoad {
+		t.Fatalf("mode = %v", k.mode)
 	}
 	if k.quantum != 100*time.Microsecond {
 		t.Fatalf("quantum = %v", k.quantum)

@@ -203,14 +203,6 @@ func (t *Task) Spec() TaskSpec { return t.spec }
 // State returns the task state.
 func (t *Task) State() TaskState { return t.state }
 
-// Utilization returns the task's CPU demand fraction (periodic tasks).
-func (t *Task) Utilization() float64 {
-	if t.spec.Type != Periodic || t.spec.Period <= 0 {
-		return 0
-	}
-	return float64(t.spec.ExecTime+t.spec.Overhead) / float64(t.spec.Period)
-}
-
 // Stats snapshots the task counters and latency statistics.
 func (t *Task) Stats() TaskStats {
 	return TaskStats{
@@ -247,10 +239,6 @@ type TaskMetrics struct {
 func (t *Task) Metrics() TaskMetrics {
 	return TaskMetrics{Jobs: t.jobsDone, Misses: t.misses, Skips: t.skips, Consumed: t.consumed}
 }
-
-// ConsumedCPU reports the total execution time the kernel has charged to
-// this task's jobs, including partial slices of preempted jobs.
-func (t *Task) ConsumedCPU() time.Duration { return t.consumed }
 
 // SetExecScale multiplies the sampled execution cost of future jobs by f,
 // the fault injector's budget-overrun perturbation. Values <= 0 or 1
@@ -290,14 +278,6 @@ func (t *Task) ResetStats() {
 	t.latency.Reset()
 	t.response.Reset()
 	t.jobsDone, t.misses, t.skips = 0, 0, 0
-}
-
-// ReserveStats pre-sizes the latency and response sample buffers for n
-// further jobs, so a warmed-up dispatch cycle records its statistics
-// without allocating.
-func (t *Task) ReserveStats(n int) {
-	t.latency.Reserve(n)
-	t.response.Reserve(n)
 }
 
 // ErrTaskDeleted is returned for operations on a deleted task.

@@ -56,16 +56,5 @@ func TestTaskIndexMatchesSortedMap(t *testing.T) {
 				t.Fatalf("op %d: Tasks[%d] = %s, want %s", op, i, got[i].spec.Name, n)
 			}
 		}
-		for cpu := 0; cpu < cpus; cpu++ {
-			var want float64
-			for _, n := range names {
-				if tk := k.tasks[n]; tk.spec.CPU == cpu && tk.state == TaskActive {
-					want += tk.Utilization()
-				}
-			}
-			if u := k.Utilization(cpu); u != want {
-				t.Fatalf("op %d: Utilization(%d) = %v, want %v", op, cpu, u, want)
-			}
-		}
 	}
 }

@@ -195,24 +195,3 @@ func TestTaskTypeAndStateStrings(t *testing.T) {
 		t.Fatal("unknown strings empty")
 	}
 }
-
-func TestUtilizationAccessors(t *testing.T) {
-	k := NewKernel(Config{Timing: &TimingModel{}, Seed: 2})
-	task, _ := k.CreateTask(TaskSpec{
-		Name: "u", Type: Periodic, Period: 10 * time.Millisecond,
-		ExecTime: time.Millisecond, Overhead: time.Millisecond,
-	})
-	if got := task.Utilization(); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("utilization = %v (exec+overhead over period)", got)
-	}
-	ap, _ := k.CreateTask(TaskSpec{Name: "ap", Type: Aperiodic, ExecTime: time.Millisecond})
-	if ap.Utilization() != 0 {
-		t.Fatal("aperiodic utilization not 0")
-	}
-	if err := task.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Utilization(0); math.Abs(got-0.2) > 1e-12 {
-		t.Fatalf("kernel utilization = %v", got)
-	}
-}

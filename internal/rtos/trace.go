@@ -95,13 +95,6 @@ func (k *Kernel) trace(at sim.Time, kind TraceEventKind, task string, cpuID int)
 	tr.events = append(tr.events, TraceEvent{At: at, Kind: kind, Task: task, CPU: cpuID})
 }
 
-// Events returns the recorded events in order.
-func (t *Tracer) Events() []TraceEvent {
-	out := make([]TraceEvent, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
 // Gantt renders the trace as an ASCII Gantt chart over [from, to) with
 // the given column resolution. Each task gets a row; '#' marks execution,
 // '.' marks released-but-waiting time, '*' marks a skipped release.

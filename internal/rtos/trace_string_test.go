@@ -74,7 +74,7 @@ func TestTraceSinkForwarding(t *testing.T) {
 	if err := k.Run(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.Events()
+	got := tr.events
 	if len(got) == 0 {
 		t.Fatal("tracer recorded nothing")
 	}

@@ -29,7 +29,7 @@ func TestTraceRecordsSchedulerEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[TraceEventKind]int{}
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.events {
 		kinds[ev.Kind]++
 	}
 	// lo starts at 0, hi arrives at 1ms and preempts it.
@@ -37,7 +37,7 @@ func TestTraceRecordsSchedulerEvents(t *testing.T) {
 		t.Fatalf("kinds = %v", kinds)
 	}
 	// Events are time-ordered.
-	evs := tr.Events()
+	evs := tr.events
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("trace out of order at %d", i)
@@ -60,7 +60,7 @@ func TestTraceSkipRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var skips int
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.events {
 		if ev.Kind == TraceSkip && ev.Task == "starve" {
 			skips++
 		}
@@ -80,15 +80,15 @@ func TestTraceLimitAndStop(t *testing.T) {
 	if err := k.Run(20 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tr.Events()); got != 5 {
+	if got := len(tr.events); got != 5 {
 		t.Fatalf("limited trace = %d events", got)
 	}
 	k.StopTrace()
-	before := len(tr.Events())
+	before := len(tr.events)
 	if err := k.Run(10 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Events()) != before {
+	if len(tr.events) != before {
 		t.Fatal("stopped trace kept recording")
 	}
 }

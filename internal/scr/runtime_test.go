@@ -5,7 +5,9 @@
 //
 // DRCom deliberately goes beyond what this package offers — DS knows
 // nothing about real-time contracts, CPU budgets, or port compatibility —
-// and having a working DS substrate makes that difference testable.
+// and having a working DS substrate makes that difference testable
+// (TestContrastWithDeclarativeServices). Production never runs DS, so the
+// package is made of test files only.
 package scr
 
 import (
@@ -505,12 +507,10 @@ func (rt *Runtime) activate(c *Component) bool {
 	rt.mu.Unlock()
 	var regs []*osgi.ServiceRegistration
 	if len(c.desc.Provides) > 0 {
-		if bctx := c.bundle.Context(); bctx != nil {
-			if reg, err := bctx.RegisterService(c.desc.Provides, inst, ldap.Properties{
-				"component.name": c.desc.Name,
-			}); err == nil {
-				regs = append(regs, reg)
-			}
+		if reg, err := rt.fw.RegisterService(c.desc.Provides, inst, ldap.Properties{
+			"component.name": c.desc.Name,
+		}); err == nil {
+			regs = append(regs, reg)
 		}
 	}
 	rt.mu.Lock()

@@ -56,19 +56,12 @@ type Event struct {
 	fn      Handler
 	queued  bool // in the queue (possibly cancelled, not yet collected)
 	cancel  bool
-	label   string
 	onClock *Clock
 	free    *Event // free-list link while recycled
 }
 
 // Time reports when the event is (or was) due.
 func (e *Event) Time() Time { return e.at }
-
-// Label reports the diagnostic label given at schedule time.
-func (e *Event) Label() string { return e.label }
-
-// Pending reports whether the event is still queued and not cancelled.
-func (e *Event) Pending() bool { return e != nil && e.queued && !e.cancel }
 
 // Cancel removes the event from its queue. Cancelling an already-fired or
 // already-cancelled event is a no-op.
@@ -207,15 +200,12 @@ func NewClock() *Clock {
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Pending reports the number of queued events.
-func (c *Clock) Pending() int { return len(c.queue) - c.cancelled }
-
 // Fired reports the total number of events executed so far.
 func (c *Clock) Fired() uint64 { return c.fired }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) is an error; scheduling exactly at Now is allowed and the
-// event runs on the next step. The label is for diagnostics only.
+// event runs on the next step. The label only names the event in errors.
 func (c *Clock) Schedule(at Time, label string, fn Handler) (*Event, error) {
 	if fn == nil {
 		return nil, errors.New("sim: nil handler")
@@ -224,7 +214,7 @@ func (c *Clock) Schedule(at Time, label string, fn Handler) (*Event, error) {
 		return nil, fmt.Errorf("sim: schedule %q at %v before now %v", label, at, c.now)
 	}
 	e := c.alloc()
-	e.at, e.seq, e.fn, e.label, e.onClock, e.queued = at, c.nextSeq, fn, label, c, true
+	e.at, e.seq, e.fn, e.onClock, e.queued = at, c.nextSeq, fn, c, true
 	c.nextSeq++
 	c.queue = append(c.queue, qentry{at: at, seq: e.seq, ev: e})
 	c.queue.up(len(c.queue) - 1)
@@ -262,11 +252,10 @@ func (c *Clock) alloc() *Event {
 }
 
 // recycle returns a dead (fired or collected-cancelled) event to the free
-// list. Handler and label references are dropped immediately so recycled
-// events never pin user closures.
+// list. The handler reference is dropped immediately so recycled events
+// never pin user closures.
 func (c *Clock) recycle(e *Event) {
 	e.fn = nil
-	e.label = ""
 	e.cancel = false
 	e.queued = false
 	if c.freeLen >= freeListMax {

@@ -247,3 +247,9 @@ func TestEventOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Pending reports the number of queued events.
+func (c *Clock) Pending() int { return len(c.queue) - c.cancelled }
+
+// Pending reports whether the event is still queued and not cancelled.
+func (e *Event) Pending() bool { return e != nil && e.queued && !e.cancel }

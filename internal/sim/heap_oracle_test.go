@@ -89,7 +89,7 @@ func (m *typedModel) schedule(at Time, id int) {
 	label := "e" + strconv.Itoa(id)
 	var ev *Event
 	ev, err := m.c.Schedule(at, label, func(now Time) {
-		m.log = append(m.log, firing{now, ev.seq, ev.label})
+		m.log = append(m.log, firing{now, ev.seq, label})
 		delete(m.evs, id)
 		m.onFire(m, id)
 	})

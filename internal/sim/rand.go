@@ -54,15 +54,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Intn returns a value uniformly distributed in [0, n). It panics if n <= 0,
-// mirroring math/rand.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("sim: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // Int63n returns a value uniformly distributed in [0, n). It panics if
 // n <= 0.
 func (r *Rand) Int63n(n int64) int64 {

@@ -61,30 +61,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestIntnRange(t *testing.T) {
-	r := NewRand(4)
-	seen := map[int]bool{}
-	for i := 0; i < 10000; i++ {
-		v := r.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("Intn(7) produced only %d distinct values", len(seen))
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	NewRand(1).Intn(0)
-}
-
 func TestInt63nPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -140,13 +116,13 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-// Property: any seed yields a usable stream whose Intn stays in range.
+// Property: any seed yields a usable stream whose Int63n stays in range.
 func TestRandProperty(t *testing.T) {
 	prop := func(seed uint64, n uint8) bool {
-		bound := int(n%100) + 1
+		bound := int64(n%100) + 1
 		r := NewRand(seed)
 		for i := 0; i < 50; i++ {
-			v := r.Intn(bound)
+			v := r.Int63n(bound)
 			if v < 0 || v >= bound {
 				return false
 			}

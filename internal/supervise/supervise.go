@@ -141,16 +141,6 @@ func (s *Supervisor) Trace() []Record {
 	return out
 }
 
-// Restarts returns the lifetime restart count for a component.
-func (s *Supervisor) Restarts(component string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.recs[component]; r != nil {
-		return r.count
-	}
-	return 0
-}
-
 func (s *Supervisor) rec(component string) *record {
 	r := s.recs[component]
 	if r == nil {

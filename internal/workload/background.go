@@ -66,10 +66,3 @@ func (b *BackgroundLoad) Stop() {
 	}
 	b.tasks = nil
 }
-
-// Tasks exposes the hog tasks (for assertions).
-func (b *BackgroundLoad) Tasks() []*rtos.Task {
-	out := make([]*rtos.Task, len(b.tasks))
-	copy(out, b.tasks)
-	return out
-}

@@ -39,7 +39,7 @@ func TestBackgroundLoadCannotDelayRTTasks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if withLoad {
-			for _, h := range bl.Tasks() {
+			for _, h := range bl.tasks {
 				hogJobs += h.Stats().Jobs
 			}
 		}
@@ -89,7 +89,7 @@ func TestBackgroundLoadSoaksIdleCPU(t *testing.T) {
 	}
 	// The hogs got roughly the leftover 70%.
 	var hogBusy time.Duration
-	for _, h := range bl.Tasks() {
+	for _, h := range bl.tasks {
 		st := h.Stats()
 		hogBusy += time.Duration(st.Jobs) * h.Spec().ExecTime
 	}

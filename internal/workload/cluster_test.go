@@ -187,13 +187,13 @@ func RunClusterCampaign(spec ClusterSpec) (ClusterResult, error) {
 		if err := c.Run(slice); err != nil {
 			return ClusterResult{}, err
 		}
-		p := pairs[rng.Intn(len(pairs))]
-		switch rng.Intn(3) {
+		p := pairs[int(rng.Int63n(int64(len(pairs))))]
+		switch rng.Int63n(3) {
 		case 0:
 			if _, placed := c.GlobalView().Placements[p.prodName]; placed {
 				_ = c.Remove(p.prodName)
 			} else {
-				_ = c.DeployXMLOn(rng.Intn(half), p.prodXML)
+				_ = c.DeployXMLOn(int(rng.Int63n(int64(half))), p.prodXML)
 			}
 		case 1:
 			_ = c.RevokeBudget(p.consName, "campaign revocation")

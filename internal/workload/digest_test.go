@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/osgi"
+	"repro/internal/policy"
 	"repro/internal/rtos"
+	"repro/internal/sim"
 )
 
 // The smart-camera pipeline of the paper's motivating ARFLEX scenario
@@ -56,12 +59,17 @@ type CameraDigest struct {
 func RunCameraDigest(seed uint64, runFor time.Duration) (CameraDigest, error) {
 	fw := osgi.NewFramework()
 	k := rtos.NewKernel(rtos.Config{Seed: seed})
-	tr := k.StartTrace(0)
 	d, err := core.New(fw, k, core.Options{})
 	if err != nil {
 		return CameraDigest{}, err
 	}
 	defer d.Close()
+	// The scheduler trace, through the kernel's trace sink (set after
+	// core.New: binding the obs plane below Full level clears the sink).
+	var trace []rtos.TraceEvent
+	k.SetTraceSink(func(at sim.Time, kind rtos.TraceEventKind, task string, cpu int) {
+		trace = append(trace, rtos.TraceEvent{At: at, Kind: kind, Task: task, CPU: cpu})
+	})
 
 	register := func(bincode string, f core.BodyFactory) error {
 		return d.RegisterBody(bincode, f)
@@ -146,7 +154,7 @@ func RunCameraDigest(seed uint64, runFor time.Duration) (CameraDigest, error) {
 	}
 
 	var tb strings.Builder
-	for _, ev := range tr.Events() {
+	for _, ev := range trace {
 		fmt.Fprintf(&tb, "%d %v %s %d\n", int64(ev.At), ev.Kind, ev.Task, ev.CPU)
 	}
 
@@ -165,7 +173,11 @@ func RunCameraDigest(seed uint64, runFor time.Duration) (CameraDigest, error) {
 			int64(ev.At), ev.Component, ev.From, ev.To, ev.Reason)
 	}
 	view := d.GlobalView()
-	admitted := view.All()
+	var admitted []policy.Contract
+	for cpu := 0; cpu < view.NumCPUs; cpu++ {
+		admitted = append(admitted, view.OnCPU(cpu)...)
+	}
+	sort.Slice(admitted, func(i, j int) bool { return admitted[i].Name < admitted[j].Name })
 	fmt.Fprintf(&mb, "view cpus=%d admitted=%d\n", view.NumCPUs, len(admitted))
 	for _, c := range admitted {
 		fmt.Fprintf(&mb, "contract %s cpu=%d prio=%d usage=%.4f period=%v\n",
