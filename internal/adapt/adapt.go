@@ -292,9 +292,6 @@ func (m *Manager) apply(a Action) error {
 // resumed if it was suspended, released for re-promotion if it was
 // downgraded.
 type ImportanceShedding struct {
-	// MissThreshold is the per-check miss count that counts as overload
-	// (default 1).
-	MissThreshold uint64
 	// HealthyChecks is how many clean checks must pass before resuming a
 	// victim (default 3).
 	HealthyChecks int
@@ -303,6 +300,10 @@ type ImportanceShedding struct {
 	healthy int
 	settle  int // checks to skip after a shed, letting its effect land
 }
+
+// missThreshold is the per-check miss (or skip) count that counts as
+// overload.
+const missThreshold = 1
 
 // shedEntry remembers how one victim was shed, so recovery can undo it
 // with the matching action.
@@ -316,10 +317,6 @@ func (p *ImportanceShedding) Name() string { return "importance-shedding" }
 
 // Decide implements Policy.
 func (p *ImportanceShedding) Decide(snapshot []Health) []Action {
-	missThreshold := p.MissThreshold
-	if missThreshold == 0 {
-		missThreshold = 1
-	}
 	healthyChecks := p.HealthyChecks
 	if healthyChecks <= 0 {
 		healthyChecks = 3

@@ -52,25 +52,10 @@ type Config struct {
 	Net net.Config
 	// ObsLevel is the sampling level of the per-node and cluster planes.
 	ObsLevel obs.Level
-	// HeartbeatEvery is the failure-detector beacon period (default 2ms).
-	HeartbeatEvery time.Duration
-	// ReportEvery is the load/degradation report period (default 5ms).
-	ReportEvery time.Duration
-	// SyncEvery is the port-data replication period (default 1ms).
-	SyncEvery time.Duration
-	// NodeLossAfter is the heartbeat silence after which a peer is
-	// declared lost (default 6ms; must exceed HeartbeatEvery plus the
-	// worst link latency or healthy peers flap).
-	NodeLossAfter time.Duration
-	// MigrateCooldown is the minimum interval between placement actions
-	// on the same component (default 20ms), damping migration churn.
-	MigrateCooldown time.Duration
 	// Parallel advances node kernel windows on separate goroutines.
 	// Outcomes are byte-identical to sequential: nodes only interact at
 	// barriers, through the network's canonical ordering.
 	Parallel bool
-	// ExecJitter is passed to every node's DRCR (default 0.05).
-	ExecJitter float64
 }
 
 func (c *Config) applyDefaults() {
@@ -83,22 +68,24 @@ func (c *Config) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 2 * time.Millisecond
-	}
-	if c.ReportEvery <= 0 {
-		c.ReportEvery = 5 * time.Millisecond
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = time.Millisecond
-	}
-	if c.NodeLossAfter <= 0 {
-		c.NodeLossAfter = 6 * time.Millisecond
-	}
-	if c.MigrateCooldown <= 0 {
-		c.MigrateCooldown = 20 * time.Millisecond
-	}
 }
+
+// The federation's fixed periods.
+const (
+	// heartbeatEvery is the failure-detector beacon period.
+	heartbeatEvery = 2 * time.Millisecond
+	// reportEvery is the load/degradation report period.
+	reportEvery = 5 * time.Millisecond
+	// syncEvery is the port-data replication period.
+	syncEvery = time.Millisecond
+	// nodeLossAfter is the heartbeat silence after which a peer is
+	// declared lost. New rejects a network whose worst link latency is
+	// not below nodeLossAfter − heartbeatEvery: healthy peers would flap.
+	nodeLossAfter = 6 * time.Millisecond
+	// migrateCooldown is the minimum interval between placement actions
+	// on the same component, damping migration churn.
+	migrateCooldown = 20 * time.Millisecond
+)
 
 // expKey identifies one exported provision: "topic|component@nodeN".
 type expKey string
@@ -226,6 +213,10 @@ func New(cfg Config) (*Cluster, error) {
 		ncfg.Seed = root.Uint64()
 	}
 	nw := net.New(ncfg)
+	if worst := nw.MaxLatency(); worst >= nodeLossAfter-heartbeatEvery {
+		return nil, fmt.Errorf("cluster: worst link latency %v is not below %v (node-loss silence %v minus heartbeat period %v)",
+			worst, nodeLossAfter-heartbeatEvery, nodeLossAfter, heartbeatEvery)
+	}
 	c := &Cluster{
 		cfg:        cfg,
 		net:        nw,
@@ -244,10 +235,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 		name := fmt.Sprintf("n%d", i)
 		plane := obs.NewPlane(obs.Options{Level: cfg.ObsLevel, Node: name})
-		d, err := core.New(fw, kernel, core.Options{
-			Obs:        plane,
-			ExecJitter: cfg.ExecJitter,
-		})
+		d, err := core.New(fw, kernel, core.Options{Obs: plane})
 		if err != nil {
 			for _, n := range c.nodes {
 				n.drcr.Close()
@@ -368,7 +356,7 @@ func (c *Cluster) atBarrier(b sim.Time) {
 	// 1. Stage heartbeats and reports on their own deadlines.
 	for _, n := range c.nodes {
 		if b >= n.nextHB {
-			n.nextHB = b.Add(sim.Duration(c.cfg.HeartbeatEvery))
+			n.nextHB = b.Add(sim.Duration(heartbeatEvery))
 			for _, peer := range c.nodes {
 				if peer.id != n.id {
 					c.net.Send(b, net.Message{Src: n.id, Dst: peer.id, Kind: net.Heartbeat})
@@ -376,7 +364,7 @@ func (c *Cluster) atBarrier(b sim.Time) {
 			}
 		}
 		if b >= n.nextReport {
-			n.nextReport = b.Add(sim.Duration(c.cfg.ReportEvery))
+			n.nextReport = b.Add(sim.Duration(reportEvery))
 			c.stageReport(b, n)
 		}
 	}
@@ -385,7 +373,7 @@ func (c *Cluster) atBarrier(b sim.Time) {
 	for _, n := range c.nodes {
 		c.stageProvisions(b, n)
 		if b >= n.nextSync {
-			n.nextSync = b.Add(sim.Duration(c.cfg.SyncEvery))
+			n.nextSync = b.Add(sim.Duration(syncEvery))
 			c.stageData(b, n)
 		}
 	}

@@ -496,3 +496,30 @@ func TestParallelGoroutinesReturnToBaseline(t *testing.T) {
 		t.Fatalf("%d goroutines after Close, baseline %d", n, base)
 	}
 }
+
+// TestNewRejectsLatencyThatOutrunsNodeLoss: a healthy peer's next
+// heartbeat can land a heartbeat period plus the worst link latency after
+// the last one, so New refuses a network whose worst latency is not below
+// the node-loss silence minus the heartbeat period.
+func TestNewRejectsLatencyThatOutrunsNodeLoss(t *testing.T) {
+	bound := nodeLossAfter - heartbeatEvery
+	for _, tc := range []struct {
+		jitter time.Duration
+		ok     bool
+	}{
+		{bound - 3*time.Millisecond - 1, true},
+		{bound - 3*time.Millisecond, false},
+	} {
+		c, err := New(Config{Nodes: 2, Net: net.Config{Latency: 3 * time.Millisecond, Jitter: tc.jitter}})
+		if tc.ok {
+			if err != nil {
+				t.Errorf("latency+jitter %v: %v", 3*time.Millisecond+tc.jitter, err)
+				continue
+			}
+			c.Close()
+		} else if err == nil {
+			c.Close()
+			t.Errorf("latency+jitter %v accepted, want an error (bound %v)", 3*time.Millisecond+tc.jitter, bound)
+		}
+	}
+}

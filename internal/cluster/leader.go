@@ -27,7 +27,7 @@ import (
 // the unprovision message that cannot arrive); a peer flipping back
 // triggers re-advertisement of this node's exports to it.
 func (c *Cluster) detectFailures(b sim.Time) {
-	loss := sim.Duration(c.cfg.NodeLossAfter)
+	loss := sim.Duration(nodeLossAfter)
 	for _, n := range c.nodes {
 		for _, peer := range c.nodes {
 			if peer.id == n.id {
@@ -99,7 +99,7 @@ func (c *Cluster) onNodeLoss(b sim.Time, leader *Node, lost int) {
 		}
 	}
 	span := c.plane.NodeLoss(b, c.nodeName(lost), int64(len(stranded)),
-		fmt.Sprintf("no heartbeat for %v", c.cfg.NodeLossAfter), 0)
+		fmt.Sprintf("no heartbeat for %v", nodeLossAfter), 0)
 	delete(leader.reports, lost)
 	// Pick a target for every evacuee first, then ship per target: a
 	// batch of two or more rides one migrate-plan message instead of N
@@ -324,7 +324,7 @@ func (c *Cluster) confirmedOn(leader *Node, node int, name string) bool {
 
 func (c *Cluster) cooldownOver(b sim.Time, name string) bool {
 	last, ok := c.cooldown[name]
-	return !ok || b.Sub(last) >= sim.Duration(c.cfg.MigrateCooldown)
+	return !ok || b.Sub(last) >= sim.Duration(migrateCooldown)
 }
 
 // Deploy admits a component cluster-wide: the current leader (as seen

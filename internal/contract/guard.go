@@ -16,39 +16,15 @@ import (
 )
 
 // Options parameterise a Guard. The zero value enforces with the
-// defaults below; set Observe to record violations without acting.
+// defaults below.
 type Options struct {
-	// Interval is the monitoring cadence on the simulated clock
-	// (default 10 ms).
-	Interval time.Duration
-	// OverrunFactor is the tolerance on the declared budget: measured
-	// windowed utilization above cpuusage×factor counts as over budget
-	// (default 1.5, absorbing execution jitter and accounting granularity).
-	OverrunFactor float64
-	// OverrunChecks is how many consecutive over-budget windows make a
-	// BudgetOverrun violation (default 2, so a single preemption-skewed
-	// window is forgiven).
-	OverrunChecks int
-	// MissThreshold is the per-window miss+skip count that makes a
-	// DeadlineMiss violation (default 1).
-	MissThreshold uint64
-	// StaleFactor flags a declared SHM outport as stale when it has not
-	// been written for factor×period (default 4 periods).
-	StaleFactor float64
 	// Quarantine is how many checks a revoked component sits out before
 	// the guard restores its budget and lets the DRCR try re-admission
 	// (default 8).
 	Quarantine int
-	// BackoffFactor multiplies the quarantine each time the same
-	// component violates again after a restore (default 2, capped at
-	// 16× the base quarantine); HealthyReset clean checks reset it.
-	BackoffFactor int
 	// HealthyReset is how many consecutive clean checks clear a
 	// component's accumulated backoff (default 16).
 	HealthyReset int
-	// Observe makes the guard record violations without revoking budgets
-	// (monitoring-only mode, the ablation baseline).
-	Observe bool
 	// Predict enables the forecasting estimator: a component that
 	// declares a distribution-valued budget gets a windowed
 	// mean/variance + log2-histogram-tail estimator over its measured
@@ -56,53 +32,52 @@ type Options struct {
 	// PredictLead windows exceeds its allowance (1 − declared p), the
 	// guard steps it down its mode ladder before the hard miss.
 	Predict bool
-	// PredictWindow is how many check windows the estimator remembers
-	// (default 12).
-	PredictWindow int
 	// PredictLead is how many windows ahead the utilization trend is
 	// projected (default 4).
 	PredictLead int
-	// RearmBand is the forecast hysteresis: after a forecast fires, the
-	// estimator stays disarmed until the miss probability drops below
-	// allowance×band (default 0.5), so a hovering forecast cannot flap.
-	RearmBand float64
 }
 
 func (o *Options) applyDefaults() {
-	if o.Interval <= 0 {
-		o.Interval = 10 * time.Millisecond
-	}
-	if o.OverrunFactor <= 0 {
-		o.OverrunFactor = 1.5
-	}
-	if o.OverrunChecks <= 0 {
-		o.OverrunChecks = 2
-	}
-	if o.MissThreshold == 0 {
-		o.MissThreshold = 1
-	}
-	if o.StaleFactor <= 0 {
-		o.StaleFactor = 4
-	}
 	if o.Quarantine <= 0 {
 		o.Quarantine = 8
-	}
-	if o.BackoffFactor <= 0 {
-		o.BackoffFactor = 2
 	}
 	if o.HealthyReset <= 0 {
 		o.HealthyReset = 16
 	}
-	if o.PredictWindow <= 0 {
-		o.PredictWindow = 12
-	}
 	if o.PredictLead <= 0 {
 		o.PredictLead = 4
 	}
-	if o.RearmBand <= 0 || o.RearmBand >= 1 {
-		o.RearmBand = 0.5
-	}
 }
+
+// The guard's fixed monitoring parameters.
+const (
+	// checkInterval is the monitoring cadence on the simulated clock.
+	checkInterval = 10 * time.Millisecond
+	// overrunFactor is the tolerance on the declared budget: measured
+	// windowed utilization above cpuusage×factor counts as over budget,
+	// absorbing execution jitter and accounting granularity.
+	overrunFactor = 1.5
+	// overrunChecks is how many consecutive over-budget windows make a
+	// BudgetOverrun violation, so a single preemption-skewed window is
+	// forgiven.
+	overrunChecks = 2
+	// missThreshold is the per-window miss+skip count that makes a
+	// DeadlineMiss violation.
+	missThreshold = 1
+	// staleFactor flags a declared SHM outport as stale when it has not
+	// been written for factor×period.
+	staleFactor = 4
+	// backoffFactor multiplies the quarantine each time the same
+	// component violates again after a restore (capped at maxBackoff);
+	// HealthyReset clean checks reset it.
+	backoffFactor = 2
+	// predictWindow is how many check windows the estimator remembers.
+	predictWindow = 12
+	// rearmBand is the forecast hysteresis: after a forecast fires, the
+	// estimator stays disarmed until the miss probability drops below
+	// allowance×band, so a hovering forecast cannot flap.
+	rearmBand = 0.5
+)
 
 // maxBackoff caps the quarantine growth at 16× the base quarantine.
 const maxBackoff = 16
@@ -208,7 +183,7 @@ func (g *Guard) TraceDigest() string {
 
 func (g *Guard) schedule() error {
 	clock := g.d.Kernel().Clock()
-	ev, err := clock.After(g.opts.Interval, "guard:check", func(sim.Time) {
+	ev, err := clock.After(checkInterval, "guard:check", func(sim.Time) {
 		g.tick = nil
 		if !g.running {
 			return
@@ -311,13 +286,11 @@ func (g *Guard) CheckNow() []Violation {
 		}
 		fired = append(fired, vs...)
 		if len(vs) > 0 {
-			if !g.opts.Observe {
-				acts = append(acts, action{
-					name:   info.Name,
-					reason: fmt.Sprintf("%v: %s", vs[0].Kind, vs[0].Detail),
-					cause:  firstVid,
-				})
-			}
+			acts = append(acts, action{
+				name:   info.Name,
+				reason: fmt.Sprintf("%v: %s", vs[0].Kind, vs[0].Detail),
+				cause:  firstVid,
+			})
 			continue
 		}
 		if a, ok := g.predictStep(now, info, m); ok {
@@ -393,7 +366,7 @@ func (g *Guard) enforce(now sim.Time, a action) {
 
 func (g *Guard) bumpBackoff(m *monitor) {
 	if m.backoff < maxBackoff {
-		m.backoff *= g.opts.BackoffFactor
+		m.backoff *= backoffFactor
 		if m.backoff > maxBackoff {
 			m.backoff = maxBackoff
 		}
@@ -423,12 +396,12 @@ func (g *Guard) checkActive(now sim.Time, info core.Info, m *monitor, task *rtos
 	// Budget: windowed utilization over the check interval vs declared
 	// cpuusage, with tolerance for jitter and accounting granularity.
 	if info.CPUUsage > 0 {
-		util := float64(consumedDelta) / float64(g.opts.Interval)
+		util := float64(consumedDelta) / float64(checkInterval)
 		m.lastUtil, m.utilValid = util, true
-		limit := info.CPUUsage * g.opts.OverrunFactor
+		limit := info.CPUUsage * overrunFactor
 		if util > limit {
 			m.overWindows++
-			if m.overWindows >= g.opts.OverrunChecks {
+			if m.overWindows >= overrunChecks {
 				vs = append(vs, Violation{
 					At: now, Component: info.Name, Kind: BudgetOverrun,
 					Measured: util, Limit: limit,
@@ -441,19 +414,19 @@ func (g *Guard) checkActive(now sim.Time, info core.Info, m *monitor, task *rtos
 	}
 
 	// Deadlines: misses and skipped releases during the window.
-	if missDelta >= g.opts.MissThreshold {
+	if missDelta >= missThreshold {
 		vs = append(vs, Violation{
 			At: now, Component: info.Name, Kind: DeadlineMiss,
-			Measured: float64(missDelta), Limit: float64(g.opts.MissThreshold),
+			Measured: float64(missDelta), Limit: float64(missThreshold),
 			Detail: fmt.Sprintf("%d deadline misses/skips in window", missDelta),
 		})
 	}
 
 	// Port freshness: a periodic component's declared SHM outports must
-	// advance their write generation; stalling past StaleFactor periods
+	// advance their write generation; stalling past staleFactor periods
 	// breaks the contract dependants resolved against.
 	if period := task.Spec().Period; period > 0 {
-		staleAfter := time.Duration(g.opts.StaleFactor * float64(period))
+		staleAfter := time.Duration(staleFactor * float64(period))
 		for _, p := range info.OutPorts {
 			if p.Interface != string(descriptor.SHM) {
 				continue

@@ -47,7 +47,7 @@ type Forecast struct {
 	PMiss     float64 // blended P(miss) over the next PredictLead windows
 	Allowed   float64 // allowance: 1 − declared p
 	Projected float64 // trend-projected utilization at the lead horizon
-	Limit     float64 // enforcement limit (cpuusage × OverrunFactor)
+	Limit     float64 // enforcement limit (cpuusage × overrunFactor)
 	Sigma     float64 // residual spread of the utilization window
 	Armed     bool    // false while hysteresis holds the trigger down
 	Samples   int     // windows seen by the estimator
@@ -76,7 +76,7 @@ func (g *Guard) predictStep(now sim.Time, info core.Info, m *monitor) (action, b
 	}
 	p := m.pred
 	p.utils = append(p.utils, m.lastUtil)
-	if len(p.utils) > g.opts.PredictWindow {
+	if len(p.utils) > predictWindow {
 		copy(p.utils, p.utils[1:])
 		p.utils = p.utils[:len(p.utils)-1]
 	}
@@ -86,7 +86,7 @@ func (g *Guard) predictStep(now sim.Time, info core.Info, m *monitor) (action, b
 		At:        now,
 		Component: info.Name,
 		Allowed:   1 - info.BudgetP,
-		Limit:     info.CPUUsage * g.opts.OverrunFactor,
+		Limit:     info.CPUUsage * overrunFactor,
 		Armed:     p.armed,
 		Samples:   len(p.utils),
 	}
@@ -111,7 +111,7 @@ func (g *Guard) predictStep(now sim.Time, info core.Info, m *monitor) (action, b
 	if !p.armed {
 		// Hysteresis: re-arm only once the forecast has dropped well
 		// below the allowance.
-		if f.PMiss < f.Allowed*g.opts.RearmBand {
+		if f.PMiss < f.Allowed*rearmBand {
 			p.armed = true
 			f.Armed = true
 		}

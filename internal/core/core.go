@@ -287,9 +287,6 @@ type Options struct {
 	// ExecJitter is the fractional execution-time jitter given to
 	// component tasks; defaults to 0.05.
 	ExecJitter float64
-	// DefaultAperiodicCost is the simulated cost of an aperiodic job;
-	// defaults to 10µs.
-	DefaultAperiodicCost time.Duration
 	// Obs is the observability plane every DRCR decision is traced into;
 	// defaults to a fresh plane at the Sampled level.
 	Obs *obs.Plane
@@ -311,13 +308,13 @@ func (o *Options) applyDefaults() {
 	if o.ExecJitter < 0 {
 		o.ExecJitter = 0
 	}
-	if o.DefaultAperiodicCost <= 0 {
-		o.DefaultAperiodicCost = 10 * time.Microsecond
-	}
 	if o.Obs == nil {
 		o.Obs = obs.NewPlane(obs.Options{})
 	}
 }
+
+// aperiodicCost is the simulated cost of an aperiodic job.
+const aperiodicCost = 10 * time.Microsecond
 
 // DRCR is the declarative real-time component runtime.
 type DRCR struct {

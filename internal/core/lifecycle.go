@@ -460,7 +460,7 @@ func (d *DRCR) taskSpecLocked(desc *descriptor.Component, mode int) (rtos.TaskSp
 		}
 	case descriptor.Aperiodic:
 		spec.Type = rtos.Aperiodic
-		spec.ExecTime = d.opts.DefaultAperiodicCost
+		spec.ExecTime = aperiodicCost
 	default:
 		return rtos.TaskSpec{}, fmt.Errorf("core: component %s: unknown kind %q", desc.Name, desc.Kind)
 	}

@@ -75,18 +75,15 @@ type Config struct {
 	// and each one injects a high-priority handler burst on the task's
 	// CPU, perturbing the RT schedule.
 	Sync bool
-	// SyncCommandCost overrides DefaultSyncCommandCost when positive.
-	SyncCommandCost time.Duration
 }
 
 // Component is a live hybrid component.
 type Component struct {
-	k        *rtos.Kernel
-	task     *rtos.Task
-	box      *ipc.Mailbox
-	sync     bool
-	syncCost time.Duration
-	handler  *rtos.Task // sync-mode command burst injector
+	k       *rtos.Kernel
+	task    *rtos.Task
+	box     *ipc.Mailbox
+	sync    bool
+	handler *rtos.Task // sync-mode command burst injector
 
 	mu     sync.Mutex
 	props  map[string]string
@@ -114,14 +111,9 @@ func New(cfg Config) (*Component, error) {
 	if capacity <= 0 {
 		capacity = DefaultMailboxCapacity
 	}
-	syncCost := cfg.SyncCommandCost
-	if syncCost <= 0 {
-		syncCost = DefaultSyncCommandCost
-	}
 	c := &Component{
 		k:        cfg.Kernel,
 		sync:     cfg.Sync,
-		syncCost: syncCost,
 		userBody: cfg.Body,
 	}
 	if len(cfg.Props) > 0 {
@@ -150,7 +142,7 @@ func New(cfg Config) (*Component, error) {
 			Type:     rtos.Aperiodic,
 			CPU:      cfg.Spec.CPU,
 			Priority: 0, // command handling preempts everything in sync mode
-			ExecTime: syncCost,
+			ExecTime: DefaultSyncCommandCost,
 		})
 		if err != nil {
 			_ = task.Delete()

@@ -13,7 +13,6 @@ type Histogram struct {
 	bins     []uint64
 	under    uint64
 	over     uint64
-	total    uint64
 }
 
 // NewHistogram creates a histogram with nbins equal-width bins covering
@@ -35,7 +34,6 @@ func NewHistogram(lo, hi Sample, nbins int) (*Histogram, error) {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v Sample) {
-	h.total++
 	switch {
 	case v < h.lo:
 		h.under++

@@ -102,7 +102,13 @@ func TestHistogramRender(t *testing.T) {
 }
 
 // Total reports the number of observations including under/overflow.
-func (h *Histogram) Total() uint64 { return h.total }
+func (h *Histogram) Total() uint64 {
+	n := h.under + h.over
+	for _, c := range h.bins {
+		n += c
+	}
+	return n
+}
 
 // Underflow reports samples below the range.
 func (h *Histogram) Underflow() uint64 { return h.under }

@@ -44,7 +44,7 @@ type Config struct {
 	// defaulting).
 	Latency time.Duration
 	// Jitter is the width of the uniform extra latency [0, Jitter)
-	// added per message (default 100µs; 0 disables).
+	// added per message (default 0: no jitter; negative clamps to 0).
 	Jitter time.Duration
 	// DropProb is the per-message loss probability on a healthy link.
 	DropProb float64
@@ -64,7 +64,7 @@ func (c *Config) applyDefaults() {
 		c.Latency = 500 * time.Microsecond
 	}
 	if c.Jitter < 0 {
-		c.Jitter = 100 * time.Microsecond
+		c.Jitter = 0
 	}
 	if c.DropProb < 0 {
 		c.DropProb = 0
@@ -206,6 +206,9 @@ func New(cfg Config) *Network {
 // latency. A cluster advancing its nodes in windows of at most this
 // width never needs to roll a node back for a late message.
 func (n *Network) Lookahead() time.Duration { return n.cfg.Latency }
+
+// MaxLatency bounds every one-way link latency: Latency plus Jitter.
+func (n *Network) MaxLatency() time.Duration { return n.cfg.Latency + n.cfg.Jitter }
 
 // SchedulePartition cuts every link between side and its complement
 // during [at, at+dur). Scheduling is idempotent bookkeeping only; the

@@ -31,11 +31,14 @@ func TestDeliveryOrderAndLatencyBound(t *testing.T) {
 	if len(del) != 20 {
 		t.Fatalf("delivered %d of 20", len(del))
 	}
-	look := sim.Duration(n.Lookahead())
+	look, worst := sim.Duration(n.Lookahead()), sim.Duration(n.MaxLatency())
 	var prev Message
 	for i, m := range del {
 		if m.DeliverAt.Sub(m.SentAt) < look {
 			t.Errorf("msg %d delivered after %v < lookahead %v", i, m.DeliverAt.Sub(m.SentAt), look)
+		}
+		if m.DeliverAt.Sub(m.SentAt) >= worst {
+			t.Errorf("msg %d delivered after %v >= max latency %v", i, m.DeliverAt.Sub(m.SentAt), worst)
 		}
 		if i > 0 {
 			if m.DeliverAt < prev.DeliverAt {
@@ -46,6 +49,17 @@ func TestDeliveryOrderAndLatencyBound(t *testing.T) {
 			}
 		}
 		prev = m
+	}
+}
+
+// TestJitterDefaultsToNone: an unset Jitter adds nothing to the link
+// latency, and a negative one clamps to zero like DropProb and DupProb.
+func TestJitterDefaultsToNone(t *testing.T) {
+	for _, jitter := range []time.Duration{0, -time.Millisecond} {
+		n := New(Config{Nodes: 2, Jitter: jitter})
+		if got, want := n.MaxLatency(), n.Lookahead(); got != want {
+			t.Errorf("Jitter %v: MaxLatency %v, want the bare latency %v", jitter, got, want)
+		}
 	}
 }
 

@@ -294,11 +294,15 @@ type compCounters struct {
 	violations  uint64
 }
 
-// NewPlane builds a plane.
-func NewPlane(o Options) *Plane {
+func (o *Options) applyDefaults() {
 	if o.Capacity <= 0 {
 		o.Capacity = 8192
 	}
+}
+
+// NewPlane builds a plane.
+func NewPlane(o Options) *Plane {
+	o.applyDefaults()
 	return &Plane{
 		level:    o.Level,
 		ring:     make([]Span, 0, min(ringStart, o.Capacity)),

@@ -24,7 +24,6 @@ const (
 	BundleStarted
 	BundleStopping
 	BundleStopped
-	BundleUpdated
 	BundleUnresolved
 	BundleUninstalled
 )
@@ -43,8 +42,6 @@ func (t BundleEventType) String() string {
 		return "STOPPING"
 	case BundleStopped:
 		return "STOPPED"
-	case BundleUpdated:
-		return "UPDATED"
 	case BundleUnresolved:
 		return "UNRESOLVED"
 	case BundleUninstalled:

@@ -39,9 +39,6 @@ type Options struct {
 	// Backoff is the delay before the first restart; each further strike
 	// inside the window doubles it (default 20ms).
 	Backoff time.Duration
-	// NoEscalation disables the bundle-restart escalation: an exhausted
-	// budget gives the component up instead.
-	NoEscalation bool
 }
 
 func (o *Options) applyDefaults() {
@@ -221,14 +218,13 @@ func (s *Supervisor) scheduleLocked(name string, delay time.Duration, why string
 
 // escalateLocked moves up one supervision level: restart the component's
 // whole bundle (re-deploying every component it declares), or give the
-// component up when it has no bundle or escalation is disabled. Called
-// with s.mu held.
+// component up when it has no bundle. Called with s.mu held.
 func (s *Supervisor) escalateLocked(name string, now sim.Time, opts Options, why string) {
 	r := s.rec(name)
 	r.gaveUp = true // one escalation per component; the fresh deploy starts clean
 	plane := s.d.Obs()
 	info, ok := s.d.Component(name)
-	if !ok || opts.NoEscalation || info.Bundle == "" {
+	if !ok || info.Bundle == "" {
 		s.trace = append(s.trace, Record{At: now, Action: "give-up", Component: name, Detail: why})
 		plane.Escalate(now, name, "", "gave up: "+why, plane.OpenCause(name))
 		return

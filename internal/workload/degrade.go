@@ -81,6 +81,9 @@ func DegradeCampaign() fault.Campaign {
 	}
 }
 
+// degradeSamplePeriod is the utilization sampling cadence.
+const degradeSamplePeriod = 10 * time.Millisecond
+
 // DegradeConfig parameterises one degradation-campaign run.
 type DegradeConfig struct {
 	// Seed drives all randomness (default 1).
@@ -90,14 +93,6 @@ type DegradeConfig struct {
 	// Binary strips the declared fallback modes: the ablation baseline
 	// where admission is admit-or-deny and the guard can only revoke.
 	Binary bool
-	// SamplePeriod is the utilization sampling cadence (default 10 ms).
-	SamplePeriod time.Duration
-	// Guard overrides the guard options. HealthyReset defaults to
-	// "effectively never" here so the doubling downgrade backoff stays
-	// visible across the campaign's promote/violate cycles.
-	Guard contract.Options
-	// Supervise overrides the restart-supervisor options.
-	Supervise supervise.Options
 	// NumCPUs sizes the simulated kernel (default 1).
 	NumCPUs int
 	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
@@ -120,12 +115,6 @@ func (c *DegradeConfig) applyDefaults() {
 	if c.RunFor <= 0 {
 		c.RunFor = 1200 * time.Millisecond
 	}
-	if c.SamplePeriod <= 0 {
-		c.SamplePeriod = 10 * time.Millisecond
-	}
-	if c.Guard.HealthyReset == 0 {
-		c.Guard.HealthyReset = 1 << 20
-	}
 }
 
 // DegradeResult captures one run of the degradation campaign.
@@ -136,7 +125,7 @@ type DegradeResult struct {
 	// ACTIVE (serving, possibly degraded), keyed by name.
 	Availability map[string]float64
 	// MeanUtil is the mean admitted budget (sum of the admitted modes'
-	// cpuusage across ACTIVE components), sampled every SamplePeriod.
+	// cpuusage across ACTIVE components), sampled every 10 ms.
 	MeanUtil    float64
 	UtilSamples int
 	// TimeToRepromo is calc's final re-promotion to the full contract
@@ -181,11 +170,14 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 			"rtai.demo.Display":     displayBody(nil),
 			"rtai.demo.Aux":         noopBody,
 		},
-		descs:     []string{calcSrc, DisplayXML, zauxSrc},
-		replicas:  cfg.Replicas,
-		campaign:  DegradeCampaign(),
-		guard:     &cfg.Guard,
-		supervise: &cfg.Supervise,
+		descs:    []string{calcSrc, DisplayXML, zauxSrc},
+		replicas: cfg.Replicas,
+		campaign: DegradeCampaign(),
+		// HealthyReset is "effectively never" here so the doubling
+		// downgrade backoff stays visible across the campaign's
+		// promote/violate cycles.
+		guard:     &contract.Options{HealthyReset: 1 << 20},
+		supervise: &supervise.Options{},
 	})
 	if err != nil {
 		return DegradeResult{}, err
@@ -194,7 +186,7 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 	d, k := r.d, r.k
 
 	// Utilization sampler: the admitted budget of the ACTIVE set, every
-	// SamplePeriod on the simulated clock.
+	// degradeSamplePeriod on the simulated clock.
 	var utilSum float64
 	var utilN int
 	var sample func(sim.Time)
@@ -208,9 +200,9 @@ func RunDegradeCampaign(cfg DegradeConfig) (DegradeResult, error) {
 		}
 		utilSum += u
 		utilN++
-		_, _ = clock.After(cfg.SamplePeriod, "degrade:util-sample", sample)
+		_, _ = clock.After(degradeSamplePeriod, "degrade:util-sample", sample)
 	}
-	if _, err := clock.After(cfg.SamplePeriod, "degrade:util-sample", sample); err != nil {
+	if _, err := clock.After(degradeSamplePeriod, "degrade:util-sample", sample); err != nil {
 		return DegradeResult{}, err
 	}
 

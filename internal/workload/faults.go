@@ -56,8 +56,6 @@ type FaultCampaignConfig struct {
 	Guarded bool
 	// Campaign overrides the standard fault script.
 	Campaign *fault.Campaign
-	// Guard overrides the guard options (zero value = defaults).
-	Guard contract.Options
 	// NumCPUs sizes the simulated kernel (default 1 — the paper's
 	// single-CPU scenario, byte-identical to earlier revisions).
 	NumCPUs int
@@ -150,7 +148,7 @@ func RunFaultCampaign(cfg FaultCampaignConfig) (FaultCampaignResult, error) {
 		campaign: campaign,
 	}
 	if cfg.Guarded {
-		spec.guard = &cfg.Guard
+		spec.guard = &contract.Options{}
 	}
 	r, err := newRig(spec)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/descriptor"
 	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/rtos"
 	"repro/internal/sim"
 )
@@ -58,52 +57,25 @@ func PredictCampaign() fault.Campaign {
 	}
 }
 
+// The predict campaign's fixed shape: 1.2 s on 4 CPUs, with one
+// background calc/disp replica pair on each CPU after the first.
+const (
+	predictRunFor = 1200 * time.Millisecond
+	predictCPUs   = 4
+)
+
 // PredictConfig parameterises one predict-campaign run.
 type PredictConfig struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// RunFor is the total simulated duration (default 1.2 s).
-	RunFor time.Duration
 	// Predictive enables the forecasting estimator on top of the
 	// reactive guard; false is the reactive-only ablation baseline.
 	Predictive bool
-	// Guard overrides the guard options. Predict is forced to match
-	// Predictive; PredictLead defaults to 6 here (the drift is steep).
-	Guard contract.Options
-	// NumCPUs sizes the simulated kernel (default 4).
-	NumCPUs int
-	// Replicas deploys background calc/disp pairs on CPUs 1..NumCPUs-1;
-	// ignored when NumCPUs == 1 (default 3, one per remaining CPU).
-	Replicas int
-	// ObsLevel is the observability sampling level (zero value: Sampled).
-	ObsLevel obs.Level
 }
 
 func (c *PredictConfig) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RunFor <= 0 {
-		c.RunFor = 1200 * time.Millisecond
-	}
-	if c.NumCPUs <= 0 {
-		c.NumCPUs = 4
-	}
-	if c.NumCPUs == 1 {
-		c.Replicas = 0
-	} else if c.Replicas == 0 {
-		c.Replicas = 3
-	}
-	c.Guard.Predict = c.Predictive
-	if c.Guard.PredictLead == 0 {
-		c.Guard.PredictLead = 6
-	}
-	if c.Guard.Quarantine == 0 {
-		// The default 8-check hold expires mid-drift: calc gets promoted
-		// back to full rate while the ramp is still open and racks up a
-		// burst of misses in BOTH ablation arms, drowning the signal. 16
-		// checks (160 ms) holds the downgrade until the drift has cleared.
-		c.Guard.Quarantine = 16
 	}
 }
 
@@ -155,9 +127,8 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 	cfg.applyDefaults()
 
 	r, err := newRig(rigSpec{
-		seed:     cfg.Seed,
-		numCPUs:  cfg.NumCPUs,
-		obsLevel: cfg.ObsLevel,
+		seed:    cfg.Seed,
+		numCPUs: predictCPUs,
 		bodies: map[string]core.BodyFactory{
 			"rtai.demo.PredictCalc": noopBody,
 			// The replica load bodies must actually write their outports:
@@ -167,9 +138,14 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 			"rtai.demo.Load": loadBody,
 		},
 		descs:    []string{PredictCalcXML},
-		replicas: cfg.Replicas,
+		replicas: predictCPUs - 1,
 		campaign: PredictCampaign(),
-		guard:    &cfg.Guard,
+		// PredictLead is 6 here: the drift is steep. The default 8-check
+		// hold expires mid-drift: calc gets promoted back to full rate
+		// while the ramp is still open and racks up a burst of misses in
+		// BOTH ablation arms, drowning the signal. 16 checks (160 ms)
+		// holds the downgrade until the drift has cleared.
+		guard: &contract.Options{Predict: cfg.Predictive, PredictLead: 6, Quarantine: 16},
 	})
 	if err != nil {
 		return PredictResult{}, err
@@ -207,7 +183,7 @@ func RunPredictCampaign(cfg PredictConfig) (PredictResult, error) {
 		return PredictResult{}, err
 	}
 
-	if err := k.Run(cfg.RunFor); err != nil {
+	if err := k.Run(predictRunFor); err != nil {
 		return PredictResult{}, err
 	}
 

@@ -88,6 +88,9 @@ func deployReplicas(d *core.DRCR, n, numCPU int) error {
 	return nil
 }
 
+// latencyWarmup is the initial transient a latency run discards.
+const latencyWarmup = 100 * time.Millisecond
+
 // LatencyConfig parameterises one Table 1 cell pair.
 type LatencyConfig struct {
 	// Mode is the load regime (light or stress).
@@ -99,8 +102,6 @@ type LatencyConfig struct {
 	// collect from the 1000 Hz task. Default 60000 (one simulated
 	// minute, as a long run of RTAI's latency test).
 	Samples int
-	// Warmup discards the initial transient. Default 100 ms.
-	Warmup time.Duration
 	// Seed drives all randomness. Default 1.
 	Seed uint64
 	// NumCPUs sizes the simulated machine (default 1, matching the
@@ -111,9 +112,6 @@ type LatencyConfig struct {
 func (c *LatencyConfig) applyDefaults() {
 	if c.Samples <= 0 {
 		c.Samples = 60000
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 100 * time.Millisecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -238,7 +236,7 @@ func runHybridLatency(cfg LatencyConfig) (LatencyResult, error) {
 }
 
 func collect(k *rtos.Kernel, calc, disp *rtos.Task, cfg LatencyConfig) (LatencyResult, error) {
-	if err := k.Run(cfg.Warmup); err != nil {
+	if err := k.Run(latencyWarmup); err != nil {
 		return LatencyResult{}, err
 	}
 	calc.ResetStats()

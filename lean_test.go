@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -51,7 +52,7 @@ func TestInternalDeclarationsHaveProductionCallers(t *testing.T) {
 		}
 		seams = append(seams, s.keys...)
 	}
-	prog, err := loadLean("repro", ".")
+	prog, err := repoLean()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +102,96 @@ func TestLeanGateFixture(t *testing.T) {
 		t.Fatalf("dead set:\n got %v\nwant %v", got, want)
 	}
 }
+
+// configSeams lists the exported Config/Options fields that only tests
+// set, one reason each: a test reaches a state production never
+// configures. Every other exported field of such a struct under
+// internal/ must have a production setter, or it is a constant.
+var configSeams = []struct {
+	keys []string
+	why  string
+}{
+	{[]string{"obs.Options.Capacity"},
+		"obs tests fill a small span ring to check eviction and the retained count; production keeps the default capacity"},
+	{[]string{"hrc.Config.MailboxCapacity", "hrc.Config.CommandPollCost"},
+		"hrc tests overflow a short command mailbox and measure the end-of-job poll overhead at a chosen cost"},
+	{[]string{"supervise.Options.MaxRestarts", "supervise.Options.Window", "supervise.Options.Backoff"},
+		"supervise tests exhaust a small restart budget inside a short window to reach escalation quickly"},
+	{[]string{"net.Config.Latency", "net.Config.Jitter"},
+		"net and cluster tests check the latency bounds and the node-loss latency check at chosen latencies"},
+	{[]string{"workload.DegradeConfig.ObsLevel", "workload.FaultCampaignConfig.ObsLevel", "cluster.Config.ObsLevel"},
+		"the campaign tests pin that raising the obs level leaves every lifecycle span unchanged"},
+	{[]string{"workload.DegradeConfig.NumCPUs", "workload.DegradeConfig.Replicas", "workload.DegradeConfig.RunFor",
+		"workload.FaultCampaignConfig.NumCPUs", "workload.FaultCampaignConfig.Replicas", "workload.FaultCampaignConfig.RunFor",
+		"workload.LatencyConfig.NumCPUs"},
+		"the shard-invariance and obs-level pins run the campaigns on 8 CPUs with replica pairs, and shorter, to give each processor real scheduling work"},
+	{[]string{"workload.FaultCampaignConfig.Campaign"},
+		"fault-campaign tests run a custom fault script through the standard campaign rig"},
+}
+
+// TestConfigFieldsHaveProductionSetters keeps one-value knobs out of the
+// configuration surface. Every exported field of an exported struct named
+// Config or Options (or ending in either) under internal/ must be written,
+// as a composite-literal key or an assignment, by non-test code outside
+// its own applyDefaults; a field nothing sets always runs at its default
+// and belongs in a constant.
+func TestConfigFieldsHaveProductionSetters(t *testing.T) {
+	prog, err := repoLean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset, fields := prog.unsetConfigFields()
+	if len(fields) == 0 {
+		t.Fatal("no Config/Options fields found under internal/; run from the repository root")
+	}
+	seamed := map[string]bool{}
+	for _, s := range configSeams {
+		if s.why == "" {
+			t.Errorf("config seam %v has no reason", s.keys)
+		}
+		for _, key := range s.keys {
+			seamed[key] = true
+			if !fields[key] {
+				t.Errorf("config seam %s names no Config/Options field", key)
+			} else if _, ok := unset[key]; !ok {
+				t.Errorf("config seam %s has a production setter; drop it from configSeams", key)
+			}
+		}
+	}
+	var keys []string
+	for key := range unset {
+		if !seamed[key] {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		t.Errorf("%s: %s is never set outside tests and applyDefaults; make it a constant", unset[key].pos, key)
+	}
+}
+
+// TestConfigFieldGateFixture runs the config-field check on testdata/lean,
+// whose Config has one field the root sets, one only its applyDefaults
+// sets and one nothing sets.
+func TestConfigFieldGateFixture(t *testing.T) {
+	prog, err := loadLean("leanfix", filepath.Join("testdata", "lean"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unset, _ := prog.unsetConfigFields()
+	var got []string
+	for key := range unset {
+		got = append(got, key)
+	}
+	sort.Strings(got)
+	want := []string{"fix.Config.Defaulted", "fix.Config.Unset"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("unset fields:\n got %v\nwant %v", got, want)
+	}
+}
+
+// repoLean loads the repository's program once for both gates.
+var repoLean = sync.OnceValues(func() (*leanProgram, error) { return loadLean("repro", ".") })
 
 // leanProgram is every non-test package under one directory, type-checked
 // from source. Import paths under the module path resolve to that
@@ -422,6 +513,99 @@ func (p *leanProgram) dead(seams []string) map[string]leanDecl {
 		}
 	}
 	return out
+}
+
+// unsetConfigFields returns the exported fields of the exported
+// Config/Options structs under internal/ that no non-test code writes
+// outside the struct's own applyDefaults, by key ("pkg.Type.Field"), and
+// the keys of every field it checked.
+func (p *leanProgram) unsetConfigFields() (map[string]leanDecl, map[string]bool) {
+	type field struct {
+		decl  leanDecl
+		owner *types.TypeName
+	}
+	fields := map[*types.Var]field{}
+	checked := map[string]bool{}
+	for _, lp := range p.order {
+		if !strings.Contains(lp.path+"/", "/internal/") {
+			continue
+		}
+		pkg := lp.path[strings.LastIndex(lp.path+"/", "/internal/")+len("/internal/"):]
+		scope := lp.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					key := pkg + "." + name + "." + f.Name()
+					fields[f] = field{leanDecl{key: key, pos: p.fset.Position(f.Pos()).String()}, tn}
+					checked[key] = true
+				}
+			}
+		}
+	}
+	written := map[*types.Var]bool{}
+	for _, lp := range p.order {
+		for _, f := range lp.files {
+			for _, d := range f.Decls {
+				// Writes inside T.applyDefaults do not count for T's fields.
+				var own *types.TypeName
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "applyDefaults" {
+					if fn, ok := lp.info.Defs[fd.Name].(*types.Func); ok {
+						t := fn.Type().(*types.Signature).Recv().Type()
+						if ptr, ok := t.(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						own = t.(*types.Named).Obj()
+					}
+				}
+				write := func(id *ast.Ident) {
+					if v, ok := lp.info.Uses[id].(*types.Var); ok && v.IsField() {
+						if f, ok := fields[v]; ok && f.owner != own {
+							written[v] = true
+						}
+					}
+				}
+				lhs := func(e ast.Expr) {
+					if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						write(sel.Sel)
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						for _, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									write(id)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, e := range n.Lhs {
+							lhs(e)
+						}
+					case *ast.IncDecStmt:
+						lhs(n.X)
+					}
+					return true
+				})
+			}
+		}
+	}
+	unset := map[string]leanDecl{}
+	for v, f := range fields {
+		if !written[v] {
+			unset[f.decl.key] = f.decl
+		}
+	}
+	return unset, checked
 }
 
 // origin maps an instantiated generic object back to its declaration.

@@ -39,3 +39,26 @@ const (
 	Second
 	unusedConst
 )
+
+// Config is the config-field gate's fixture: the root sets Set, only
+// applyDefaults sets Defaulted and nothing sets Unset, so the gate flags
+// Defaulted and Unset but neither the unexported seen nor Set.
+type Config struct {
+	Set       int
+	Defaulted int
+	Unset     int
+	seen      bool
+}
+
+func (c *Config) applyDefaults() {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	c.seen = true
+}
+
+// Configure applies the defaults and sums the fields.
+func Configure(c Config) int {
+	c.applyDefaults()
+	return c.Set + c.Defaulted + c.Unset
+}

@@ -11,5 +11,5 @@ import (
 func main() {
 	t := fix.New()
 	t.Used()
-	fmt.Println(t, fix.Second)
+	fmt.Println(t, fix.Second, fix.Configure(fix.Config{Set: 1}))
 }
